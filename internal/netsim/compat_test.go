@@ -82,7 +82,7 @@ func compatScenarios() []struct {
 		cfg.RoamIntervalUs = 100000
 		return cfg
 	}
-	return []struct {
+	rows := []struct {
 		name string
 		run  func() Result
 	}{
@@ -135,6 +135,27 @@ func compatScenarios() []struct {
 			return LargeFloor(DefaultConfig(), 16, 2, 4, 1, 6, 11)(31).Run(1e5)
 		}},
 	}
+	// multi-shard-* pins Shards: N bit for bit: every shardScenarios
+	// preset split into one engine per interaction group, at a fixed
+	// seed. Captured on the tree that still stepped the engines in
+	// lock-step epochs with cross-shard mailboxes, so the rows prove
+	// that running each engine straight to the horizon changes nothing.
+	for _, sc := range shardScenarios() {
+		sc := sc
+		rows = append(rows, struct {
+			name string
+			run  func() Result
+		}{"multi-shard-" + sc.name, func() Result {
+			cfg := DefaultConfig()
+			cfg.Shards = sc.groups
+			r := sc.build(cfg)(11).Run(sc.durationUs)
+			if r.Shards != sc.groups {
+				panic(fmt.Sprintf("%s ran %d shards, want %d", sc.name, r.Shards, sc.groups))
+			}
+			return r
+		}})
+	}
+	return rows
 }
 
 const goldensPath = "testdata/compat_goldens.json"
