@@ -171,7 +171,7 @@ func BenchmarkE31SpatialReuse(b *testing.B) {
 	}
 }
 
-// BenchmarkE28ShardedFloor is the sharded-PDES core-scaling curve: a
+// BenchmarkE28ShardedFloor is the sharded core-scaling curve: a
 // 1024-BSS floor (3 stations per BSS — 4096 nodes, one saturated
 // sender per cell) on an 8-channel reuse plan, so the planner finds 8
 // interaction groups and honors shard requests up to 8. Each variant
@@ -179,11 +179,11 @@ func BenchmarkE31SpatialReuse(b *testing.B) {
 // is the single-engine baseline the 2% CI gate holds (sharding must
 // cost nothing when off), and shards=2/4/8 trace the speedup curve.
 // Setup (the O(n²) gain matrix, via Prepare) is excluded so ns/op
-// measures the event loops plus the epoch-barrier overhead.
+// measures the event loops plus the worker-pool fan-out.
 //
 // The curve only bends on multi-core machines: shard workers default
 // to GOMAXPROCS, so on a single-core runner every variant measures the
-// same serial work plus barrier cost (~flat), while with GOMAXPROCS >=
+// same serial work (~flat), while with GOMAXPROCS >=
 // 4 the shards=4 variant shows the parallel speedup.
 func BenchmarkE28ShardedFloor(b *testing.B) {
 	for _, shards := range []int{1, 2, 4, 8} {

@@ -56,7 +56,6 @@ import (
 	"time"
 
 	"repro/internal/linkmodel"
-	"repro/internal/mac"
 	"repro/internal/netsim"
 	"repro/internal/netsim/app"
 	"repro/internal/netsim/scenario"
@@ -99,7 +98,7 @@ func main() {
 	csDBm := flag.Float64("cs", -82, "carrier-sense (energy-detect) threshold in dBm (floor preset defaults to -62 unless set)")
 	obssPd := flag.Float64("obss-pd", 0, "OBSS-PD spatial-reuse threshold in dBm (e.g. -62): inter-BSS frames below it are ignored for deferral and the reusing transmission pays the coupled TX-power backoff; 0 = off")
 	noSpatial := flag.Bool("no-spatial", false, "disable the spatial carrier-sense index and use the brute-force all-nodes scan (the equivalence-test oracle)")
-	shards := flag.Int("shards", 1, "partition the floor into up to N lookahead-synchronized engine shards (0/1 = single engine; clamps to the interaction-group count, falls back to 1 with a reported reason when the floor is coupled)")
+	shards := flag.Int("shards", 1, "partition the floor into up to N independent engine shards (0/1 = single engine; clamps to the interaction-group count, falls back to 1 with a reported reason when the floor is coupled)")
 	// Per-shard stats get their own flag rather than piggybacking on
 	// -cols: -cols already means AP grid columns for the floor scenario,
 	// and overloading it to also mean "show per-shard columns" would make
@@ -254,8 +253,7 @@ func main() {
 		cfg.ObssPdThresholdDBm = *obssPd
 	}
 	if *arf {
-		a := mac.DefaultArf()
-		cfg.Arf = &a
+		cfg.RateControl = "arf"
 	}
 	if *bond {
 		*ht = true
@@ -532,8 +530,8 @@ func main() {
 		if plan.Reason != "" {
 			fmt.Fprintf(os.Stderr, "shards: single engine (%s)\n", plan.Reason)
 		} else if plan.Shards > 1 {
-			fmt.Fprintf(os.Stderr, "shards: %d of %d requested, %d interaction groups, lookahead %.0f us\n",
-				plan.Shards, plan.Requested, plan.Groups, plan.LookaheadUs)
+			fmt.Fprintf(os.Stderr, "shards: %d of %d requested, %d interaction groups\n",
+				plan.Shards, plan.Requested, plan.Groups)
 		}
 	}
 	if *shardStats {

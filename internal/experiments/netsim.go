@@ -172,8 +172,7 @@ func E24RtsCtsHidden(cfg Config) []report.Table {
 		report.FormatRatio(cfRts/cfPlain), cfPlainColl, cfRtsColl)
 
 	arfCfg := netsim.DefaultConfig()
-	a := mac.DefaultArf()
-	arfCfg.Arf = &a
+	arfCfg.RateControl = "arf"
 	rateOf := map[string]float64{}
 	for _, m := range arfCfg.Modes {
 		rateOf[m.Name] = m.RateMbps

@@ -11,8 +11,6 @@ import (
 	"sort"
 	"strings"
 	"testing"
-
-	"repro/internal/mac"
 )
 
 // The TXOP/A-MPDU redesign must be invisible when its knobs are off:
@@ -73,8 +71,7 @@ func compatScenarios() []struct {
 	arfCfg := func() Config {
 		cfg := DefaultConfig()
 		cfg.RtsThresholdBytes = 500
-		a := mac.DefaultArf()
-		cfg.Arf = &a
+		cfg.RateControl = "arf"
 		return cfg
 	}
 	roamCfg := func() Config {

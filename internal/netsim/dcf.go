@@ -411,9 +411,9 @@ func (nd *Node) rcFor(rx *Node) rateController {
 	if c == nil {
 		start := nd.net.modeIndex(nd.sh.linkMode(nd, rx))
 		if nd.net.rcKind == rcArf {
-			c = mac.NewArfController(*nd.net.cfg.Arf, len(nd.net.cfg.Modes), start)
+			c = mac.NewArfController(mac.DefaultArf(), len(nd.net.cfg.Modes), start)
 		} else {
-			c = mac.NewMinstrelController(*nd.net.cfg.Minstrel, nd.net.rcRates, start)
+			c = mac.NewMinstrelController(mac.DefaultMinstrel(), nd.net.rcRates, start)
 		}
 		nd.rc[rx.id] = c
 	}
@@ -630,7 +630,7 @@ func (nd *Node) complete(tr *transmission) {
 			// distribution system forwards between APs for free), so the
 			// downlink leg always rides the medium the destination is tuned
 			// to and roam handoff always finds relay packets at the right AP.
-			f.relayed(tr.pkt, nd, f.To.bss.AP)
+			f.relayed(tr.pkt, f.To.bss.AP)
 		} else {
 			f.delivered(tr.pkt, sh.eng.Now(), nd)
 		}
@@ -703,7 +703,7 @@ func (nd *Node) fail(tr *transmission) {
 		q.queue = q.queue[1:]
 		q.cw = q.params().CWMin
 		q.retries = 0
-		nd.forward(to.bss.AP, tr.pkt)
+		to.bss.AP.enqueue(tr.pkt)
 		nd.recontend()
 		return
 	}
@@ -722,7 +722,7 @@ func (nd *Node) failAmpduRts(q *acQueue, ex *exchange) {
 	for _, p := range ex.mpdus {
 		if to := p.flow.To; nd.ap && to != nil && !to.ap && to.bss.AP != nd {
 			p.retries = 0
-			nd.forward(to.bss.AP, p)
+			to.bss.AP.enqueue(p)
 			continue
 		}
 		keep = append(keep, p)

@@ -8,9 +8,9 @@
 // internal/linkmodel PER curves. Positions feed internal/channel path
 // loss, which feeds per-link rate selection from the internal/linkmodel
 // mode tables — once at association by default, or frame by frame
-// through mac.ArfController when Config.Arf is set — so topology, PHY
-// generation, and MAC contention interact the way the paper describes
-// rather than by assumption. Above Config.RtsThresholdBytes an
+// through the rate controller Config.RateControl names — so topology,
+// PHY generation, and MAC contention interact the way the paper
+// describes rather than by assumption. Above Config.RtsThresholdBytes an
 // exchange opens with RTS/CTS: the short RTS takes the SINR judgment,
 // and the NAV set by the decoded RTS/CTS duration fields defers
 // stations that cannot carrier-sense the data frame itself.
@@ -103,35 +103,23 @@ type Config struct {
 	// the rate table).
 	RtsUs, CtsUs float64
 
-	// Arf, when non-nil, replaces association-time median-SNR mode
-	// selection with per-frame automatic rate fallback: each node keeps
-	// one mac.ArfController per destination and feeds it every data
-	// frame outcome, so the rate-vs-range staircase emerges frame by
-	// frame (and collapses back as a station walks away). With
-	// aggregation on, the controller is fed the aggregate TXOP outcome:
-	// a Block-ACK that acknowledges anything is a success, a burst that
-	// draws no Block-ACK at all is a failure.
-	Arf *mac.ArfConfig
-
 	// RateControl names the per-destination rate-adaptation scheme:
 	//
-	//   ""         legacy resolution — ARF when Arf is set, fixed
-	//              association-time selection otherwise (bit-identical
-	//              to every earlier release);
-	//   "fixed"    association-time median-SNR selection, even when Arf
-	//              is also set;
-	//   "arf"      mac.ArfController per destination (Arf fills in
-	//              mac.DefaultArf when nil);
-	//   "minstrel" mac.MinstrelController per destination — EWMA
-	//              throughput sampling over the whole Modes ladder, the
-	//              scheme built for the 2-D HT (MCS x width) tables,
-	//              fed the per-A-MPDU delivery verdict from each
-	//              Block-ACK bitmap.
+	//   "" or "fixed"  association-time median-SNR mode selection;
+	//   "arf"          per-frame automatic rate fallback: each node
+	//                  keeps one mac.ArfController (mac.DefaultArf) per
+	//                  destination and feeds it every data frame
+	//                  outcome, so the rate-vs-range staircase emerges
+	//                  frame by frame (and collapses back as a station
+	//                  walks away). With aggregation on, a Block-ACK
+	//                  that acknowledges anything is a success, a burst
+	//                  that draws none at all is a failure;
+	//   "minstrel"     mac.MinstrelController (mac.DefaultMinstrel) per
+	//                  destination — EWMA throughput sampling over the
+	//                  whole Modes ladder, the scheme built for the 2-D
+	//                  HT (MCS x width) tables, fed the per-A-MPDU
+	//                  delivery verdict from each Block-ACK bitmap.
 	RateControl string
-
-	// Minstrel tunes the "minstrel" controller; nil uses
-	// mac.DefaultMinstrel.
-	Minstrel *mac.MinstrelConfig
 
 	// ChannelWidthMHz selects the operating channel width of every BSS:
 	// 0 or 20 is the legacy single-20-MHz-channel model, 40 enables
@@ -178,11 +166,12 @@ type Config struct {
 	// the E27 scale benchmark compare against.
 	DisableSpatialIndex bool
 
-	// Shards requests conservative-PDES execution on up to this many
-	// parallel engines (shard.go): Prepare partitions the BSSs into
-	// causally independent interaction groups, runs whole groups per
-	// shard, and synchronizes at lookahead epochs. 0 and 1 mean the
-	// classic single engine, bit-identical to every earlier release.
+	// Shards requests execution on up to this many parallel engines
+	// (shard.go): Prepare partitions the BSSs into causally independent
+	// interaction groups and runs whole groups per shard, each engine
+	// straight to the horizon with no synchronization between them. 0
+	// and 1 mean the classic single engine, bit-identical to every
+	// earlier release.
 	// Requests the floor cannot honor — fewer interaction groups than
 	// shards, mobility, sampling, or a plain attached Probe — clamp or
 	// fall back to fewer shards (see Network.Plan for what happened and
@@ -313,14 +302,6 @@ func (c Config) Validate() {
 	case "", "fixed", "arf", "minstrel":
 	default:
 		panic(fmt.Sprintf("netsim: Config.RateControl %q is not one of \"\", \"fixed\", \"arf\", \"minstrel\"", c.RateControl))
-	}
-	if m := c.Minstrel; m != nil {
-		if m.EwmaWeight <= 0 || m.EwmaWeight > 1 {
-			panic(fmt.Sprintf("netsim: Config.Minstrel.EwmaWeight must be in (0, 1], got %v", m.EwmaWeight))
-		}
-		if m.SampleEvery < 2 {
-			panic(fmt.Sprintf("netsim: Config.Minstrel.SampleEvery must be at least 2, got %d", m.SampleEvery))
-		}
 	}
 	switch c.ChannelWidthMHz {
 	case 0, 20, 40:
@@ -524,8 +505,7 @@ type Network struct {
 	robustIdx int
 
 	// rcKind is Config.RateControl resolved to a dispatch constant at
-	// New time (legacy "" maps to ARF or fixed by whether Config.Arf is
-	// set); rcRates caches the Mbps ladder Minstrel controllers index.
+	// New time; rcRates caches the Mbps ladder Minstrel controllers index.
 	rcKind  int
 	rcRates []float64
 
@@ -582,14 +562,6 @@ func New(cfg Config, seed int64) *Network {
 	if cfg.QueueLimit <= 0 {
 		cfg.QueueLimit = 64
 	}
-	if cfg.RateControl == "arf" && cfg.Arf == nil {
-		a := mac.DefaultArf()
-		cfg.Arf = &a
-	}
-	if cfg.RateControl == "minstrel" && cfg.Minstrel == nil {
-		m := mac.DefaultMinstrel()
-		cfg.Minstrel = &m
-	}
 	cfg.Validate()
 	n := &Network{cfg: cfg, src: rng.New(seed), noiseFloorDBm: cfg.Budget.NoiseFloorDBm()}
 	n.noiseFloorMw = mwFromDBm(n.noiseFloorDBm)
@@ -604,14 +576,14 @@ func New(cfg Config, seed int64) *Network {
 			n.robustIdx = i
 		}
 	}
-	switch {
-	case cfg.RateControl == "minstrel":
+	switch cfg.RateControl {
+	case "minstrel":
 		n.rcKind = rcMinstrel
 		n.rcRates = make([]float64, len(cfg.Modes))
 		for i, m := range cfg.Modes {
 			n.rcRates[i] = m.RateMbps
 		}
-	case cfg.RateControl == "arf" || (cfg.RateControl == "" && cfg.Arf != nil):
+	case "arf":
 		n.rcKind = rcArf
 	default:
 		n.rcKind = rcFixed
@@ -977,20 +949,11 @@ func (n *Network) Run(durationUs float64) Result {
 	if !n.prepared {
 		n.Prepare()
 	}
-	if len(n.shards) == 1 {
-		n.shards[0].eng.Run(durationUs)
-	} else {
-		engines := make([]*sim.Engine, len(n.shards))
-		for i, sh := range n.shards {
-			engines[i] = &sh.eng
-		}
-		d := &sim.ShardedDriver{Engines: engines, LookaheadUs: n.plan.LookaheadUs,
-			Workers: n.shardWorkers, OnBarrier: n.drainMailboxes}
-		// The driver's final barrier drains whatever the last epoch
-		// posted; like any packet arriving at the run's end, it enqueues
-		// but no longer transmits.
-		d.RunUntil(durationUs)
+	engines := make([]*sim.Engine, len(n.shards))
+	for i, sh := range n.shards {
+		engines[i] = &sh.eng
 	}
+	sim.RunAll(engines, durationUs, n.shardWorkers)
 	return n.collect(durationUs)
 }
 

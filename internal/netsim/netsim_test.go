@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"testing"
-
-	"repro/internal/mac"
 )
 
 // run1 is a small saturated single-BSS network for quick checks.
@@ -248,8 +246,7 @@ func TestRtsThresholdBoundary(t *testing.T) {
 func TestArfDownshiftsWithDistance(t *testing.T) {
 	run := func(distM float64) Result {
 		cfg := DefaultConfig()
-		a := mac.DefaultArf()
-		cfg.Arf = &a
+		cfg.RateControl = "arf"
 		n := New(cfg, 5)
 		b := n.AddAP("AP", 0, 0, 1)
 		st := n.AddStation(b, "sta", distM, 0)
@@ -285,8 +282,7 @@ func TestArfWalkerDownshiftsWalkingAway(t *testing.T) {
 	// per-frame ARF must walk the attempt histogram down the staircase
 	// as the SNR decays, with no reassociation involved.
 	cfg := DefaultConfig()
-	a := mac.DefaultArf()
-	cfg.Arf = &a
+	cfg.RateControl = "arf"
 	cfg.RoamIntervalUs = 100000
 	n := New(cfg, 7)
 	b := n.AddAP("AP", 0, 0, 1)
@@ -311,8 +307,7 @@ func TestDeterministicWithRtsAndArf(t *testing.T) {
 	build := func() Result {
 		cfg := DefaultConfig()
 		cfg.RtsThresholdBytes = 500
-		a := mac.DefaultArf()
-		cfg.Arf = &a
+		cfg.RateControl = "arf"
 		return HiddenPair(cfg, 300, 1200)(13).Run(200000)
 	}
 	a, b := build(), build()

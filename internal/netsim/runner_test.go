@@ -5,8 +5,6 @@ import (
 	"runtime"
 	"testing"
 	"time"
-
-	"repro/internal/mac"
 )
 
 // Run the same seed sweep serially and with a pool; results must be
@@ -36,8 +34,7 @@ func TestRunnerParallelMatchesSerial(t *testing.T) {
 func TestRunnerParallelMatchesSerialWithRtsAndArf(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.RtsThresholdBytes = 500
-	a := mac.DefaultArf()
-	cfg.Arf = &a
+	cfg.RateControl = "arf"
 	jobs := append(
 		SeedSweep("hidden-rts", HiddenPairRtsCts(cfg, 300, 1200), 200000, 300, 4),
 		SeedSweep("dense-arf", DenseGrid(cfg, 2, 4, []int{1, 6}, 30, 1000), 200000, 400, 4)...)

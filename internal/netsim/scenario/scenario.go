@@ -19,7 +19,6 @@ import (
 	"strings"
 
 	"repro/internal/linkmodel"
-	"repro/internal/mac"
 	"repro/internal/netsim"
 	"repro/internal/netsim/app"
 	"repro/internal/netsim/transport"
@@ -59,7 +58,8 @@ type Overrides struct {
 	Arf               bool     `json:"arf,omitempty"`
 
 	// RateControl selects the per-link rate controller ("fixed" | "arf"
-	// | "minstrel"); absent keeps the legacy rule (ARF iff config.arf).
+	// | "minstrel"); absent means fixed, or arf when config.arf (its
+	// shorthand) is set.
 	RateControl *string `json:"rate_control,omitempty"`
 	// HtStreams switches the rate table to the 802.11n HT ladder
 	// (linkmodel.HtModes) with this many spatial streams, at
@@ -522,8 +522,7 @@ func (f *File) netConfig() netsim.Config {
 		cfg.RoamIntervalUs = *c.RoamIntervalUs
 	}
 	if c.Arf {
-		a := mac.DefaultArf()
-		cfg.Arf = &a
+		cfg.RateControl = "arf"
 	}
 	if c.HtStreams != nil {
 		w := 20

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"fmt"
 	"sort"
 
 	"repro/internal/linkmodel"
@@ -8,30 +9,27 @@ import (
 	"repro/internal/sim"
 )
 
-// The shard layer: conservative-PDES partitioning of one Network.
+// The shard layer: partitioning one Network into independent engines.
 //
 // A shard is one execution partition — its own sim.Engine, its own
-// rng.Source stream, its own media, and its own run counters. During an
-// epoch (sim.ShardedDriver) a shard's goroutine may touch only state
-// owned by that shard plus the Network's frozen build products (config,
-// gain matrices, node positions); everything mutable in the MAC hot
-// path hangs off the shard a node belongs to. Cross-shard traffic —
-// possible only through flow relaying, which planning normally keeps
-// inside one shard — goes through a per-shard outbox drained at each
-// epoch barrier (drainMailboxes), so no shard ever writes another
-// shard's state concurrently.
+// rng.Source stream, its own media, and its own run counters. While
+// sim.RunAll drives the engines, a shard's goroutine may touch only
+// state owned by that shard plus the Network's frozen build products
+// (config, gain matrices, node positions); everything mutable in the
+// MAC hot path hangs off the shard a node belongs to.
 //
 // Partitioning is by interaction group, not by raw grid cell: two BSSs
 // interact when any of their nodes share a channel within carrier
 // sense, NAV decode, or meaningful-interference range, or when a flow
 // connects them (interactionGroups). Shards are unions of whole groups,
-// so nothing physical ever crosses a seam — the lookahead epoch exists
-// to bound the latency of the one logical channel left (the mailbox),
-// and correctness does not depend on its length.
+// so nothing ever crosses a seam: no frame reaches another shard's
+// media, and every flow's endpoints and their APs share one shard.
+// Mobility, the sampler and a single attached Probe read state across
+// the floor, so they force one engine (planShards). Each engine
+// therefore runs straight to the horizon with no synchronization.
 //
 // Determinism: each shard's event order is a function of its own engine
-// and RNG stream only, and the barrier drain walks shards in index
-// order on one goroutine. A run with Shards: N is therefore bit-for-bit
+// and RNG stream only. A run with Shards: N is therefore bit-for-bit
 // reproducible for fixed N, independent of worker count or goroutine
 // scheduling. With one shard the planner hands the shard the Network's
 // own rng.Source un-split, so Shards: 0/1 runs are bit-identical to
@@ -43,15 +41,7 @@ import (
 // curve's resolution.
 const interferenceMarginDB = 30
 
-// shardEpochSlots sizes the lookahead epoch in units of (SIFS + slot)
-// — the shortest think-time the DCF inserts between dependent frames.
-// Shard contents are fully decoupled, so the epoch length only trades
-// barrier overhead against mailbox latency; ~1024 units ≈ 26 ms of
-// virtual time for 11a/g timing, a few dozen barriers per simulated
-// second.
-const shardEpochSlots = 1024
-
-// shard is one conservative-PDES partition of a Network: an engine, a
+// shard is one independent partition of a Network: an engine, a
 // deterministic RNG stream, the media of its BSS groups, and the
 // run-counter half of what collect aggregates into a Result.
 type shard struct {
@@ -84,18 +74,6 @@ type shard struct {
 	acBytesDelivered      [NumACs]int
 	obssIgnores           int
 	obssReuseTx           int
-
-	// outbox holds packets addressed to nodes of other shards, appended
-	// only by this shard's goroutine and drained in shard-index order at
-	// each epoch barrier. No lock: the single-writer/barrier-drain
-	// discipline is the synchronization.
-	outbox []shardMsg
-}
-
-// shardMsg is one cross-shard packet in flight between epoch barriers.
-type shardMsg struct {
-	dst *Node
-	pkt *packet
 }
 
 func newShard(n *Network, idx int) *shard {
@@ -153,36 +131,6 @@ func (sh *shard) linkMode(tx, rx *Node) linkmodel.Mode {
 	return m
 }
 
-// post files a packet for a node owned by another shard; the next epoch
-// barrier enqueues it there.
-func (sh *shard) post(dst *Node, p *packet) {
-	sh.outbox = append(sh.outbox, shardMsg{dst: dst, pkt: p})
-}
-
-// forward hands a packet to dst's transmit queue: directly when dst
-// lives on the carrier's shard (always the case for flow endpoints —
-// planning co-shards them), through the mailbox otherwise.
-func (nd *Node) forward(dst *Node, p *packet) {
-	if dst.sh == nd.sh {
-		dst.enqueue(p)
-		return
-	}
-	nd.sh.post(dst, p)
-}
-
-// drainMailboxes delivers every cross-shard packet posted during the
-// finished epoch. It runs at the barrier with all engines quiescent at
-// the same virtual time, walking shards in index order on one goroutine
-// — so delivery order, and everything it schedules, is deterministic.
-func (n *Network) drainMailboxes(float64) {
-	for _, sh := range n.shards {
-		for _, msg := range sh.outbox {
-			msg.dst.enqueue(msg.pkt)
-		}
-		sh.outbox = sh.outbox[:0]
-	}
-}
-
 // ShardPlan describes how Prepare partitioned the deployment.
 type ShardPlan struct {
 	// Requested is Config.Shards as given (0 normalizes to 1); Shards is
@@ -213,27 +161,43 @@ type ShardPlan struct {
 	// NodesPerShard is each shard's node count — the balance the greedy
 	// assignment achieved.
 	NodesPerShard []int
-
-	// LookaheadUs is the epoch length of the sharded run (0 when
-	// single-engine).
-	LookaheadUs float64
 }
 
 // Plan returns the shard plan Prepare computed; the zero value before
 // Prepare has run.
 func (n *Network) Plan() ShardPlan { return n.plan }
 
+// CheckFlowsCoSharded returns an error naming the first flow whose
+// endpoints or their APs sit on different shards, or nil when none
+// does. That invariant is what lets every engine run to the horizon
+// unsynchronized: a relay or roam hand-off enqueues straight into
+// another node's queue, which is safe only on the caller's own shard.
+// Planning guarantees it (interactionGroups); tests assert it after
+// Prepare.
+func (n *Network) CheckFlowsCoSharded() error {
+	if !n.prepared {
+		return fmt.Errorf("netsim: CheckFlowsCoSharded before Prepare")
+	}
+	for i, f := range n.flows {
+		nodes := []*Node{f.From, f.From.bss.AP}
+		if f.To != nil {
+			nodes = append(nodes, f.To, f.To.bss.AP)
+		}
+		for _, nd := range nodes {
+			if nd.sh != f.From.sh {
+				return fmt.Errorf("netsim: flow %d from %s spans shards %d and %d (node %s)",
+					i, f.From.Name, f.From.sh.idx, nd.sh.idx, nd.Name)
+			}
+		}
+	}
+	return nil
+}
+
 // SetShardWorkers caps the goroutines a multi-shard Run may occupy (0
 // means GOMAXPROCS, clamped to the shard count). Worker count never
 // changes results — only wall-clock — so ScenarioRunner uses this to
 // keep seeds × shards inside its Parallelism budget.
 func (n *Network) SetShardWorkers(k int) { n.shardWorkers = k }
-
-// lookaheadUs derives the epoch length from the MAC timing (see
-// shardEpochSlots).
-func (n *Network) lookaheadUs() float64 {
-	return shardEpochSlots * (n.cfg.Dcf.SIFSUs + n.cfg.Dcf.SlotUs)
-}
 
 // channelsCouple reports whether two BSS primary channels can exchange
 // energy: equality in the legacy 20 MHz model, and under 40 MHz
@@ -301,7 +265,7 @@ func (n *Network) minShadowDB() float64 {
 // adoption, and SINR-relevant interference are all confined to a
 // channel — and (b) any flow connecting two BSSs (relay and downlink
 // traffic must stay on one engine, so closed-loop transport feedback
-// never crosses an epoch barrier; flowMerges counts how many otherwise
+// never crosses a shard seam; flowMerges counts how many otherwise
 // distinct groups rule (b) collapsed — see ShardPlan.FlowEdgeMerges).
 // Groups come back as sorted BSS index lists, ordered by their
 // smallest member, so the partition is a pure function of the
@@ -460,7 +424,6 @@ func (n *Network) planShards() {
 			nd.sh = n.shards[0]
 		}
 	} else {
-		plan.LookaheadUs = n.lookaheadUs()
 		for _, sh := range n.shards {
 			sh.src = n.src.Split()
 			if n.probeFactory != nil {

@@ -90,6 +90,10 @@ func TestCrossBssConnShardedDeterminism(t *testing.T) {
 		n.Add(netsim.FlowSpec{From: s1, AC: netsim.AC_BE, Gen: netsim.CBR{PayloadBytes: 600, IntervalUs: 3000}})
 		n.Add(netsim.FlowSpec{From: fs, AC: netsim.AC_BE, Gen: netsim.Saturated{PayloadBytes: 800}})
 		n.SetShardWorkers(workers)
+		n.Prepare()
+		if err := n.CheckFlowsCoSharded(); err != nil {
+			t.Fatal(err)
+		}
 		res := n.Run(3e6)
 		return snapshot{
 			shards:     n.Plan().Shards,

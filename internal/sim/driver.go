@@ -1,31 +1,11 @@
 package sim
 
-// The execution-driver layer. Engine is a single sequential event loop;
-// a Driver decides how one or more engines advance virtual time. The
-// two implementations are SingleDriver (the classic loop, zero added
-// cost) and ShardedDriver: a conservative parallel discrete-event
-// simulation (PDES) harness that steps N engines in lock-step epochs.
-//
-// The conservative-PDES contract the sharded driver enforces:
-//
-//   - Within an epoch, every engine runs independently on its own
-//     goroutine up to the epoch's end time. Nothing may touch another
-//     engine's state during the epoch — partitioning the workload so
-//     that holds (and routing the rare cross-partition interaction
-//     through a mailbox) is the caller's job.
-//   - At the epoch barrier all engines have reached exactly the same
-//     virtual time. OnBarrier then runs on the calling goroutine with
-//     every engine quiescent — the one safe point to exchange
-//     cross-partition state (drain mailboxes, migrate work).
-//   - LookaheadUs is the epoch length: the caller's guarantee that no
-//     event in one partition can influence another partition sooner
-//     than that horizon. Anything scheduled across the seam lands at or
-//     after the next barrier.
-//
-// Each engine stays a single-goroutine object; parallelism exists only
-// BETWEEN engines, and each engine's event order is independent of
-// worker count or goroutine scheduling. That is what makes a sharded
-// run bit-for-bit reproducible for a fixed shard count.
+// Running several engines at once. Each Engine is a single-goroutine
+// event loop; RunAll fans independent engines across a worker pool and
+// runs each straight to the horizon. Nothing synchronizes the engines
+// along the way, so the caller must hand over engines that share no
+// mutable state. Each engine's event order then depends only on its
+// own queue, never on worker count or goroutine scheduling.
 
 import (
 	"runtime"
@@ -33,90 +13,25 @@ import (
 	"sync/atomic"
 )
 
-// Driver advances one or more engines to an absolute virtual time.
-type Driver interface {
-	// RunUntil fires every event scheduled at or before untilUs and
-	// leaves every engine's clock at exactly untilUs.
-	RunUntil(untilUs float64)
-	// Stats returns the aggregated engine counters (see MergeStats).
-	Stats() Stats
-}
-
-// SingleDriver runs one engine — the classic sequential event loop
-// behind the Driver interface, with no overhead over calling Engine.Run
-// directly.
-type SingleDriver struct{ Eng *Engine }
-
-func (d SingleDriver) RunUntil(untilUs float64) { d.Eng.Run(untilUs) }
-func (d SingleDriver) Stats() Stats             { return d.Eng.Stats() }
-
-// ShardedDriver steps N engines in lock-step epochs of LookaheadUs,
-// synchronizing at a barrier between epochs (conservative PDES).
-type ShardedDriver struct {
-	// Engines are the per-shard event loops. The driver owns them for
-	// the duration of RunUntil: nothing else may schedule on or step an
-	// engine while an epoch is in flight. All engines must be at the
-	// same virtual time when RunUntil is called.
-	Engines []*Engine
-
-	// LookaheadUs is the epoch length — the caller's cross-shard
-	// propagation slack. Values <= 0 run a single epoch to the target
-	// time (valid only when the shards are fully independent).
-	LookaheadUs float64
-
-	// Workers caps the goroutines running engines concurrently; 0 means
-	// GOMAXPROCS, and the effective count never exceeds len(Engines).
-	// Worker count affects wall-clock only, never results: engines are
-	// independent within an epoch, so any scheduling yields the same
-	// per-engine event order.
-	Workers int
-
-	// OnBarrier, when set, runs after every epoch with all engines
-	// quiescent at the barrier time — the safe point for cross-shard
-	// exchange (mailbox drains schedule into the following epoch).
-	OnBarrier func(nowUs float64)
-}
-
-// RunUntil advances every engine to untilUs in lock-step epochs.
-func (d *ShardedDriver) RunUntil(untilUs float64) {
-	if len(d.Engines) == 0 {
-		panic("sim: ShardedDriver has no engines")
-	}
-	now := d.Engines[0].Now()
-	step := d.LookaheadUs
-	if step <= 0 {
-		step = untilUs - now
-	}
-	for now < untilUs {
-		next := now + step
-		if next > untilUs {
-			next = untilUs
-		}
-		d.runEpoch(next)
-		if d.OnBarrier != nil {
-			d.OnBarrier(next)
-		}
-		now = next
-	}
-}
-
-// runEpoch fires every engine's events up to untilUs, fanning engines
-// across the worker budget, and returns with all clocks at untilUs.
-func (d *ShardedDriver) runEpoch(untilUs float64) {
-	workers := d.Workers
+// RunAll fires every event scheduled at or before untilUs on every
+// engine and leaves each engine's clock at exactly untilUs. workers
+// caps the goroutines running engines concurrently; 0 means
+// GOMAXPROCS, and the effective count never exceeds len(engines).
+// Worker count affects wall-clock only, never results.
+func RunAll(engines []*Engine, untilUs float64, workers int) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(d.Engines) {
-		workers = len(d.Engines)
+	if workers > len(engines) {
+		workers = len(engines)
 	}
 	if workers <= 1 {
-		for _, e := range d.Engines {
+		for _, e := range engines {
 			e.Run(untilUs)
 		}
 		return
 	}
-	// Work-stealing over an atomic cursor: shards are rarely balanced
+	// Work-stealing over an atomic cursor: engines are rarely balanced
 	// perfectly, so a fast worker picks up the next engine instead of
 	// idling behind a static stripe.
 	var cursor atomic.Int64
@@ -127,23 +42,14 @@ func (d *ShardedDriver) runEpoch(untilUs float64) {
 			defer wg.Done()
 			for {
 				i := int(cursor.Add(1)) - 1
-				if i >= len(d.Engines) {
+				if i >= len(engines) {
 					return
 				}
-				d.Engines[i].Run(untilUs)
+				engines[i].Run(untilUs)
 			}
 		}()
 	}
 	wg.Wait()
-}
-
-// Stats aggregates the engines' counters (see MergeStats).
-func (d *ShardedDriver) Stats() Stats {
-	all := make([]Stats, len(d.Engines))
-	for i, e := range d.Engines {
-		all[i] = e.Stats()
-	}
-	return MergeStats(all...)
 }
 
 // MergeStats folds per-engine snapshots into one aggregate: event and

@@ -1,117 +1,25 @@
 package sim
 
 import (
-	"sync"
 	"testing"
 )
 
-// TestSingleDriverMatchesEngine: the SingleDriver wrapper is the plain
-// event loop — same fire sequence, same stats, same final clock.
-func TestSingleDriverMatchesEngine(t *testing.T) {
-	runDirect := func() ([]float64, Stats) {
-		var e Engine
-		var fired []float64
-		var tick func()
-		tick = func() {
-			fired = append(fired, e.Now())
-			if e.Now() < 90 {
-				e.Schedule(10, tick)
-			}
-		}
-		e.Schedule(10, tick)
-		e.Run(100)
-		return fired, e.Stats()
-	}
-	runDriver := func() ([]float64, Stats) {
-		var e Engine
-		var fired []float64
-		var tick func()
-		tick = func() {
-			fired = append(fired, e.Now())
-			if e.Now() < 90 {
-				e.Schedule(10, tick)
-			}
-		}
-		e.Schedule(10, tick)
-		d := SingleDriver{Eng: &e}
-		d.RunUntil(100)
-		return fired, d.Stats()
-	}
-	fa, sa := runDirect()
-	fb, sb := runDriver()
-	if len(fa) != len(fb) || sa != sb {
-		t.Fatalf("SingleDriver diverged from Engine.Run: %d/%d events, %+v vs %+v",
-			len(fa), len(fb), sa, sb)
-	}
-}
-
-// TestShardedDriverEpochBarriers: RunUntil must hit every lookahead
-// boundary exactly once, call OnBarrier with all engine clocks equal to
-// the barrier time, and leave every clock at the final target.
-func TestShardedDriverEpochBarriers(t *testing.T) {
-	engines := []*Engine{{}, {}, {}}
-	for _, e := range engines {
-		eng := e
-		var tick func()
-		tick = func() { eng.Schedule(7, tick) }
-		eng.Schedule(7, tick)
-	}
-	var barriers []float64
-	d := &ShardedDriver{Engines: engines, LookaheadUs: 25,
-		OnBarrier: func(nowUs float64) {
-			barriers = append(barriers, nowUs)
-			for i, e := range engines {
-				if e.Now() != nowUs {
-					t.Fatalf("engine %d at %.1f at the %.1f barrier", i, e.Now(), nowUs)
-				}
-			}
-		}}
-	d.RunUntil(100)
-	want := []float64{25, 50, 75, 100}
-	if len(barriers) != len(want) {
-		t.Fatalf("barriers %v, want %v", barriers, want)
-	}
-	for i, b := range barriers {
-		if b != want[i] {
-			t.Fatalf("barriers %v, want %v", barriers, want)
-		}
-	}
-	for i, e := range engines {
-		if e.Now() != 100 {
-			t.Fatalf("engine %d finished at %.1f, want 100", i, e.Now())
-		}
-	}
-}
-
-// TestShardedDriverZeroLookahead: non-positive lookahead runs one epoch
-// straight to the target (fully independent shards need no barriers).
-func TestShardedDriverZeroLookahead(t *testing.T) {
-	engines := []*Engine{{}, {}}
-	calls := 0
-	d := &ShardedDriver{Engines: engines,
-		OnBarrier: func(float64) { calls++ }}
-	d.RunUntil(1000)
-	if calls != 1 {
-		t.Fatalf("zero lookahead ran %d epochs, want 1", calls)
-	}
-	for _, e := range engines {
-		if e.Now() != 1000 {
-			t.Fatalf("engine clock %.1f, want 1000", e.Now())
-		}
-	}
-}
-
-// TestShardedDriverWorkerInvariance: within an epoch engines are
-// independent, so any worker count — serial, saturated, oversubscribed
-// — must produce the identical per-engine fire sequence.
-func TestShardedDriverWorkerInvariance(t *testing.T) {
+// TestRunAllWorkerInvariance: engines share nothing, so any worker
+// count — serial, saturated, oversubscribed — must produce the
+// identical per-engine fire sequence and leave every clock at exactly
+// the horizon, including an engine with nothing scheduled.
+func TestRunAllWorkerInvariance(t *testing.T) {
+	const untilUs = 500
 	run := func(workers int) [][]float64 {
-		engines := make([]*Engine, 5)
-		fired := make([][]float64, 5)
+		engines := make([]*Engine, 6)
+		fired := make([][]float64, len(engines))
 		for i := range engines {
 			engines[i] = &Engine{}
+			if i == len(engines)-1 {
+				continue // idle engine: its clock must still advance
+			}
 			eng, idx := engines[i], i
-			gap := 3 + float64(i) // distinct load per shard
+			gap := 3 + float64(i) // distinct load per engine
 			var tick func()
 			tick = func() {
 				fired[idx] = append(fired[idx], eng.Now())
@@ -119,12 +27,16 @@ func TestShardedDriverWorkerInvariance(t *testing.T) {
 			}
 			eng.Schedule(gap, tick)
 		}
-		d := &ShardedDriver{Engines: engines, LookaheadUs: 50, Workers: workers}
-		d.RunUntil(500)
+		RunAll(engines, untilUs, workers)
+		for i, e := range engines {
+			if e.Now() != untilUs {
+				t.Fatalf("workers=%d: engine %d finished at %v, want %v", workers, i, e.Now(), float64(untilUs))
+			}
+		}
 		return fired
 	}
 	ref := run(1)
-	for _, workers := range []int{2, 5, 32} {
+	for _, workers := range []int{0, 2, 6, 32} {
 		got := run(workers)
 		for i := range ref {
 			if len(got[i]) != len(ref[i]) {
@@ -141,75 +53,21 @@ func TestShardedDriverWorkerInvariance(t *testing.T) {
 	}
 }
 
-// TestShardedDriverMailboxProtocol drives the driver the way netsim
-// does: each shard appends cross-shard messages to its own outbox
-// during the epoch, and the barrier drains them into the destination
-// shard (scheduling work there). The delivered sets must be exactly
-// what was sent, and nothing may arrive before the barrier after its
-// posting epoch.
-func TestShardedDriverMailboxProtocol(t *testing.T) {
-	const shards = 4
-	engines := make([]*Engine, shards)
-	outbox := make([][]int, shards)   // msg = destination shard's running count
-	received := make([]int, shards)   // messages delivered to each shard
-	sent := make([]int, shards)       // messages addressed to each shard
-	postedAt := make([]float64, 0, 8) // barrier times deliveries happened at
-	for i := range engines {
-		engines[i] = &Engine{}
-		eng, idx := engines[i], i
-		var tick func()
-		tick = func() {
-			// Every 40us, post one message to the next shard.
-			dst := (idx + 1) % shards
-			outbox[idx] = append(outbox[idx], dst)
-			eng.Schedule(40, tick)
-		}
-		eng.Schedule(40, tick)
-	}
-	d := &ShardedDriver{Engines: engines, LookaheadUs: 100,
-		OnBarrier: func(nowUs float64) {
-			for src := range outbox {
-				for _, dst := range outbox[src] {
-					sent[dst]++
-					target := engines[dst]
-					d := dst
-					target.Schedule(0, func() { received[d]++ })
-					postedAt = append(postedAt, nowUs)
-				}
-				outbox[src] = outbox[src][:0]
-			}
-		}}
-	d.RunUntil(400)
-	for i := range received {
-		// The final barrier's deliveries schedule at t=400 and never run;
-		// all earlier ones must have fired in the following epoch.
-		fired := received[i]
-		wantMin := sent[i] - shards // at most one epoch's worth in flight
-		if fired < wantMin || fired > sent[i] {
-			t.Fatalf("shard %d received %d of %d sent", i, fired, sent[i])
-		}
-	}
-	for _, at := range postedAt {
-		if at != 100 && at != 200 && at != 300 && at != 400 {
-			t.Fatalf("mailbox drained off-barrier at %.1f", at)
-		}
-	}
-}
-
-// TestShardedDriverStatsAggregation: Stats() must sum event counters
-// across engines and take the max heap high-water.
-func TestShardedDriverStatsAggregation(t *testing.T) {
+// TestRunAllStatsAggregation: MergeStats over the engines RunAll drove
+// must sum their event counters and take the max heap high-water.
+func TestRunAllStatsAggregation(t *testing.T) {
 	engines := []*Engine{{}, {}}
 	for i, e := range engines {
-		eng := e
 		for j := 0; j < (i+1)*10; j++ {
-			eng.Schedule(float64(j), func() {})
+			e.Schedule(float64(j), func() {})
 		}
 	}
-	d := &ShardedDriver{Engines: engines, LookaheadUs: 100}
-	d.RunUntil(100)
-	got := d.Stats()
+	RunAll(engines, 100, 2)
 	s0, s1 := engines[0].Stats(), engines[1].Stats()
+	got := MergeStats(s0, s1)
+	if s0.Fired != 10 || s1.Fired != 20 {
+		t.Fatalf("engines fired %d and %d events, want 10 and 20", s0.Fired, s1.Fired)
+	}
 	if got.Scheduled != s0.Scheduled+s1.Scheduled || got.Fired != s0.Fired+s1.Fired {
 		t.Fatalf("merged %+v does not sum %+v + %+v", got, s0, s1)
 	}
@@ -239,19 +97,17 @@ func TestMergeStats(t *testing.T) {
 	}
 }
 
-// TestShardedDriverConcurrentEngines verifies the epoch fan-out really
-// runs engines on distinct goroutines without corrupting shared-nothing
-// state — meaningful under -race, where a stray cross-engine touch
-// would trip the detector.
-func TestShardedDriverConcurrentEngines(t *testing.T) {
-	const shards = 8
-	engines := make([]*Engine, shards)
-	counts := make([]int, shards)
-	var mu sync.Mutex
-	seen := map[int]bool{}
-	for i := range engines {
-		engines[i] = &Engine{}
-		eng, idx := engines[i], i
+// TestRunAllConcurrentEngines verifies the fan-out really runs engines
+// on distinct goroutines without corrupting shared-nothing state —
+// meaningful under -race, where a stray cross-engine touch would trip
+// the detector.
+func TestRunAllConcurrentEngines(t *testing.T) {
+	const engines = 8
+	es := make([]*Engine, engines)
+	counts := make([]int, engines)
+	for i := range es {
+		es[i] = &Engine{}
+		eng, idx := es[i], i
 		var tick func()
 		tick = func() {
 			counts[idx]++
@@ -259,19 +115,13 @@ func TestShardedDriverConcurrentEngines(t *testing.T) {
 		}
 		eng.Schedule(1, tick)
 	}
-	d := &ShardedDriver{Engines: engines, LookaheadUs: 100, Workers: 4,
-		OnBarrier: func(nowUs float64) {
-			mu.Lock()
-			seen[int(nowUs)] = true
-			mu.Unlock()
-		}}
-	d.RunUntil(1000)
+	RunAll(es, 1000, 4)
 	for i, c := range counts {
-		if c == 0 {
-			t.Fatalf("engine %d fired nothing", i)
+		if c != 1000 {
+			t.Fatalf("engine %d fired %d events, want 1000", i, c)
 		}
-	}
-	if len(seen) != 10 {
-		t.Fatalf("saw %d barriers, want 10", len(seen))
+		if es[i].Now() != 1000 {
+			t.Fatalf("engine %d finished at %v, want 1000", i, es[i].Now())
+		}
 	}
 }
