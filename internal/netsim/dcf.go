@@ -626,11 +626,10 @@ func (nd *Node) complete(tr *transmission) {
 		}
 		f := tr.pkt.flow
 		if f.viaAP() && tr.rx.ap {
-			// Hand the packet to the destination's CURRENT AP (an ideal
-			// distribution system forwards between APs for free), so the
-			// downlink leg always rides the medium the destination is tuned
-			// to and roam handoff always finds relay packets at the right AP.
-			f.relayed(tr.pkt, f.To.bss.AP)
+			// Relay via the destination's current AP, so the downlink leg
+			// always rides the medium the destination is tuned to and roam
+			// handoff always finds relay packets at the right AP.
+			f.relayed(tr.pkt)
 		} else {
 			f.delivered(tr.pkt, sh.eng.Now(), nd)
 		}

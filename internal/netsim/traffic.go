@@ -269,13 +269,14 @@ func (f *Flow) refill(tx *Node) {
 	}
 }
 
-// relayed hands a via-AP flow's packet from its first hop to the AP's
-// queue toward the final destination, preserving the arrival timestamp
-// so delay stays end-to-end. A full AP queue drops it there. The AP
-// always shares the relaying node's shard: planning co-shards every
-// BSS a flow touches, and mobility forces one engine.
-func (f *Flow) relayed(p *packet, ap *Node) {
-	ap.enqueue(p)
+// relayed hands a via-AP flow's packet from its first hop to the
+// destination's CURRENT AP (an ideal distribution system forwards
+// between APs for free), preserving the arrival timestamp so delay
+// stays end-to-end. A full AP queue drops it there. That AP always
+// shares the relaying node's shard: planning co-shards every BSS a flow
+// touches, and mobility forces one engine.
+func (f *Flow) relayed(p *packet) {
+	f.To.bss.AP.enqueue(p)
 	if f.saturated {
 		f.topUp()
 	}

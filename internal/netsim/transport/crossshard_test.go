@@ -39,6 +39,9 @@ func TestFlowEdgeMergeCollapsesPlan(t *testing.T) {
 			Attach(f, Config{})
 		}
 		n.Prepare()
+		if err := n.CheckFlowsCoSharded(); err != nil {
+			t.Fatal(err)
+		}
 		return n
 	}
 

@@ -247,7 +247,7 @@ func (nd *Node) applyBlockAck(tr *transmission, ok []bool) {
 		if ok[i] {
 			sh.delivered[ac]++
 			if p.flow.viaAP() && tr.rx.ap {
-				p.flow.relayed(p, p.flow.To.bss.AP)
+				p.flow.relayed(p)
 			} else {
 				p.flow.delivered(p, sh.eng.Now(), nd)
 			}
