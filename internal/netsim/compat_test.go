@@ -138,7 +138,6 @@ func compatScenarios() []struct {
 	// lock-step epochs with cross-shard mailboxes, so the rows prove
 	// that running each engine straight to the horizon changes nothing.
 	for _, sc := range shardScenarios() {
-		sc := sc
 		rows = append(rows, struct {
 			name string
 			run  func() Result

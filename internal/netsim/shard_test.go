@@ -9,9 +9,10 @@ import (
 )
 
 // The sharded-execution test suite: planning edge cases, the co-shard
-// invariant that keeps engines independent, repeat/worker determinism for a fixed shard count, the
-// bit-identical fallback paths, and the statistical equivalence of
-// Shards: N against the single-engine oracle.
+// invariant that keeps engines independent, repeat/worker determinism
+// for a fixed shard count, the bit-identical fallback paths, and the
+// statistical equivalence of Shards: N against the single-engine
+// oracle.
 //
 // Two different equivalence strengths apply, and the tests keep them
 // apart deliberately. Runs that end up on ONE engine — fallback,
@@ -249,16 +250,14 @@ func TestShardSeamBridge(t *testing.T) {
 			add("mid", 0.9*r, 6) // other channel: no coupling
 		}
 		n.Prepare()
+		assertFlowsCoSharded(t, n)
 		return n
 	}
-	apartNet, bridgedNet := build(false), build(true)
-	assertFlowsCoSharded(t, apartNet)
-	assertFlowsCoSharded(t, bridgedNet)
-	apart := apartNet.Plan()
+	apart := build(false).Plan()
 	if apart.Groups != 3 || apart.Shards != 2 {
 		t.Fatalf("without a bridge the clusters must stay independent: %+v", apart)
 	}
-	bridged := bridgedNet.Plan()
+	bridged := build(true).Plan()
 	if bridged.Groups != 1 {
 		t.Fatalf("the straddling BSS must merge the clusters into one group: %+v", bridged)
 	}
