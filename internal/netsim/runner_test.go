@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
 	"time"
@@ -75,7 +76,11 @@ func TestRunnerMixedScenarios(t *testing.T) {
 // The speedup assertion is deliberately loose (the acceptance target of
 // ≥2x on 4 workers is demonstrated by `netsim -compare`); here we only
 // require that the pool is not pathologically slower, while logging the
-// measured ratio for the record.
+// measured ratio for the record. Each side is timed several times,
+// interleaved and from a freshly collected heap, and the fastest run of
+// each is compared: load from other processes and GC debt left by
+// earlier tests only ever add time, so the minimum is the estimate of
+// what the runner itself costs.
 func TestRunnerSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
@@ -85,14 +90,20 @@ func TestRunnerSpeedup(t *testing.T) {
 	}
 	build := DenseGrid(DefaultConfig(), 3, 8, []int{1}, 25, 1000)
 	jobs := SeedSweep("dense", build, 300000, 0, 8)
-	t0 := time.Now()
-	ScenarioRunner{Workers: 1}.RunAll(jobs)
-	serial := time.Since(t0)
-	t1 := time.Now()
-	ScenarioRunner{Workers: 4}.RunAll(jobs)
-	par := time.Since(t1)
+	timeRun := func(workers int) time.Duration {
+		runtime.GC()
+		t0 := time.Now()
+		ScenarioRunner{Workers: workers}.RunAll(jobs)
+		return time.Since(t0)
+	}
+	const reps = 10
+	serial, par := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
+	for i := 0; i < reps; i++ {
+		serial = min(serial, timeRun(1))
+		par = min(par, timeRun(4))
+	}
 	speedup := float64(serial) / float64(par)
-	t.Logf("serial %v, 4 workers %v, speedup %.2fx", serial, par, speedup)
+	t.Logf("best of %d: serial %v, 4 workers %v, speedup %.2fx", reps, serial, par, speedup)
 	if speedup < 1.0 {
 		t.Errorf("parallel runner slower than serial: %.2fx", speedup)
 	}
