@@ -140,6 +140,22 @@ func BenchmarkE27LargeFloor(b *testing.B) {
 	}
 }
 
+// BenchmarkBuildLargeFloor is the gain-matrix build layer on its own:
+// the E27 100-BSS × 40-station floor (4100 nodes), builder plus Prepare
+// per op, so ns/op is the O(n²) fillGains bill plus shard planning and
+// media setup, and allocs/op holds the build to a constant number of
+// matrix allocations (one backing array per gain matrix, not one per
+// row) under the CI allocs gate.
+func BenchmarkBuildLargeFloor(b *testing.B) {
+	cfg := netsim.DefaultConfig()
+	cfg.CSThresholdDBm = -62 // as in E27
+	build := netsim.LargeFloor(cfg, 100, 40, 10, 1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		build(int64(i + 1)).Prepare()
+	}
+}
+
 // BenchmarkE31SpatialReuse times the OBSS-PD spatial-reuse hot path on
 // the E27 floor shape at the legacy -82 dBm energy detect with the
 // reuse threshold at -62 dBm — the widest [CS, threshold) window, so

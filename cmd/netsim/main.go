@@ -533,6 +533,10 @@ func main() {
 			fmt.Fprintf(os.Stderr, "shards: %d of %d requested, %d interaction groups\n",
 				plan.Shards, plan.Requested, plan.Groups)
 		}
+		if *shardStats {
+			gb := results[0].GainBytes
+			fmt.Fprintf(os.Stderr, "gain state: %d bytes (%.1f MB)\n", gb, float64(gb)/1e6)
+		}
 	}
 	if *shardStats {
 		plan := results[0].Plan

@@ -323,6 +323,31 @@ func TestScenarioAndConfigGuards(t *testing.T) {
 				b2 := n.AddAP("AP2", 50, 0, 1)
 				n.Add(FlowSpec{From: b1.AP, To: b2.AP, AC: AC_BE, Gen: Saturated{PayloadBytes: 100}})
 			}},
+		{"velocity without roam tick", "SetVelocity needs Config.RoamIntervalUs",
+			func() {
+				n := New(DefaultConfig(), 1)
+				b := n.AddAP("AP", 0, 0, 1)
+				n.SetVelocity(n.AddStation(b, "sta", 5, 0), 10, 0)
+			}},
+		{"velocity after prepare", "SetVelocity must be called before Prepare",
+			func() {
+				cfg := DefaultConfig()
+				cfg.RoamIntervalUs = 100000
+				n := New(cfg, 1)
+				b := n.AddAP("AP", 0, 0, 1)
+				st := n.AddStation(b, "sta", 5, 0)
+				n.Add(FlowSpec{From: st, AC: AC_BE, Gen: Saturated{PayloadBytes: 100}})
+				n.Prepare()
+				n.SetVelocity(st, 10, 0)
+			}},
+		{"gain refresh on a static build", "refreshGains needs Config.RoamIntervalUs",
+			func() {
+				n := New(DefaultConfig(), 1)
+				b := n.AddAP("AP", 0, 0, 1)
+				st := n.AddStation(b, "sta", 5, 0)
+				n.build()
+				n.refreshGains(st)
+			}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -478,15 +478,23 @@ type Network struct {
 	edcaOn bool
 
 	// rxDBm[i][j] is the received power at node j when node i
-	// transmits; shadowDB[i][j] is the symmetric per-pair shadowing
-	// draw baked into it. rxMw caches the same figure in milliwatts —
-	// the interference crossing in medium.start/finish sums powers
-	// linearly for every concurrent pair, and the dB→mW exponential was
-	// a top hot-loop cost when recomputed per frame for gains that only
-	// change on a move.
-	rxDBm    [][]float64
-	rxMw     [][]float64
-	shadowDB [][]float64
+	// transmits. rxMw caches the same figure in milliwatts — the
+	// interference crossing in medium.start/finish sums powers linearly
+	// for every concurrent pair, and the dB→mW exponential was a top
+	// hot-loop cost when recomputed per frame for gains that only change
+	// on a move. Each matrix is one n×n backing array with capped row
+	// views (newGainMatrix).
+	//
+	// shadowDB[i][j] is the symmetric per-pair shadowing draw baked into
+	// both. Only refreshGains reads it after build, and only a move
+	// calls refreshGains, so it is kept only when Config.RoamIntervalUs
+	// is positive; a static build leaves it nil. shadowMin is the most
+	// negative draw (0 when there is none), the widening minShadowDB
+	// reports to the index and shard-planning radii.
+	rxDBm     [][]float64
+	rxMw      [][]float64
+	shadowDB  [][]float64
+	shadowMin float64
 
 	noiseFloorDBm float64
 	noiseFloorMw  float64
@@ -660,10 +668,17 @@ func (n *Network) addNode(name string, x, y float64, ap bool) *Node {
 }
 
 // SetVelocity gives the node a constant straight-line velocity in
-// metres/second; positions update on each roam scan tick
-// (RoamIntervalUs must be set). Nothing bounds the walk — scenarios
-// choose durations that keep mobile nodes in coverage.
+// metres/second; positions update on each roam scan tick, so
+// Config.RoamIntervalUs must be set. Nothing bounds the walk —
+// scenarios choose durations that keep mobile nodes in coverage. Call
+// before Prepare/Run.
 func (n *Network) SetVelocity(nd *Node, vxMps, vyMps float64) {
+	if n.cfg.RoamIntervalUs <= 0 {
+		panic("netsim: SetVelocity needs Config.RoamIntervalUs > 0 (mobility advances on roam-scan ticks)")
+	}
+	if n.prepared {
+		panic("netsim: SetVelocity must be called before Prepare")
+	}
 	nd.vx, nd.vy = vxMps, vyMps
 }
 
@@ -735,21 +750,29 @@ func dist(a, b *Node) float64 {
 // media, and selects per-station uplink modes.
 func (n *Network) build() {
 	nn := len(n.nodes)
-	n.shadowDB = make([][]float64, nn)
-	n.rxDBm = make([][]float64, nn)
-	n.rxMw = make([][]float64, nn)
-	for i := range n.nodes {
-		n.shadowDB[i] = make([]float64, nn)
-		n.rxDBm[i] = make([]float64, nn)
-		n.rxMw[i] = make([]float64, nn)
+	n.rxDBm = newGainMatrix(nn)
+	n.rxMw = newGainMatrix(nn)
+	mobile := n.cfg.RoamIntervalUs > 0
+	if mobile {
+		n.shadowDB = newGainMatrix(nn)
 	}
-	for i := 0; i < nn; i++ {
-		for j := i + 1; j < nn; j++ {
-			sh := 0.0
-			if n.cfg.PathLoss.ShadowDB > 0 {
-				sh = n.src.Gaussian(0, n.cfg.PathLoss.ShadowDB)
+	// One draw per unordered pair, row-major over the upper triangle.
+	// Each draw is parked in rxDBm[i][j] until fillGains folds it into
+	// the received power; without shadowing every draw is 0, which the
+	// zeroed matrix already holds.
+	if sd := n.cfg.PathLoss.ShadowDB; sd > 0 {
+		for i := 0; i < nn; i++ {
+			row := n.rxDBm[i]
+			for j := i + 1; j < nn; j++ {
+				sh := n.src.Gaussian(0, sd)
+				row[j] = sh
+				if sh < n.shadowMin {
+					n.shadowMin = sh
+				}
+				if mobile {
+					n.shadowDB[i][j], n.shadowDB[j][i] = sh, sh
+				}
 			}
-			n.shadowDB[i][j], n.shadowDB[j][i] = sh, sh
 		}
 	}
 	n.fillGains()
@@ -820,15 +843,19 @@ func bondedComponents(bss []*BSS) map[int]int {
 // twice), with rows striped across cores — the O(n²) transcendental
 // bill (path-loss log, dB→mW exponential) dominates setup on 1000+
 // node floors, and the per-pair math is pure, so the fan-out is
-// bit-for-bit deterministic. The shadowing draws are already fixed at
-// this point, so no randomness crosses a goroutine boundary.
+// bit-for-bit deterministic. build has already parked each pair's
+// shadowing draw in the upper cell rxDBm[i][j], so no randomness
+// crosses a goroutine boundary. The fill overwrites that cell in place:
+// row i's worker is the only one that reads or writes row i's upper
+// part, and the lower cells rxDBm[j][i] (j > i) it mirrors into are
+// never read during the fill, so the workers share no cell.
 func (n *Network) fillGains() {
 	nn := len(n.nodes)
 	b := n.cfg.Budget
 	fillRow := func(i int) {
 		nd := n.nodes[i]
 		for j := i + 1; j < nn; j++ {
-			loss := n.cfg.PathLoss.LossDB(dist(nd, n.nodes[j])) + n.shadowDB[i][j]
+			loss := n.cfg.PathLoss.LossDB(dist(nd, n.nodes[j])) + n.rxDBm[i][j]
 			p := b.TxPowerDBm + b.TxAntennaGain + b.RxAntennaGain - loss
 			n.rxDBm[i][j], n.rxDBm[j][i] = p, p
 			mw := mwFromDBm(p)
@@ -859,8 +886,12 @@ func (n *Network) fillGains() {
 }
 
 // refreshGains recomputes row and column i of the received-power matrix
-// whenever node i moves.
+// whenever node i moves. It needs the shadowing matrix, which only a
+// build with mobility (Config.RoamIntervalUs > 0) keeps.
 func (n *Network) refreshGains(nd *Node) {
+	if n.shadowDB == nil {
+		panic("netsim: refreshGains needs Config.RoamIntervalUs > 0 (a static build keeps no shadowing matrix to move a node with)")
+	}
 	for _, sh := range n.shards {
 		clear(sh.modeCache)
 	}
@@ -877,6 +908,32 @@ func (n *Network) refreshGains(nd *Node) {
 		n.rxMw[nd.id][j] = mw
 		n.rxMw[j][nd.id] = mw
 	}
+}
+
+// newGainMatrix allocates an nn×nn matrix as one backing array with
+// capacity-capped row views: two allocations instead of nn, and no
+// per-row size-class rounding (allocated alone, a 4,100-node row of
+// 32,800 B is just over the largest small-object class and rounds up
+// to 40,960 B).
+func newGainMatrix(nn int) [][]float64 {
+	back := make([]float64, nn*nn)
+	rows := make([][]float64, nn)
+	for i := range rows {
+		rows[i] = back[i*nn : (i+1)*nn : (i+1)*nn]
+	}
+	return rows
+}
+
+// gainBytes is the heap the gain state holds after build: per retained
+// matrix (rxDBm, rxMw, and shadowDB when kept), nn² float64s plus nn
+// 24-byte row headers.
+func (n *Network) gainBytes() int64 {
+	var total int64
+	for _, m := range [][][]float64{n.rxDBm, n.rxMw, n.shadowDB} {
+		nn := int64(len(m))
+		total += nn*nn*8 + nn*24
+	}
+	return total
 }
 
 // rxPowerDBm returns the received power at node rx when tx transmits.
@@ -1273,11 +1330,16 @@ type Result struct {
 	Shards     int
 	ShardStats []sim.Stats
 	Plan       ShardPlan
+
+	// GainBytes is the heap held by the pairwise gain state after
+	// build: 2·n² float64s for the received-power matrices, plus n²
+	// more for the shadowing matrix when mobility keeps it.
+	GainBytes int64
 }
 
 func (n *Network) collect(durationUs float64) Result {
 	res := Result{DurationUs: durationUs, Shards: len(n.shards),
-		ModeAttempts: n.shards[0].modeAttempts}
+		ModeAttempts: n.shards[0].modeAttempts, GainBytes: n.gainBytes()}
 	if n.cfg.Aggregation != nil {
 		res.AmpduHist = n.shards[0].ampduHist
 	}

@@ -245,19 +245,11 @@ func (n *Network) interactRangeM() float64 {
 }
 
 // minShadowDB is the most favorable (most negative) shadowing draw in
-// the deployment — the widening both the spatial-index radii and the
-// shard-planning radius apply to stay conservative per pair.
-func (n *Network) minShadowDB() float64 {
-	min := 0.0
-	for i := range n.shadowDB {
-		for j := i + 1; j < len(n.shadowDB[i]); j++ {
-			if sh := n.shadowDB[i][j]; sh < min {
-				min = sh
-			}
-		}
-	}
-	return min
-}
+// the deployment, or 0 without shadowing — the widening both the
+// spatial-index radii and the shard-planning radius apply to stay
+// conservative per pair. build tracks it while drawing, so no matrix
+// scan is needed and a static build keeps no shadowing matrix at all.
+func (n *Network) minShadowDB() float64 { return n.shadowMin }
 
 // interactionGroups partitions the BSS set into groups that cannot
 // influence each other: union-find over BSS indices, merging on (a) any

@@ -19,11 +19,13 @@ import (
 // buildRandomFloor places nNodes uniformly on a side x side floor, all
 // on one channel, with shadowing enabled. Every third node is put under
 // carrier-sense tracking, mimicking a floor where a fraction of the
-// associated stations hold traffic.
+// associated stations hold traffic. Mobility is on, so the build keeps
+// the shadowing matrix refreshGains needs to teleport nodes.
 func buildRandomFloor(t *testing.T, seed int64, nNodes int, sideM float64) *Network {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.PathLoss.ShadowDB = 6
+	cfg.RoamIntervalUs = 100000
 	n := New(cfg, seed)
 	b := n.AddAP("AP0", 0, 0, 1)
 	for i := 1; i < nNodes; i++ {
@@ -120,6 +122,7 @@ func TestGridCandidatesSupersetOfInRange(t *testing.T) {
 // and appear in the new one, and both grids must stay query-consistent.
 func TestGridTracksMediumMigration(t *testing.T) {
 	cfg := DefaultConfig()
+	cfg.RoamIntervalUs = 100000 // the walker moves (refreshGains)
 	n := New(cfg, 3)
 	b1 := n.AddAP("AP1", 0, 0, 1)
 	b2 := n.AddAP("AP2", 40, 0, 6)
