@@ -144,8 +144,8 @@ func BenchmarkE27LargeFloor(b *testing.B) {
 // the E27 100-BSS × 40-station floor (4100 nodes), builder plus Prepare
 // per op, so ns/op is the O(n²) fillGains bill plus shard planning and
 // media setup, and allocs/op holds the build to a constant number of
-// matrix allocations (one backing array per gain matrix, not one per
-// row) under the CI allocs gate.
+// matrix allocations (one backing array per 4 MB block of rows, not
+// one per row) under the CI allocs gate.
 func BenchmarkBuildLargeFloor(b *testing.B) {
 	cfg := netsim.DefaultConfig()
 	cfg.CSThresholdDBm = -62 // as in E27

@@ -540,14 +540,19 @@ func main() {
 	}
 	if *shardStats {
 		plan := results[0].Plan
+		// The frame-pool columns count transmission and packet records
+		// recycled vs newly allocated (netsim.FramePoolStats).
 		st := report.Table{
-			ID:     "shards",
-			Title:  fmt.Sprintf("per-shard engine statistics, seed %d", jobs[0].Seed),
-			Header: []string{"shard", "nodes", "scheduled", "fired", "cancelled", "heap hw", "pool hit"},
+			ID:    "shards",
+			Title: fmt.Sprintf("per-shard engine statistics, seed %d", jobs[0].Seed),
+			Header: []string{"shard", "nodes", "scheduled", "fired", "cancelled", "heap hw", "pool hit",
+				"tx reused", "tx new", "pkt reused", "pkt new"},
 		}
 		for i, s := range results[0].ShardStats {
+			fp := results[0].FramePools[i]
 			st.AddRow(i, plan.NodesPerShard[i], s.Scheduled, s.Fired, s.Cancelled,
-				s.HeapHighWater, fmt.Sprintf("%.4f", s.PoolHitRate()))
+				s.HeapHighWater, fmt.Sprintf("%.4f", s.PoolHitRate()),
+				fp.TxHits, fp.TxMisses, fp.PacketHits, fp.PacketMisses)
 		}
 		tables = append(tables, st)
 	}

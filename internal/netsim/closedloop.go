@@ -122,9 +122,7 @@ func (f *Flow) Inject(bytes int) bool {
 		panic(fmt.Sprintf("netsim: Flow.Inject bytes must be positive, got %d", bytes))
 	}
 	f.arrivals++
-	sh := f.src.sh
-	p := &packet{flow: f, bytes: bytes, arrivalUs: sh.eng.Now(), ac: f.ac}
-	return f.src.enqueue(p)
+	return f.src.enqueue(f.src.sh.newPacket(f, bytes))
 }
 
 // Schedule runs fn after delayUs of virtual time on the flow's shard
@@ -138,10 +136,12 @@ func (f *Flow) Schedule(delayUs float64, fn func()) sim.EventRef {
 // NowUs is the current virtual time on the flow's shard engine.
 func (f *Flow) NowUs() float64 { return f.src.sh.eng.Now() }
 
-// fate reports a packet's final outcome to the flow's controller; one
-// nil-check when no Control is attached.
+// fate reports a packet's final outcome to the flow's controller — one
+// nil-check when no Control is attached — and releases the packet to
+// the shard's pool: nothing may touch p afterwards.
 func (f *Flow) fate(kind PacketFate, p *packet, nowUs float64) {
 	if f.control != nil {
 		f.control.PacketFate(kind, p.bytes, nowUs-p.arrivalUs)
 	}
+	f.src.sh.freePacket(p)
 }

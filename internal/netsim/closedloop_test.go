@@ -162,6 +162,7 @@ type windowControl struct {
 	delivered int
 	lost      int
 	pumpArmed bool
+	pumpFn    func() // c.pump, bound once so a retry allocates nothing
 }
 
 func (c *windowControl) Start() { c.pump() }
@@ -189,7 +190,10 @@ func (c *windowControl) PacketFate(fate PacketFate, bytes int, elapsedUs float64
 	// endless 1 ms pump chain.
 	if !c.pumpArmed {
 		c.pumpArmed = true
-		c.f.Schedule(1000, c.pump)
+		if c.pumpFn == nil {
+			c.pumpFn = c.pump
+		}
+		c.f.Schedule(1000, c.pumpFn)
 	}
 }
 

@@ -64,6 +64,23 @@ type acQueue struct {
 	boEvent      sim.EventRef
 	boStartUs    float64
 	fireAtUs     float64
+	// fireFn is q.fire, bound on the first countdown so re-arming
+	// allocates nothing.
+	fireFn func()
+}
+
+// popFront removes the first k packets, keeping the backing array so
+// later enqueues reuse its capacity.
+func (q *acQueue) popFront(k int) {
+	q.queue = q.queue[:copy(q.queue, q.queue[k:])]
+}
+
+// pushFront puts ps back at the head of the queue, in order.
+func (q *acQueue) pushFront(ps []*packet) {
+	n := len(q.queue)
+	q.queue = append(q.queue, ps...)
+	copy(q.queue[len(ps):], q.queue[:n])
+	copy(q.queue, ps)
 }
 
 // params is the category's live EDCA parameter set.
@@ -143,7 +160,10 @@ func (q *acQueue) tryResume() {
 	q.boStartUs = sh.eng.Now() + p.AifsUs
 	delay := p.AifsUs + float64(q.backoffSlots)*nd.net.cfg.Dcf.SlotUs
 	q.fireAtUs = sh.eng.Now() + delay
-	q.boEvent = sh.eng.Schedule(delay, q.fire)
+	if q.fireFn == nil {
+		q.fireFn = q.fire
+	}
+	q.boEvent = sh.eng.Schedule(delay, q.fireFn)
 	if sh.probe != nil {
 		sh.probe.OnEvent(Event{TimeUs: sh.eng.Now(), Kind: EvBackoffResume,
 			AC: q.ac, Node: nd.id, Peer: -1, Value: float64(q.backoffSlots)})
@@ -199,7 +219,7 @@ func (q *acQueue) exchangeFailed(dropHead bool) {
 		if dropHead && len(q.queue) > 0 {
 			nd.sh.retryDrops[q.ac]++
 			p := q.queue[0]
-			q.queue = q.queue[1:]
+			q.popFront(1)
 			p.flow.dropped(p, nd)
 		}
 	} else {
@@ -336,14 +356,20 @@ func (nd *Node) shrinkNav(untilUs float64) {
 
 func (nd *Node) armNavEvent(untilUs float64) {
 	nd.navEvent.Cancel()
-	nd.navEvent = nd.sh.eng.At(untilUs, func() {
-		nd.navEvent = sim.EventRef{}
-		if sh := nd.sh; sh.probe != nil {
-			sh.probe.OnEvent(Event{TimeUs: sh.eng.Now(), Kind: EvNavExpire,
-				Node: nd.id, Peer: -1})
-		}
-		nd.tryResume()
-	})
+	if nd.navExpireFn == nil {
+		nd.navExpireFn = nd.navExpire
+	}
+	nd.navEvent = nd.sh.eng.At(untilUs, nd.navExpireFn)
+}
+
+// navExpire is the NAV lapsing: contention resumes.
+func (nd *Node) navExpire() {
+	nd.navEvent = sim.EventRef{}
+	if sh := nd.sh; sh.probe != nil {
+		sh.probe.OnEvent(Event{TimeUs: sh.eng.Now(), Kind: EvNavExpire,
+			Node: nd.id, Peer: -1})
+	}
+	nd.tryResume()
 }
 
 // bankElapsedSlots subtracts the whole slots that elapsed since the
@@ -430,7 +456,8 @@ func (nd *Node) transmit(q *acQueue) {
 	nd.freezeBackoff()
 	nd.transmitting = true
 	sh := nd.sh
-	nd.txop = &Txop{q: q, StartUs: sh.eng.Now(), LimitUs: q.params().TxopLimitUs}
+	nd.heldTxop = Txop{q: q, StartUs: sh.eng.Now(), LimitUs: q.params().TxopLimitUs}
+	nd.txop = &nd.heldTxop
 	sh.txops++
 	if sh.probe != nil {
 		sh.probe.OnEvent(Event{TimeUs: sh.eng.Now(), Kind: EvTxopOpen,
@@ -463,16 +490,21 @@ func (nd *Node) sendRts(ex *exchange) {
 	sh.rtsSent++
 	nav := sh.eng.Now() + net.rtsAirUs() + d.SIFSUs + net.ctsAirUs() +
 		d.SIFSUs + ex.dataAirUs()
-	tr := &transmission{kind: FrameRts, tx: nd, rx: ex.rx, pkt: ex.mpdus[0], ex: ex,
-		mode: net.robustMode(), navUntilUs: nav, startUs: sh.eng.Now()}
+	tr := sh.newTx(FrameRts, nd, ex.rx, ex.mpdus[0], ex, net.robustMode(), nav)
+	nd.tr = tr
 	nd.med.start(tr)
-	sh.eng.Schedule(net.rtsAirUs(), func() { nd.completeRts(tr) })
+	if nd.rtsDoneFn == nil {
+		nd.rtsDoneFn = nd.completeRts
+	}
+	sh.eng.Schedule(net.rtsAirUs(), nd.rtsDoneFn)
 }
 
-// completeRts judges the RTS. Success draws the receiver's CTS a SIFS
-// later; failure (no CTS timeout in the real protocol) takes the shared
-// retry path without having burned the data burst's airtime.
-func (nd *Node) completeRts(tr *transmission) {
+// completeRts judges the node's RTS (nd.tr) as it leaves the air.
+// Success draws the receiver's CTS a SIFS later; failure (no CTS
+// timeout in the real protocol) takes the shared retry path without
+// having burned the data burst's airtime.
+func (nd *Node) completeRts() {
+	tr := nd.tr
 	nd.med.finish(tr)
 	sh := nd.sh
 	ok := nd.med.succeeds(tr)
@@ -483,12 +515,26 @@ func (nd *Node) completeRts(tr *transmission) {
 	}
 	if !ok {
 		sh.rtsFailed++
-		nd.releaseNav(tr)
-		nd.fail(tr)
+		nd.failRts(tr)
 		return
 	}
-	rx := tr.rx
-	sh.eng.Schedule(nd.net.cfg.Dcf.SIFSUs, func() { rx.sendCts(tr) })
+	if nd.ctsDueFn == nil {
+		nd.ctsDueFn = nd.ctsDue
+	}
+	sh.eng.Schedule(nd.net.cfg.Dcf.SIFSUs, nd.ctsDueFn)
+}
+
+// ctsDue hands the node's successful RTS to its addressee a SIFS after
+// it ended, for the CTS decision.
+func (nd *Node) ctsDue() { nd.tr.rx.sendCts(nd.tr) }
+
+// failRts ends an RTS that drew no CTS: NAV reset, the shared retry
+// path, and the record's release — the RTS's last reader.
+func (nd *Node) failRts(rts *transmission) {
+	nd.tr = nil
+	nd.releaseNav(rts)
+	nd.fail(rts)
+	nd.sh.freeTx(rts)
 }
 
 // releaseNav invokes 802.11's NAV-reset rule for a dead RTS
@@ -532,8 +578,7 @@ func (nd *Node) sendCts(rts *transmission) {
 		// out of the noise-loss column.
 		rts.doomed = true
 		peer.sh.rtsFailed++
-		peer.releaseNav(rts)
-		peer.fail(rts)
+		peer.failRts(rts)
 		return
 	}
 	// A countdown armed since the RTS ended cannot have fired yet
@@ -548,26 +593,48 @@ func (nd *Node) sendCts(rts *transmission) {
 	nd.transmitting = true
 	nd.curPkt = nil
 	nav := sh.eng.Now() + net.ctsAirUs() + d.SIFSUs + rts.ex.dataAirUs()
-	tr := &transmission{kind: FrameCts, tx: nd, rx: peer, pkt: rts.pkt,
-		mode: net.robustMode(), navUntilUs: nav, startUs: sh.eng.Now()}
+	tr := sh.newTx(FrameCts, nd, peer, rts.pkt, nil, net.robustMode(), nav)
+	nd.tr = tr
+	// The RTS has served its purpose: the data follows from the
+	// sender's own exchange (peer.ex).
+	peer.tr = nil
+	peer.sh.freeTx(rts)
 	nd.med.start(tr)
-	sh.eng.Schedule(net.ctsAirUs(), func() {
-		nd.med.finish(tr)
-		nd.transmitting = false
-		// Honor the reservation this CTS just granted: the responder's
-		// own contention holds until the exchange it solicited ends.
-		// Physical carrier sense cannot be relied on here — the data
-		// sender may sit below the responder's energy-detect threshold
-		// (decode-only range), and a backoff firing mid-data would doom
-		// the very frame the CTS invited.
-		nd.setNav(nav)
-		// A packet that arrived while the CTS was on the air found the
-		// node transmitting and skipped startContention; pick it up now.
-		// The countdowns sendCts froze resume via tryResume at NAV end.
-		nd.recontend()
-		sh.eng.Schedule(d.SIFSUs, func() { peer.sendData(rts.ex) })
-	})
+	if nd.ctsDoneFn == nil {
+		nd.ctsDoneFn = nd.completeCts
+	}
+	sh.eng.Schedule(net.ctsAirUs(), nd.ctsDoneFn)
 }
+
+// completeCts ends the responder's CTS (nd.tr) and cues the solicited
+// data a SIFS later.
+func (nd *Node) completeCts() {
+	tr := nd.tr
+	nd.tr = nil
+	nd.med.finish(tr)
+	nd.transmitting = false
+	// Honor the reservation this CTS just granted: the responder's own
+	// contention holds until the exchange it solicited ends. Physical
+	// carrier sense cannot be relied on here — the data sender may sit
+	// below the responder's energy-detect threshold (decode-only
+	// range), and a backoff firing mid-data would doom the very frame
+	// the CTS invited.
+	nd.setNav(tr.navUntilUs)
+	// A packet that arrived while the CTS was on the air found the node
+	// transmitting and skipped startContention; pick it up now. The
+	// countdowns sendCts froze resume via tryResume at NAV end.
+	nd.recontend()
+	peer := tr.rx
+	nd.sh.freeTx(tr)
+	if peer.sendDataFn == nil {
+		peer.sendDataFn = peer.sendHeldData
+	}
+	nd.sh.eng.Schedule(nd.net.cfg.Dcf.SIFSUs, peer.sendDataFn)
+}
+
+// sendHeldData sends the data portion of the node's current exchange —
+// the continuation a CTS cues.
+func (nd *Node) sendHeldData() { nd.sendData(&nd.ex) }
 
 // sendData puts the exchange's data portion on the air — one MPDU
 // awaiting an ACK, or an A-MPDU burst awaiting a Block-ACK — and
@@ -581,10 +648,22 @@ func (nd *Node) sendData(ex *exchange) {
 	for _, p := range ex.mpdus {
 		p.flow.attemptedMpdu(ex.mode.RateMbps)
 	}
-	tr := &transmission{kind: FrameData, tx: nd, rx: ex.rx, pkt: ex.mpdus[0], ex: ex,
-		mode: ex.mode, startUs: sh.eng.Now()}
+	tr := sh.newTx(FrameData, nd, ex.rx, ex.mpdus[0], ex, ex.mode, 0)
+	nd.tr = tr
 	nd.med.start(tr)
-	sh.eng.Schedule(ex.dataAirUs(), func() { nd.complete(tr) })
+	if nd.dataDoneFn == nil {
+		nd.dataDoneFn = nd.completeData
+	}
+	sh.eng.Schedule(ex.dataAirUs(), nd.dataDoneFn)
+}
+
+// completeData is the node's data frame (nd.tr) leaving the air:
+// complete judges it, after which nothing reads the record.
+func (nd *Node) completeData() {
+	tr := nd.tr
+	nd.tr = nil
+	nd.complete(tr)
+	nd.sh.freeTx(tr)
 }
 
 // complete ends the exchange's data portion: judge it, update the ARF
@@ -594,7 +673,6 @@ func (nd *Node) sendData(ex *exchange) {
 // of recording a flow delivery.
 func (nd *Node) complete(tr *transmission) {
 	nd.med.finish(tr)
-	net := nd.net
 	sh := nd.sh
 	if tr.ex.ampdu {
 		nd.completeAmpdu(tr)
@@ -618,7 +696,7 @@ func (nd *Node) complete(tr *transmission) {
 	q := &nd.acq[tr.pkt.ac]
 	deliver := func() {
 		sh.delivered[tr.pkt.ac]++
-		q.queue = q.queue[1:]
+		q.popFront(1)
 		q.cw = q.params().CWMin
 		q.retries = 0
 		if c := nd.rcFor(tr.rx); c != nil {
@@ -645,7 +723,7 @@ func (nd *Node) complete(tr *transmission) {
 		nd.curPkt = nil
 		deliver()
 		if len(q.queue) > 0 {
-			sh.eng.Schedule(net.cfg.Dcf.SIFSUs, nd.nextExchange)
+			nd.scheduleNextExchange()
 			return
 		}
 		nd.endTxop()
@@ -699,7 +777,7 @@ func (nd *Node) fail(tr *transmission) {
 		// stop retrying from an AP the station no longer listens to and
 		// hand the frame to its current AP, as the roam handoff does
 		// for the rest of the queue.
-		q.queue = q.queue[1:]
+		q.popFront(1)
 		q.cw = q.params().CWMin
 		q.retries = 0
 		to.bss.AP.enqueue(tr.pkt)
@@ -717,7 +795,7 @@ func (nd *Node) fail(tr *transmission) {
 // limit, reset while the head frame is shed like any over-retried
 // frame.
 func (nd *Node) failAmpduRts(q *acQueue, ex *exchange) {
-	keep := make([]*packet, 0, len(ex.mpdus))
+	keep := nd.sh.pktScratch[:0]
 	for _, p := range ex.mpdus {
 		if to := p.flow.To; nd.ap && to != nil && !to.ap && to.bss.AP != nd {
 			p.retries = 0
@@ -726,7 +804,8 @@ func (nd *Node) failAmpduRts(q *acQueue, ex *exchange) {
 		}
 		keep = append(keep, p)
 	}
-	q.queue = append(keep, q.queue...)
+	q.pushFront(keep)
+	nd.sh.pktScratch = keep
 	q.exchangeFailed(true)
 	nd.recontend()
 }

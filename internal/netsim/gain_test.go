@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"unsafe"
@@ -60,6 +61,9 @@ func TestGainStateOracle(t *testing.T) {
 				"mobile rxDBm": mobile.rxDBm, "mobile rxMw": mobile.rxMw,
 				"mobile shadowDB": mobile.shadowDB,
 			} {
+				if len(m) != nn {
+					t.Fatalf("%s has %d rows, want %d", name, len(m), nn)
+				}
 				assertOneBackingArray(t, name, m, nn)
 			}
 			assertBitIdentical(t, "rxDBm", static.rxDBm, mobile.rxDBm)
@@ -106,13 +110,31 @@ func TestGainStateOracle(t *testing.T) {
 	}
 }
 
-// assertOneBackingArray checks that m is nn rows of capacity nn laid
-// end to end in one array.
+// TestGainMatrixBlocks: above gainBlockBytes a gain matrix is split
+// into backing arrays of whole rows, each within the cap, with every
+// row a capacity-capped view laid end to end inside its block.
+func TestGainMatrixBlocks(t *testing.T) {
+	const nn = 1100 // 8,800 B rows: 476 rows per 4 MB block, 3 blocks
+	per := gainBlockBytes / (8 * nn)
+	m := newGainMatrix(nn)
+	blocks := 0
+	for lo := 0; lo < nn; lo += per {
+		hi := min(nn, lo+per)
+		assertOneBackingArray(t, fmt.Sprintf("block %d", blocks), m[lo:hi], nn)
+		blocks++
+	}
+	if blocks != 3 {
+		t.Fatalf("%d blocks, want 3", blocks)
+	}
+	if a := testing.AllocsPerRun(2, func() { newGainMatrix(nn) }); a != 1+3 {
+		t.Fatalf("newGainMatrix(%d) made %v allocations, want 4 (row headers + 3 blocks)", nn, a)
+	}
+}
+
+// assertOneBackingArray checks that m holds rows of length and capacity
+// nn laid end to end in one array.
 func assertOneBackingArray(t *testing.T, name string, m [][]float64, nn int) {
 	t.Helper()
-	if len(m) != nn {
-		t.Fatalf("%s has %d rows, want %d", name, len(m), nn)
-	}
 	base := uintptr(unsafe.Pointer(&m[0][0]))
 	for i, row := range m {
 		if len(row) != nn || cap(row) != nn {

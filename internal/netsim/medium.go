@@ -78,10 +78,14 @@ func (m *medium) overlapUsAt(nowUs float64) float64 {
 // concurrent one, snapshotted at the moment it was added. finish
 // subtracts exactly these milliwatts — recomputing the gain at finish
 // time would unwind a different figure when an endpoint roamed
-// mid-frame, leaving residue in the victim's interference sum.
+// mid-frame, leaving residue in the victim's interference sum. gen is
+// the target's generation when the term was added: a target released
+// and recycled since (framepool.go) is a different frame and is
+// skipped.
 type contribution struct {
-	to *transmission
-	mw float64
+	to  *transmission
+	gen uint64
+	mw  float64
 }
 
 // transmission is one frame in flight (a data+ACK exchange, an RTS, or
@@ -143,6 +147,8 @@ type transmission struct {
 	// raised, so an aborted RTS exchange can invoke the standard's
 	// NAV-reset rule on exactly that set.
 	navAdopters []*Node
+	// gen counts the record's releases to the shard's frame pool.
+	gen uint64
 }
 
 func (t *transmission) addInterference(mw float64) {
@@ -374,7 +380,7 @@ func (m *medium) start(tr *transmission) {
 				mw := m.net.rxPowerMw(tr.tx, a.rx) * f * tr.scaleMw
 				a.addInterference(mw)
 				if snap {
-					tr.contrib = append(tr.contrib, contribution{a, mw})
+					tr.contrib = append(tr.contrib, contribution{a, a.gen, mw})
 				}
 			}
 		}
@@ -383,7 +389,7 @@ func (m *medium) start(tr *transmission) {
 				mw := m.net.rxPowerMw(a.tx, tr.rx) * f * a.scaleMw
 				tr.addInterference(mw)
 				if snap {
-					a.contrib = append(a.contrib, contribution{tr, mw})
+					a.contrib = append(a.contrib, contribution{tr, tr.gen, mw})
 				}
 			}
 		}
@@ -508,7 +514,7 @@ func (m *medium) finish(tr *transmission) {
 	if m.net.cfg.RoamIntervalUs > 0 {
 		// Gains may have shifted mid-frame: unwind the snapshot.
 		for _, c := range tr.contrib {
-			if !c.to.done {
+			if c.to.gen == c.gen && !c.to.done {
 				c.to.subInterference(c.mw)
 			}
 		}

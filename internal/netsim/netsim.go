@@ -406,6 +406,19 @@ type Node struct {
 	txop         *Txop
 	busyCount    int
 
+	// heldTxop and ex are the node's one Txop and one exchange,
+	// overwritten per channel access and per exchange (txop points at
+	// heldTxop while it is held). tr is the node's own frame: on the
+	// air, or an RTS whose CTS is still due (framepool.go).
+	heldTxop Txop
+	ex       exchange
+	tr       *transmission
+
+	// Event continuations, bound on first use so scheduling them
+	// allocates nothing (framepool.go).
+	navExpireFn, rtsDoneFn, ctsDueFn, ctsDoneFn func()
+	sendDataFn, dataDoneFn, nextExchangeFn      func()
+
 	// NAV (virtual carrier sense): contention defers until navUntilUs
 	// even when the medium measures idle — the mechanism that protects
 	// an RTS/CTS exchange from stations that cannot hear the data frame.
@@ -482,8 +495,8 @@ type Network struct {
 	// interference crossing in medium.start/finish sums powers linearly
 	// for every concurrent pair, and the dB→mW exponential was a top
 	// hot-loop cost when recomputed per frame for gains that only change
-	// on a move. Each matrix is one n×n backing array with capped row
-	// views (newGainMatrix).
+	// on a move. Each matrix is capped row views into backing arrays of
+	// at most gainBlockBytes (newGainMatrix).
 	//
 	// shadowDB[i][j] is the symmetric per-pair shadowing draw baked into
 	// both. Only refreshGains reads it after build, and only a move
@@ -910,16 +923,28 @@ func (n *Network) refreshGains(nd *Node) {
 	}
 }
 
-// newGainMatrix allocates an nn×nn matrix as one backing array with
-// capacity-capped row views: two allocations instead of nn, and no
+// gainBlockBytes caps one backing array of a gain matrix.
+const gainBlockBytes = 4 << 20
+
+// newGainMatrix allocates an nn×nn matrix as capacity-capped row views
+// into backing arrays of whole rows, each at most gainBlockBytes (one
+// array below about 720 nodes): a few allocations instead of nn, and no
 // per-row size-class rounding (allocated alone, a 4,100-node row of
 // 32,800 B is just over the largest small-object class and rounds up
-// to 40,960 B).
+// to 40,960 B). The block cap matters when networks are built one after
+// another in a process: a single 134 MB array needs a contiguous free
+// run that the previous network's freed matrix no longer provides once
+// any small object lands inside it, and then the heap grows by a whole
+// matrix; 4 MB blocks refill the freed runs.
 func newGainMatrix(nn int) [][]float64 {
-	back := make([]float64, nn*nn)
 	rows := make([][]float64, nn)
-	for i := range rows {
-		rows[i] = back[i*nn : (i+1)*nn : (i+1)*nn]
+	per := max(1, gainBlockBytes/(8*max(nn, 1)))
+	for lo := 0; lo < nn; lo += per {
+		hi := min(nn, lo+per)
+		back := make([]float64, (hi-lo)*nn)
+		for i := lo; i < hi; i++ {
+			rows[i] = back[(i-lo)*nn : (i-lo+1)*nn : (i-lo+1)*nn]
+		}
 	}
 	return rows
 }
@@ -1335,6 +1360,12 @@ type Result struct {
 	// build: 2·n² float64s for the received-power matrices, plus n²
 	// more for the shadowing matrix when mobility keeps it.
 	GainBytes int64
+
+	// FramePools holds each shard's frame-record pool counters, indexed
+	// by shard (framepool.go): transmission and packet records recycled
+	// vs newly allocated. The misses are the per-frame objects the run
+	// allocated; they stop growing once the pools reach the live set.
+	FramePools []FramePoolStats
 }
 
 func (n *Network) collect(durationUs float64) Result {
@@ -1434,8 +1465,10 @@ func (n *Network) collect(durationUs float64) Result {
 		res.QoE.finalize()
 	}
 	res.ShardStats = make([]sim.Stats, len(n.shards))
+	res.FramePools = make([]FramePoolStats, len(n.shards))
 	for i, sh := range n.shards {
 		res.ShardStats[i] = sh.eng.Stats()
+		res.FramePools[i] = sh.frames.stats
 	}
 	res.EngineStats = sim.MergeStats(res.ShardStats...)
 	res.Plan = n.plan

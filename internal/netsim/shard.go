@@ -74,6 +74,14 @@ type shard struct {
 	acBytesDelivered      [NumACs]int
 	obssIgnores           int
 	obssReuseTx           int
+
+	// frames recycles the shard's transmission and packet records
+	// (framepool.go). okScratch and pktScratch are the Block-ACK path's
+	// reusable bitmap and packet list (completeAmpdu, applyBlockAck,
+	// failAmpduRts); none of those re-enters another.
+	frames     framePool
+	okScratch  []bool
+	pktScratch []*packet
 }
 
 func newShard(n *Network, idx int) *shard {

@@ -140,6 +140,9 @@ type Flow struct {
 	ac  AC
 	src *Node
 
+	// arriveFn is the timed arrival callback, bound once at start.
+	arriveFn func()
+
 	// control, when set, closes the loop: it hears every packet's
 	// final fate and may inject traffic of its own (closedloop.go).
 	control Control
@@ -196,7 +199,8 @@ func (f *Flow) start() {
 			// to cross a seam. A Pull flow schedules nothing — its
 			// Control injects on demand.
 			sh := f.src.sh
-			sh.eng.Schedule(f.Gen.firstGapUs(sh.src), func() { f.arrive() })
+			f.arriveFn = func() { f.arrive() }
+			sh.eng.Schedule(f.Gen.firstGapUs(sh.src), f.arriveFn)
 		}
 	}
 	if f.control != nil {
@@ -211,12 +215,11 @@ func (f *Flow) start() {
 func (f *Flow) arrive() bool {
 	f.arrivals++
 	sh := f.src.sh
-	p := &packet{flow: f, bytes: f.Gen.Bytes(), arrivalUs: sh.eng.Now(), ac: f.ac}
-	ok := f.src.enqueue(p)
+	ok := f.src.enqueue(sh.newPacket(f, f.Gen.Bytes()))
 	if f.saturated {
 		return ok
 	}
-	sh.eng.Schedule(f.Gen.nextGapUs(sh.src), func() { f.arrive() })
+	sh.eng.Schedule(f.Gen.nextGapUs(sh.src), f.arriveFn)
 	return ok
 }
 

@@ -221,6 +221,10 @@ type Conn struct {
 	pumpArmed bool
 	started   bool
 	stats     Stats
+
+	// onRTOFn and pumpFn are c.onRTO and c.pump, bound once at Attach
+	// so arming a timer allocates nothing.
+	onRTOFn, pumpFn func()
 }
 
 // Attach builds a Conn over the flow and registers it as the flow's
@@ -237,6 +241,7 @@ func Attach(f *netsim.Flow, cfg Config) *Conn {
 		MinRTOUs: c.cfg.MinRTOUs,
 		MaxRTOUs: c.cfg.MaxRTOUs,
 	}
+	c.onRTOFn, c.pumpFn = c.onRTO, c.pump
 	f.SetControl(c)
 	return c
 }
@@ -360,7 +365,7 @@ func (c *Conn) schedulePump() {
 	if delay <= 0 {
 		delay = c.RTOUs
 	}
-	c.flow.Schedule(delay, c.pump)
+	c.flow.Schedule(delay, c.pumpFn)
 }
 
 // armRTO resets the retransmission timer: live while segments are in
@@ -369,7 +374,7 @@ func (c *Conn) armRTO() {
 	c.rtoEvent.Cancel()
 	c.rtoEvent = sim.EventRef{}
 	if c.inflight > 0 {
-		c.rtoEvent = c.flow.Schedule(c.RTOUs, c.onRTO)
+		c.rtoEvent = c.flow.Schedule(c.RTOUs, c.onRTOFn)
 	}
 }
 

@@ -1,6 +1,10 @@
 package netsim
 
-import "repro/internal/linkmodel"
+import (
+	"slices"
+
+	"repro/internal/linkmodel"
+)
 
 // The TXOP frame-exchange layer. A queue that wins contention no longer
 // fires a hard-coded frame pattern: it obtains a Txop bounded by its
@@ -56,12 +60,14 @@ type exchange struct {
 // long for the limit still goes out — fragmentation is not modelled —
 // which matters only for the opening exchange; chained ones are
 // fit-checked at launch). RTS/CTS protection triggers on the
-// exchange's total payload.
+// exchange's total payload. The exchange is the node's own nd.ex,
+// overwritten in place with its mpdus backing array kept.
 func (nd *Node) buildExchange(t *Txop) *exchange {
 	q := t.q
 	head := q.queue[0]
 	rx := head.dest(nd)
-	ex := &exchange{t: t, rx: rx, mode: nd.dataMode(rx), mpdus: []*packet{head}}
+	ex := &nd.ex
+	*ex = exchange{t: t, rx: rx, mode: nd.dataMode(rx), mpdus: append(ex.mpdus[:0], head)}
 	if agg := nd.net.cfg.Aggregation; agg != nil {
 		bytes := head.bytes
 		for _, p := range q.queue[1:] {
@@ -138,8 +144,7 @@ func (nd *Node) launch(ex *exchange) {
 	nd.curPkt = pkt
 	nd.sh.attempts[pkt.ac]++
 	if ex.ampdu {
-		q := ex.t.q
-		q.queue = q.queue[len(ex.mpdus):]
+		ex.t.q.popFront(len(ex.mpdus))
 	}
 	if ex.protect {
 		nd.sendRts(ex)
@@ -165,6 +170,14 @@ func (nd *Node) nextExchange() {
 	nd.endTxop()
 }
 
+// scheduleNextExchange continues the held TXOP a SIFS from now.
+func (nd *Node) scheduleNextExchange() {
+	if nd.nextExchangeFn == nil {
+		nd.nextExchangeFn = nd.nextExchange
+	}
+	nd.sh.eng.Schedule(nd.net.cfg.Dcf.SIFSUs, nd.nextExchangeFn)
+}
+
 // endTxop releases the transmit opportunity: the node stands down as a
 // transmitter and every backlogged category re-enters contention with a
 // fresh arbitration inter-frame space, exactly as after a single
@@ -187,10 +200,14 @@ func (nd *Node) holdsTxop() bool {
 // completeAmpdu judges a finished A-MPDU burst MPDU by MPDU: every MPDU
 // is drawn independently against the mode's PER at the burst's
 // worst-overlap SINR (none survive when the receiver was busy or gone),
-// and the resulting bitmap feeds the Block-ACK protocol.
+// and the resulting bitmap feeds the Block-ACK protocol. The bitmap
+// lives in the shard's scratch buffer: it is dead once applyBlockAck
+// returns.
 func (nd *Node) completeAmpdu(tr *transmission) {
 	sh := nd.sh
-	ok := make([]bool, len(tr.ex.mpdus))
+	ok := slices.Grow(sh.okScratch[:0], len(tr.ex.mpdus))[:len(tr.ex.mpdus)]
+	clear(ok)
+	sh.okScratch = ok
 	if !(tr.doomed || tr.rx.med != nd.med) {
 		per := tr.mode.PERAwgn(nd.med.sinrDB(tr))
 		for i := range ok {
@@ -242,7 +259,7 @@ func (nd *Node) applyBlockAck(tr *transmission, ok []bool) {
 		c.OnVerdict(delivered, len(ok))
 	}
 	interfered := tr.interfered(net.noiseFloorMw)
-	var requeue []*packet
+	requeue := sh.pktScratch[:0]
 	for i, p := range ex.mpdus {
 		if ok[i] {
 			sh.delivered[ac]++
@@ -277,9 +294,8 @@ func (nd *Node) applyBlockAck(tr *transmission, ok []bool) {
 		}
 		requeue = append(requeue, p)
 	}
-	if len(requeue) > 0 {
-		q.queue = append(requeue, q.queue...)
-	}
+	q.pushFront(requeue)
+	sh.pktScratch = requeue
 	if sh.probe != nil {
 		sh.probe.OnEvent(Event{TimeUs: sh.eng.Now(), Kind: EvBlockAck,
 			AC: ac, Node: nd.id, Peer: tr.rx.id, Mpdus: len(ok),
@@ -294,7 +310,7 @@ func (nd *Node) applyBlockAck(tr *transmission, ok []bool) {
 		q.exchangeFailed(false)
 	}
 	if delivered > 0 && nd.holdsTxop() {
-		sh.eng.Schedule(net.cfg.Dcf.SIFSUs, nd.nextExchange)
+		nd.scheduleNextExchange()
 		return
 	}
 	nd.endTxop()
