@@ -89,12 +89,13 @@ func BenchmarkE30HtLadder(b *testing.B) { benchExperiment(b, "E30") }
 // stations per BSS — 4100 nodes, one saturated sender per cell, the
 // rest idle keepalives) at an OBSS-PD-style -62 dBm carrier-sense
 // threshold, simulated for 2 s of virtual time. The indexed variant
-// uses the spatial grid + tracked-neighborhood carrier-sense path;
-// brute is the all-nodes membership scan kept behind
-// netsim.Config.DisableSpatialIndex as the bit-for-bit oracle. Setup
-// (the O(n²) gain matrix, via Prepare) is excluded from the timing so
-// ns/op measures the event-loop hot path the index rebuilt; the
-// indexed/brute ratio is the speedup — ≥3x at this size.
+// uses the spatial grid + tracked-neighborhood carrier-sense path; its
+// brute-force oracle lives in internal/netsim as
+// BenchmarkE27LargeFloorBrute, since the switch to the all-nodes scan
+// is unexported. Setup (the O(n²) gain matrix, via Prepare) is
+// excluded from the timing so ns/op measures the event-loop hot path
+// the index rebuilt; the indexed/brute ratio is the speedup — ≥3x at
+// this size.
 //
 // The traced variant rides the indexed path with a ring-buffer Tracer
 // attached, so indexed-vs-traced is the probe layer's cost when ON and
@@ -103,18 +104,15 @@ func BenchmarkE30HtLadder(b *testing.B) { benchExperiment(b, "E30") }
 // one nil-check and never construct an Event).
 func BenchmarkE27LargeFloor(b *testing.B) {
 	for _, mode := range []struct {
-		name    string
-		disable bool
-		traced  bool
+		name   string
+		traced bool
 	}{
-		{"indexed", false, false},
-		{"brute", true, false},
-		{"traced", false, true},
+		{"indexed", false},
+		{"traced", true},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			cfg := netsim.DefaultConfig()
 			cfg.CSThresholdDBm = -62 // OBSS-PD-style spatial reuse, as in E27
-			cfg.DisableSpatialIndex = mode.disable
 			build := netsim.LargeFloor(cfg, 100, 40, 10, 1)
 			tracer := trace.New()
 			b.ReportAllocs()

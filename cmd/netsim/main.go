@@ -12,27 +12,30 @@
 //	netsim -scenario dense -ampdu 32      # A-MPDU aggregation + Block-ACK
 //	netsim -scenario hidden
 //	netsim -scenario hidden -rts 1     # RTS/CTS + NAV rescue
-//	netsim -scenario roam -arf         # per-frame rate fallback
-//	netsim -scenario dense -ht -minstrel -ampdu 32        # 802.11n HT ladder
-//	netsim -scenario dense -bond -minstrel -ampdu 32 -channels 1,5,9  # 40 MHz bonding
+//	netsim -scenario roam -rate-control arf  # per-frame rate fallback
+//	netsim -scenario dense -ht -rate-control minstrel -ampdu 32  # 802.11n HT ladder
+//	netsim -scenario dense -bond -rate-control minstrel -ampdu 32 -channels 1,5,9  # 40 MHz bonding
 //	netsim -scenario roam -downlink    # downlink queue follows the walker
 //	netsim -scenario dense -compare   # serial vs parallel wall-clock
-//	netsim -floor                      # 100-BSS high-density association floor (E27)
-//	netsim -floor -bss 144 -sta 40 -channels 1,6,11
-//	netsim -floor -no-spatial          # brute-force carrier-sense oracle
-//	netsim -floor -bss 1024 -sta 4 -channels 1,6,11,36 -shards 4
-//	netsim -floor -shards 4 -shard-stats  # plan + per-shard engine table
+//	netsim -scenario floor             # 100-BSS high-density association floor (E27)
+//	netsim -scenario floor -bss 144 -sta 40 -channels 1,6,11
+//	netsim -scenario floor -obss-pd -72  # OBSS-PD spatial reuse over -82 dBm energy detect
+//	netsim -scenario floor -bss 1024 -sta 4 -channels 1,6,11,36 -shards 4
+//	netsim -scenario floor -shards 4 -shard-stats  # plan + per-shard engine table
 //
 // Closed-loop transport + application QoE (see README "Closed-loop
 // transport & QoE"): the apartment/office/stadium presets populate a
 // floor with web, video, and voice users on TCP-style connections and
 // print a pooled user-experience table next to the MAC tables, and
-// -config runs an arbitrary JSON scenario file:
+// -config runs an arbitrary JSON scenario file. The MAC/PHY flags (-rts
+// -rate-control -ht -bond -edca -txop -ampdu -cs -obss-pd -shards)
+// override its config block; the shape flags conflict with it:
 //
 //	netsim -scenario apartment -bss 9 -sta 8 -duration 5
 //	netsim -scenario stadium -seeds 4    # random-waypoint crowd
 //	netsim -config examples/closedloop.json
 //	netsim -config examples/closedloop.json -seeds 8 -workers 4
+//	netsim -config examples/closedloop.json -rts 1 -rate-control minstrel
 //
 // Observability (first seed only; see README "Observability"):
 //
@@ -40,11 +43,12 @@
 //	netsim -scenario single -trace run.bin -trace-events tx_start,tx_end
 //	netsim -scenario single -duration 0.002 -timeline
 //	netsim -scenario dense -sample-us 10000   # time-series telemetry
-//	netsim -floor -seeds 4 -progress          # per-seed wall/sim rate
-//	netsim -floor -pprof cpu.out              # CPU profile of the sweep
+//	netsim -scenario floor -seeds 4 -progress  # per-seed wall/sim rate
+//	netsim -scenario floor -pprof cpu.out      # CPU profile of the sweep
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"math"
@@ -55,7 +59,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/linkmodel"
 	"repro/internal/netsim"
 	"repro/internal/netsim/app"
 	"repro/internal/netsim/scenario"
@@ -72,296 +75,297 @@ func fail(format string, args ...any) {
 	os.Exit(2)
 }
 
-func main() {
-	scenarioName := flag.String("scenario", "dense", "dense | mix | hidden | roam | floor | single | apartment | office | stadium")
-	configPath := flag.String("config", "", "run a JSON scenario file instead of a named scenario (topology, flows, transport/app params; see examples/)")
-	floor := flag.Bool("floor", false, "shorthand for the large-floor preset: -scenario floor with 100 BSSs, 10 stations each, 1/6/11 reuse, and -62 dBm OBSS-PD carrier sense unless overridden")
-	nBSS := flag.Int("bss", 3, "number of BSSs (dense, floor)")
-	sta := flag.Int("sta", 17, "stations per BSS (dense, floor; floor saturates the first station per BSS and idles the rest)")
-	cols := flag.Int("cols", 0, "AP grid columns (floor); 0 = square-ish")
-	channelList := flag.String("channels", "1", "comma-separated channel assignment, cycled over BSSs")
-	payload := flag.Int("payload", 1000, "payload bytes")
-	durationS := flag.Float64("duration", 1.0, "virtual time per run, seconds")
-	seed := flag.Int64("seed", 1, "base seed")
-	seeds := flag.Int("seeds", 1, "number of independent seeds")
-	workers := flag.Int("workers", 4, "worker pool size")
-	dataMbps := flag.Float64("data-mbps", 2, "offered load per data flow (mix)")
-	rts := flag.Int("rts", 0, "RTS/CTS threshold in payload bytes (1 = every frame, 0 = off)")
-	arf := flag.Bool("arf", false, "per-frame ARF rate adaptation instead of association-time mode selection")
-	ht := flag.Bool("ht", false, "802.11n HT rate ladder (MCS 0-7 x 1-2 spatial streams) instead of legacy OFDM")
-	bond := flag.Bool("bond", false, "40 MHz channel bonding: each BSS occupies {channel, channel+1} with partial-overlap interference between neighboring spans; implies -ht")
-	minstrel := flag.Bool("minstrel", false, "Minstrel EWMA-throughput sampling rate control over the rate ladder (pair with -ht for the 2-D MCS x width ladder)")
-	edca := flag.Bool("edca", false, "802.11e EDCA access categories (voice AC_VO, data AC_BE, background AC_BK) instead of legacy single-class DCF")
-	txop := flag.Bool("txop", false, "802.11e default per-AC TXOP limits (AC_VO 1.504 ms, AC_VI 3.008 ms): a winner chains SIFS-separated exchanges; requires -edca")
-	ampdu := flag.Int("ampdu", 0, "A-MPDU aggregation: max MPDUs per burst with Block-ACK partial retransmission (0 = off)")
-	downlink := flag.Bool("downlink", false, "source flows at the AP instead of the stations (mix: per-AC queues at the AP; roam: the queue follows the walker between APs)")
-	csDBm := flag.Float64("cs", -82, "carrier-sense (energy-detect) threshold in dBm (floor preset defaults to -62 unless set)")
-	obssPd := flag.Float64("obss-pd", 0, "OBSS-PD spatial-reuse threshold in dBm (e.g. -62): inter-BSS frames below it are ignored for deferral and the reusing transmission pays the coupled TX-power backoff; 0 = off")
-	noSpatial := flag.Bool("no-spatial", false, "disable the spatial carrier-sense index and use the brute-force all-nodes scan (the equivalence-test oracle)")
-	shards := flag.Int("shards", 1, "partition the floor into up to N independent engine shards (0/1 = single engine; clamps to the interaction-group count, falls back to 1 with a reported reason when the floor is coupled)")
+func ptr[T any](v T) *T { return &v }
+
+// ifOn maps a boolean flag onto an optional config value.
+func ifOn(on bool, v int) *int {
+	if !on {
+		return nil
+	}
+	return &v
+}
+
+// options is one resolved command line.
+type options struct {
+	scenario string
+	cfg      netsim.Config
+	build    func(seed int64) *netsim.Network
+
+	bss, sta int
+	channels []int
+
+	durationS      float64
+	seed           int64
+	seeds, workers int
+
+	shardStats, csv, compare, timeline, progress bool
+	traceFile, pprofFile                         string
+	traceKinds                                   []netsim.EventKind
+}
+
+// resolve parses the command line into a validated configuration and
+// network builder. Errors name the offending flag.
+func resolve(args []string) (*options, error) {
+	o := &options{}
+	fs := flag.NewFlagSet("netsim", flag.ContinueOnError)
+	fs.StringVar(&o.scenario, "scenario", "dense", "dense | mix | hidden | roam | floor | single | apartment | office | stadium")
+	configPath := fs.String("config", "", "run a JSON scenario file instead of a named scenario (topology, flows, transport/app params; see examples/); the MAC/PHY flags override its config block")
+	fs.IntVar(&o.bss, "bss", 3, "number of BSSs (dense, floor: 100, apartment/office/stadium: 9)")
+	fs.IntVar(&o.sta, "sta", 17, "stations per BSS (dense, floor: 10, apartment/office/stadium: 8; floor saturates the first station per BSS and idles the rest)")
+	cols := fs.Int("cols", 0, "AP grid columns (floor); 0 = square-ish")
+	channelList := fs.String("channels", "1", "comma-separated channel assignment, cycled over BSSs (floor: 1,6,11)")
+	payload := fs.Int("payload", 1000, "payload bytes")
+	fs.Float64Var(&o.durationS, "duration", 1.0, "virtual time per run, seconds")
+	fs.Int64Var(&o.seed, "seed", 1, "base seed")
+	fs.IntVar(&o.seeds, "seeds", 1, "number of independent seeds")
+	fs.IntVar(&o.workers, "workers", 4, "worker pool size")
+	dataMbps := fs.Float64("data-mbps", 2, "offered load per data flow (mix)")
+	downlink := fs.Bool("downlink", false, "source flows at the AP instead of the stations (mix: per-AC queues at the AP; roam: the queue follows the walker between APs)")
+	rts := fs.Int("rts", 0, "RTS/CTS threshold in payload bytes (1 = every frame, 0 = off)")
+	rateControl := fs.String("rate-control", "fixed", "per-link rate controller: fixed (association-time mode selection) | arf (per-frame rate fallback) | minstrel (EWMA-throughput sampling over the rate ladder; pair with -ht for the 2-D MCS x width ladder)")
+	ht := fs.Bool("ht", false, "802.11n HT rate ladder (MCS 0-7 x 1-2 spatial streams) instead of legacy OFDM")
+	bond := fs.Bool("bond", false, "40 MHz channel bonding: each BSS occupies {channel, channel+1} with partial-overlap interference between neighboring spans; implies -ht")
+	edca := fs.Bool("edca", false, "802.11e EDCA access categories (voice AC_VO, data AC_BE, background AC_BK) instead of legacy single-class DCF")
+	txop := fs.Bool("txop", false, "802.11e default per-AC TXOP limits (AC_VO 1.504 ms, AC_VI 3.008 ms): a winner chains SIFS-separated exchanges; requires -edca")
+	ampdu := fs.Int("ampdu", 0, "A-MPDU aggregation: max MPDUs per burst with Block-ACK partial retransmission (0 = off; capped at 4 ms of airtime with -ht)")
+	cs := fs.Float64("cs", -82, "carrier-sense (energy-detect) threshold in dBm (the floor scenario defaults to -62 unless -obss-pd is set)")
+	obssPd := fs.Float64("obss-pd", 0, "OBSS-PD spatial-reuse threshold in dBm (e.g. -62): inter-BSS frames below it are ignored for deferral and the reusing transmission pays the coupled TX-power backoff; 0 = off")
+	shards := fs.Int("shards", 1, "partition the floor into up to N independent engine shards (0/1 = single engine; clamps to the interaction-group count, falls back to 1 with a reported reason when the floor is coupled)")
+	// knobs pairs each MAC/PHY flag with the config key it sets. The
+	// flags given overwrite the scenario's or -config file's overrides,
+	// so Overrides.Validate is their one check; errors name the flag.
+	knobs := []struct {
+		flag, key string
+		set       func(o *scenario.Overrides)
+	}{
+		{"rts", "rts_threshold_bytes", func(o *scenario.Overrides) { o.RtsThresholdBytes = rts }},
+		{"rate-control", "rate_control", func(o *scenario.Overrides) { o.RateControl = rateControl }},
+		{"ht", "ht_streams", func(o *scenario.Overrides) { o.HtStreams = ifOn(*ht, 2) }},
+		{"bond", "channel_width_mhz", func(o *scenario.Overrides) {
+			o.ChannelWidthMHz = ifOn(*bond, 40)
+			if *bond {
+				o.HtStreams = ptr(2)
+			}
+		}},
+		{"edca", "edca", func(o *scenario.Overrides) { o.Edca = *edca }},
+		{"txop", "txop", func(o *scenario.Overrides) { o.Txop = *txop }},
+		{"ampdu", "ampdu_frames", func(o *scenario.Overrides) { o.AmpduFrames = ampdu }},
+		{"cs", "cs_threshold_dbm", func(o *scenario.Overrides) { o.CSThresholdDBm = cs }},
+		{"obss-pd", "obss_pd_threshold_dbm", func(o *scenario.Overrides) { o.ObssPdThresholdDBm = obssPd }},
+		{"shards", "shards", func(o *scenario.Overrides) { o.Shards = shards }},
+	}
 	// Per-shard stats get their own flag rather than piggybacking on
 	// -cols: -cols already means AP grid columns for the floor scenario,
 	// and overloading it to also mean "show per-shard columns" would make
 	// "-cols 8" ambiguous.
-	shardStats := flag.Bool("shard-stats", false, "print a per-shard engine-statistics table and the shard plan (useful with -shards)")
-	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
-	compare := flag.Bool("compare", false, "time the seed sweep serially and with the worker pool")
-	traceFile := flag.String("trace", "", "record the first seed's event trace to FILE (JSONL, or the compact binary form when FILE ends in .bin)")
-	traceEvents := flag.String("trace-events", "", "comma-separated event kinds to trace (tx_start, rx_outcome, ...); empty = all")
-	sampleUs := flag.Float64("sample-us", 0, "time-series telemetry tick in microseconds (0 = off); prints a sampled-window table for the first seed")
-	pprofFile := flag.String("pprof", "", "write a CPU profile of the seed sweep to FILE")
-	timeline := flag.Bool("timeline", false, "print an ASCII airtime timeline of the first seed (short runs; implies tracing tx events)")
-	progress := flag.Bool("progress", false, "report each finished seed with its wall-clock/sim-time rate on stderr")
-	flag.Parse()
+	fs.BoolVar(&o.shardStats, "shard-stats", false, "print a per-shard engine-statistics table and the shard plan (useful with -shards)")
+	fs.BoolVar(&o.csv, "csv", false, "emit CSV instead of aligned tables")
+	fs.BoolVar(&o.compare, "compare", false, "time the seed sweep serially and with the worker pool")
+	fs.StringVar(&o.traceFile, "trace", "", "record the first seed's event trace to FILE (JSONL, or the compact binary form when FILE ends in .bin)")
+	traceEvents := fs.String("trace-events", "", "comma-separated event kinds to trace (tx_start, rx_outcome, ...); empty = all")
+	sampleUs := fs.Float64("sample-us", 0, "time-series telemetry tick in microseconds (0 = off); prints a sampled-window table for the first seed")
+	fs.StringVar(&o.pprofFile, "pprof", "", "write a CPU profile of the seed sweep to FILE")
+	fs.BoolVar(&o.timeline, "timeline", false, "print an ASCII airtime timeline of the first seed (short runs; implies tracing tx events)")
+	fs.BoolVar(&o.progress, "progress", false, "report each finished seed with its wall-clock/sim-time rate on stderr")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	if fs.NArg() > 0 {
+		return nil, fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	}
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 
-	if flag.NArg() > 0 {
-		fail("unexpected argument %q", flag.Arg(0))
+	// -config hands the scenario shape to the JSON file: the flags that
+	// describe topology and traffic are rejected before the file is even
+	// read. -duration and -seeds override the file when set; the MAC/PHY
+	// knobs overwrite its config block below.
+	ov := &scenario.Overrides{}
+	var file *scenario.File
+	if *configPath != "" {
+		for _, name := range []string{"scenario", "bss", "sta", "cols", "channels", "payload", "data-mbps", "downlink", "sample-us"} {
+			if set[name] {
+				return nil, fmt.Errorf("-%s cannot be combined with -config (the file owns the scenario shape; set it there)", name)
+			}
+		}
+		f, err := scenario.Load(*configPath)
+		if err != nil {
+			return nil, fmt.Errorf("-config: %v", err)
+		}
+		file, o.scenario = f, f.Name
+		if o.scenario == "" {
+			o.scenario = "config"
+		}
+		if !set["duration"] {
+			o.durationS = f.DurationS
+		}
+		if !set["seeds"] && f.Seeds > 0 {
+			o.seeds = f.Seeds
+		}
+		if f.Config == nil {
+			f.Config = ov
+		}
+		ov = f.Config
+	}
+	// Errors name a key by its flag unless the key came from the file.
+	var rename []string
+	for _, k := range knobs {
+		if set[k.flag] {
+			k.set(ov)
+		}
+		if set[k.flag] || file == nil {
+			rename = append(rename, "config."+k.key, "-"+k.flag)
+		}
+	}
+
+	// Scenario defaults fill only what the command line left unset: an
+	// explicit "-bss 3" means 3 BSSs, even though that is also the
+	// dense-scenario default.
+	shape := func(bss, sta int) {
+		if !set["bss"] {
+			o.bss = bss
+		}
+		if !set["sta"] {
+			o.sta = sta
+		}
+	}
+	switch {
+	case file != nil:
+	case o.scenario == "floor":
+		shape(100, 10)
+		if !set["channels"] {
+			*channelList = "1,6,11"
+		}
+		// OBSS-PD-style spatial reuse through a relaxed energy detect,
+		// as in E27; with real OBSS-PD on, the legacy -82 dBm stays.
+		if ov.CSThresholdDBm == nil && (ov.ObssPdThresholdDBm == nil || *ov.ObssPdThresholdDBm == 0) {
+			ov.CSThresholdDBm = ptr(-62.0)
+		}
+	case o.scenario == "apartment" || o.scenario == "office" || o.scenario == "stadium":
+		shape(9, 8)
+	case o.scenario == "roam":
+		ov.RoamIntervalUs = ptr(1e5)
 	}
 
 	// Every flag that a scenario builder would otherwise reject deep in
 	// a panic is checked here first, with the flag's name in the message.
-	if *seeds < 1 {
-		fail("-seeds must be at least 1, got %d", *seeds)
+	switch {
+	case o.seeds < 1:
+		return nil, fmt.Errorf("-seeds must be at least 1, got %d", o.seeds)
+	case o.bss < 1:
+		return nil, fmt.Errorf("-bss must be at least 1, got %d", o.bss)
+	case o.sta < 1:
+		return nil, fmt.Errorf("-sta must be at least 1, got %d", o.sta)
+	case *cols < 0:
+		return nil, fmt.Errorf("-cols must not be negative, got %d (0 = square-ish grid)", *cols)
+	case *payload < 1:
+		return nil, fmt.Errorf("-payload must be at least 1 byte, got %d", *payload)
+	case !(o.durationS > 0) || math.IsInf(o.durationS, 0):
+		return nil, fmt.Errorf("-duration must be a positive number of seconds, got %v", o.durationS)
+	case o.workers < 1:
+		return nil, fmt.Errorf("-workers must be at least 1, got %d", o.workers)
+	case *dataMbps <= 0 && o.scenario == "mix":
+		return nil, fmt.Errorf("-data-mbps must be positive for the mix scenario, got %v", *dataMbps)
+	case *sampleUs < 0 || math.IsNaN(*sampleUs) || math.IsInf(*sampleUs, 0):
+		return nil, fmt.Errorf("-sample-us must be a non-negative finite number, got %v", *sampleUs)
 	}
-	if *nBSS < 1 {
-		fail("-bss must be at least 1, got %d", *nBSS)
-	}
-	if *sta < 1 {
-		fail("-sta must be at least 1, got %d", *sta)
-	}
-	if *cols < 0 {
-		fail("-cols must not be negative, got %d (0 = square-ish grid)", *cols)
-	}
-	if *payload < 1 {
-		fail("-payload must be at least 1 byte, got %d", *payload)
-	}
-	if !(*durationS > 0) || math.IsInf(*durationS, 0) {
-		fail("-duration must be a positive number of seconds, got %v", *durationS)
-	}
-	if *workers < 1 {
-		fail("-workers must be at least 1, got %d", *workers)
-	}
-	if *rts < 0 {
-		fail("-rts must not be negative, got %d (0 disables RTS/CTS)", *rts)
-	}
-	if *shards < 0 {
-		fail("-shards must not be negative, got %d (0 or 1 = single engine)", *shards)
-	}
-	if *ampdu < 0 {
-		fail("-ampdu must not be negative, got %d (0 disables aggregation)", *ampdu)
-	}
-	if *dataMbps <= 0 && *scenarioName == "mix" {
-		fail("-data-mbps must be positive for the mix scenario, got %v", *dataMbps)
-	}
-	if *sampleUs < 0 || math.IsNaN(*sampleUs) || math.IsInf(*sampleUs, 0) {
-		fail("-sample-us must be a non-negative finite number, got %v", *sampleUs)
-	}
-	if *obssPd != 0 && (math.IsNaN(*obssPd) || math.IsInf(*obssPd, 0) || *obssPd >= 0) {
-		fail("-obss-pd must be a negative dBm figure (0 disables), got %v", *obssPd)
-	}
-	var channels []int
 	for _, c := range strings.Split(*channelList, ",") {
 		ch, err := strconv.Atoi(strings.TrimSpace(c))
 		if err != nil || ch < 1 {
-			fail("-channels needs a comma-separated list of positive channel numbers, got %q", c)
+			return nil, fmt.Errorf("-channels needs a comma-separated list of positive channel numbers, got %q", c)
 		}
-		channels = append(channels, ch)
+		o.channels = append(o.channels, ch)
 	}
-	var traceKinds []netsim.EventKind
 	if *traceEvents != "" {
 		for _, name := range strings.Split(*traceEvents, ",") {
 			k, ok := netsim.EventKindByName(strings.TrimSpace(name))
 			if !ok {
-				fail("-trace-events: unknown event kind %q", name)
+				return nil, fmt.Errorf("-trace-events: unknown event kind %q", name)
 			}
-			traceKinds = append(traceKinds, k)
+			o.traceKinds = append(o.traceKinds, k)
 		}
 	}
 
-	// The floor preset fills in scale defaults only for flags the user
-	// did not set on the command line (an explicit "-bss 3" means 3
-	// BSSs, even though that is also the dense-scenario default).
-	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if *floor {
-		*scenarioName = "floor"
-		if !set["bss"] {
-			*nBSS = 100
-		}
-		if !set["sta"] {
-			*sta = 10
-		}
-		if !set["channels"] {
-			channels = []int{1, 6, 11}
-		}
+	var err error
+	if file != nil {
+		err = file.Validate()
+	} else {
+		err = ov.Validate()
 	}
-	if *noSpatial && *scenarioName != "floor" && *scenarioName != "dense" {
-		fail("-no-spatial only affects the dense/floor scenarios (scenario %q has too few nodes for the index to engage)", *scenarioName)
+	if err != nil {
+		msg := strings.TrimPrefix(err.Error(), "scenario: ")
+		return nil, errors.New(strings.NewReplacer(rename...).Replace(msg))
 	}
+	o.cfg = ov.Apply(netsim.DefaultConfig())
+	o.cfg.SampleIntervalUs = *sampleUs
 
-	// -config hands the whole scenario shape to the JSON file: any flag
-	// that describes topology, traffic, or MAC options conflicts with it
-	// and is rejected eagerly, before the file is even read. Runtime
-	// flags (-seed, -seeds, -workers, -duration, output/trace options)
-	// still apply; -duration and -seeds override the file when set.
-	var scFile *scenario.File
-	if *configPath != "" {
-		for _, name := range []string{"scenario", "floor", "bss", "sta", "cols", "channels",
-			"payload", "data-mbps", "rts", "arf", "ht", "bond", "minstrel", "edca", "txop",
-			"ampdu", "downlink", "cs", "obss-pd", "no-spatial", "shards", "sample-us"} {
-			if set[name] {
-				fail("-%s cannot be combined with -config (the file owns the scenario shape; set it there)", name)
-			}
-		}
-		var err error
-		scFile, err = scenario.Load(*configPath)
-		if err != nil {
-			fail("-config: %v", err)
-		}
-		*scenarioName = scFile.Name
-		if *scenarioName == "" {
-			*scenarioName = "config"
-		}
-		if !set["duration"] {
-			*durationS = scFile.DurationS
-		}
-		if !set["seeds"] && scFile.Seeds > 0 {
-			*seeds = scFile.Seeds
-		}
+	if file != nil {
+		o.build = file.Build()
+		return o, nil
 	}
-
-	cfg := netsim.DefaultConfig()
-	cfg.RtsThresholdBytes = *rts
-	cfg.DisableSpatialIndex = *noSpatial
-	cfg.SampleIntervalUs = *sampleUs
-	cfg.Shards = *shards
-	if *scenarioName == "floor" && !set["cs"] {
-		*csDBm = -62 // OBSS-PD-style spatial reuse, as in E27
-	}
-	if *obssPd != 0 && *scenarioName == "floor" && !set["cs"] {
-		// With spatial reuse carrying the -62 dBm relaxation, the floor
-		// keeps the legacy -82 dBm energy detect as its baseline.
-		*csDBm = -82
-	}
-	if set["cs"] || *scenarioName == "floor" {
-		cfg.CSThresholdDBm = *csDBm
-	}
-	if *obssPd != 0 {
-		if *obssPd <= cfg.CSThresholdDBm {
-			fail("-obss-pd (%v) must be above the carrier-sense threshold (%v): OBSS-PD relaxes deferral, it cannot tighten it", *obssPd, cfg.CSThresholdDBm)
+	switch cfg := o.cfg; o.scenario {
+	case "dense":
+		o.build = netsim.DenseGrid(cfg, o.bss, o.sta, o.channels, 25, *payload)
+	case "floor":
+		c := *cols
+		if c <= 0 {
+			c = int(math.Ceil(math.Sqrt(float64(o.bss))))
 		}
-		cfg.ObssPdThresholdDBm = *obssPd
-	}
-	if *arf {
-		cfg.RateControl = "arf"
-	}
-	if *bond {
-		*ht = true
-		cfg.ChannelWidthMHz = 40
-	}
-	if *ht {
-		w := 20
-		if *bond {
-			w = 40
+		o.build = netsim.LargeFloor(cfg, o.bss, o.sta, c, o.channels...)
+	case "mix":
+		if *downlink {
+			o.build = netsim.TrafficMixDownlink(cfg, 6, 4, 2, *dataMbps)
+		} else {
+			o.build = netsim.TrafficMix(cfg, 6, 4, 2, *dataMbps)
 		}
-		cfg.Modes = linkmodel.HtModes(2, w)
-	}
-	if *minstrel {
-		if *arf {
-			fail("-minstrel and -arf are mutually exclusive rate controllers")
+	case "hidden":
+		o.build = netsim.HiddenPair(cfg, 300, *payload)
+	case "roam":
+		if *downlink {
+			o.build = netsim.RoamingWalkDownlink(cfg, 120, 15)
+		} else {
+			o.build = netsim.RoamingWalk(cfg, 120, 15)
 		}
-		cfg.RateControl = "minstrel"
-	}
-	if *edca {
-		e := netsim.DefaultEdca(cfg.Dcf, cfg.QueueLimit)
-		if *txop {
-			e = e.WithDot11eTxop(cfg.Dcf)
-		}
-		cfg.Edca = &e
-	} else if *txop {
-		// The 802.11e defaults give AC_BE/AC_BK a zero limit, and legacy
-		// DCF coerces every flow into AC_BE — the flag would be a no-op.
-		fail("-txop needs -edca (legacy DCF runs everything in AC_BE, whose default TXOP limit is 0)")
-	}
-	if *ampdu > 0 {
-		a := netsim.DefaultAggregation()
-		a.MaxAmpduFrames = *ampdu
-		if *ht {
-			// The HT PPDU duration cap (see netsim.HtConfig): keeps a
-			// Minstrel probe at the slowest MCS from monopolizing airtime.
-			a.MaxAmpduAirUs = 4000
-		}
-		cfg.Aggregation = &a
-	}
-	var build func(seed int64) *netsim.Network
-	if scFile != nil {
-		build = scFile.Build()
-	}
-	switch {
-	case scFile != nil:
-		// Built above; the named-scenario switch is skipped entirely.
-	case *scenarioName == "apartment" || *scenarioName == "office" || *scenarioName == "stadium":
-		// Closed-loop QoE presets (README "Closed-loop transport &
-		// QoE"): -bss is the floor size, -sta the users per BSS cycling
-		// the preset's web/video/voice mix. The QoE table below pools
-		// the per-user experience across seeds.
-		if !set["bss"] {
-			*nBSS = 9
-		}
-		if !set["sta"] {
-			*sta = 8
-		}
-		preset := map[string]func(netsim.Config, int, int) func(int64) *netsim.Network{
-			"apartment": app.ApartmentBlock,
-			"office":    app.OfficeFloor,
-			"stadium":   app.StadiumIngress,
-		}[*scenarioName]
-		build = preset(cfg, *nBSS, *sta)
+	case "single":
+		o.build = netsim.SingleLink(cfg, 20, *payload)
+	// Closed-loop QoE presets (README "Closed-loop transport & QoE"):
+	// -bss is the floor size, -sta the users per BSS cycling the
+	// preset's web/video/voice mix. The QoE table below pools the
+	// per-user experience across seeds.
+	case "apartment":
+		o.build = app.ApartmentBlock(cfg, o.bss, o.sta)
+	case "office":
+		o.build = app.OfficeFloor(cfg, o.bss, o.sta)
+	case "stadium":
+		o.build = app.StadiumIngress(cfg, o.bss, o.sta)
 	default:
-		switch *scenarioName {
-		case "dense":
-			build = netsim.DenseGrid(cfg, *nBSS, *sta, channels, 25, *payload)
-		case "floor":
-			c := *cols
-			if c <= 0 {
-				c = int(math.Ceil(math.Sqrt(float64(*nBSS))))
-			}
-			build = netsim.LargeFloor(cfg, *nBSS, *sta, c, channels...)
-		case "mix":
-			if *downlink {
-				build = netsim.TrafficMixDownlink(cfg, 6, 4, 2, *dataMbps)
-			} else {
-				build = netsim.TrafficMix(cfg, 6, 4, 2, *dataMbps)
-			}
-		case "hidden":
-			build = netsim.HiddenPair(cfg, 300, *payload)
-		case "roam":
-			cfg.RoamIntervalUs = 100000
-			if *downlink {
-				build = netsim.RoamingWalkDownlink(cfg, 120, 15)
-			} else {
-				build = netsim.RoamingWalk(cfg, 120, 15)
-			}
-		case "single":
-			build = netsim.SingleLink(cfg, 20, *payload)
-		default:
-			fail("unknown scenario %q", *scenarioName)
-		}
+		return nil, fmt.Errorf("unknown scenario %q", o.scenario)
+	}
+	return o, nil
+}
+
+func main() {
+	o, err := resolve(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	if err != nil {
+		fail("%v", err)
 	}
 
 	// Tracing and the timeline view record the first seed only: one
 	// Tracer must not be shared across jobs running on different
 	// goroutines, and one seed's trace is what the views need.
 	var tracer *trace.Tracer
-	if *traceFile != "" || *timeline {
+	if o.traceFile != "" || o.timeline {
 		var opts []trace.Option
-		if len(traceKinds) > 0 {
-			opts = append(opts, trace.WithKinds(traceKinds...))
+		if len(o.traceKinds) > 0 {
+			opts = append(opts, trace.WithKinds(o.traceKinds...))
 		}
 		tracer = trace.New(opts...)
-		inner := build
-		firstSeed := *seed
-		build = func(s int64) *netsim.Network {
+		inner := o.build
+		firstSeed := o.seed
+		o.build = func(s int64) *netsim.Network {
 			n := inner(s)
 			if s == firstSeed {
 				n.AttachProbe(tracer)
@@ -370,18 +374,18 @@ func main() {
 		}
 	}
 
-	durationUs := *durationS * 1e6
-	jobs := netsim.SeedSweep(*scenarioName, build, durationUs, *seed-1, *seeds)
-	runner := netsim.ScenarioRunner{Workers: *workers}
-	if *progress {
+	durationUs := o.durationS * 1e6
+	jobs := netsim.SeedSweep(o.scenario, o.build, durationUs, o.seed-1, o.seeds)
+	runner := netsim.ScenarioRunner{Workers: o.workers}
+	if o.progress {
 		runner.OnProgress = func(p netsim.Progress) {
 			fmt.Fprintf(os.Stderr, "seed %d done (%d/%d): %.2fs sim in %.2fs wall, %.1fx realtime\n",
 				p.Seed, p.Done, p.Total, p.SimUs/1e6, p.WallSeconds, p.Rate())
 		}
 	}
 
-	if *pprofFile != "" {
-		f, err := os.Create(*pprofFile)
+	if o.pprofFile != "" {
+		f, err := os.Create(o.pprofFile)
 		if err != nil {
 			fail("-pprof: %v", err)
 		}
@@ -391,7 +395,7 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
-	if *compare {
+	if o.compare {
 		t0 := time.Now()
 		serial := netsim.ScenarioRunner{Workers: 1}.RunAll(jobs)
 		serialWall := time.Since(t0)
@@ -405,8 +409,8 @@ func main() {
 			}
 		}
 		fmt.Printf("%d jobs x %.2fs virtual: serial %v, %d workers %v, speedup %s (%s)\n",
-			len(jobs), *durationS, serialWall.Round(time.Millisecond),
-			*workers, parWall.Round(time.Millisecond),
+			len(jobs), o.durationS, serialWall.Round(time.Millisecond),
+			o.workers, parWall.Round(time.Millisecond),
 			report.FormatRatio(float64(serialWall)/float64(parWall)), match)
 		return
 	}
@@ -415,21 +419,21 @@ func main() {
 	results := runner.RunAll(jobs)
 	wall := time.Since(t0)
 
-	if tracer != nil && *traceFile != "" {
-		if err := writeTrace(*traceFile, tracer); err != nil {
+	if tracer != nil && o.traceFile != "" {
+		if err := writeTrace(o.traceFile, tracer); err != nil {
 			fmt.Fprintf(os.Stderr, "netsim: writing trace: %v\n", err)
 			os.Exit(1)
 		}
 		fmt.Fprintf(os.Stderr, "trace: %d events to %s (%d dropped by the ring)\n",
-			len(tracer.Events()), *traceFile, tracer.Dropped())
+			len(tracer.Events()), o.traceFile, tracer.Dropped())
 	}
-	if *timeline {
+	if o.timeline {
 		fmt.Print(trace.Timeline(tracer.Events(), durationUs, 100))
 	}
 
 	agg := report.Table{
 		ID:     "netsim",
-		Title:  fmt.Sprintf("%s: %d seed(s), %.2f s virtual each (wall %v)", *scenarioName, *seeds, *durationS, wall.Round(time.Millisecond)),
+		Title:  fmt.Sprintf("%s: %d seed(s), %.2f s virtual each (wall %v)", o.scenario, o.seeds, o.durationS, wall.Round(time.Millisecond)),
 		Header: []string{"seed", "agg Mbps", "delivered", "attempts", "txops", "collisions", "virt coll", "rts", "rts fail", "ba retx", "retry drops", "queue drops", "roams", "airtime", "Jain"},
 	}
 	for i, r := range results {
@@ -467,7 +471,7 @@ func main() {
 		q := netsim.MergeQoE(results)
 		qt := report.Table{
 			ID:    "qoe",
-			Title: fmt.Sprintf("user QoE, pooled over %d seed(s)", *seeds),
+			Title: fmt.Sprintf("user QoE, pooled over %d seed(s)", o.seeds),
 			Header: []string{"users", "web", "page loads", "mean PLT ms", "p95 PLT ms",
 				"video", "startup ms", "rebuffer", "stalls", "voice", "mean MOS", "min MOS"},
 		}
@@ -514,7 +518,7 @@ func main() {
 	if s := results[0].Samples; s != nil {
 		tables = append(tables, sampleTable(s, jobs[0].Seed))
 	}
-	if *obssPd != 0 || (scFile != nil && scFile.Config != nil && scFile.Config.ObssPdThresholdDBm != nil) {
+	if o.cfg.ObssPdThresholdDBm != 0 {
 		sr := report.Table{
 			ID:     "obss",
 			Title:  "OBSS-PD spatial reuse",
@@ -526,19 +530,19 @@ func main() {
 		}
 		tables = append(tables, sr)
 	}
-	if plan := results[0].Plan; *shards > 1 || *shardStats {
+	if plan := results[0].Plan; o.cfg.Shards > 1 || o.shardStats {
 		if plan.Reason != "" {
 			fmt.Fprintf(os.Stderr, "shards: single engine (%s)\n", plan.Reason)
 		} else if plan.Shards > 1 {
 			fmt.Fprintf(os.Stderr, "shards: %d of %d requested, %d interaction groups\n",
 				plan.Shards, plan.Requested, plan.Groups)
 		}
-		if *shardStats {
+		if o.shardStats {
 			gb := results[0].GainBytes
 			fmt.Fprintf(os.Stderr, "gain state: %d bytes (%.1f MB)\n", gb, float64(gb)/1e6)
 		}
 	}
-	if *shardStats {
+	if o.shardStats {
 		plan := results[0].Plan
 		// The frame-pool columns count transmission and packet records
 		// recycled vs newly allocated (netsim.FramePoolStats).
@@ -557,13 +561,13 @@ func main() {
 		tables = append(tables, st)
 	}
 	for _, tb := range tables {
-		if *csv {
+		if o.csv {
 			fmt.Printf("# %s: %s\n%s\n", tb.ID, tb.Title, tb.CSV())
 		} else {
 			fmt.Println(tb.Format())
 		}
 	}
-	if *progress {
+	if o.progress {
 		es := results[0].EngineStats
 		fmt.Fprintf(os.Stderr, "engine, seed %d: %d scheduled, %d fired, %d cancelled, heap high-water %d, pool hit rate %.4f\n",
 			jobs[0].Seed, es.Scheduled, es.Fired, es.Cancelled, es.HeapHighWater, es.PoolHitRate())

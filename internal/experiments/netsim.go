@@ -144,7 +144,9 @@ func E24RtsCtsHidden(cfg Config) []report.Table {
 	}
 	base := netsim.DefaultConfig()
 	plainMbps, plainColl := run(netsim.HiddenPair(base, sepM, payload))
-	rtsMbps, rtsColl := run(netsim.HiddenPairRtsCts(base, sepM, payload))
+	rts := base
+	rts.RtsThresholdBytes = 1 // RTS/CTS before every data frame
+	rtsMbps, rtsColl := run(netsim.HiddenPair(rts, sepM, payload))
 	hidden.AddRow("netsim", plainMbps, rtsMbps,
 		report.FormatRatio(rtsMbps/plainMbps), plainColl, rtsColl)
 

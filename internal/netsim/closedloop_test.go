@@ -37,7 +37,7 @@ func TestIdleControlBitIdentical(t *testing.T) {
 	}{
 		{"dense-reuse", 3e5, DenseGrid(DefaultConfig(), 3, 2, []int{1, 6, 11}, 25, 1000)},
 		{"mix-edca", 3e5, TrafficMix(edcaConfig(), 3, 2, 1, 6)},
-		{"hidden-rtscts", 3e5, HiddenPairRtsCts(DefaultConfig(), 300, 1250)},
+		{"hidden-rtscts", 3e5, HiddenPair(rtsEvery(DefaultConfig()), 300, 1250)},
 		{"roam-downlink", 2e6, RoamingWalkDownlink(roamCfg(), 120, 20)},
 	}
 	for _, sc := range scenarios {

@@ -96,7 +96,7 @@ func compatScenarios() []struct {
 			return HiddenPair(DefaultConfig(), 300, 1250)(5).Run(3e5)
 		}},
 		{"e24-hidden-rtscts", func() Result {
-			return HiddenPairRtsCts(DefaultConfig(), 300, 1250)(5).Run(3e5)
+			return HiddenPair(rtsEvery(DefaultConfig()), 300, 1250)(5).Run(3e5)
 		}},
 		{"e24-hidden-rts-arf", func() Result {
 			return HiddenPair(arfCfg(), 300, 1200)(13).Run(2e5)

@@ -11,7 +11,7 @@ import (
 // pure lookup accelerator: it must never change which nodes sense a
 // frame, adopt a NAV, or the order those effects apply in — so every
 // scenario, run with the index on and with the brute-force oracle
-// (Config.DisableSpatialIndex), must produce bit-identical Results.
+// (Config.disableSpatialIndex), must produce bit-identical Results.
 // This extends PR 4's golden-fingerprint technique from "new tree vs
 // recorded hashes" to "two live configurations of the same tree",
 // which catches index bugs on any seed instead of only the recorded
@@ -56,7 +56,7 @@ func equivScenarios() []struct {
 			return TrafficMix(cfg, 3, 2, 1, 2)
 		}},
 		{"hidden-pair-rtscts", 2e5, func(cfg Config) func(int64) *Network {
-			return HiddenPairRtsCts(cfg, 300, 1250)
+			return HiddenPair(rtsEvery(cfg), 300, 1250)
 		}},
 		{"roaming-walk-downlink", 2e6, func(cfg Config) func(int64) *Network {
 			cfg.RoamIntervalUs = 100000
@@ -163,7 +163,7 @@ func TestSpatialIndexEquivalence(t *testing.T) {
 			for seed := int64(1); seed <= equivSeeds; seed++ {
 				build := func(disable bool) func() *Network {
 					cfg := DefaultConfig()
-					cfg.DisableSpatialIndex = disable
+					cfg.disableSpatialIndex = disable
 					return func() *Network { return sc.build(cfg)(seed) }
 				}
 				run := func(disable bool) string {

@@ -33,7 +33,7 @@ type medium struct {
 	bonded bool
 
 	// grid is the spatial index over node positions (spatial.go); nil
-	// when Config.DisableSpatialIndex keeps the brute-force scan as the
+	// when Config.disableSpatialIndex keeps the brute-force scan as the
 	// test oracle. nextOrd numbers membership so indexed candidate sets
 	// can be replayed in exactly the brute-force iteration order. bufs
 	// is a free stack of query buffers — a stack, not a single slice,

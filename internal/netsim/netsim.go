@@ -157,14 +157,15 @@ type Config struct {
 	// bit-identical to an unsampled one. 0 disables sampling.
 	SampleIntervalUs float64
 
-	// DisableSpatialIndex switches medium.start back to the brute-force
+	// disableSpatialIndex switches medium.start back to the brute-force
 	// O(nodes) scan for carrier sense and NAV adoption instead of the
 	// spatial grid index (spatial.go). The two paths are bit-for-bit
 	// equivalent — the index returns a superset of candidates in
 	// membership order and the exact power predicate re-filters it — so
 	// this exists purely as the test oracle the equivalence suite and
-	// the E27 scale benchmark compare against.
-	DisableSpatialIndex bool
+	// the E27 scale benchmark compare against; only in-package tests
+	// set it.
+	disableSpatialIndex bool
 
 	// Shards requests execution on up to this many parallel engines
 	// (shard.go): Prepare partitions the BSSs into causally independent

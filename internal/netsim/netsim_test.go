@@ -158,11 +158,17 @@ func TestRoamingReassociatesToStrongerAP(t *testing.T) {
 	}
 }
 
+// rtsEvery turns RTS/CTS on before every data frame.
+func rtsEvery(cfg Config) Config {
+	cfg.RtsThresholdBytes = 1
+	return cfg
+}
+
 func TestRtsCtsRescuesHiddenPair(t *testing.T) {
 	cfg := DefaultConfig()
 	const dur = 500000
 	plain := HiddenPair(cfg, 300, 1500)(2).Run(dur)
-	rts := HiddenPairRtsCts(cfg, 300, 1500)(2).Run(dur)
+	rts := HiddenPair(rtsEvery(cfg), 300, 1500)(2).Run(dur)
 	if plain.RtsAttempts != 0 {
 		t.Errorf("plain run sent %d RTSs", plain.RtsAttempts)
 	}

@@ -37,7 +37,7 @@ func TestRunnerParallelMatchesSerialWithRtsAndArf(t *testing.T) {
 	cfg.RtsThresholdBytes = 500
 	cfg.RateControl = "arf"
 	jobs := append(
-		SeedSweep("hidden-rts", HiddenPairRtsCts(cfg, 300, 1200), 200000, 300, 4),
+		SeedSweep("hidden-rts", HiddenPair(rtsEvery(cfg), 300, 1200), 200000, 300, 4),
 		SeedSweep("dense-arf", DenseGrid(cfg, 2, 4, []int{1, 6}, 30, 1000), 200000, 400, 4)...)
 	serial := ScenarioRunner{Workers: 1}.RunAll(jobs)
 	parallel := ScenarioRunner{Workers: 4}.RunAll(jobs)

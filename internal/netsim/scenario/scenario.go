@@ -44,8 +44,9 @@ type File struct {
 	Flows    []Flow    `json:"flows"`
 }
 
-// Overrides is the subset of netsim.Config a file may change. Pointer
-// fields distinguish "absent" from an explicit zero.
+// Overrides is the subset of netsim.Config a file, or cmd/netsim's
+// MAC/PHY flags, may change. Pointer fields distinguish "absent" from
+// an explicit zero.
 type Overrides struct {
 	CSThresholdDBm    *float64 `json:"cs_threshold_dbm,omitempty"`
 	QueueLimit        *int     `json:"queue_limit,omitempty"`
@@ -55,11 +56,9 @@ type Overrides struct {
 	AmpduFrames       *int     `json:"ampdu_frames,omitempty"`
 	Edca              bool     `json:"edca,omitempty"`
 	Txop              bool     `json:"txop,omitempty"`
-	Arf               bool     `json:"arf,omitempty"`
 
 	// RateControl selects the per-link rate controller ("fixed" | "arf"
-	// | "minstrel"); absent means fixed, or arf when config.arf (its
-	// shorthand) is set.
+	// | "minstrel"); absent means fixed.
 	RateControl *string `json:"rate_control,omitempty"`
 	// HtStreams switches the rate table to the 802.11n HT ladder
 	// (linkmodel.HtModes) with this many spatial streams, at
@@ -75,7 +74,7 @@ type Overrides struct {
 	Channels *int `json:"channels,omitempty"`
 	// ObssPdThresholdDBm enables OBSS-PD spatial reuse with BSS
 	// coloring: negative dBm, strictly above the carrier-sense
-	// threshold. Absent (or 0) keeps the mechanism off.
+	// threshold. Absent or 0 keeps the mechanism off.
 	ObssPdThresholdDBm *float64 `json:"obss_pd_threshold_dbm,omitempty"`
 }
 
@@ -152,6 +151,14 @@ type Transport struct {
 	InitRTOUs    float64 `json:"init_rto_us,omitempty"`
 	MinRTOUs     float64 `json:"min_rto_us,omitempty"`
 	MaxRTOUs     float64 `json:"max_rto_us,omitempty"`
+}
+
+func (tr *Transport) config() transport.Config {
+	return transport.Config{
+		SegmentBytes: tr.SegmentBytes,
+		InitCwnd:     tr.InitCwnd, MaxCwnd: tr.MaxCwnd,
+		InitRTOUs: tr.InitRTOUs, MinRTOUs: tr.MinRTOUs, MaxRTOUs: tr.MaxRTOUs,
+	}
 }
 
 // App selects the application model ("web" | "video" | "voice") and
@@ -249,66 +256,14 @@ func (f *File) Validate() error {
 	if f.Seeds < 0 {
 		return errf("seeds", "must not be negative, got %d", f.Seeds)
 	}
-	if c := f.Config; c != nil {
-		if c.QueueLimit != nil {
-			if err := positive("config.queue_limit", float64(*c.QueueLimit)); err != nil {
-				return err
-			}
-		}
-		if c.RtsThresholdBytes != nil && *c.RtsThresholdBytes < 0 {
-			return errf("config.rts_threshold_bytes", "must not be negative, got %d", *c.RtsThresholdBytes)
-		}
-		if c.Shards != nil && *c.Shards < 0 {
-			return errf("config.shards", "must not be negative, got %d", *c.Shards)
-		}
-		if c.RoamIntervalUs != nil {
-			if err := nonNegative("config.roam_interval_us", *c.RoamIntervalUs); err != nil {
-				return err
-			}
-		}
-		if c.AmpduFrames != nil && *c.AmpduFrames < 0 {
-			return errf("config.ampdu_frames", "must not be negative, got %d", *c.AmpduFrames)
-		}
-		if c.Txop && !c.Edca {
-			return errf("config.txop", "needs config.edca (legacy DCF runs everything in AC_BE, whose default TXOP limit is 0)")
-		}
-		if c.RateControl != nil {
-			switch *c.RateControl {
-			case "fixed", "arf", "minstrel":
-			default:
-				return errf("config.rate_control", "unknown rate controller %q (want fixed | arf | minstrel)", *c.RateControl)
-			}
-			if c.Arf {
-				return errf("config.arf", "conflicts with config.rate_control (arf is the rate_control %q shorthand)", "arf")
-			}
-		}
-		if c.ChannelWidthMHz != nil && *c.ChannelWidthMHz != 20 && *c.ChannelWidthMHz != 40 {
-			return errf("config.channel_width_mhz", "must be 20 or 40, got %d", *c.ChannelWidthMHz)
-		}
-		if c.HtStreams != nil && (*c.HtStreams < 1 || *c.HtStreams > 4) {
-			return errf("config.ht_streams", "must be 1..4 spatial streams, got %d", *c.HtStreams)
-		}
-		if c.Channels != nil && *c.Channels < 1 {
-			return errf("config.channels", "must be a positive channel count, got %d", *c.Channels)
-		}
-		if c.ObssPdThresholdDBm != nil {
-			t := *c.ObssPdThresholdDBm
-			if math.IsNaN(t) || math.IsInf(t, 0) || t >= 0 {
-				return errf("config.obss_pd_threshold_dbm", "must be a negative finite dBm figure, got %v", t)
-			}
-			cs := netsim.DefaultConfig().CSThresholdDBm
-			if c.CSThresholdDBm != nil {
-				cs = *c.CSThresholdDBm
-			}
-			if t <= cs {
-				return errf("config.obss_pd_threshold_dbm", "must be above the carrier-sense threshold %v dBm (OBSS-PD relaxes deferral, it cannot tighten it), got %v", cs, t)
-			}
-		}
+	if err := f.Config.Validate(); err != nil {
+		return err
 	}
 	if len(f.APs) == 0 {
 		return errf("aps", "at least one AP is required")
 	}
 	nodes := map[string]string{} // name -> "aps[i]" / "stations[i]"
+	apIndex := map[string]bool{}
 	for i, ap := range f.APs {
 		path := fmt.Sprintf("aps[%d]", i)
 		if ap.Name == "" {
@@ -318,6 +273,7 @@ func (f *File) Validate() error {
 			return errf(path+".name", "%q already used by %s", ap.Name, prev)
 		}
 		nodes[ap.Name] = path
+		apIndex[ap.Name] = true
 		if ap.Channel < 1 {
 			return errf(path+".channel", "must be a positive channel number, got %d", ap.Channel)
 		}
@@ -331,11 +287,7 @@ func (f *File) Validate() error {
 			}
 		}
 	}
-	apIndex := map[string]bool{}
-	for _, ap := range f.APs {
-		apIndex[ap.Name] = true
-	}
-	stations := map[string]bool{}
+	apOf := map[string]string{} // station name -> its AP's name
 	mobilityTick := f.Config != nil && f.Config.RoamIntervalUs != nil && *f.Config.RoamIntervalUs > 0
 	for i, st := range f.Stations {
 		path := fmt.Sprintf("stations[%d]", i)
@@ -346,7 +298,7 @@ func (f *File) Validate() error {
 			return errf(path+".name", "%q already used by %s", st.Name, prev)
 		}
 		nodes[st.Name] = path
-		stations[st.Name] = true
+		apOf[st.Name] = st.AP
 		if !apIndex[st.AP] {
 			return errf(path+".ap", "unknown AP %q", st.AP)
 		}
@@ -388,8 +340,14 @@ func (f *File) Validate() error {
 		if apIndex[fl.From] && fl.To == "" {
 			return errf(path+".to", "an AP-sourced (downlink) flow needs an explicit station")
 		}
-		if fl.To != "" && !stations[fl.To] {
+		if fl.To != "" && apIndex[fl.To] {
 			return errf(path+".to", "%q is an AP; flows terminate at stations (their AP relays)", fl.To)
+		}
+		if fl.To == fl.From {
+			return errf(path+".to", "%q is the flow's own source", fl.To)
+		}
+		if apIndex[fl.From] && apOf[fl.To] != fl.From {
+			return errf(path+".to", "%q is associated with %s; a downlink flow starts at the station's own AP", fl.To, apOf[fl.To])
 		}
 		if _, err := parseAC(fl.AC); err != nil {
 			return errf(path+".ac", "%v", err)
@@ -423,11 +381,14 @@ func (f *File) Validate() error {
 					}
 				}
 			}
-			if tr.MaxCwnd != 0 && tr.InitCwnd > tr.MaxCwnd {
-				return errf(tp+".init_cwnd", "must not exceed max_cwnd, got %v > %v", tr.InitCwnd, tr.MaxCwnd)
+			// Absent fields take the transport defaults, so compare
+			// the defaulted pairs.
+			tc := tr.config().WithDefaults()
+			if tc.InitCwnd > tc.MaxCwnd {
+				return errf(tp+".init_cwnd", "must not exceed max_cwnd, got %v > %v", tc.InitCwnd, tc.MaxCwnd)
 			}
-			if tr.MaxRTOUs != 0 && tr.MinRTOUs > tr.MaxRTOUs {
-				return errf(tp+".min_rto_us", "must not exceed max_rto_us, got %v > %v", tr.MinRTOUs, tr.MaxRTOUs)
+			if tc.MinRTOUs > tc.MaxRTOUs {
+				return errf(tp+".min_rto_us", "must not exceed max_rto_us, got %v > %v", tc.MinRTOUs, tc.MaxRTOUs)
 			}
 		}
 		if a := fl.App; a != nil {
@@ -499,10 +460,74 @@ func (a App) validate(path string) error {
 	return errf(path+".type", "unknown app %q (want web | video | voice)", a.Type)
 }
 
-// netConfig resolves the file's overrides onto the netsim defaults.
-func (f *File) netConfig() netsim.Config {
-	cfg := netsim.DefaultConfig()
-	c := f.Config
+// Validate checks the overrides against what netsim.Config.Validate
+// would panic on, reporting the first problem under its JSON path
+// (config.<key>). A nil receiver is valid: no overrides.
+func (c *Overrides) Validate() error {
+	if c == nil {
+		return nil
+	}
+	if c.CSThresholdDBm != nil && (math.IsNaN(*c.CSThresholdDBm) || math.IsInf(*c.CSThresholdDBm, 0)) {
+		return errf("config.cs_threshold_dbm", "must be a finite dBm figure, got %v", *c.CSThresholdDBm)
+	}
+	if c.QueueLimit != nil {
+		if err := positive("config.queue_limit", float64(*c.QueueLimit)); err != nil {
+			return err
+		}
+	}
+	if c.RtsThresholdBytes != nil && *c.RtsThresholdBytes < 0 {
+		return errf("config.rts_threshold_bytes", "must not be negative, got %d", *c.RtsThresholdBytes)
+	}
+	if c.Shards != nil && *c.Shards < 0 {
+		return errf("config.shards", "must not be negative, got %d", *c.Shards)
+	}
+	if c.RoamIntervalUs != nil {
+		if err := nonNegative("config.roam_interval_us", *c.RoamIntervalUs); err != nil {
+			return err
+		}
+	}
+	if c.AmpduFrames != nil && *c.AmpduFrames < 0 {
+		return errf("config.ampdu_frames", "must not be negative, got %d", *c.AmpduFrames)
+	}
+	if c.Txop && !c.Edca {
+		return errf("config.txop", "needs config.edca (legacy DCF runs everything in AC_BE, whose default TXOP limit is 0)")
+	}
+	if c.RateControl != nil {
+		switch *c.RateControl {
+		case "fixed", "arf", "minstrel":
+		default:
+			return errf("config.rate_control", "unknown rate controller %q (want fixed | arf | minstrel)", *c.RateControl)
+		}
+	}
+	if c.ChannelWidthMHz != nil && *c.ChannelWidthMHz != 20 && *c.ChannelWidthMHz != 40 {
+		return errf("config.channel_width_mhz", "must be 20 or 40, got %d", *c.ChannelWidthMHz)
+	}
+	if c.HtStreams != nil && (*c.HtStreams < 1 || *c.HtStreams > 4) {
+		return errf("config.ht_streams", "must be 1..4 spatial streams, got %d", *c.HtStreams)
+	}
+	if c.Channels != nil && *c.Channels < 1 {
+		return errf("config.channels", "must be a positive channel count, got %d", *c.Channels)
+	}
+	if c.ObssPdThresholdDBm != nil && *c.ObssPdThresholdDBm != 0 {
+		t := *c.ObssPdThresholdDBm
+		if math.IsNaN(t) || math.IsInf(t, 0) || t > 0 {
+			return errf("config.obss_pd_threshold_dbm", "must be a negative finite dBm figure (0 disables), got %v", t)
+		}
+		cs := netsim.DefaultConfig().CSThresholdDBm
+		if c.CSThresholdDBm != nil {
+			cs = *c.CSThresholdDBm
+		}
+		if t <= cs {
+			return errf("config.obss_pd_threshold_dbm", "must be above the carrier-sense threshold %v dBm (OBSS-PD relaxes deferral, it cannot tighten it), got %v", cs, t)
+		}
+	}
+	return nil
+}
+
+// Apply returns cfg with the overrides written over it; absent keys
+// keep cfg's values. Call only on validated overrides. An HT rate table
+// with aggregation gets the HT PPDU duration cap of netsim.HtConfig.
+func (c *Overrides) Apply(cfg netsim.Config) netsim.Config {
 	if c == nil {
 		return cfg
 	}
@@ -520,9 +545,6 @@ func (f *File) netConfig() netsim.Config {
 	}
 	if c.RoamIntervalUs != nil {
 		cfg.RoamIntervalUs = *c.RoamIntervalUs
-	}
-	if c.Arf {
-		cfg.RateControl = "arf"
 	}
 	if c.HtStreams != nil {
 		w := 20
@@ -553,6 +575,9 @@ func (f *File) netConfig() netsim.Config {
 	if c.AmpduFrames != nil && *c.AmpduFrames > 0 {
 		a := netsim.DefaultAggregation()
 		a.MaxAmpduFrames = *c.AmpduFrames
+		if c.HtStreams != nil {
+			a.MaxAmpduAirUs = 4000
+		}
 		cfg.Aggregation = &a
 	}
 	return cfg
@@ -576,7 +601,7 @@ func (tr Traffic) gen() netsim.TrafficGen {
 // builder, ready for netsim.SeedSweep. Call only after Parse/Validate
 // succeeded.
 func (f *File) Build() func(seed int64) *netsim.Network {
-	cfg := f.netConfig()
+	cfg := f.Config.Apply(netsim.DefaultConfig())
 	return func(seed int64) *netsim.Network {
 		n := netsim.New(cfg, seed)
 		byName := map[string]*netsim.Node{}
@@ -611,11 +636,7 @@ func (f *File) Build() func(seed int64) *netsim.Network {
 			if fl.Transport != nil || (fl.App != nil && fl.App.Type != "voice") {
 				var tc transport.Config
 				if tr := fl.Transport; tr != nil {
-					tc = transport.Config{
-						SegmentBytes: tr.SegmentBytes,
-						InitCwnd:     tr.InitCwnd, MaxCwnd: tr.MaxCwnd,
-						InitRTOUs: tr.InitRTOUs, MinRTOUs: tr.MinRTOUs, MaxRTOUs: tr.MaxRTOUs,
-					}
+					tc = tr.config()
 				}
 				conn = transport.Attach(flow, tc)
 			}

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"encoding/json"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -143,6 +144,10 @@ func TestValidationErrors(t *testing.T) {
 		{"transport on open loop", func(f *File) { f.Flows[0].Transport = &Transport{} }, "flows[0].traffic.type"},
 		{"pull undriven", func(f *File) { f.Flows[3].Transport, f.Flows[3].App = nil, nil }, "flows[3].traffic.type"},
 		{"cwnd order", func(f *File) { f.Flows[3].Transport.InitCwnd = 64 }, "flows[3].transport.init_cwnd"},
+		{"cwnd above default max", func(f *File) { f.Flows[3].Transport.InitCwnd, f.Flows[3].Transport.MaxCwnd = 100, 0 }, "flows[3].transport.init_cwnd"},
+		{"rto above default max", func(f *File) { f.Flows[3].Transport.MinRTOUs, f.Flows[3].Transport.MaxRTOUs = 2e6, 0 }, "flows[3].transport.min_rto_us"},
+		{"flow to itself", func(f *File) { f.Flows[0].To = "walker" }, "flows[0].to"},
+		{"downlink from another ap", func(f *File) { f.Flows[3].To = "desk" }, "flows[3].to"},
 		{"bad app", func(f *File) { f.Flows[3].App.Type = "irc" }, "flows[3].app.type"},
 		{"video buffer", func(f *File) { f.Flows[4].App.BufferMaxUs = 1e6 }, "flows[4].app.buffer_max_us"},
 		{"voice with transport", func(f *File) {
@@ -151,9 +156,9 @@ func TestValidationErrors(t *testing.T) {
 		}, "flows[1].app.type"},
 		{"txop without edca", func(f *File) { f.Config.Edca = false }, "config.txop"},
 		{"bad rate control", func(f *File) { *f.Config.RateControl = "turbo" }, "config.rate_control"},
-		{"arf beside rate control", func(f *File) { f.Config.Arf = true }, "config.arf"},
 		{"bad channel width", func(f *File) { *f.Config.ChannelWidthMHz = 30 }, "config.channel_width_mhz"},
 		{"bad ht streams", func(f *File) { *f.Config.HtStreams = 5 }, "config.ht_streams"},
+		{"obss at cs", func(f *File) { f.Config.ObssPdThresholdDBm = f.Config.CSThresholdDBm }, "config.obss_pd_threshold_dbm"},
 	}
 	for _, tc := range cases {
 		f := full()
@@ -201,4 +206,41 @@ func TestBuildMatchesHandBuilt(t *testing.T) {
 		t.Fatalf("config-built network diverged from hand-built: %v/%v vs %v/%v",
 			got.Delivered, got.AggGoodputMbps, want.Delivered, want.AggGoodputMbps)
 	}
+}
+
+// TestHtAmpduCap: HT streams plus A-MPDU resolve to netsim.HtConfig,
+// PPDU duration cap included; legacy A-MPDU stays uncapped.
+func TestHtAmpduCap(t *testing.T) {
+	streams, width, frames, rc := 2, 40, 32, "minstrel"
+	ht := &Overrides{HtStreams: &streams, ChannelWidthMHz: &width, AmpduFrames: &frames, RateControl: &rc}
+	if got, want := ht.Apply(netsim.DefaultConfig()), netsim.HtConfig(2, 40); !reflect.DeepEqual(got, want) {
+		t.Fatalf("ht_streams + ampdu_frames:\ngot  %+v\nwant %+v", got, want)
+	}
+	legacy := (&Overrides{AmpduFrames: &frames}).Apply(netsim.DefaultConfig())
+	if legacy.Aggregation.MaxAmpduAirUs != 0 {
+		t.Fatalf("legacy A-MPDU capped at %v us", legacy.Aggregation.MaxAmpduAirUs)
+	}
+}
+
+// FuzzParse: whatever Parse accepts builds without a panic, so the
+// file's validation covers everything netsim.Config.Validate and the
+// builders would otherwise panic on. Plain go test runs the seeds.
+func FuzzParse(f *testing.F) {
+	example, err := os.ReadFile("../../../examples/closedloop.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(example)
+	data, err := json.Marshal(full())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sc, err := Parse(data)
+		if err != nil {
+			return
+		}
+		sc.Build()(1)
+	})
 }

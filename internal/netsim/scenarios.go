@@ -170,58 +170,13 @@ func mixStation(n *Network, b *BSS, kind string, i int) *Node {
 		r*math.Cos(ang), r*math.Sin(ang))
 }
 
-// mixGens returns the three traffic classes of the E23/E25 mix with
-// their access categories: voice-like CBR (160 B / 20 ms ≈ a G.711
-// stream) in AC_VO, Poisson data at dataMbpsEach in AC_BE, and bursty
-// on/off background in AC_BK. Under legacy DCF (Config.Edca nil) the
-// categories are coerced to AC_BE at run time, reproducing the plain
-// single-queue mix.
-func mixGens(dataMbpsEach float64) (voice func() TrafficGen, voiceAC AC, data func() TrafficGen, dataAC AC, burst func() TrafficGen, burstAC AC) {
-	voice = func() TrafficGen { return CBR{PayloadBytes: 160, IntervalUs: 20000} }
-	data = func() TrafficGen {
-		return Poisson{PayloadBytes: 1200, PktPerSec: dataMbpsEach * 1e6 / (8 * 1200)}
-	}
-	burst = func() TrafficGen {
-		return &OnOff{PayloadBytes: 1200, IntervalUs: 2000, OnMeanUs: 50000, OffMeanUs: 200000}
-	}
-	return voice, AC_VO, data, AC_BE, burst, AC_BK
-}
-
-func checkMix(scenario string, nVoice, nData, nBurst int, dataMbpsEach float64) {
-	checkCount(scenario, "nVoice", nVoice, 0)
-	checkCount(scenario, "nData", nData, 0)
-	checkCount(scenario, "nBurst", nBurst, 0)
-	checkCount(scenario, "nVoice+nData+nBurst", nVoice+nData+nBurst, 1)
-	if nData > 0 {
-		checkPositive(scenario, "dataMbpsEach", dataMbpsEach)
-	}
-}
-
 // TrafficMix is the E23/E25 workload: one BSS carrying voice-like CBR
 // flows (AC_VO), Poisson data flows whose rate sweeps the offered load
 // (AC_BE), and bursty on/off background (AC_BK). dataMbpsEach is the
 // mean offered load per data flow. All flows are uplink; see
 // TrafficMixDownlink for the AP-sourced mirror.
 func TrafficMix(cfg Config, nVoice, nData, nBurst int, dataMbpsEach float64) func(seed int64) *Network {
-	checkMix("TrafficMix", nVoice, nData, nBurst, dataMbpsEach)
-	voice, voiceAC, data, dataAC, burst, burstAC := mixGens(dataMbpsEach)
-	return func(seed int64) *Network {
-		n := New(cfg, seed)
-		b := n.AddAP("AP", 0, 0, 1)
-		for i := 0; i < nVoice; i++ {
-			st := mixStation(n, b, "voice", i)
-			n.Add(FlowSpec{From: st, AC: voiceAC, Gen: voice()})
-		}
-		for i := 0; i < nData; i++ {
-			st := mixStation(n, b, "data", i)
-			n.Add(FlowSpec{From: st, AC: dataAC, Gen: data()})
-		}
-		for i := 0; i < nBurst; i++ {
-			st := mixStation(n, b, "burst", i)
-			n.Add(FlowSpec{From: st, AC: burstAC, Gen: burst()})
-		}
-		return n
-	}
+	return trafficMix("TrafficMix", false, cfg, nVoice, nData, nBurst, dataMbpsEach)
 }
 
 // TrafficMixDownlink mirrors TrafficMix with every flow sourced at the
@@ -229,23 +184,42 @@ func TrafficMix(cfg Config, nVoice, nData, nBurst int, dataMbpsEach float64) fun
 // queues, so EDCA's internal virtual-collision arbitration — not just
 // inter-station contention — differentiates the classes.
 func TrafficMixDownlink(cfg Config, nVoice, nData, nBurst int, dataMbpsEach float64) func(seed int64) *Network {
-	checkMix("TrafficMixDownlink", nVoice, nData, nBurst, dataMbpsEach)
-	voice, voiceAC, data, dataAC, burst, burstAC := mixGens(dataMbpsEach)
+	return trafficMix("TrafficMixDownlink", true, cfg, nVoice, nData, nBurst, dataMbpsEach)
+}
+
+// trafficMix builds both mix directions. The three classes are
+// voice-like CBR (160 B / 20 ms ≈ a G.711 stream) in AC_VO, Poisson
+// data at dataMbpsEach in AC_BE, and bursty on/off background in AC_BK.
+// Under legacy DCF (Config.Edca nil) the categories are coerced to
+// AC_BE at run time, reproducing the plain single-queue mix.
+func trafficMix(scenario string, downlink bool, cfg Config, nVoice, nData, nBurst int, dataMbpsEach float64) func(seed int64) *Network {
+	checkCount(scenario, "nVoice", nVoice, 0)
+	checkCount(scenario, "nData", nData, 0)
+	checkCount(scenario, "nBurst", nBurst, 0)
+	checkCount(scenario, "nVoice+nData+nBurst", nVoice+nData+nBurst, 1)
+	if nData > 0 {
+		checkPositive(scenario, "dataMbpsEach", dataMbpsEach)
+	}
 	return func(seed int64) *Network {
 		n := New(cfg, seed)
 		b := n.AddAP("AP", 0, 0, 1)
-		for i := 0; i < nVoice; i++ {
-			st := mixStation(n, b, "voice", i)
-			n.Add(FlowSpec{From: b.AP, To: st, AC: voiceAC, Gen: voice()})
+		add := func(kind string, count int, ac AC, gen func() TrafficGen) {
+			for i := 0; i < count; i++ {
+				st := mixStation(n, b, kind, i)
+				spec := FlowSpec{From: st, AC: ac, Gen: gen()}
+				if downlink {
+					spec.From, spec.To = b.AP, st
+				}
+				n.Add(spec)
+			}
 		}
-		for i := 0; i < nData; i++ {
-			st := mixStation(n, b, "data", i)
-			n.Add(FlowSpec{From: b.AP, To: st, AC: dataAC, Gen: data()})
-		}
-		for i := 0; i < nBurst; i++ {
-			st := mixStation(n, b, "burst", i)
-			n.Add(FlowSpec{From: b.AP, To: st, AC: burstAC, Gen: burst()})
-		}
+		add("voice", nVoice, AC_VO, func() TrafficGen { return CBR{PayloadBytes: 160, IntervalUs: 20000} })
+		add("data", nData, AC_BE, func() TrafficGen {
+			return Poisson{PayloadBytes: 1200, PktPerSec: dataMbpsEach * 1e6 / (8 * 1200)}
+		})
+		add("burst", nBurst, AC_BK, func() TrafficGen {
+			return &OnOff{PayloadBytes: 1200, IntervalUs: 2000, OnMeanUs: 50000, OffMeanUs: 200000}
+		})
 		return n
 	}
 }
@@ -267,31 +241,11 @@ func HiddenPair(cfg Config, separationM float64, payloadBytes int) func(seed int
 	}
 }
 
-// HiddenPairRtsCts is HiddenPair with the RTS/CTS exchange forced on
-// for every data frame — the packet-level counterpart of
-// mac.RunHiddenTerminal's RtsCts mode. The stations cannot hear each
-// other's RTS, but the AP's CTS sets both NAVs, so a collision costs
-// one RTS instead of a whole data frame.
-func HiddenPairRtsCts(cfg Config, separationM float64, payloadBytes int) func(seed int64) *Network {
-	cfg.RtsThresholdBytes = 1
-	return HiddenPair(cfg, separationM, payloadBytes)
-}
-
 // RoamingWalk builds two APs on the same channel with one mobile
 // station walking from the first toward the second while streaming CBR
 // uplink — the strongest-signal reassociation demo.
 func RoamingWalk(cfg Config, apDistM, speedMps float64) func(seed int64) *Network {
-	checkPositive("RoamingWalk", "apDistM", apDistM)
-	checkPositive("RoamingWalk", "speedMps", speedMps)
-	return func(seed int64) *Network {
-		n := New(cfg, seed)
-		b1 := n.AddAP("AP1", 0, 0, 1)
-		n.AddAP("AP2", apDistM, 0, 1)
-		st := n.AddStation(b1, "walker", 5, 0)
-		n.SetVelocity(st, speedMps, 0)
-		n.Add(FlowSpec{From: st, AC: AC_BE, Gen: CBR{PayloadBytes: 800, IntervalUs: 4000}})
-		return n
-	}
+	return roamingWalk("RoamingWalk", false, cfg, apDistM, speedMps)
 }
 
 // RoamingWalkDownlink is RoamingWalk with the CBR stream reversed: AP1
@@ -299,15 +253,23 @@ func RoamingWalk(cfg Config, apDistM, speedMps float64) func(seed int64) *Networ
 // handed off to AP2 when the walker reassociates — the queue follows
 // the station.
 func RoamingWalkDownlink(cfg Config, apDistM, speedMps float64) func(seed int64) *Network {
-	checkPositive("RoamingWalkDownlink", "apDistM", apDistM)
-	checkPositive("RoamingWalkDownlink", "speedMps", speedMps)
+	return roamingWalk("RoamingWalkDownlink", true, cfg, apDistM, speedMps)
+}
+
+func roamingWalk(scenario string, downlink bool, cfg Config, apDistM, speedMps float64) func(seed int64) *Network {
+	checkPositive(scenario, "apDistM", apDistM)
+	checkPositive(scenario, "speedMps", speedMps)
 	return func(seed int64) *Network {
 		n := New(cfg, seed)
 		b1 := n.AddAP("AP1", 0, 0, 1)
 		n.AddAP("AP2", apDistM, 0, 1)
 		st := n.AddStation(b1, "walker", 5, 0)
 		n.SetVelocity(st, speedMps, 0)
-		n.Add(FlowSpec{From: b1.AP, To: st, AC: AC_VO, Gen: CBR{PayloadBytes: 800, IntervalUs: 4000}})
+		spec := FlowSpec{From: st, AC: AC_BE, Gen: CBR{PayloadBytes: 800, IntervalUs: 4000}}
+		if downlink {
+			spec.From, spec.To, spec.AC = b1.AP, st, AC_VO
+		}
+		n.Add(spec)
 		return n
 	}
 }

@@ -111,7 +111,7 @@ func (sh *shard) mediumFor(ch int) *medium {
 		}
 	}
 	m := &medium{net: n, sh: sh, channel: ch, bonded: n.bonded}
-	if !n.cfg.DisableSpatialIndex {
+	if !n.cfg.disableSpatialIndex {
 		// Cell size = carrier-sense range: an energy-detect query visits
 		// at most the 3x3 block around the transmitter's cell. The range
 		// derives from unscaled received power, and bonding's overlap

@@ -30,7 +30,7 @@ import (
 // visit nodes in exactly the order the brute-force scan over
 // medium.nodes would — a requirement for bit-for-bit equivalence, since
 // carrier-sense pauses schedule events and event order is simulation
-// state. Config.DisableSpatialIndex keeps the brute-force scan
+// state. Config.disableSpatialIndex keeps the brute-force scan
 // available as the test oracle.
 
 // cellKey addresses one grid cell. Positions are unbounded (roaming

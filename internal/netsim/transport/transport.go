@@ -44,8 +44,8 @@ type Config struct {
 	MaxRTOUs  float64
 }
 
-// withDefaults fills zero fields and validates the result.
-func (c Config) withDefaults() Config {
+// WithDefaults returns c with every zero field set to its default.
+func (c Config) WithDefaults() Config {
 	if c.SegmentBytes == 0 {
 		c.SegmentBytes = 1000
 	}
@@ -64,6 +64,11 @@ func (c Config) withDefaults() Config {
 	if c.MaxRTOUs == 0 {
 		c.MaxRTOUs = 1e6
 	}
+	return c
+}
+
+// validate panics on a defaulted configuration no Conn can run with.
+func (c Config) validate() {
 	check := func(field string, v float64) {
 		if math.IsNaN(v) || math.IsInf(v, 0) || v <= 0 {
 			panic(fmt.Sprintf("transport: Config.%s must be positive and finite, got %v", field, v))
@@ -81,7 +86,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxRTOUs < c.MinRTOUs {
 		panic(fmt.Sprintf("transport: Config.MaxRTOUs %v below MinRTOUs %v", c.MaxRTOUs, c.MinRTOUs))
 	}
-	return c
 }
 
 // State is the congestion-control state machine alone — window, RTT
@@ -232,7 +236,9 @@ type Conn struct {
 // then the only packet source — but a generator-driven flow works too
 // (the Conn paces its own segments alongside the generator's).
 func Attach(f *netsim.Flow, cfg Config) *Conn {
-	c := &Conn{cfg: cfg.withDefaults(), flow: f}
+	cfg = cfg.WithDefaults()
+	cfg.validate()
+	c := &Conn{cfg: cfg, flow: f}
 	c.State = State{
 		Cwnd:     float64(c.cfg.InitCwnd),
 		Ssthresh: float64(c.cfg.MaxCwnd),
