@@ -56,7 +56,7 @@ func roam(c *netsim.Config) { c.RoamIntervalUs = 1e5 }
 
 // usageLines returns the command lines of the package doc's usage
 // blocks, without the leading "netsim" and any trailing comment.
-func usageLines(t *testing.T) []string {
+func usageLines(t testing.TB) []string {
 	src, err := os.ReadFile("main.go")
 	if err != nil {
 		t.Fatal(err)
@@ -198,4 +198,32 @@ func TestConfigFileOverride(t *testing.T) {
 	if o.seeds != 2 || o.durationS != 3 {
 		t.Fatalf("file's seeds/duration lost: %d seeds, %v s", o.seeds, o.durationS)
 	}
+}
+
+// fuzzMaxNodes caps the networks FuzzResolve runs: a command line whose
+// -bss/-sta shape implies more nodes is only resolved.
+const fuzzMaxNodes = 400
+
+// FuzzResolve: resolve never panics, and every command line it accepts
+// builds a network that runs 2 ms of virtual time without a panic. The
+// corpus seeds are the package-doc usage lines; plain go test runs only
+// those.
+//
+//	go test ./cmd/netsim -run '^$' -fuzz FuzzResolve -fuzztime 60s
+func FuzzResolve(f *testing.F) {
+	for _, l := range usageLines(f) {
+		// The -config lines name examples/ from the repo root. (f.Chdir
+		// would break the fuzzing workers.)
+		f.Add(strings.ReplaceAll(l, "-config examples/", "-config ../../examples/"))
+	}
+	f.Fuzz(func(t *testing.T, line string) {
+		o, err := resolve(strings.Fields(line))
+		if err != nil {
+			return
+		}
+		if o.bss > fuzzMaxNodes || o.sta > fuzzMaxNodes || o.bss*(o.sta+1) > fuzzMaxNodes {
+			return
+		}
+		o.build(o.seed).Run(2000)
+	})
 }

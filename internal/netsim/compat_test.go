@@ -104,8 +104,17 @@ func compatScenarios() []struct {
 		{"e25-mix-edca", func() Result {
 			return TrafficMix(edcaConfig(), 3, 2, 1, 6)(9).Run(3e5)
 		}},
+		// roam-downlink-edca never roams: in 2 s the walker covers 40 m
+		// of the 120 m AP gap and stays with AP1, so the row pins the
+		// mobile EDCA downlink without a reassociation.
+		// roam-handoff-edca halves the gap; the walker reassociates
+		// once and its queued downlink is handed to AP2. Captured on
+		// the tree before carrier sense became one shared predicate.
 		{"roam-downlink-edca", func() Result {
 			return RoamingWalkDownlink(roamCfg(), 120, 20)(3).Run(2e6)
+		}},
+		{"roam-handoff-edca", func() Result {
+			return RoamingWalkDownlink(roamCfg(), 60, 20)(3).Run(2e6)
 		}},
 		// large-floor pins the PR 5 scale path (spatial index, pooled
 		// events, tracked carrier sense) on a 25-BSS single-channel

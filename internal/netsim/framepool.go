@@ -68,8 +68,8 @@ type FramePoolStats struct {
 var poisonFrames bool
 
 // newTx hands out a transmission record initialized for one frame.
-// The contrib and navAdopters slices keep their backing arrays across
-// recycles; gen is the only state that survives.
+// The contrib, navAdopters and latent slices keep their backing arrays
+// across recycles; gen is the only state that survives.
 func (sh *shard) newTx(kind FrameKind, tx, rx *Node, pkt *packet, ex *exchange,
 	mode linkmodel.Mode, navUntilUs float64) *transmission {
 	fp := &sh.frames
@@ -84,7 +84,7 @@ func (sh *shard) newTx(kind FrameKind, tx, rx *Node, pkt *packet, ex *exchange,
 	}
 	*tr = transmission{kind: kind, tx: tx, rx: rx, pkt: pkt, ex: ex, mode: mode,
 		navUntilUs: navUntilUs, startUs: sh.eng.Now(), gen: tr.gen,
-		contrib: tr.contrib[:0], navAdopters: tr.navAdopters[:0]}
+		contrib: tr.contrib[:0], navAdopters: tr.navAdopters[:0], latent: tr.latent[:0]}
 	return tr
 }
 

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/linkmodel"
 )
@@ -143,6 +144,13 @@ type transmission struct {
 	// so finish decrements exactly that set even if gains shift or
 	// membership changes (roaming) while the frame is in flight.
 	sensed []*Node
+	// shifted marks a frame that was on the air when roamScan moved
+	// nodes. latent then lists the untracked nodes that deferred to it
+	// at the gains before the move — the verdict an eagerly tracked node
+	// holds for the rest of the frame — and a node that joins carrier
+	// sense later takes that verdict instead of judging at moved gains.
+	shifted bool
+	latent  []*Node
 	// navAdopters lists the nodes whose NAV this frame's reservation
 	// raised, so an aborted RTS exchange can invoke the standard's
 	// NAV-reset rule on exactly that set.
@@ -158,15 +166,15 @@ func (t *transmission) addInterference(mw float64) {
 	}
 }
 
-// dropSensed removes nd from the release list without touching its
-// busyCount (the caller re-baselines it).
-func (t *transmission) dropSensed(nd *Node) {
-	for i, x := range t.sensed {
-		if x == nd {
-			t.sensed = append(t.sensed[:i], t.sensed[i+1:]...)
-			return
-		}
+// dropNode removes nd from *list, keeping the others in order, and
+// reports whether it was there.
+func dropNode(list *[]*Node, nd *Node) bool {
+	i := slices.Index(*list, nd)
+	if i < 0 {
+		return false
 	}
+	*list = slices.Delete(*list, i, i+1)
+	return true
 }
 
 // insertSensed files nd into the release list at its membership
@@ -210,12 +218,7 @@ func (m *medium) remove(nd *Node) {
 	if m.grid != nil {
 		m.grid.remove(nd)
 	}
-	for i, x := range m.nodes {
-		if x == nd {
-			m.nodes = append(m.nodes[:i], m.nodes[i+1:]...)
-			return
-		}
-	}
+	dropNode(&m.nodes, nd)
 }
 
 // bruteScanCutoff is the membership size below which the linear scan
@@ -284,6 +287,57 @@ func (m *medium) getBuf() []*Node {
 // MHz transmission's two slots lands in a listener's operating span.
 const halfSlotDB = -3.0102999566398121
 
+// csVerdict is what a listener's carrier sense makes of a frame on the
+// air.
+type csVerdict uint8
+
+const (
+	// csQuiet: the frame misses the listener's energy detect — below
+	// CSThresholdDBm, or spectrally disjoint from its operating span.
+	csQuiet csVerdict = iota
+	// csIgnored: an inter-BSS frame inside the OBSS-PD window
+	// [CSThresholdDBm, ObssPdThresholdDBm). It is heard, but it does
+	// not defer the listener (spatial reuse).
+	csIgnored
+	// csBusy: the listener defers.
+	csBusy
+)
+
+// hears is the one carrier-sense predicate: the verdict of listener nd
+// on frame tr, and the power p it hears the frame at. p carries the
+// frame's OBSS-PD TX-power backoff. On a bonded medium, energy detect
+// integrates the listener's whole 40 MHz operating span {Channel,
+// Channel+1}: a frame overlapping one of its two slots arrives at half
+// power (halfSlotDB), a disjoint one not at all. Overlap fractions
+// only lower the power, so the csRangeM-sized grid cells stay a
+// conservative superset. Small enough to inline into the
+// carrier-sense scan.
+func (n *Network) hears(tr *transmission, nd *Node) (v csVerdict, p float64) {
+	// Reading the gain matrix directly, not through rxPowerDBm, keeps
+	// the function inside the inlining budget.
+	p = n.rxDBm[tr.tx.id][nd.id] + tr.backoffDB
+	if n.bonded {
+		// d is the frame's first slot relative to the listener's span:
+		// the spans share a slot iff -chW < d < 2, and the listener's
+		// span covers the frame iff 0 <= d <= 2-chW. A legacy medium is
+		// one channel, so every listener covers every frame.
+		d := tr.chLo - nd.bss.Channel
+		if uint(d+tr.chW-1) > uint(tr.chW) {
+			return
+		}
+		if uint(d) > uint(2-tr.chW) {
+			p += halfSlotDB
+		}
+	}
+	if p < n.cfg.CSThresholdDBm {
+		return
+	}
+	if p < n.obssPdDBm && tr.color != nd.bss.color {
+		return csIgnored, p
+	}
+	return csBusy, p
+}
+
 // slotOverlap counts the 20 MHz slots spans [aLo, aLo+aW) and
 // [bLo, bLo+bW) share.
 func slotOverlap(aLo, aW, bLo, bW int) int {
@@ -328,24 +382,13 @@ func (m *medium) start(tr *transmission) {
 		// inter-BSS frame sits in the ignore window [CSThresholdDBm,
 		// ObssPdThresholdDBm) is a spatial-reuse transmission and must
 		// back its TX power off by the dB the deferral threshold was
-		// relaxed. The window test replays the listener-side CS scan from
-		// the transmitter's seat: same bonded span adjustment, same
-		// backoff on the heard frame's own power.
+		// relaxed. The window test is the listener's carrier sense from
+		// the transmitter's seat.
 		for _, a := range m.active {
-			if a.tx == tr.tx || a.color == tr.color {
+			if a.tx == tr.tx {
 				continue
 			}
-			p := m.net.rxPowerDBm(a.tx, tr.tx) + a.backoffDB
-			if m.bonded {
-				ov := slotOverlap(a.chLo, a.chW, tr.tx.bss.Channel, 2)
-				if ov == 0 {
-					continue
-				}
-				if ov < a.chW {
-					p += halfSlotDB
-				}
-			}
-			if p >= m.net.cfg.CSThresholdDBm && p < m.net.cfg.ObssPdThresholdDBm {
+			if v, _ := m.net.hears(a, tr.tx); v == csIgnored {
 				tr.backoffDB = m.net.obssBackoffDB
 				tr.scaleMw = m.net.obssScaleMw
 				m.sh.obssReuseTx++
@@ -399,9 +442,9 @@ func (m *medium) start(tr *transmission) {
 	}
 
 	// sensed rides a pooled buffer: it lives exactly until finish, which
-	// recycles it (reassociate may append to it mid-flight; that only
-	// grows the pooled slice). Only csTracked nodes — the ones with
-	// traffic, whose busyCount can matter — get carrier-sense
+	// recycles it (joinCS and reassociate may insert into it mid-flight;
+	// that only grows the pooled slice). Only csTracked nodes — the ones
+	// with traffic, whose busyCount can matter — get carrier-sense
 	// bookkeeping; an idle station's pause would be a no-op anyway, and
 	// its busyCount is re-baselined from the active list the moment it
 	// next has something to send (Node.joinCS). On a realistic dense
@@ -413,40 +456,21 @@ func (m *medium) start(tr *transmission) {
 		if nd == tr.tx || !nd.csTracked {
 			continue
 		}
-		p := m.net.rxPowerDBm(tr.tx, nd) + tr.backoffDB
-		if m.bonded {
-			// Energy detect integrates the listener's whole 40 MHz
-			// operating span {Channel, Channel+1}: a frame overlapping
-			// one of its two slots arrives at half power, a disjoint
-			// one not at all. Fractions only lower the power, so the
-			// csRangeM-sized grid cells stay a conservative superset.
-			ov := slotOverlap(tr.chLo, tr.chW, nd.bss.Channel, 2)
-			if ov == 0 {
-				continue
+		switch v, p := m.net.hears(tr, nd); v {
+		case csBusy:
+			tr.sensed = append(tr.sensed, nd)
+			nd.busyCount++
+			if nd.busyCount == 1 {
+				nd.pause()
 			}
-			if ov < tr.chW {
-				p += halfSlotDB
-			}
-		}
-		if p < m.net.cfg.CSThresholdDBm {
-			continue
-		}
-		if m.net.obssOn && nd.bss.color != tr.color && p < m.net.cfg.ObssPdThresholdDBm {
-			// OBSS-PD spatial reuse: an inter-BSS frame inside the
-			// [CS, OBSS-PD) window does not raise carrier sense — the
-			// listener stays free to transmit (at the coupled power
+		case csIgnored:
+			// The listener stays free to transmit (at the coupled power
 			// backoff, which start applies when it does).
 			m.sh.obssIgnores++
 			if m.sh.probe != nil {
 				m.sh.probe.OnEvent(Event{TimeUs: m.sh.eng.Now(), Kind: EvObssIgnore,
 					Frame: tr.kind, AC: tr.pkt.ac, Node: nd.id, Peer: tr.tx.id, Value: p})
 			}
-			continue
-		}
-		tr.sensed = append(tr.sensed, nd)
-		nd.busyCount++
-		if nd.busyCount == 1 {
-			nd.pause()
 		}
 	}
 	if tr.navUntilUs > 0 {
@@ -470,14 +494,18 @@ func (m *medium) start(tr *transmission) {
 				// frame's slots cannot adopt its reservation.
 				continue
 			}
-			if m.net.obssOn && nd.bss.color != tr.color &&
-				m.net.rxPowerDBm(tr.tx, nd)+tr.backoffDB < m.net.cfg.ObssPdThresholdDBm {
-				// A decoded inter-BSS reservation inside the OBSS-PD
-				// window is ignorable for NAV too — spatial reuse would
-				// be pointless if the color it ignores for energy detect
-				// still parked it behind the frame's duration field.
-				// Same-color reservations are always honored.
-				continue
+			if m.net.obssOn && nd.bss.color != tr.color {
+				// A decoded inter-BSS reservation below the OBSS-PD
+				// threshold is ignorable for NAV too — spatial reuse
+				// would be pointless if the color it ignores for energy
+				// detect still parked it behind the frame's duration
+				// field. For an inter-BSS frame the listener's span
+				// fully covers, "not busy" is exactly "below
+				// ObssPdThresholdDBm". Same-color reservations are
+				// always honored.
+				if v, _ := m.net.hears(tr, nd); v != csBusy {
+					continue
+				}
 			}
 			if m.net.linkSNRdB(tr.tx, nd)+tr.backoffDB >= need && nd.setNav(tr.navUntilUs) {
 				tr.navAdopters = append(tr.navAdopters, nd)

@@ -167,6 +167,13 @@ type Config struct {
 	// set it.
 	disableSpatialIndex bool
 
+	// eagerCarrierSense puts every node under carrier-sense bookkeeping
+	// at Prepare and never retires one, replacing the lazy join/leave of
+	// csTracked with what it must be equivalent to. Like
+	// disableSpatialIndex it is a test oracle that only in-package tests
+	// set.
+	eagerCarrierSense bool
+
 	// Shards requests execution on up to this many parallel engines
 	// (shard.go): Prepare partitions the BSSs into causally independent
 	// interaction groups and runs whole groups per shard, each engine
@@ -540,13 +547,16 @@ type Network struct {
 	bonded   bool
 	chanRoot map[int]int
 
-	// obssOn mirrors Config.ObssPdThresholdDBm != 0. obssBackoffDB is
+	// obssOn mirrors Config.ObssPdThresholdDBm != 0. obssPdDBm is that
+	// threshold, or −Inf when OBSS-PD is off, so the carrier-sense
+	// predicate (hears) tests the window with one compare. obssBackoffDB is
 	// the coupled TX-power backoff a reusing transmission pays,
 	// CSThresholdDBm − ObssPdThresholdDBm (negative: −20 dB at the
 	// classic −82/−62 pairing); obssScaleMw is the same figure as a
 	// linear power scale, precomputed so the interference hot loop
 	// multiplies instead of exponentiating.
 	obssOn        bool
+	obssPdDBm     float64
 	obssBackoffDB float64
 	obssScaleMw   float64
 
@@ -611,8 +621,10 @@ func New(cfg Config, seed int64) *Network {
 		n.rcKind = rcFixed
 	}
 	n.bonded = cfg.ChannelWidthMHz == 40
+	n.obssPdDBm = math.Inf(-1)
 	if cfg.ObssPdThresholdDBm != 0 {
 		n.obssOn = true
+		n.obssPdDBm = cfg.ObssPdThresholdDBm
 		n.obssBackoffDB = cfg.CSThresholdDBm - cfg.ObssPdThresholdDBm
 		n.obssScaleMw = mwFromDBm(n.obssBackoffDB)
 	}
@@ -1007,6 +1019,11 @@ func (n *Network) Prepare() {
 	}
 	n.prepared = true
 	n.build()
+	if n.cfg.eagerCarrierSense {
+		for _, nd := range n.nodes {
+			nd.joinCS()
+		}
+	}
 	for _, f := range n.flows {
 		f.start()
 	}
@@ -1043,6 +1060,26 @@ func (n *Network) Run(durationUs float64) Result {
 // roamScan moves mobile nodes and reassociates stations to the
 // strongest AP. It reschedules itself every RoamIntervalUs.
 func (n *Network) roamScan() {
+	// Before anything moves, record every untracked node's verdict on
+	// the frames on the air: a tracked node keeps the verdict it took at
+	// a frame's start for the frame's whole airtime, and a node that
+	// joins carrier sense mid-frame must take the same one (joinCS).
+	for _, m := range n.media {
+		for _, a := range m.active {
+			if a.shifted {
+				continue
+			}
+			a.shifted = true
+			for _, nd := range m.nodes {
+				if nd.csTracked || nd == a.tx {
+					continue
+				}
+				if v, _ := n.hears(a, nd); v == csBusy {
+					a.latent = append(a.latent, nd)
+				}
+			}
+		}
+	}
 	dtS := n.cfg.RoamIntervalUs / 1e6
 	for _, nd := range n.nodes {
 		moved := false
@@ -1085,12 +1122,13 @@ func (n *Network) roamScan() {
 }
 
 // joinCS puts the node under live carrier-sense bookkeeping, deriving
-// its busyCount from the frames currently on the air (the same
-// re-baseline reassociate performs) so it is exactly what eager
-// maintenance would have accumulated. Each in-range frame learns the
-// node at its membership position, keeping the finish-time resume order
-// — and with it the event stream — bit-identical to a node that was
-// sensed from the frame's start.
+// its busyCount from the frames on its medium's air by the same
+// predicate as medium.start's scan (hears), and filing it in each
+// deferring frame's release list at its membership position. A node
+// that starts tracking mid-frame thus ends up exactly as if it had been
+// tracked all along: the same busyCount and the same finish-time resume
+// order — and with it the same event stream. The eager-tracking oracle
+// in equiv_test.go pins this.
 func (nd *Node) joinCS() {
 	if nd.csTracked {
 		return
@@ -1099,33 +1137,34 @@ func (nd *Node) joinCS() {
 	if nd.med.grid != nil {
 		nd.med.grid.setTracked(nd, true)
 	}
-	net := nd.net
 	for _, a := range nd.med.active {
 		if a.tx == nd {
 			continue
 		}
-		// A reusing frame was launched at reduced power (a.backoffDB) and
-		// arrives that much quieter; an inter-BSS frame inside the
-		// OBSS-PD window is ignorable here exactly as it was in the
-		// start-time scan, so a late joiner derives the same busyCount.
-		p := net.rxPowerDBm(a.tx, nd) + a.backoffDB
-		if p < net.cfg.CSThresholdDBm {
-			continue
+		// A frame that was on the air while nodes moved holds the verdict
+		// from before the move; any other is judged at the gains it
+		// started at.
+		var defers bool
+		if a.shifted {
+			defers = dropNode(&a.latent, nd)
+		} else {
+			v, _ := nd.net.hears(a, nd)
+			defers = v == csBusy
 		}
-		if net.obssOn && a.color != nd.bss.color && p < net.cfg.ObssPdThresholdDBm {
-			continue
+		if defers {
+			a.insertSensed(nd)
+			nd.busyCount++
 		}
-		a.insertSensed(nd)
-		nd.busyCount++
 	}
 }
 
 // maybeLeaveCS retires the node from carrier-sense bookkeeping once it
 // has nothing in flight and nothing queued: it drops out of the release
 // lists of frames still on the air and zeroes busyCount, which joinCS
-// will recompute on the next arrival.
+// will recompute on the next arrival. A frame that was on the air while
+// nodes moved keeps the node's verdict in its latent list.
 func (nd *Node) maybeLeaveCS() {
-	if !nd.csTracked || nd.transmitting {
+	if !nd.csTracked || nd.transmitting || nd.net.cfg.eagerCarrierSense {
 		return
 	}
 	for ac := range nd.acq {
@@ -1139,7 +1178,9 @@ func (nd *Node) maybeLeaveCS() {
 		nd.med.grid.setTracked(nd, false)
 	}
 	for _, a := range nd.med.active {
-		a.dropSensed(nd)
+		if dropNode(&a.sensed, nd) && a.shifted {
+			a.latent = append(a.latent, nd)
+		}
 	}
 	nd.busyCount = 0
 }
@@ -1158,31 +1199,30 @@ func (nd *Node) reassociate(b *BSS) {
 	// frame's finish decrements exactly the nodes in its sensed list,
 	// so the count stays paired even though gains just changed.
 	for _, tr := range old.active {
-		tr.dropSensed(nd)
+		dropNode(&tr.sensed, nd)
+		dropNode(&tr.latent, nd)
 	}
 	if old != next {
 		old.remove(nd)
 		next.addNode(nd)
 		nd.med = next
 	}
+	// Judge the new medium's frames at the moved gains. A tracked roamer
+	// defers now; an untracked one leaves its verdict in latent for
+	// joinCS (roamScan has marked every frame on the air shifted).
 	nd.busyCount = 0
-	if nd.csTracked {
-		// Untracked roamers skip the re-baseline: their busyCount is
-		// derived fresh by joinCS when traffic next arrives.
-		net := nd.net
-		for _, tr := range nd.med.active {
-			if tr.tx == nd {
-				continue
-			}
-			p := net.rxPowerDBm(tr.tx, nd) + tr.backoffDB
-			if p < net.cfg.CSThresholdDBm {
-				continue
-			}
-			if net.obssOn && tr.color != nd.bss.color && p < net.cfg.ObssPdThresholdDBm {
-				continue
-			}
-			tr.sensed = append(tr.sensed, nd)
+	for _, a := range nd.med.active {
+		if a.tx == nd {
+			continue
+		}
+		if v, _ := nd.net.hears(a, nd); v != csBusy {
+			continue
+		}
+		if nd.csTracked {
+			a.insertSensed(nd)
 			nd.busyCount++
+		} else {
+			a.latent = append(a.latent, nd)
 		}
 	}
 	nd.tryResume()
