@@ -276,37 +276,10 @@ func TestPathLossBreakpointSlope(t *testing.T) {
 	}
 }
 
-func TestPathLoss5GHzHigher(t *testing.T) {
-	// Higher carrier frequency loses more at the same distance.
-	if Model5GHz().LossDB(20) <= Model24GHz().LossDB(20) {
-		t.Error("5 GHz should have higher path loss than 2.4 GHz")
-	}
-}
-
 func TestPathLossClampsBelow1m(t *testing.T) {
 	m := Model24GHz()
 	if m.LossDB(0.01) != m.LossDB(1) {
 		t.Error("sub-metre distances must clamp")
-	}
-}
-
-func TestShadowingSpread(t *testing.T) {
-	m := Model24GHz()
-	m.ShadowDB = 4
-	src := rng.New(10)
-	var r [2000]float64
-	for i := range r {
-		r[i] = m.LossDBShadowed(50, src) - m.LossDB(50)
-	}
-	var mean, sq float64
-	for _, v := range r {
-		mean += v
-		sq += v * v
-	}
-	mean /= float64(len(r))
-	sd := math.Sqrt(sq/float64(len(r)) - mean*mean)
-	if math.Abs(sd-4) > 0.4 {
-		t.Errorf("shadowing sigma = %v, want 4", sd)
 	}
 }
 

@@ -1,10 +1,6 @@
 package channel
 
-import (
-	"math"
-
-	"repro/internal/rng"
-)
+import "math"
 
 // PathLossModel is the TGn-style indoor breakpoint model: free-space decay
 // (exponent 2) out to the breakpoint distance, exponent 3.5 beyond it.
@@ -23,11 +19,6 @@ func Model24GHz() PathLossModel {
 	return PathLossModel{FreqHz: 2.4e9, BreakpointM: 10, ExponentFar: 3.5}
 }
 
-// Model5GHz returns the model for the 5 GHz band (802.11a/n).
-func Model5GHz() PathLossModel {
-	return PathLossModel{FreqHz: 5.25e9, BreakpointM: 10, ExponentFar: 3.5}
-}
-
 // freeSpaceDB returns free-space path loss at distance d metres.
 func (m PathLossModel) freeSpaceDB(d float64) float64 {
 	lambda := 299792458.0 / m.FreqHz
@@ -44,11 +35,6 @@ func (m PathLossModel) LossDB(d float64) float64 {
 		return m.freeSpaceDB(d)
 	}
 	return m.freeSpaceDB(m.BreakpointM) + 10*m.ExponentFar*math.Log10(d/m.BreakpointM)
-}
-
-// LossDBShadowed returns the path loss with one log-normal shadowing draw.
-func (m PathLossModel) LossDBShadowed(d float64, src *rng.Source) float64 {
-	return m.LossDB(d) + src.Gaussian(0, m.ShadowDB)
 }
 
 // LinkBudget describes a transmitter-receiver pair.

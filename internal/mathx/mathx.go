@@ -25,45 +25,9 @@ func LinearToDB(lin float64) float64 {
 	return 10 * math.Log10(lin)
 }
 
-// DBmToWatts converts a power level in dBm to watts.
-func DBmToWatts(dbm float64) float64 {
-	return math.Pow(10, dbm/10) / 1000
-}
-
-// WattsToDBm converts a power level in watts to dBm. Non-positive power
-// returns -Inf.
-func WattsToDBm(w float64) float64 {
-	if w <= 0 {
-		return math.Inf(-1)
-	}
-	return 10*math.Log10(w) + 30
-}
-
 // Q is the Gaussian tail probability Q(x) = P(N(0,1) > x).
 func Q(x float64) float64 {
 	return 0.5 * math.Erfc(x/math.Sqrt2)
-}
-
-// QInv returns the inverse of Q: the x such that Q(x) = p, for p in (0, 1).
-// It bisects on Q, which is monotone decreasing; the result is accurate to
-// about 1e-12.
-func QInv(p float64) float64 {
-	if p <= 0 {
-		return math.Inf(1)
-	}
-	if p >= 1 {
-		return math.Inf(-1)
-	}
-	lo, hi := -40.0, 40.0
-	for i := 0; i < 200; i++ {
-		mid := (lo + hi) / 2
-		if Q(mid) > p {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return (lo + hi) / 2
 }
 
 // Clamp limits x to the closed interval [lo, hi].

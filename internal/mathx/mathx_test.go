@@ -40,31 +40,6 @@ func TestLinearToDBNonPositive(t *testing.T) {
 	}
 }
 
-func TestDBmWatts(t *testing.T) {
-	if got := DBmToWatts(30); !almostEq(got, 1.0, 1e-12) {
-		t.Errorf("DBmToWatts(30) = %v, want 1 W", got)
-	}
-	if got := DBmToWatts(0); !almostEq(got, 0.001, 1e-15) {
-		t.Errorf("DBmToWatts(0) = %v, want 1 mW", got)
-	}
-	if got := WattsToDBm(0.1); !almostEq(got, 20, 1e-9) {
-		t.Errorf("WattsToDBm(0.1) = %v, want 20 dBm", got)
-	}
-	if got := WattsToDBm(0); !math.IsInf(got, -1) {
-		t.Errorf("WattsToDBm(0) = %v, want -Inf", got)
-	}
-}
-
-func TestDBmRoundTripProperty(t *testing.T) {
-	f := func(raw float64) bool {
-		dbm := math.Mod(math.Abs(raw), 60) - 30 // [-30, 30)
-		return almostEq(WattsToDBm(DBmToWatts(dbm)), dbm, 1e-9)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestQFunction(t *testing.T) {
 	// Known values of the Gaussian tail.
 	cases := []struct{ x, want float64 }{
@@ -77,21 +52,6 @@ func TestQFunction(t *testing.T) {
 		if got := Q(c.x); !almostEq(got, c.want, 1e-5) {
 			t.Errorf("Q(%v) = %v, want %v", c.x, got, c.want)
 		}
-	}
-}
-
-func TestQInv(t *testing.T) {
-	for _, p := range []float64{0.4, 0.1, 1e-2, 1e-4, 1e-6} {
-		x := QInv(p)
-		if got := Q(x); !almostEq(got, p, p*1e-6+1e-12) {
-			t.Errorf("Q(QInv(%v)) = %v", p, got)
-		}
-	}
-	if !math.IsInf(QInv(0), 1) {
-		t.Error("QInv(0) should be +Inf")
-	}
-	if !math.IsInf(QInv(1), -1) {
-		t.Error("QInv(1) should be -Inf")
 	}
 }
 

@@ -64,10 +64,7 @@ func fingerprint(r Result) string {
 // / RTS+ARF (E24), the EDCA mix (E25), and the roaming downlink
 // handoff. Seeds and durations are fixed; every run must be
 // reproducible bit for bit.
-func compatScenarios() []struct {
-	name string
-	run  func() Result
-} {
+func compatScenarios() []compatRow {
 	arfCfg := func() Config {
 		cfg := DefaultConfig()
 		cfg.RtsThresholdBytes = 500
@@ -79,30 +76,27 @@ func compatScenarios() []struct {
 		cfg.RoamIntervalUs = 100000
 		return cfg
 	}
-	rows := []struct {
-		name string
-		run  func() Result
-	}{
-		{"e22-dense-cochannel", func() Result {
-			return DenseGrid(DefaultConfig(), 2, 3, []int{1}, 25, 750)(42).Run(3e5)
+	rows := []compatRow{
+		{"e22-dense-cochannel", 3e5, 0, func() *Network {
+			return DenseGrid(DefaultConfig(), 2, 3, []int{1}, 25, 750)(42)
 		}},
-		{"e22-dense-reuse", func() Result {
-			return DenseGrid(DefaultConfig(), 3, 2, []int{1, 6, 11}, 25, 1000)(11).Run(3e5)
+		{"e22-dense-reuse", 3e5, 0, func() *Network {
+			return DenseGrid(DefaultConfig(), 3, 2, []int{1, 6, 11}, 25, 1000)(11)
 		}},
-		{"e23-mix-legacy", func() Result {
-			return TrafficMix(DefaultConfig(), 3, 2, 1, 2)(7).Run(3e5)
+		{"e23-mix-legacy", 3e5, 0, func() *Network {
+			return TrafficMix(DefaultConfig(), 3, 2, 1, 2)(7)
 		}},
-		{"e24-hidden-plain", func() Result {
-			return HiddenPair(DefaultConfig(), 300, 1250)(5).Run(3e5)
+		{"e24-hidden-plain", 3e5, 0, func() *Network {
+			return HiddenPair(DefaultConfig(), 300, 1250)(5)
 		}},
-		{"e24-hidden-rtscts", func() Result {
-			return HiddenPair(rtsEvery(DefaultConfig()), 300, 1250)(5).Run(3e5)
+		{"e24-hidden-rtscts", 3e5, 0, func() *Network {
+			return HiddenPair(rtsEvery(DefaultConfig()), 300, 1250)(5)
 		}},
-		{"e24-hidden-rts-arf", func() Result {
-			return HiddenPair(arfCfg(), 300, 1200)(13).Run(2e5)
+		{"e24-hidden-rts-arf", 2e5, 0, func() *Network {
+			return HiddenPair(arfCfg(), 300, 1200)(13)
 		}},
-		{"e25-mix-edca", func() Result {
-			return TrafficMix(edcaConfig(), 3, 2, 1, 6)(9).Run(3e5)
+		{"e25-mix-edca", 3e5, 0, func() *Network {
+			return TrafficMix(edcaConfig(), 3, 2, 1, 6)(9)
 		}},
 		// roam-downlink-edca never roams: in 2 s the walker covers 40 m
 		// of the 120 m AP gap and stays with AP1, so the row pins the
@@ -110,11 +104,11 @@ func compatScenarios() []struct {
 		// roam-handoff-edca halves the gap; the walker reassociates
 		// once and its queued downlink is handed to AP2. Captured on
 		// the tree before carrier sense became one shared predicate.
-		{"roam-downlink-edca", func() Result {
-			return RoamingWalkDownlink(roamCfg(), 120, 20)(3).Run(2e6)
+		{"roam-downlink-edca", 2e6, 0, func() *Network {
+			return RoamingWalkDownlink(roamCfg(), 120, 20)(3)
 		}},
-		{"roam-handoff-edca", func() Result {
-			return RoamingWalkDownlink(roamCfg(), 60, 20)(3).Run(2e6)
+		{"roam-handoff-edca", 2e6, 0, func() *Network {
+			return RoamingWalkDownlink(roamCfg(), 60, 20)(3)
 		}},
 		// large-floor pins the PR 5 scale path (spatial index, pooled
 		// events, tracked carrier sense) on a 25-BSS single-channel
@@ -123,10 +117,10 @@ func compatScenarios() []struct {
 		// indexed carrier sense. Captured at its introduction, after
 		// the index-on/index-off equivalence suite proved the path
 		// against the brute-force oracle.
-		{"large-floor", func() Result {
+		{"large-floor", 1e5, 0, func() *Network {
 			cfg := DefaultConfig()
 			cfg.CSThresholdDBm = -62
-			return LargeFloor(cfg, 25, 3, 5, 1)(21).Run(1e5)
+			return LargeFloor(cfg, 25, 3, 5, 1)(21)
 		}},
 		// obss-off-floor pins the spatial-reuse subsystem's OFF state:
 		// ObssPdThresholdDBm unset on the 1/6/11 floor E31 sweeps, at
@@ -137,8 +131,8 @@ func compatScenarios() []struct {
 		// disabled path (a scale factor that stops being exactly 1, a
 		// window test that fires with the threshold unset) trips this
 		// row.
-		{"obss-off-floor", func() Result {
-			return LargeFloor(DefaultConfig(), 16, 2, 4, 1, 6, 11)(31).Run(1e5)
+		{"obss-off-floor", 1e5, 0, func() *Network {
+			return LargeFloor(DefaultConfig(), 16, 2, 4, 1, 6, 11)(31)
 		}},
 	}
 	// multi-shard-* pins Shards: N bit for bit: every shardScenarios
@@ -147,20 +141,33 @@ func compatScenarios() []struct {
 	// lock-step epochs with cross-shard mailboxes, so the rows prove
 	// that running each engine straight to the horizon changes nothing.
 	for _, sc := range shardScenarios() {
-		rows = append(rows, struct {
-			name string
-			run  func() Result
-		}{"multi-shard-" + sc.name, func() Result {
-			cfg := DefaultConfig()
-			cfg.Shards = sc.groups
-			r := sc.build(cfg)(11).Run(sc.durationUs)
-			if r.Shards != sc.groups {
-				panic(fmt.Sprintf("%s ran %d shards, want %d", sc.name, r.Shards, sc.groups))
-			}
-			return r
-		}})
+		rows = append(rows, compatRow{"multi-shard-" + sc.name, sc.durationUs, sc.groups,
+			func() *Network {
+				cfg := DefaultConfig()
+				cfg.Shards = sc.groups
+				return sc.build(cfg)(11)
+			}})
 	}
 	return rows
+}
+
+// compatRow is one compat preset: a fixed-seed network and the virtual
+// time it runs for. shards, when positive, is the engine count the run
+// must use.
+type compatRow struct {
+	name       string
+	durationUs float64
+	shards     int
+	build      func() *Network
+}
+
+// run simulates the row's network to its horizon.
+func (r compatRow) run() Result {
+	res := r.build().Run(r.durationUs)
+	if r.shards > 0 && res.Shards != r.shards {
+		panic(fmt.Sprintf("%s ran %d shards, want %d", r.name, res.Shards, r.shards))
+	}
+	return res
 }
 
 const goldensPath = "testdata/compat_goldens.json"

@@ -132,3 +132,50 @@ func TestCarrierSenseInvariants(t *testing.T) {
 		})
 	}
 }
+
+// TestPacketConservation: no packet is created or lost outside the
+// books. For every flow of every equivalence row and seed and every
+// compat preset, the arrivals the Result reports equal its deliveries,
+// queue drops and retry drops plus the packets still held at the
+// horizon — queued at any hop, or out of the queue in an A-MPDU burst
+// on the air (launch takes a burst's MPDUs out; a lone MPDU stays at
+// the head of its queue while it airs).
+func TestPacketConservation(t *testing.T) {
+	for _, rw := range everyPreset() {
+		n := rw.build()
+		r := n.Run(rw.durationUs)
+		held := make(map[*Flow]int)
+		for _, nd := range n.nodes {
+			for ac := range nd.acq {
+				for _, p := range nd.acq[ac].queue {
+					held[p.flow]++
+				}
+			}
+			if nd.curPkt != nil && nd.ex.ampdu {
+				for _, p := range nd.ex.mpdus {
+					held[p.flow]++
+				}
+			}
+		}
+		for i, f := range n.flows {
+			s := r.Flows[i]
+			if out := s.Delivered + s.QueueDrops + s.RetryDrops + held[f]; s.Arrivals != out {
+				t.Errorf("%s: flow %s: %d arrivals, but %d delivered + %d queue drops + %d retry drops + %d held at the horizon = %d",
+					rw.name, s.Label, s.Arrivals, s.Delivered, s.QueueDrops, s.RetryDrops, held[f], out)
+			}
+		}
+	}
+}
+
+// everyPreset lists each equivalence row at each seed, then each compat
+// preset, as a network builder with its run length.
+func everyPreset() []compatRow {
+	var rows []compatRow
+	for _, sc := range equivScenarios() {
+		for seed := int64(1); seed <= equivSeeds; seed++ {
+			rows = append(rows, compatRow{fmt.Sprintf("%s/seed%d", sc.name, seed), sc.durationUs, 0,
+				func() *Network { return sc.build(DefaultConfig())(seed) }})
+		}
+	}
+	return append(rows, compatScenarios()...)
+}

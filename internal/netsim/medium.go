@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"repro/internal/linkmodel"
+	"repro/internal/mathx"
 )
 
 // medium is one radio channel: the set of nodes tuned to it and the
@@ -108,17 +109,16 @@ type transmission struct {
 
 	// color is the sender's BSS color, carried in the frame header so
 	// listeners can tell inter-BSS frames apart for OBSS-PD spatial
-	// reuse. backoffDB / scaleMw are the coupled TX-power backoff this
-	// frame was sent at: 0 dB / ×1 normally, the network's
-	// obssBackoffDB / obssScaleMw when the frame was launched while an
-	// ignorable inter-BSS frame was on the air (start decides). Every
+	// reuse. scaleMw is the coupled TX-power backoff this frame was
+	// sent at, as a linear power scale: ×1 normally, the network's
+	// obssScaleMw when the frame was launched while an ignorable
+	// inter-BSS frame was on the air (start decides). Every
 	// received-power figure involving this frame — interference crossed
 	// into concurrent ones, the signal term of its own SINR, and the
-	// power listeners judge against the CS/OBSS-PD thresholds — carries
-	// the backoff.
-	color     int
-	backoffDB float64
-	scaleMw   float64
+	// power listeners judge against the CS/OBSS-PD/NAV thresholds —
+	// carries the backoff.
+	color   int
+	scaleMw float64
 
 	// ex is the frame exchange this transmission belongs to (set on RTS
 	// and data frames; pkt is its first MPDU). The CTS, sent by the
@@ -283,10 +283,6 @@ func (m *medium) getBuf() []*Node {
 	return nil
 }
 
-// halfSlotDB is 10·log10(1/2): the power penalty when only one of a 40
-// MHz transmission's two slots lands in a listener's operating span.
-const halfSlotDB = -3.0102999566398121
-
 // csVerdict is what a listener's carrier sense makes of a frame on the
 // air.
 type csVerdict uint8
@@ -304,18 +300,19 @@ const (
 )
 
 // hears is the one carrier-sense predicate: the verdict of listener nd
-// on frame tr, and the power p it hears the frame at. p carries the
-// frame's OBSS-PD TX-power backoff. On a bonded medium, energy detect
-// integrates the listener's whole 40 MHz operating span {Channel,
-// Channel+1}: a frame overlapping one of its two slots arrives at half
-// power (halfSlotDB), a disjoint one not at all. Overlap fractions
+// on frame tr, and the power p, in milliwatts, it hears the frame at.
+// p carries the frame's OBSS-PD TX-power backoff. On a bonded medium,
+// energy detect integrates the listener's whole 40 MHz operating span
+// {Channel, Channel+1}: a frame overlapping one of its two slots
+// arrives at half power, a disjoint one not at all. Overlap fractions
 // only lower the power, so the csRangeM-sized grid cells stay a
-// conservative superset. Small enough to inline into the
-// carrier-sense scan.
+// conservative superset. The thresholds are precomputed in mW (csMw,
+// obssPdMw), so the test is a multiply and two compares. Small enough
+// to inline into the carrier-sense scan.
 func (n *Network) hears(tr *transmission, nd *Node) (v csVerdict, p float64) {
-	// Reading the gain matrix directly, not through rxPowerDBm, keeps
+	// Reading the gain matrix directly, not through rxPowerMw, keeps
 	// the function inside the inlining budget.
-	p = n.rxDBm[tr.tx.id][nd.id] + tr.backoffDB
+	p = n.rxMw[tr.tx.id][nd.id] * tr.scaleMw
 	if n.bonded {
 		// d is the frame's first slot relative to the listener's span:
 		// the spans share a slot iff -chW < d < 2, and the listener's
@@ -326,13 +323,13 @@ func (n *Network) hears(tr *transmission, nd *Node) (v csVerdict, p float64) {
 			return
 		}
 		if uint(d) > uint(2-tr.chW) {
-			p += halfSlotDB
+			p *= 0.5
 		}
 	}
-	if p < n.cfg.CSThresholdDBm {
+	if p < n.csMw {
 		return
 	}
-	if p < n.obssPdDBm && tr.color != nd.bss.color {
+	if p < n.obssPdMw && tr.color != nd.bss.color {
 		return csIgnored, p
 	}
 	return csBusy, p
@@ -389,7 +386,6 @@ func (m *medium) start(tr *transmission) {
 				continue
 			}
 			if v, _ := m.net.hears(a, tr.tx); v == csIgnored {
-				tr.backoffDB = m.net.obssBackoffDB
 				tr.scaleMw = m.net.obssScaleMw
 				m.sh.obssReuseTx++
 				break
@@ -469,7 +465,7 @@ func (m *medium) start(tr *transmission) {
 			m.sh.obssIgnores++
 			if m.sh.probe != nil {
 				m.sh.probe.OnEvent(Event{TimeUs: m.sh.eng.Now(), Kind: EvObssIgnore,
-					Frame: tr.kind, AC: tr.pkt.ac, Node: nd.id, Peer: tr.tx.id, Value: p})
+					Frame: tr.kind, AC: tr.pkt.ac, Node: nd.id, Peer: tr.tx.id, Value: mathx.LinearToDB(p)})
 			}
 		}
 	}
@@ -482,7 +478,6 @@ func (m *medium) start(tr *transmission) {
 		// decodes the receiver's CTS and defers for the exchange. The
 		// addressee is exempt (it must answer), and a half-duplex node
 		// mid-transmission cannot decode what it partially overheard.
-		need := m.net.robustMode().SnrReqDB
 		cands, pooled := m.navCandidates(tr.tx)
 		for _, nd := range cands {
 			if nd == tr.tx || nd == tr.rx || nd.transmitting {
@@ -507,7 +502,7 @@ func (m *medium) start(tr *transmission) {
 					continue
 				}
 			}
-			if m.net.linkSNRdB(tr.tx, nd)+tr.backoffDB >= need && nd.setNav(tr.navUntilUs) {
+			if m.net.rxPowerMw(tr.tx, nd)*tr.scaleMw >= m.net.navMw && nd.setNav(tr.navUntilUs) {
 				tr.navAdopters = append(tr.navAdopters, nd)
 			}
 		}

@@ -27,7 +27,7 @@ func TestFinishUnwindsSnapshotAfterMidFrameMove(t *testing.T) {
 	tr2 := &transmission{kind: FrameData, tx: s2, rx: b2.AP, mode: n.robustMode()}
 	m.start(tr1)
 	m.start(tr2)
-	added := mwFromDBm(n.rxPowerDBm(s1, b2.AP))
+	added := n.rxPowerMw(s1, b2.AP)
 	if tr2.curIntfMw != added || tr2.curIntfMw <= 0 {
 		t.Fatalf("tr2 interference %v mw, want the s1→AP2 crossing %v", tr2.curIntfMw, added)
 	}

@@ -498,21 +498,23 @@ type Network struct {
 	edca   EdcaParams
 	edcaOn bool
 
-	// rxDBm[i][j] is the received power at node j when node i
-	// transmits. rxMw caches the same figure in milliwatts — the
-	// interference crossing in medium.start/finish sums powers linearly
-	// for every concurrent pair, and the dB→mW exponential was a top
-	// hot-loop cost when recomputed per frame for gains that only change
-	// on a move. Each matrix is capped row views into backing arrays of
-	// at most gainBlockBytes (newGainMatrix).
+	// rxMw[i][j] is the received power, in milliwatts, at node j when
+	// node i transmits — the one gain matrix. Every per-frame decision
+	// reads it in linear units: the interference crossing in
+	// medium.start/finish sums powers for every concurrent pair, and
+	// carrier sense, the OBSS-PD window and NAV decode (hears, start)
+	// compare against thresholds New converts to mW once, so no frame
+	// pays a dB↔mW conversion. The dBm figure is a readback
+	// (rxPowerDBm) for the two callers off the frame path, the roam
+	// scan and the memoized rate choice. The matrix is capped row views
+	// into backing arrays of at most gainBlockBytes (newGainMatrix).
 	//
 	// shadowDB[i][j] is the symmetric per-pair shadowing draw baked into
-	// both. Only refreshGains reads it after build, and only a move
+	// rxMw. Only refreshGains reads it after build, and only a move
 	// calls refreshGains, so it is kept only when Config.RoamIntervalUs
 	// is positive; a static build leaves it nil. shadowMin is the most
 	// negative draw (0 when there is none), the widening minShadowDB
 	// reports to the index and shard-planning radii.
-	rxDBm     [][]float64
 	rxMw      [][]float64
 	shadowDB  [][]float64
 	shadowMin float64
@@ -547,18 +549,22 @@ type Network struct {
 	bonded   bool
 	chanRoot map[int]int
 
-	// obssOn mirrors Config.ObssPdThresholdDBm != 0. obssPdDBm is that
-	// threshold, or −Inf when OBSS-PD is off, so the carrier-sense
-	// predicate (hears) tests the window with one compare. obssBackoffDB is
-	// the coupled TX-power backoff a reusing transmission pays,
-	// CSThresholdDBm − ObssPdThresholdDBm (negative: −20 dB at the
-	// classic −82/−62 pairing); obssScaleMw is the same figure as a
-	// linear power scale, precomputed so the interference hot loop
-	// multiplies instead of exponentiating.
-	obssOn        bool
-	obssPdDBm     float64
-	obssBackoffDB float64
-	obssScaleMw   float64
+	// csMw is Config.CSThresholdDBm in milliwatts, and navMw the
+	// weakest power at which the most robust mode still decodes (noise
+	// floor plus its SNR requirement): the carrier-sense and NAV-decode
+	// thresholds the hot path compares rxMw against.
+	csMw  float64
+	navMw float64
+
+	// obssOn mirrors Config.ObssPdThresholdDBm != 0. obssPdMw is that
+	// threshold in milliwatts, or 0 when OBSS-PD is off, so the
+	// carrier-sense predicate (hears) tests the window with one
+	// compare. obssScaleMw is the coupled TX-power backoff a reusing
+	// transmission pays, CSThresholdDBm − ObssPdThresholdDBm (negative:
+	// −20 dB at the classic −82/−62 pairing), as a linear power scale.
+	obssOn      bool
+	obssPdMw    float64
+	obssScaleMw float64
 
 	// The run counters (attempts, delivered, airtime, …) live on each
 	// shard — the hot paths increment without synchronization and
@@ -621,12 +627,12 @@ func New(cfg Config, seed int64) *Network {
 		n.rcKind = rcFixed
 	}
 	n.bonded = cfg.ChannelWidthMHz == 40
-	n.obssPdDBm = math.Inf(-1)
+	n.csMw = mwFromDBm(cfg.CSThresholdDBm)
+	n.navMw = mwFromDBm(n.noiseFloorDBm + n.robustMode().SnrReqDB)
 	if cfg.ObssPdThresholdDBm != 0 {
 		n.obssOn = true
-		n.obssPdDBm = cfg.ObssPdThresholdDBm
-		n.obssBackoffDB = cfg.CSThresholdDBm - cfg.ObssPdThresholdDBm
-		n.obssScaleMw = mwFromDBm(n.obssBackoffDB)
+		n.obssPdMw = mwFromDBm(cfg.ObssPdThresholdDBm)
+		n.obssScaleMw = mwFromDBm(cfg.CSThresholdDBm - cfg.ObssPdThresholdDBm)
 	}
 	return n
 }
@@ -776,19 +782,18 @@ func dist(a, b *Node) float64 {
 // media, and selects per-station uplink modes.
 func (n *Network) build() {
 	nn := len(n.nodes)
-	n.rxDBm = newGainMatrix(nn)
 	n.rxMw = newGainMatrix(nn)
 	mobile := n.cfg.RoamIntervalUs > 0
 	if mobile {
 		n.shadowDB = newGainMatrix(nn)
 	}
 	// One draw per unordered pair, row-major over the upper triangle.
-	// Each draw is parked in rxDBm[i][j] until fillGains folds it into
+	// Each draw is parked in rxMw[i][j] until fillGains folds it into
 	// the received power; without shadowing every draw is 0, which the
 	// zeroed matrix already holds.
 	if sd := n.cfg.PathLoss.ShadowDB; sd > 0 {
 		for i := 0; i < nn; i++ {
-			row := n.rxDBm[i]
+			row := n.rxMw[i]
 			for j := i + 1; j < nn; j++ {
 				sh := n.src.Gaussian(0, sd)
 				row[j] = sh
@@ -870,20 +875,20 @@ func bondedComponents(bss []*BSS) map[int]int {
 // bill (path-loss log, dB→mW exponential) dominates setup on 1000+
 // node floors, and the per-pair math is pure, so the fan-out is
 // bit-for-bit deterministic. build has already parked each pair's
-// shadowing draw in the upper cell rxDBm[i][j], so no randomness
-// crosses a goroutine boundary. The fill overwrites that cell in place:
-// row i's worker is the only one that reads or writes row i's upper
-// part, and the lower cells rxDBm[j][i] (j > i) it mirrors into are
-// never read during the fill, so the workers share no cell.
+// shadowing draw (in dB) in the upper cell rxMw[i][j], so no randomness
+// crosses a goroutine boundary. The fill overwrites that cell in place
+// with the received power in mW: row i's worker is the only one that
+// reads or writes row i's upper part, and the lower cells rxMw[j][i]
+// (j > i) it mirrors into are never read during the fill, so the
+// workers share no cell.
 func (n *Network) fillGains() {
 	nn := len(n.nodes)
 	b := n.cfg.Budget
 	fillRow := func(i int) {
 		nd := n.nodes[i]
 		for j := i + 1; j < nn; j++ {
-			loss := n.cfg.PathLoss.LossDB(dist(nd, n.nodes[j])) + n.rxDBm[i][j]
+			loss := n.cfg.PathLoss.LossDB(dist(nd, n.nodes[j])) + n.rxMw[i][j]
 			p := b.TxPowerDBm + b.TxAntennaGain + b.RxAntennaGain - loss
-			n.rxDBm[i][j], n.rxDBm[j][i] = p, p
 			mw := mwFromDBm(p)
 			n.rxMw[i][j], n.rxMw[j][i] = mw, mw
 		}
@@ -928,8 +933,6 @@ func (n *Network) refreshGains(nd *Node) {
 		}
 		loss := n.cfg.PathLoss.LossDB(dist(nd, other)) + n.shadowDB[nd.id][j]
 		p := b.TxPowerDBm + b.TxAntennaGain + b.RxAntennaGain - loss
-		n.rxDBm[nd.id][j] = p
-		n.rxDBm[j][nd.id] = p
 		mw := mwFromDBm(p)
 		n.rxMw[nd.id][j] = mw
 		n.rxMw[j][nd.id] = mw
@@ -963,24 +966,27 @@ func newGainMatrix(nn int) [][]float64 {
 }
 
 // gainBytes is the heap the gain state holds after build: per retained
-// matrix (rxDBm, rxMw, and shadowDB when kept), nn² float64s plus nn
-// 24-byte row headers.
+// matrix (rxMw, and shadowDB when kept), nn² float64s plus nn 24-byte
+// row headers.
 func (n *Network) gainBytes() int64 {
 	var total int64
-	for _, m := range [][][]float64{n.rxDBm, n.rxMw, n.shadowDB} {
+	for _, m := range [][][]float64{n.rxMw, n.shadowDB} {
 		nn := int64(len(m))
 		total += nn*nn*8 + nn*24
 	}
 	return total
 }
 
-// rxPowerDBm returns the received power at node rx when tx transmits.
-func (n *Network) rxPowerDBm(tx, rx *Node) float64 { return n.rxDBm[tx.id][rx.id] }
-
-// rxPowerMw is the same figure in milliwatts, cached at gain-refresh
-// time so the per-frame interference crossing never pays the dB→linear
-// exponential.
+// rxPowerMw returns the received power, in milliwatts, at node rx when
+// tx transmits.
 func (n *Network) rxPowerMw(tx, rx *Node) float64 { return n.rxMw[tx.id][rx.id] }
+
+// rxPowerDBm is the same figure in dBm, read back from the mW matrix
+// with a logarithm: for the roam scan and the memoized rate choice
+// only, never the per-frame path.
+func (n *Network) rxPowerDBm(tx, rx *Node) float64 {
+	return mathx.LinearToDB(n.rxPowerMw(tx, rx))
+}
 
 // linkSNRdB is the interference-free SNR of the tx→rx link.
 func (n *Network) linkSNRdB(tx, rx *Node) float64 {

@@ -36,7 +36,7 @@ type SampleSeries struct {
 	// BusyFrac / CollisionFrac are the busiest channel's union busy
 	// fraction and its ≥2-concurrent-frames (overlap) fraction over the
 	// window — per-window analogues of Result.AirtimeFrac, each taken as
-	// the max across media. IdleFrac is 1 - BusyFrac.
+	// the max across media.
 	BusyFrac      []float64
 	CollisionFrac []float64
 
@@ -51,9 +51,6 @@ type SampleSeries struct {
 
 // Windows is the number of recorded windows.
 func (s *SampleSeries) Windows() int { return len(s.TimeUs) }
-
-// IdleFrac is the busiest channel's idle fraction for window i.
-func (s *SampleSeries) IdleFrac(i int) float64 { return 1 - s.BusyFrac[i] }
 
 // sampler drives the tick and holds the previous-tick cumulative
 // snapshots the delta columns are differenced from.
