@@ -1,6 +1,8 @@
 // Package repro_test benchmarks every reproduced exhibit: one benchmark
-// per experiment E1-E21 (the paper, a survey, prints no numbered tables
-// or figures; DESIGN.md maps each claim to an experiment). Run with
+// per experiment E1–E31 (the paper, a survey, prints no numbered tables
+// or figures, so each experiment regenerates one of its quantitative
+// claims). E28 is no exhibit: BenchmarkE28ShardedFloor measures the
+// sharded engine. Run with
 //
 //	go test -bench=. -benchmem
 package repro_test

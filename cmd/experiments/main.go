@@ -1,4 +1,5 @@
-// Command experiments regenerates the reproduced exhibits E1-E14.
+// Command experiments regenerates the reproduced exhibits E1–E31 (there
+// is no E28 exhibit; E28 is a benchmark only).
 //
 // Usage:
 //

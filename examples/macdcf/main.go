@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/linkmodel"
 	"repro/internal/mac"
+	"repro/internal/netsim"
 	"repro/internal/rng"
 )
 
@@ -27,7 +28,7 @@ func main() {
 		}
 		fmt.Printf("   %2d stations: total %5.1f Mbps, collisions %4.1f%%, Jain %.3f\n",
 			n, res.TotalGoodputMbps,
-			100*float64(res.Collisions)/float64(res.TxEvents), mac.JainIndex(shares))
+			100*float64(res.Collisions)/float64(res.TxEvents), netsim.JainIndex(shares))
 	}
 
 	fmt.Println("\n2. the overhead wall (single station, with and without 32-frame A-MPDU)")

@@ -1,7 +1,6 @@
 // Package bitutil implements the bit-level plumbing used throughout the
 // 802.11 stack: byte/bit conversion in the standard's LSB-first order,
-// Gray coding, pseudo-random binary sequences, Hamming distances, and the
-// 32-bit frame check sequence.
+// pseudo-random binary sequences, and the 32-bit frame check sequence.
 package bitutil
 
 // BytesToBits expands each byte into eight bits, least-significant bit
@@ -28,49 +27,6 @@ func BitsToBytes(bits []byte) []byte {
 	return out
 }
 
-// GrayEncode converts a binary value to its reflected Gray code.
-func GrayEncode(v uint) uint {
-	return v ^ (v >> 1)
-}
-
-// GrayDecode inverts GrayEncode.
-func GrayDecode(g uint) uint {
-	v := g
-	for shift := uint(1); shift < 64; shift <<= 1 {
-		v ^= v >> shift
-	}
-	return v
-}
-
-// HammingDistance counts positions where a and b differ. Slices must have
-// equal length; extra elements of the longer slice are ignored if they
-// differ in length, keeping the comparison well defined for padded frames.
-func HammingDistance(a, b []byte) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	d := 0
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			d++
-		}
-	}
-	return d
-}
-
-// CountOnes returns the number of set bits in the slice (each element
-// interpreted as a single bit value 0 or nonzero).
-func CountOnes(bits []byte) int {
-	n := 0
-	for _, b := range bits {
-		if b != 0 {
-			n++
-		}
-	}
-	return n
-}
-
 // PRBS is a linear-feedback shift register producing the self-synchronous
 // pseudo-random sequence x^7 + x^4 + 1 that 802.11 uses for scrambling.
 type PRBS struct {
@@ -94,15 +50,6 @@ func (p *PRBS) Next() byte {
 	fb := ((p.state >> 6) ^ (p.state >> 3)) & 1
 	p.state = ((p.state << 1) | fb) & 0x7F
 	return fb
-}
-
-// Sequence returns the next n bits as a slice.
-func (p *PRBS) Sequence(n int) []byte {
-	out := make([]byte, n)
-	for i := range out {
-		out[i] = p.Next()
-	}
-	return out
 }
 
 // crcTable is the CRC-32 lookup table for the IEEE 802.3/802.11 polynomial
@@ -159,20 +106,4 @@ func CheckFCS(frame []byte) ([]byte, bool) {
 		return nil, false
 	}
 	return payload, true
-}
-
-// XORInto writes a XOR b into dst element-wise over the shortest common
-// length and returns the number of elements written.
-func XORInto(dst, a, b []byte) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	if len(dst) < n {
-		n = len(dst)
-	}
-	for i := 0; i < n; i++ {
-		dst[i] = a[i] ^ b[i]
-	}
-	return n
 }

@@ -50,66 +50,27 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestGrayCode(t *testing.T) {
-	// Gray codes of 0..7
-	want := []uint{0, 1, 3, 2, 6, 7, 5, 4}
-	for v, g := range want {
-		if got := GrayEncode(uint(v)); got != g {
-			t.Errorf("GrayEncode(%d) = %d, want %d", v, got, g)
-		}
-		if got := GrayDecode(g); got != uint(v) {
-			t.Errorf("GrayDecode(%d) = %d, want %d", g, got, v)
-		}
+// prbsBits draws the next n bits of p.
+func prbsBits(p *PRBS, n int) []byte {
+	out := make([]byte, n)
+	for i := range out {
+		out[i] = p.Next()
 	}
+	return out
 }
 
-func TestGrayAdjacency(t *testing.T) {
-	// Successive Gray codes differ in exactly one bit — the property that
-	// makes Gray mapping minimize bit errors between adjacent symbols.
-	for v := uint(0); v < 255; v++ {
-		x := GrayEncode(v) ^ GrayEncode(v+1)
-		if x == 0 || x&(x-1) != 0 {
-			t.Fatalf("Gray codes of %d and %d differ in more than one bit", v, v+1)
-		}
+func ones(bits []byte) int {
+	n := 0
+	for _, b := range bits {
+		n += int(b)
 	}
-}
-
-func TestGrayRoundTripProperty(t *testing.T) {
-	f := func(v uint32) bool {
-		return GrayDecode(GrayEncode(uint(v))) == uint(v)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestHammingDistance(t *testing.T) {
-	a := []byte{0, 1, 1, 0, 1}
-	b := []byte{1, 1, 0, 0, 1}
-	if got := HammingDistance(a, b); got != 2 {
-		t.Errorf("HammingDistance = %d, want 2", got)
-	}
-	if got := HammingDistance(a, a); got != 0 {
-		t.Errorf("self distance = %d", got)
-	}
-	if got := HammingDistance(a, b[:2]); got != 1 {
-		t.Errorf("unequal length distance = %d, want 1", got)
-	}
-}
-
-func TestCountOnes(t *testing.T) {
-	if got := CountOnes([]byte{0, 1, 1, 0, 1, 0}); got != 3 {
-		t.Errorf("CountOnes = %d", got)
-	}
-	if got := CountOnes(nil); got != 0 {
-		t.Errorf("CountOnes(nil) = %d", got)
-	}
+	return n
 }
 
 func TestPRBSPeriod(t *testing.T) {
 	// A maximal-length 7-bit LFSR has period 127.
 	p := NewPRBS(0x7F)
-	seq := p.Sequence(254)
+	seq := prbsBits(p, 254)
 	for i := 0; i < 127; i++ {
 		if seq[i] != seq[i+127] {
 			t.Fatalf("sequence not periodic with period 127 at %d", i)
@@ -132,16 +93,16 @@ func TestPRBSPeriod(t *testing.T) {
 func TestPRBSBalance(t *testing.T) {
 	// Maximal-length sequences contain 64 ones and 63 zeros per period.
 	p := NewPRBS(1)
-	seq := p.Sequence(127)
-	if got := CountOnes(seq); got != 64 {
+	seq := prbsBits(p, 127)
+	if got := ones(seq); got != 64 {
 		t.Errorf("ones per period = %d, want 64", got)
 	}
 }
 
 func TestPRBSZeroSeed(t *testing.T) {
 	p := NewPRBS(0)
-	seq := p.Sequence(127)
-	if CountOnes(seq) == 0 {
+	seq := prbsBits(p, 127)
+	if ones(seq) == 0 {
 		t.Error("zero seed must be remapped; got all-zero sequence")
 	}
 }
@@ -197,19 +158,5 @@ func TestFCSProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestXORInto(t *testing.T) {
-	a := []byte{1, 0, 1, 1}
-	b := []byte{1, 1, 0, 1, 0}
-	dst := make([]byte, 4)
-	n := XORInto(dst, a, b)
-	if n != 4 {
-		t.Fatalf("n = %d", n)
-	}
-	want := []byte{0, 1, 1, 0}
-	if !bytes.Equal(dst, want) {
-		t.Errorf("XOR = %v, want %v", dst, want)
 	}
 }

@@ -1,5 +1,5 @@
 // Package channel models the propagation environments of the paper's
-// story: additive white Gaussian noise, flat Rayleigh/Ricean block fading,
+// story: additive white Gaussian noise, flat Rayleigh block fading,
 // exponential-power-delay-profile multipath (the "fading multipath
 // environment" in which MIMO extends range), i.i.d. MIMO matrix channels,
 // the TGn-style breakpoint path-loss law, log-normal shadowing, and a
@@ -34,15 +34,6 @@ func NoiseVarFromSNRdB(snrDB float64) float64 {
 // that |h|^2 is exponential with unit mean.
 func RayleighCoeff(src *rng.Source) complex128 {
 	return src.ComplexGaussian(1)
-}
-
-// RiceanCoeff draws a Ricean coefficient with K-factor k (linear): a fixed
-// line-of-sight component plus scattered CN energy, normalized to unit
-// average power.
-func RiceanCoeff(k float64, src *rng.Source) complex128 {
-	los := complex(math.Sqrt(k/(k+1)), 0)
-	nlos := src.ComplexGaussian(1 / (k + 1))
-	return los + nlos
 }
 
 // TDL is a tapped-delay-line multipath channel with an exponential power

@@ -63,24 +63,3 @@ func (b LinkBudget) SNRdBAt(m PathLossModel, d float64) float64 {
 	rx := b.TxPowerDBm + b.TxAntennaGain + b.RxAntennaGain - m.LossDB(d)
 	return rx - b.NoiseFloorDBm()
 }
-
-// DistanceForSNR inverts SNRdBAt: the distance at which the median SNR
-// falls to the target. It bisects over [1 m, 10 km].
-func (b LinkBudget) DistanceForSNR(m PathLossModel, targetSNRdB float64) float64 {
-	lo, hi := 1.0, 10000.0
-	if b.SNRdBAt(m, hi) > targetSNRdB {
-		return hi
-	}
-	if b.SNRdBAt(m, lo) < targetSNRdB {
-		return lo
-	}
-	for i := 0; i < 100; i++ {
-		mid := math.Sqrt(lo * hi)
-		if b.SNRdBAt(m, mid) > targetSNRdB {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return math.Sqrt(lo * hi)
-}

@@ -1,7 +1,7 @@
 // Package dsp provides the signal-processing primitives the PHY layers are
-// built from: radix-2 FFT/IFFT, convolution and correlation, and waveform
-// power measures including the peak-to-average power ratio that drives the
-// paper's power-amplifier efficiency discussion.
+// built from: radix-2 FFT/IFFT, convolution, and waveform power measures
+// including the peak-to-average power ratio that drives the paper's
+// power-amplifier efficiency discussion.
 package dsp
 
 import (
@@ -72,16 +72,6 @@ func fftInPlace(a []complex128, inverse bool) {
 	}
 }
 
-// FFTShift swaps the two halves of a spectrum so DC moves to the centre.
-func FFTShift(x []complex128) []complex128 {
-	n := len(x)
-	out := make([]complex128, n)
-	half := (n + 1) / 2
-	copy(out, x[half:])
-	copy(out[n-half:], x[:half])
-	return out
-}
-
 // Convolve returns the full linear convolution of a and b
 // (length len(a)+len(b)-1).
 func Convolve(a, b []complex128) []complex128 {
@@ -96,21 +86,6 @@ func Convolve(a, b []complex128) []complex128 {
 		for j, bv := range b {
 			out[i+j] += av * bv
 		}
-	}
-	return out
-}
-
-// CrossCorrelate returns the cross-correlation r[k] = sum_n a[n] * conj(b[n-k])
-// for lags k = 0 .. len(a)-1 (causal lags only), which is what a
-// correlation receiver sweeps over an incoming sample stream.
-func CrossCorrelate(a, b []complex128) []complex128 {
-	out := make([]complex128, len(a))
-	for k := range out {
-		var s complex128
-		for n := 0; n < len(b) && k+n < len(a); n++ {
-			s += a[k+n] * cmplx.Conj(b[n])
-		}
-		out[k] = s
 	}
 	return out
 }
@@ -175,28 +150,4 @@ func NormalizePower(x []complex128, target float64) []complex128 {
 		return x
 	}
 	return Scale(x, math.Sqrt(target/p))
-}
-
-// AddInto adds src into dst element-wise over the shorter length.
-func AddInto(dst, src []complex128) {
-	n := len(dst)
-	if len(src) < n {
-		n = len(src)
-	}
-	for i := 0; i < n; i++ {
-		dst[i] += src[i]
-	}
-}
-
-// Upsample inserts factor-1 zeros between samples (zero-order expansion),
-// used by the DSSS chip-rate models.
-func Upsample(x []complex128, factor int) []complex128 {
-	if factor <= 1 {
-		return append([]complex128(nil), x...)
-	}
-	out := make([]complex128, len(x)*factor)
-	for i, v := range x {
-		out[i*factor] = v
-	}
-	return out
 }

@@ -111,17 +111,6 @@ func TestFFTPanicsNonPowerOfTwo(t *testing.T) {
 	FFT(make([]complex128, 12))
 }
 
-func TestFFTShift(t *testing.T) {
-	x := []complex128{0, 1, 2, 3}
-	got := FFTShift(x)
-	want := []complex128{2, 3, 0, 1}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("FFTShift = %v, want %v", got, want)
-		}
-	}
-}
-
 func TestConvolveKnown(t *testing.T) {
 	a := []complex128{1, 2, 3}
 	b := []complex128{0, 1, 0.5}
@@ -159,27 +148,6 @@ func TestConvolveCommutativeProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestCrossCorrelatePeak(t *testing.T) {
-	// Correlating a stream against an embedded pattern peaks at its offset.
-	pattern := []complex128{1, -1, 1, 1, -1}
-	stream := make([]complex128, 32)
-	const offset = 9
-	copy(stream[offset:], pattern)
-	corr := CrossCorrelate(stream, pattern)
-	best, bestIdx := 0.0, -1
-	for i, v := range corr {
-		if m := cmplx.Abs(v); m > best {
-			best, bestIdx = m, i
-		}
-	}
-	if bestIdx != offset {
-		t.Errorf("correlation peak at %d, want %d", bestIdx, offset)
-	}
-	if math.Abs(best-float64(len(pattern))) > 1e-12 {
-		t.Errorf("peak magnitude = %v, want %d", best, len(pattern))
 	}
 }
 
@@ -234,32 +202,6 @@ func TestNormalizePower(t *testing.T) {
 	NormalizePower(zero, 1)
 	if Energy(zero) != 0 {
 		t.Error("zero signal must stay zero")
-	}
-}
-
-func TestUpsample(t *testing.T) {
-	x := []complex128{1, 2}
-	got := Upsample(x, 3)
-	want := []complex128{1, 0, 0, 2, 0, 0}
-	if len(got) != len(want) {
-		t.Fatalf("len = %d", len(got))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Upsample = %v", got)
-		}
-	}
-	same := Upsample(x, 1)
-	if &same[0] == &x[0] {
-		t.Error("Upsample(.,1) must copy")
-	}
-}
-
-func TestAddInto(t *testing.T) {
-	dst := []complex128{1, 2, 3}
-	AddInto(dst, []complex128{1, 1})
-	if dst[0] != 2 || dst[1] != 3 || dst[2] != 3 {
-		t.Errorf("AddInto = %v", dst)
 	}
 }
 

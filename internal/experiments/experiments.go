@@ -1,7 +1,8 @@
-// Package experiments contains one runner per reproduced exhibit E1-E26.
-// The paper (a survey) prints no numbered tables or figures; each runner
-// regenerates one of its quantitative claims as a table, with the claim
-// quoted in the table note. EXPERIMENTS.md records paper-vs-measured.
+// Package experiments contains one runner per reproduced exhibit E1–E31
+// (there is no E28 exhibit; E28 is a benchmark only). The paper (a
+// survey) prints no numbered tables or figures; each runner regenerates
+// one of its quantitative claims as a table, with the claim quoted in
+// the table note.
 package experiments
 
 import (

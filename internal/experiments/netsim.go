@@ -604,7 +604,7 @@ func E30HtRateAdaptation(cfg Config) []report.Table {
 // aggregate capacity climbs as distant co-channel cells stop
 // serializing, while the per-BSS Jain index prices what reuse does to
 // the cells whose neighbors now talk over them. The second runs the
-// same sweep on the bonded HT floor (HighDensityHt geometry), where
+// same sweep on the bonded HT floor (DenseGrid, orthogonal spans), where
 // 40 MHz spans and Minstrel's ladder absorb part of the backoff.
 func E31SpatialReuse(cfg Config) []report.Table {
 	durationUs := float64(cfg.Frames) * 1200
@@ -661,7 +661,7 @@ func E31SpatialReuse(cfg Config) []report.Table {
 	for _, row := range sweep {
 		c := netsim.HtConfig(2, 40)
 		c.ObssPdThresholdDBm = row.thDBm
-		// The HighDensityHt geometry: 9 bonded BSSs, orthogonal
+		// The bonded-HT dense floor: 9 bonded BSSs, orthogonal
 		// {1,2}/{5,6}/{9,10} spans on the 20 m DenseGrid pitch.
 		build := netsim.DenseGrid(c, 9, staPerBSS, []int{1, 5, 9}, 20, 1500)
 		agg, jain, ignores, reuse := run("obss-ht", build, cfg.Seed*11500)

@@ -3,6 +3,7 @@ package fec
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // LDPC implements an 802.11n-style quasi-cyclic low-density parity-check
@@ -12,9 +13,10 @@ import (
 //
 // The information part of the base matrix is generated deterministically
 // (column weight 3, pseudo-random row placement and shifts) rather than
-// copied from the standard's shift tables; see DESIGN.md. Performance is
-// within a fraction of a dB of the published matrices, which is all the
-// reproduced experiments rely on.
+// copied from the standard's shift tables: the experiments compare code
+// families at the standard's block lengths and rates, not particular
+// matrices. Performance is within a fraction of a dB of the published
+// matrices, which is all the reproduced experiments rely on.
 type LDPC struct {
 	Z        int      // circulant size (802.11n uses 27, 54, 81)
 	nb       int      // base columns (24)
@@ -60,9 +62,6 @@ func (l *LDPC) K() int { return (l.nb - l.mb) * l.Z }
 
 // N returns the codeword length in bits.
 func (l *LDPC) N() int { return l.nb * l.Z }
-
-// Rate returns the nominal code rate.
-func (l *LDPC) Rate() CodeRate { return l.rate }
 
 // buildBase lays out the base matrix: the dual-diagonal parity structure
 // plus pseudo-random weight-3 information columns chosen to avoid
@@ -121,15 +120,14 @@ func (l *LDPC) buildBase() {
 		var shifts [3]int
 		ok := false
 		for attempt := 0; attempt < 300 && !ok; attempt++ {
-			seen := map[int]bool{}
-			for len(seen) < 3 {
-				seen[next(l.mb)] = true
+			for n := 0; n < 3; {
+				if r := next(l.mb); !slices.Contains(rows[:n], r) {
+					rows[n] = r
+					n++
+				}
 			}
-			i := 0
-			for r := range seen {
-				rows[i] = r
+			for i := range shifts {
 				shifts[i] = next(l.Z)
-				i++
 			}
 			ok = !makesCycle(rows[0], shifts[0], rows[1], shifts[1]) &&
 				!makesCycle(rows[0], shifts[0], rows[2], shifts[2]) &&

@@ -2,6 +2,7 @@ package fec
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"repro/internal/rng"
@@ -18,6 +19,17 @@ func TestLDPCDimensions(t *testing.T) {
 		wantK := int(float64(l.N()) * r.Value())
 		if l.K() != wantK {
 			t.Errorf("rate %v: K = %d, want %d", r, l.K(), wantK)
+		}
+	}
+}
+
+// TestLDPCConstructionDeterministic builds each code twice: the base
+// matrix must depend on nothing but the rate and Z.
+func TestLDPCConstructionDeterministic(t *testing.T) {
+	for _, r := range ldpcRates {
+		a, b := NewLDPC(r, 27), NewLDPC(r, 27)
+		if !slices.Equal(a.entries, b.entries) {
+			t.Errorf("rate %v: two builds have different base matrices", r)
 		}
 	}
 }

@@ -98,21 +98,6 @@ func snrWithGain(snrDB float64, m Mode) float64 {
 	return snrDB + m.ArrayGainDB
 }
 
-// RequiredSNRdB inverts PER to the mean SNR achieving the target under
-// the given fading assumption.
-func (m Mode) RequiredSNRdB(targetPER float64, fading bool) float64 {
-	lo, hi := -30.0, 80.0
-	for i := 0; i < 60; i++ {
-		mid := (lo + hi) / 2
-		if m.PER(mid, fading) > targetPER {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return (lo + hi) / 2
-}
-
 // Goodput returns rate x delivery probability at the given mean SNR.
 func (m Mode) Goodput(meanSnrDB float64, fading bool) float64 {
 	return m.RateMbps * (1 - m.PER(meanSnrDB, fading))
@@ -320,12 +305,6 @@ func (l Link) SNRAt(d float64) float64 {
 func (l Link) GoodputAt(d float64) float64 {
 	_, g := BestMode(l.Modes, l.SNRAt(d), l.Fading, 0.1)
 	return g
-}
-
-// ModeAt returns the selected mode at distance d.
-func (l Link) ModeAt(d float64) Mode {
-	m, _ := BestMode(l.Modes, l.SNRAt(d), l.Fading, 0.1)
-	return m
 }
 
 // RangeForRate returns the maximum distance at which goodput still meets

@@ -111,18 +111,6 @@ func TestFadingWorseThanAWGN(t *testing.T) {
 	}
 }
 
-func TestRequiredSNRInverts(t *testing.T) {
-	m := OfdmModes()[5]
-	for _, target := range []float64{0.5, 0.1, 0.01} {
-		for _, fading := range []bool{false, true} {
-			snr := m.RequiredSNRdB(target, fading)
-			if per := m.PER(snr, fading); math.Abs(per-target) > target*0.2+1e-3 {
-				t.Errorf("fading=%v target %v: PER at inverted SNR = %v", fading, target, per)
-			}
-		}
-	}
-}
-
 func TestBestModeAdapts(t *testing.T) {
 	modes := OfdmModes()
 	low, _ := BestMode(modes, 8, false, 0.1)

@@ -187,20 +187,3 @@ func (s *Station) failure(cfg DcfConfig, src *rng.Source) {
 	}
 	s.backoff = src.Intn(s.cw + 1)
 }
-
-// JainIndex computes Jain's fairness index (sum x)^2 / (n * sum x^2):
-// 1 means perfectly even shares, 1/n means one user takes everything.
-func JainIndex(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s, sq float64
-	for _, x := range xs {
-		s += x
-		sq += x * x
-	}
-	if sq == 0 {
-		return 0
-	}
-	return s * s / (float64(len(xs)) * sq)
-}

@@ -384,30 +384,3 @@ func TestHiddenBusyHorizonSerializesDeliveries(t *testing.T) {
 		t.Error("no deliveries at all")
 	}
 }
-
-func TestJainIndex(t *testing.T) {
-	if got := JainIndex([]float64{1, 1, 1, 1}); math.Abs(got-1) > 1e-12 {
-		t.Errorf("even shares index %v", got)
-	}
-	if got := JainIndex([]float64{1, 0, 0, 0}); math.Abs(got-0.25) > 1e-12 {
-		t.Errorf("monopoly index %v, want 0.25", got)
-	}
-	if got := JainIndex(nil); got != 0 {
-		t.Errorf("empty index %v", got)
-	}
-	if got := JainIndex([]float64{0, 0}); got != 0 {
-		t.Errorf("all-zero index %v", got)
-	}
-}
-
-func TestDcfFairnessByJain(t *testing.T) {
-	src := rng.New(6)
-	res := RunDcf(Dot11agDcf(), saturated(8, 54), 1000, 3e6, src)
-	var shares []float64
-	for _, s := range res.PerStation {
-		shares = append(shares, s.GoodputMbps)
-	}
-	if idx := JainIndex(shares); idx < 0.95 {
-		t.Errorf("saturated DCF Jain index %v, want near 1", idx)
-	}
-}

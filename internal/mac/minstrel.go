@@ -101,10 +101,6 @@ func (c *MinstrelController) ModeIndex() int {
 	return c.cur
 }
 
-// Sampling reports whether the index from the last ModeIndex call was a
-// probe rather than the best-known entry.
-func (c *MinstrelController) Sampling() bool { return c.cur != c.best }
-
 // nextSample picks the next probe target: the round-robin sweep skips
 // the current best, skips entries too slow to ever beat it, and probes
 // dead entries (EWMA probability under deadProb) only every fourth turn.

@@ -1,6 +1,6 @@
 // Package mathx provides the small numerical utilities shared by the
-// wlan simulation stack: decibel conversions, Gaussian tail probabilities,
-// descriptive statistics, and interpolation helpers.
+// wlan simulation stack: decibel conversions, clamping and linear
+// interpolation, and descriptive statistics.
 //
 // All routines operate on float64 and are deterministic; none of them
 // allocate unless they return a slice.
@@ -25,11 +25,6 @@ func LinearToDB(lin float64) float64 {
 	return 10 * math.Log10(lin)
 }
 
-// Q is the Gaussian tail probability Q(x) = P(N(0,1) > x).
-func Q(x float64) float64 {
-	return 0.5 * math.Erfc(x/math.Sqrt2)
-}
-
 // Clamp limits x to the closed interval [lo, hi].
 func Clamp(x, lo, hi float64) float64 {
 	if x < lo {
@@ -46,26 +41,6 @@ func Lerp(a, b, t float64) float64 {
 	return a + (b-a)*t
 }
 
-// InterpAt evaluates the piecewise-linear function defined by sorted xs and
-// corresponding ys at x, clamping outside the domain. It panics if the
-// slices differ in length or are empty.
-func InterpAt(xs, ys []float64, x float64) float64 {
-	if len(xs) != len(ys) || len(xs) == 0 {
-		panic("mathx: InterpAt requires equal-length non-empty slices")
-	}
-	if x <= xs[0] {
-		return ys[0]
-	}
-	last := len(xs) - 1
-	if x >= xs[last] {
-		return ys[last]
-	}
-	i := sort.SearchFloat64s(xs, x)
-	// xs[i-1] < x <= xs[i]
-	t := (x - xs[i-1]) / (xs[i] - xs[i-1])
-	return Lerp(ys[i-1], ys[i], t)
-}
-
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -76,26 +51,6 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// Variance returns the population variance of xs, or 0 for fewer than two
-// samples.
-func Variance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 {
-	return math.Sqrt(Variance(xs))
 }
 
 // MinMax returns the minimum and maximum of xs. It panics on an empty

@@ -88,16 +88,6 @@ func (m *Matrix) Add(o *Matrix) *Matrix {
 	return out
 }
 
-// Sub returns m - o.
-func (m *Matrix) Sub(o *Matrix) *Matrix {
-	m.mustSameShape(o)
-	out := New(m.Rows, m.Cols)
-	for i := range m.Data {
-		out.Data[i] = m.Data[i] - o.Data[i]
-	}
-	return out
-}
-
 // Scale returns s * m.
 func (m *Matrix) Scale(s complex128) *Matrix {
 	out := New(m.Rows, m.Cols)
@@ -150,17 +140,6 @@ func (m *Matrix) Hermitian() *Matrix {
 	for i := 0; i < m.Rows; i++ {
 		for j := 0; j < m.Cols; j++ {
 			out.Data[j*out.Cols+i] = cmplx.Conj(m.Data[i*m.Cols+j])
-		}
-	}
-	return out
-}
-
-// Transpose returns the (non-conjugated) transpose of m.
-func (m *Matrix) Transpose() *Matrix {
-	out := New(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			out.Data[j*out.Cols+i] = m.Data[i*m.Cols+j]
 		}
 	}
 	return out
@@ -231,45 +210,6 @@ func (m *Matrix) swapRows(i, j int) {
 	for k := range ri {
 		ri[k], rj[k] = rj[k], ri[k]
 	}
-}
-
-// Det returns the determinant of a square matrix via LU decomposition with
-// partial pivoting.
-func (m *Matrix) Det() complex128 {
-	if m.Rows != m.Cols {
-		panic("matrix: Det of non-square matrix")
-	}
-	n := m.Rows
-	a := m.Clone()
-	det := complex(1, 0)
-	for col := 0; col < n; col++ {
-		pivot := col
-		best := cmplx.Abs(a.At(col, col))
-		for r := col + 1; r < n; r++ {
-			if mag := cmplx.Abs(a.At(r, col)); mag > best {
-				best, pivot = mag, r
-			}
-		}
-		if best == 0 {
-			return 0
-		}
-		if pivot != col {
-			a.swapRows(col, pivot)
-			det = -det
-		}
-		p := a.At(col, col)
-		det *= p
-		for r := col + 1; r < n; r++ {
-			f := a.At(r, col) / p
-			if f == 0 {
-				continue
-			}
-			for j := col; j < n; j++ {
-				a.Set(r, j, a.At(r, j)-f*a.At(col, j))
-			}
-		}
-	}
-	return det
 }
 
 func (m *Matrix) mustSameShape(o *Matrix) {

@@ -1,106 +1,18 @@
 // Package mimo implements the multi-antenna processing that the paper
-// identifies as the breakthrough behind 802.11n: Alamouti space-time block
-// coding, maximal-ratio receive combining, zero-forcing and MMSE spatial
-// multiplexing detection, closed-loop SVD eigen-beamforming, and Shannon
-// capacity formulas for SISO and MIMO links.
+// identifies as the breakthrough behind 802.11n: zero-forcing and MMSE
+// spatial multiplexing detection, and Shannon capacity formulas for
+// MIMO links. The HT PHY (phy.Ht) carries its own Alamouti space-time
+// block code and SVD precoding, and linkmodel.Link the MRC and
+// beamforming gains.
 package mimo
 
 import (
 	"fmt"
 	"math"
-	"math/cmplx"
 
 	"repro/internal/matrix"
 	"repro/internal/rng"
 )
-
-// AlamoutiEncode maps an even number of symbols onto two transmit
-// streams using the rate-1 orthogonal space-time block code, with total
-// transmit power split across the two antennas:
-//
-//	time 2k:   antenna0 = s_{2k}/sqrt2,        antenna1 = s_{2k+1}/sqrt2
-//	time 2k+1: antenna0 = -conj(s_{2k+1})/sqrt2, antenna1 = conj(s_{2k})/sqrt2
-func AlamoutiEncode(syms []complex128) [2][]complex128 {
-	if len(syms)%2 != 0 {
-		panic("mimo: Alamouti needs an even symbol count")
-	}
-	inv := complex(1/math.Sqrt2, 0)
-	var out [2][]complex128
-	out[0] = make([]complex128, len(syms))
-	out[1] = make([]complex128, len(syms))
-	for k := 0; k < len(syms); k += 2 {
-		s1, s2 := syms[k], syms[k+1]
-		out[0][k] = s1 * inv
-		out[1][k] = s2 * inv
-		out[0][k+1] = -cmplx.Conj(s2) * inv
-		out[1][k+1] = cmplx.Conj(s1) * inv
-	}
-	return out
-}
-
-// AlamoutiDecode combines the received streams (rx[antenna][time]) using
-// a flat channel h (nr x 2) and returns the symbol estimates scaled back
-// to the transmit constellation, plus the array gain sum|h|^2 that the
-// orthogonal combining achieves (the post-combining SNR is gain times
-// the per-branch SNR).
-func AlamoutiDecode(rx [][]complex128, h *matrix.Matrix) ([]complex128, float64) {
-	if h.Cols != 2 {
-		panic("mimo: Alamouti decode requires a 2-column channel")
-	}
-	if len(rx) != h.Rows {
-		panic("mimo: rx antenna count mismatch")
-	}
-	n := len(rx[0])
-	if n%2 != 0 {
-		panic("mimo: Alamouti rx length must be even")
-	}
-	var gain float64
-	for j := 0; j < h.Rows; j++ {
-		for i := 0; i < 2; i++ {
-			gain += sqAbs(h.At(j, i))
-		}
-	}
-	out := make([]complex128, n)
-	scale := complex(math.Sqrt2/gain, 0) // undo the sqrt2 power split and the combining gain
-	for k := 0; k < n; k += 2 {
-		var e1, e2 complex128
-		for j := 0; j < h.Rows; j++ {
-			h1, h2 := h.At(j, 0), h.At(j, 1)
-			y1, y2 := rx[j][k], rx[j][k+1]
-			e1 += cmplx.Conj(h1)*y1 + h2*cmplx.Conj(y2)
-			e2 += cmplx.Conj(h2)*y1 - h1*cmplx.Conj(y2)
-		}
-		out[k] = e1 * scale
-		out[k+1] = e2 * scale
-	}
-	return out, gain
-}
-
-// MRC performs maximal-ratio combining of a single stream received on
-// multiple antennas through flat channel gains h, returning the combined
-// estimate and the array gain sum|h|^2.
-func MRC(rx [][]complex128, h []complex128) ([]complex128, float64) {
-	if len(rx) != len(h) {
-		panic("mimo: MRC antenna count mismatch")
-	}
-	var gain float64
-	for _, g := range h {
-		gain += sqAbs(g)
-	}
-	if gain == 0 {
-		return make([]complex128, len(rx[0])), 0
-	}
-	n := len(rx[0])
-	out := make([]complex128, n)
-	for t := 0; t < n; t++ {
-		var s complex128
-		for j := range rx {
-			s += cmplx.Conj(h[j]) * rx[j][t]
-		}
-		out[t] = s / complex(gain, 0)
-	}
-	return out, gain
-}
 
 // Detector inverts a flat MIMO channel for spatial multiplexing.
 type Detector struct {
@@ -154,12 +66,6 @@ func noiseEnhancement(w *matrix.Matrix) []float64 {
 	return out
 }
 
-// Detect applies the detector to one received vector y (length nr),
-// returning per-stream symbol estimates (length nt).
-func (d *Detector) Detect(y []complex128) []complex128 {
-	return d.w.MulVec(y)
-}
-
 // Matrix exposes the detection matrix W (streams x rx antennas) so PHYs
 // can fold bias correction and noise scaling into their LLR computation.
 func (d *Detector) Matrix() *matrix.Matrix { return d.w }
@@ -188,106 +94,6 @@ func sqAbs(z complex128) float64 {
 	return real(z)*real(z) + imag(z)*imag(z)
 }
 
-// Beamformer implements closed-loop SVD (eigen-) beamforming: the
-// transmitter precodes along the channel's right singular vectors, the
-// receiver combines with the left ones, turning the MIMO channel into
-// parallel scalar pipes with gains equal to the singular values.
-type Beamformer struct {
-	NStreams int
-	precode  *matrix.Matrix // nt x ns
-	combine  *matrix.Matrix // ns x nr
-	Gains    []float64      // singular values of the used streams
-}
-
-// NewBeamformer decomposes the channel and keeps the strongest nStreams
-// eigenchannels.
-func NewBeamformer(h *matrix.Matrix, nStreams int) *Beamformer {
-	svd := h.SVD()
-	k := len(svd.S)
-	if nStreams < 1 || nStreams > k {
-		panic(fmt.Sprintf("mimo: nStreams %d out of range 1..%d", nStreams, k))
-	}
-	pre := matrix.New(h.Cols, nStreams)
-	for i := 0; i < h.Cols; i++ {
-		for j := 0; j < nStreams; j++ {
-			pre.Set(i, j, svd.V.At(i, j))
-		}
-	}
-	comb := matrix.New(nStreams, h.Rows)
-	for i := 0; i < nStreams; i++ {
-		for j := 0; j < h.Rows; j++ {
-			comb.Set(i, j, cmplx.Conj(svd.U.At(j, i)))
-		}
-	}
-	return &Beamformer{
-		NStreams: nStreams,
-		precode:  pre,
-		combine:  comb,
-		Gains:    append([]float64(nil), svd.S[:nStreams]...),
-	}
-}
-
-// Precode maps per-stream symbols (streams[s][t]) onto transmit antennas,
-// splitting total power evenly across streams.
-func (b *Beamformer) Precode(streams [][]complex128) [][]complex128 {
-	if len(streams) != b.NStreams {
-		panic("mimo: stream count mismatch")
-	}
-	n := len(streams[0])
-	nt := b.precode.Rows
-	out := make([][]complex128, nt)
-	for a := range out {
-		out[a] = make([]complex128, n)
-	}
-	norm := complex(1/math.Sqrt(float64(b.NStreams)), 0)
-	x := make([]complex128, b.NStreams)
-	for t := 0; t < n; t++ {
-		for s := range streams {
-			x[s] = streams[s][t] * norm
-		}
-		v := b.precode.MulVec(x)
-		for a := 0; a < nt; a++ {
-			out[a][t] = v[a]
-		}
-	}
-	return out
-}
-
-// Combine projects received antenna streams onto the eigenchannels and
-// normalizes each by its singular value, returning per-stream symbol
-// estimates at the transmit constellation scale.
-func (b *Beamformer) Combine(rx [][]complex128) [][]complex128 {
-	n := len(rx[0])
-	out := make([][]complex128, b.NStreams)
-	for s := range out {
-		out[s] = make([]complex128, n)
-	}
-	y := make([]complex128, len(rx))
-	scale := make([]complex128, b.NStreams)
-	for s := 0; s < b.NStreams; s++ {
-		g := b.Gains[s] / math.Sqrt(float64(b.NStreams))
-		if g < 1e-18 {
-			g = 1e-18
-		}
-		scale[s] = complex(1/g, 0)
-	}
-	for t := 0; t < n; t++ {
-		for j := range rx {
-			y[j] = rx[j][t]
-		}
-		z := b.combine.MulVec(y)
-		for s := 0; s < b.NStreams; s++ {
-			out[s][t] = z[s] * scale[s]
-		}
-	}
-	return out
-}
-
-// SISOCapacity is Shannon's log2(1 + snr) in bit/s/Hz.
-func SISOCapacity(snr float64) float64 {
-	return math.Log2(1 + snr)
-}
-
 // OpenLoopCapacity returns the MIMO capacity with equal power per
 // transmit antenna and no channel knowledge at the transmitter:
 // sum log2(1 + snr/nt * sigma_i^2).
@@ -298,42 +104,6 @@ func OpenLoopCapacity(h *matrix.Matrix, snr float64) float64 {
 		c += math.Log2(1 + snr/nt*s*s)
 	}
 	return c
-}
-
-// WaterfillingCapacity returns the closed-loop capacity when the
-// transmitter knows the channel and pours its power budget over the
-// eigenchannels.
-func WaterfillingCapacity(h *matrix.Matrix, snr float64) float64 {
-	gains := h.SingularValues()
-	// Per-eigenchannel SNR gain per unit power.
-	g := make([]float64, 0, len(gains))
-	for _, s := range gains {
-		if s > 1e-12 {
-			g = append(g, s*s)
-		}
-	}
-	if len(g) == 0 {
-		return 0
-	}
-	// Waterfill: p_i = max(0, mu - 1/g_i), sum p_i = snr. Iterate dropping
-	// channels below the water level.
-	active := len(g)
-	for active > 0 {
-		sumInv := 0.0
-		for i := 0; i < active; i++ {
-			sumInv += 1 / g[i]
-		}
-		mu := (snr + sumInv) / float64(active)
-		if mu-1/g[active-1] >= 0 {
-			var c float64
-			for i := 0; i < active; i++ {
-				c += math.Log2(1 + (mu-1/g[i])*g[i])
-			}
-			return c
-		}
-		active--
-	}
-	return 0
 }
 
 // ErgodicCapacity averages OpenLoopCapacity over random i.i.d. Rayleigh

@@ -34,116 +34,6 @@ func applyFlat(h *matrix.Matrix, tx [][]complex128, noiseVar float64, src *rng.S
 	return rx
 }
 
-func TestAlamoutiNoiselessRoundTrip(t *testing.T) {
-	src := rng.New(1)
-	for _, nr := range []int{1, 2, 4} {
-		syms := modem.QPSK.Modulate(src.Bits(2 * 64))
-		tx := AlamoutiEncode(syms)
-		h := channel.MIMOFlat(nr, 2, src)
-		rx := applyFlat(h, tx[:], 0, src)
-		got, gain := AlamoutiDecode(rx, h)
-		if gain <= 0 {
-			t.Fatalf("nr=%d: non-positive gain", nr)
-		}
-		for i := range syms {
-			if cmplx.Abs(got[i]-syms[i]) > 1e-9 {
-				t.Fatalf("nr=%d: symbol %d = %v, want %v", nr, i, got[i], syms[i])
-			}
-		}
-	}
-}
-
-func TestAlamoutiPowerSplit(t *testing.T) {
-	src := rng.New(2)
-	syms := modem.QPSK.Modulate(src.Bits(2 * 500))
-	tx := AlamoutiEncode(syms)
-	var p float64
-	for _, stream := range tx {
-		for _, v := range stream {
-			p += real(v)*real(v) + imag(v)*imag(v)
-		}
-	}
-	// Total transmitted energy equals total symbol energy (power split,
-	// not doubled).
-	if got := p / float64(len(syms)); math.Abs(got-1) > 0.05 {
-		t.Errorf("total tx power per symbol = %v, want 1", got)
-	}
-}
-
-func TestAlamoutiDiversityGain(t *testing.T) {
-	// Over many fading realizations, 2x1 Alamouti must beat 1x1 at equal
-	// total transmit power: the "spatial diversity extends range" claim.
-	src := rng.New(3)
-	const trials = 400
-	const noiseVar = 0.35
-	symErrsSISO, symErrsAlam := 0, 0
-	for trial := 0; trial < trials; trial++ {
-		bits := src.Bits(2 * 16)
-		syms := modem.QPSK.Modulate(bits)
-		// SISO
-		h := channel.RayleighCoeff(src)
-		rxS := make([]complex128, len(syms))
-		for i, s := range syms {
-			rxS[i] = h*s + src.ComplexGaussian(noiseVar)
-		}
-		for i := range rxS {
-			rxS[i] /= h
-		}
-		gotS := modem.QPSK.DemodulateHard(rxS)
-		// Alamouti 2x1
-		tx := AlamoutiEncode(syms)
-		h2 := channel.MIMOFlat(1, 2, src)
-		rxA := applyFlat(h2, tx[:], noiseVar, src)
-		decoded, _ := AlamoutiDecode(rxA, h2)
-		gotA := modem.QPSK.DemodulateHard(decoded)
-		for i := range bits {
-			if gotS[i] != bits[i] {
-				symErrsSISO++
-			}
-			if gotA[i] != bits[i] {
-				symErrsAlam++
-			}
-		}
-	}
-	if symErrsAlam >= symErrsSISO {
-		t.Errorf("Alamouti errors %d not fewer than SISO %d", symErrsAlam, symErrsSISO)
-	}
-}
-
-func TestMRCMatchesTheory(t *testing.T) {
-	src := rng.New(4)
-	h := []complex128{src.ComplexGaussian(1), src.ComplexGaussian(1), src.ComplexGaussian(1)}
-	syms := modem.QPSK.Modulate(src.Bits(2 * 32))
-	rx := make([][]complex128, len(h))
-	for j := range rx {
-		rx[j] = make([]complex128, len(syms))
-		for t0 := range syms {
-			rx[j][t0] = h[j] * syms[t0]
-		}
-	}
-	got, gain := MRC(rx, h)
-	var wantGain float64
-	for _, g := range h {
-		wantGain += real(g)*real(g) + imag(g)*imag(g)
-	}
-	if math.Abs(gain-wantGain) > 1e-12 {
-		t.Errorf("gain = %v, want %v", gain, wantGain)
-	}
-	for i := range syms {
-		if cmplx.Abs(got[i]-syms[i]) > 1e-9 {
-			t.Fatalf("MRC symbol %d = %v, want %v", i, got[i], syms[i])
-		}
-	}
-}
-
-func TestMRCZeroChannel(t *testing.T) {
-	rx := [][]complex128{{1, 2}}
-	got, gain := MRC(rx, []complex128{0})
-	if gain != 0 || got[0] != 0 {
-		t.Error("zero channel must yield zero gain and output")
-	}
-}
-
 func TestZFSeparatesStreams(t *testing.T) {
 	src := rng.New(5)
 	for _, shape := range [][2]int{{2, 2}, {3, 2}, {4, 4}} {
@@ -219,68 +109,6 @@ func TestMMSEBeatsZFAtLowSNR(t *testing.T) {
 	}
 }
 
-func TestBeamformingDiagonalizesChannel(t *testing.T) {
-	src := rng.New(7)
-	h := channel.MIMOFlat(3, 3, src)
-	bf := NewBeamformer(h, 2)
-	streams := make([][]complex128, 2)
-	for s := range streams {
-		streams[s] = modem.QPSK.Modulate(src.Bits(2 * 16))
-	}
-	tx := bf.Precode(streams)
-	if len(tx) != 3 {
-		t.Fatalf("precode produced %d antennas", len(tx))
-	}
-	rx := applyFlat(h, tx, 0, src)
-	got := bf.Combine(rx)
-	for s := range streams {
-		for t0 := range streams[s] {
-			if cmplx.Abs(got[s][t0]-streams[s][t0]) > 1e-9 {
-				t.Fatalf("stream %d sample %d: %v want %v", s, t0, got[s][t0], streams[s][t0])
-			}
-		}
-	}
-}
-
-func TestBeamformingGainExceedsAverage(t *testing.T) {
-	// The dominant eigenchannel gain must exceed the average per-antenna
-	// gain: the paper's "beamforming improves rate and reach".
-	src := rng.New(8)
-	const trials = 200
-	betterCount := 0
-	for i := 0; i < trials; i++ {
-		h := channel.MIMOFlat(2, 2, src)
-		bf := NewBeamformer(h, 1)
-		avg := h.FrobeniusNorm() * h.FrobeniusNorm() / 4
-		if bf.Gains[0]*bf.Gains[0] > avg {
-			betterCount++
-		}
-	}
-	if betterCount < trials*9/10 {
-		t.Errorf("dominant eigenchannel beat the average in only %d/%d trials", betterCount, trials)
-	}
-}
-
-func TestBeamformerRejectsBadStreamCount(t *testing.T) {
-	src := rng.New(9)
-	h := channel.MIMOFlat(2, 2, src)
-	defer func() {
-		if recover() == nil {
-			t.Error("nStreams=5 should panic")
-		}
-	}()
-	NewBeamformer(h, 5)
-}
-
-func TestSISOCapacity(t *testing.T) {
-	if got := SISOCapacity(1); math.Abs(got-1) > 1e-12 {
-		t.Errorf("C(0 dB) = %v, want 1", got)
-	}
-	if got := SISOCapacity(3); math.Abs(got-2) > 1e-12 {
-		t.Errorf("C(snr=3) = %v, want 2", got)
-	}
-}
-
 func TestMIMOCapacityScalesWithAntennas(t *testing.T) {
 	// The "heretofore unreachable" spectral efficiencies: ergodic capacity
 	// grows roughly linearly with min(nr, nt).
@@ -294,39 +122,6 @@ func TestMIMOCapacityScalesWithAntennas(t *testing.T) {
 	}
 	if c4 < 1.7*c2 {
 		t.Errorf("4x4 capacity %v not ~2x of 2x2 %v", c4, c2)
-	}
-}
-
-func TestWaterfillingAtLeastOpenLoop(t *testing.T) {
-	src := rng.New(11)
-	for i := 0; i < 50; i++ {
-		h := channel.MIMOFlat(2, 2, src)
-		for _, snr := range []float64{0.1, 1, 10, 100} {
-			wf := WaterfillingCapacity(h, snr)
-			ol := OpenLoopCapacity(h, snr)
-			if wf < ol-1e-9 {
-				t.Fatalf("waterfilling %v below open loop %v at snr %v", wf, ol, snr)
-			}
-		}
-	}
-}
-
-func TestWaterfillingLowSNRBeamforms(t *testing.T) {
-	// At very low SNR the waterfiller pours everything into the dominant
-	// eigenchannel, so capacity approaches log2(1 + snr*sigma1^2).
-	src := rng.New(12)
-	h := channel.MIMOFlat(2, 2, src)
-	s := h.SingularValues()
-	const snr = 0.01
-	want := math.Log2(1 + snr*s[0]*s[0])
-	if got := WaterfillingCapacity(h, snr); math.Abs(got-want) > 1e-9 {
-		t.Errorf("low-SNR waterfilling = %v, want %v", got, want)
-	}
-}
-
-func TestWaterfillingDegenerate(t *testing.T) {
-	if got := WaterfillingCapacity(matrix.New(2, 2), 10); got != 0 {
-		t.Errorf("zero channel capacity = %v", got)
 	}
 }
 

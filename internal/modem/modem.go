@@ -191,20 +191,6 @@ func HardBitsFromLLRs(llrs []float64) []byte {
 	return bits
 }
 
-// BitsToLLRs converts hard bits to saturated LLRs with the given
-// confidence magnitude, for feeding hard decisions to soft decoders.
-func BitsToLLRs(bits []byte, confidence float64) []float64 {
-	llrs := make([]float64, len(bits))
-	for i, b := range bits {
-		if b == 0 {
-			llrs[i] = confidence
-		} else {
-			llrs[i] = -confidence
-		}
-	}
-	return llrs
-}
-
 func sqAbs(z complex128) float64 {
 	return real(z)*real(z) + imag(z)*imag(z)
 }
@@ -299,6 +285,3 @@ func (d *Differential) Demodulate(symbols []complex128, prev complex128) []byte 
 	}
 	return bits
 }
-
-// Reset returns the differential state to the reference phase.
-func (d *Differential) Reset() { d.phase = 1 }

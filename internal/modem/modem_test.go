@@ -149,16 +149,6 @@ func TestHardBitsFromLLRs(t *testing.T) {
 	}
 }
 
-func TestBitsToLLRs(t *testing.T) {
-	llrs := BitsToLLRs([]byte{0, 1, 0}, 4)
-	want := []float64{4, -4, 4}
-	for i := range want {
-		if llrs[i] != want[i] {
-			t.Fatalf("BitsToLLRs = %v", llrs)
-		}
-	}
-}
-
 func TestQAMBerOrdering(t *testing.T) {
 	// At the same SNR, higher-order modulations must have higher BER: the
 	// rate/robustness trade-off the paper's generational story rests on.

@@ -12,12 +12,14 @@ import (
 // 40 MHz spans) and the per-mode attempt accounting across shard
 // merges.
 
-// TestHtBondedSmoke runs the HighDensityHt preset end to end and checks
-// the subsystem engages: frames deliver, per-mode attempts are counted,
-// and at least one 40 MHz mode was actually transmitted (the bonded
-// span is in use, not just configured).
+// TestHtBondedSmoke runs the bonded-HT dense floor (two-stream 40 MHz
+// BSSs on the DenseGrid pitch, primaries {1, 5, 9} so neighboring spans
+// stay orthogonal) end to end and checks the subsystem engages: frames
+// deliver, per-mode attempts are counted, and at least one 40 MHz mode
+// was actually transmitted (the bonded span is in use, not just
+// configured).
 func TestHtBondedSmoke(t *testing.T) {
-	r := HighDensityHt(4, 3)(1).Run(2e5)
+	r := DenseGrid(HtConfig(2, 40), 4, 3, []int{1, 5, 9}, 20, 1500)(1).Run(2e5)
 	if r.Delivered == 0 {
 		t.Fatal("HT bonded floor delivered nothing")
 	}

@@ -5,9 +5,8 @@ import "repro/internal/mathx"
 // Application-level quality-of-experience accounting. App models
 // (internal/netsim/app) register one UserQoE source per user via
 // Network.AddQoE; collect pools them into Result.QoE, and MergeQoE
-// pools a seed sweep the way MergePerAC pools the per-AC tables —
-// except QoE keeps the raw per-event samples, so cross-seed
-// percentiles are exact rather than max-bounded.
+// pools a seed sweep. QoE keeps the raw per-event samples, so
+// cross-seed percentiles are exact rather than max-bounded.
 
 // UserQoE Kind values.
 const (
@@ -118,9 +117,8 @@ func (n *Network) AddQoE(fn func() UserQoE) {
 
 // MergeQoE pools the QoE blocks of several results (a seed sweep) into
 // one: counters sum, raw samples concatenate, and the summary
-// percentiles are recomputed over the pooled samples — exact, unlike
-// the max-bound MergePerAC must settle for. Results without QoE are
-// skipped; nil when none carry any.
+// percentiles are recomputed over the pooled samples, so they are
+// exact. Results without QoE are skipped; nil when none carry any.
 func MergeQoE(results []Result) *QoEStats {
 	var out *QoEStats
 	for _, r := range results {

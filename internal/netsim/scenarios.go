@@ -48,15 +48,6 @@ func HtConfig(nss, widthMHz int) Config {
 	return cfg
 }
 
-// HighDensityHt is the bonded-HT dense floor: nBSS two-stream 40 MHz
-// BSSs on the DenseGrid 20 m pitch with saturated 1500-byte uplinks,
-// primaries drawn from {1, 5, 9} so neighboring cells' bonded spans
-// ({1,2}, {5,6}, {9,10}) stay orthogonal — the deployment E30's
-// bonded-vs-unbonded sweep perturbs into partial overlap.
-func HighDensityHt(nBSS, staPerBSS int) func(seed int64) *Network {
-	return DenseGrid(HtConfig(2, 40), nBSS, staPerBSS, []int{1, 5, 9}, 20, 1500)
-}
-
 // DenseGrid lays nBSS APs on a square-ish grid with the given spacing
 // and channel assignment (channels[i%len] for BSS i), surrounds each AP
 // with staPerBSS saturated-uplink stations on a ring, and is the E22

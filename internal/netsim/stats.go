@@ -87,51 +87,6 @@ func JainIndex(shares []float64) float64 {
 	return sum * sum / (float64(len(shares)) * sumSq)
 }
 
-// MergePerAC pools the per-AC tables of several results (a seed sweep)
-// into one. Counters sum. MeanDelayUs is the delivered-weighted mean of
-// the per-result means — exactly the pooled mean, since each result's
-// mean is over its delivered samples. P95DelayUs is the max across
-// results: without the raw samples the pooled percentile is not
-// recoverable, and the max is the conservative bound a QoS check wants.
-// TxopAirtimeFrac is duration-weighted, so results of different lengths
-// pool into the true aggregate fraction.
-func MergePerAC(results []Result) [NumACs]ACStats {
-	var out [NumACs]ACStats
-	var delayWeight [NumACs]float64
-	var airUs, durUs [NumACs]float64
-	for _, r := range results {
-		for ac := 0; ac < int(NumACs); ac++ {
-			s := r.PerAC[ac]
-			o := &out[ac]
-			o.Flows += s.Flows
-			o.Attempts += s.Attempts
-			o.Delivered += s.Delivered
-			o.Collisions += s.Collisions
-			o.NoiseLosses += s.NoiseLosses
-			o.RetryDrops += s.RetryDrops
-			o.QueueDrops += s.QueueDrops
-			o.MeanDelayUs += float64(s.Delivered) * s.MeanDelayUs
-			delayWeight[ac] += float64(s.Delivered)
-			if s.P95DelayUs > o.P95DelayUs {
-				o.P95DelayUs = s.P95DelayUs
-			}
-			airUs[ac] += s.TxopAirtimeFrac * r.DurationUs
-			durUs[ac] += r.DurationUs
-		}
-	}
-	for ac := range out {
-		if delayWeight[ac] > 0 {
-			out[ac].MeanDelayUs /= delayWeight[ac]
-		} else {
-			out[ac].MeanDelayUs = 0
-		}
-		if durUs[ac] > 0 {
-			out[ac].TxopAirtimeFrac = airUs[ac] / durUs[ac]
-		}
-	}
-	return out
-}
-
 // Goodputs extracts each flow's goodput, the usual JainIndex input.
 func Goodputs(flows []FlowStats) []float64 {
 	out := make([]float64, len(flows))

@@ -252,10 +252,6 @@ func Attach(f *netsim.Flow, cfg Config) *Conn {
 	return c
 }
 
-// Flow returns the underlying netsim flow (for scheduling app timers
-// on the same engine clock).
-func (c *Conn) Flow() *netsim.Flow { return c.flow }
-
 // Schedule and NowUs expose the flow's engine clock — applications
 // pace themselves on the same timeline their ACKs arrive on.
 func (c *Conn) Schedule(delayUs float64, fn func()) sim.EventRef {

@@ -16,9 +16,6 @@ func (o *Ofdm) TxBurst(payload []byte) []complex128 {
 	return append(stf, o.TxFrame(payload)...)
 }
 
-// BurstOverhead returns the extra samples TxBurst adds before the frame.
-func (o *Ofdm) BurstOverhead() int { return acquire.STFLen() }
-
 // RxBurst locates a burst inside the capture (which may begin with noise
 // or silence), estimates and corrects the carrier frequency offset from
 // the training fields, and decodes the frame. The detection threshold of

@@ -89,7 +89,7 @@ func TestBurstOverhead(t *testing.T) {
 	payload := make([]byte, 100)
 	plain := p.TxFrame(payload)
 	burst := p.TxBurst(payload)
-	if len(burst)-len(plain) != p.BurstOverhead() {
-		t.Errorf("overhead %d, want %d", len(burst)-len(plain), p.BurstOverhead())
+	if len(burst)-len(plain) != acquire.STFLen() {
+		t.Errorf("overhead %d, want %d", len(burst)-len(plain), acquire.STFLen())
 	}
 }

@@ -71,7 +71,8 @@ func (d *Dsss) RxFrame(samples []complex128, _ float64) ([]byte, bool) {
 // Fhss is the 802.11 frequency-hopping PHY. The waveform model is the
 // same differential modulation as DSSS but without spreading (each hop is
 // a narrowband 1 MHz channel); the hop schedule lives in package spread.
-// See DESIGN.md substitution 5.
+// The paper treats FHSS only as the 1997 alternative to DSSS, so the
+// GFSK waveform itself is not reproduced.
 type Fhss struct {
 	rate float64
 }

@@ -146,9 +146,6 @@ func (h *Ht) NumTx() int { return h.ntx }
 // NumRx returns the receive antenna count.
 func (h *Ht) NumRx() int { return h.nrx }
 
-// NumStreams returns the spatial stream count.
-func (h *Ht) NumStreams() int { return h.nss }
-
 // SetCSI provides per-bin channel matrices (NFFT entries of NRx x NTx)
 // for closed-loop beamforming; the SVD precoders are computed once here.
 // The matrices are the physical channel frequency response; transmit

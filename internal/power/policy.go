@@ -1,7 +1,5 @@
 package power
 
-import "math"
-
 // This file models the mitigation strategies the paper proposes: sniffing
 // with one receive chain and waking the rest only when a packet arrives,
 // and closed-loop transmit power control via beamforming.
@@ -46,14 +44,4 @@ func (d DeviceProfile) RxEnergyJ(cfg RadioConfig, tr TrafficPattern, policy Chai
 		return idle*d.ListenPowerW(1) + tr.RxBusyS*d.RxPowerW(cfg) + wake
 	}
 	panic("power: unknown chain policy")
-}
-
-// TPCSavings computes the transmit power-control benefit of closed-loop
-// beamforming: the array gain (dB) comes straight off the required
-// radiated power for the same received SNR.
-func (d DeviceProfile) TPCSavings(cfg RadioConfig, arrayGainDB float64) (openLoopW, closedLoopW float64) {
-	open := cfg
-	closed := cfg
-	closed.OutputW = cfg.OutputW * math.Pow(10, -arrayGainDB/10)
-	return d.TxPowerW(open), d.TxPowerW(closed)
 }

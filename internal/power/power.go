@@ -8,7 +8,7 @@
 //
 // Absolute numbers are representative of published 802.11 chipset
 // budgets; every experiment built on them reports ratios, which are
-// robust to the exact constants (see DESIGN.md substitution 4).
+// robust to the exact constants.
 package power
 
 import "math"

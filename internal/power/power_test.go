@@ -116,15 +116,6 @@ func TestSniffThenWakeConvergesAtHighDuty(t *testing.T) {
 	}
 }
 
-func TestTPCSavings(t *testing.T) {
-	d := DefaultDevice()
-	cfg := RadioConfig{TxChains: 2, RxChains: 2, Streams: 1, OutputW: 0.1, PaprDB: 10}
-	open, closed := d.TPCSavings(cfg, 3)
-	if closed >= open {
-		t.Errorf("3 dB array gain should cut TX power: %v vs %v", closed, open)
-	}
-}
-
 func TestRxEnergyNegativeIdleClamps(t *testing.T) {
 	d := DefaultDevice()
 	cfg := RadioConfig{TxChains: 1, RxChains: 1, Streams: 1}

@@ -46,12 +46,6 @@ func (s *Source) Float64() float64 { return s.r.Float64() }
 // Intn returns a uniform integer in [0, n).
 func (s *Source) Intn(n int) int { return s.r.Intn(n) }
 
-// Int63 returns a uniform non-negative 63-bit integer.
-func (s *Source) Int63() int64 { return s.r.Int63() }
-
-// Bool returns true with probability p.
-func (s *Source) Bool(p float64) bool { return s.r.Float64() < p }
-
 // Bit returns 0 or 1 with equal probability.
 func (s *Source) Bit() byte {
 	return byte(s.r.Int63() & 1)
@@ -112,9 +106,3 @@ func (s *Source) Rayleigh(sigma float64) float64 {
 func (s *Source) Exponential(mean float64) float64 {
 	return s.r.ExpFloat64() * mean
 }
-
-// Perm returns a random permutation of [0, n).
-func (s *Source) Perm(n int) []int { return s.r.Perm(n) }
-
-// Shuffle permutes the n elements addressed by swap in place.
-func (s *Source) Shuffle(n int, swap func(i, j int)) { s.r.Shuffle(n, swap) }

@@ -152,32 +152,6 @@ func TestBitsBalance(t *testing.T) {
 	}
 }
 
-func TestBoolProbability(t *testing.T) {
-	s := New(21)
-	const n = 100000
-	hits := 0
-	for i := 0; i < n; i++ {
-		if s.Bool(0.3) {
-			hits++
-		}
-	}
-	if got := float64(hits) / n; math.Abs(got-0.3) > 0.01 {
-		t.Errorf("Bool(0.3) rate = %v", got)
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	s := New(23)
-	p := s.Perm(64)
-	seen := make([]bool, 64)
-	for _, v := range p {
-		if v < 0 || v >= 64 || seen[v] {
-			t.Fatalf("invalid permutation: %v", p)
-		}
-		seen[v] = true
-	}
-}
-
 func TestBytesLength(t *testing.T) {
 	s := New(25)
 	b := s.Bytes(33)

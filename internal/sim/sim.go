@@ -44,14 +44,6 @@ type EventRef struct {
 // Cancel.
 func (r EventRef) Scheduled() bool { return r.ev != nil && r.ev.gen == r.gen }
 
-// Time returns the event's scheduled time, or 0 when the ref is stale.
-func (r EventRef) Time() float64 {
-	if !r.Scheduled() {
-		return 0
-	}
-	return r.ev.time
-}
-
 // Cancel prevents the event from firing and removes it from the queue,
 // returning the record to the free list. Safe to call more than once,
 // on the zero ref, and after the event has fired — a stale ref's

@@ -269,18 +269,6 @@ func TestPoolReusesRecords(t *testing.T) {
 	}
 }
 
-func TestStaleTimeIsZero(t *testing.T) {
-	var e Engine
-	ev := e.Schedule(7, func() {})
-	if ev.Time() != e.Now()+7 {
-		t.Errorf("Time = %v, want 7", ev.Time())
-	}
-	ev.Cancel()
-	if ev.Time() != 0 {
-		t.Errorf("stale Time = %v, want 0", ev.Time())
-	}
-}
-
 // BenchmarkCancelChurn models netsim's backoff freeze/resume: every
 // iteration cancels a live event and schedules a replacement. With lazy
 // cancellation the heap would grow with dead entries; eager removal

@@ -102,9 +102,6 @@ func (m *CCKModulator) Modulate(bits []byte) []complex128 {
 	return out
 }
 
-// Reset restores the reference phase.
-func (m *CCKModulator) Reset() { m.phase = 0 }
-
 // CCKDemodulator decodes chips back to bits with a bank-correlation
 // receiver.
 type CCKDemodulator struct {
@@ -174,6 +171,3 @@ func (d *CCKDemodulator) Demodulate(chips []complex128) []byte {
 	}
 	return out
 }
-
-// Reset restores the reference differential phase.
-func (d *CCKDemodulator) Reset() { d.prevPhase = 0 }

@@ -4,8 +4,7 @@ package spread
 // plan) on a pseudo-random schedule; co-located networks use rotated
 // copies of a base permutation so they rarely collide. The paper treats
 // FHSS only as the 1997 alternative to DSSS, so this model captures the
-// scheduling and collision behaviour rather than the GFSK waveform
-// (see DESIGN.md substitution 5).
+// scheduling and collision behaviour rather than the GFSK waveform.
 
 // FHSSChannels is the number of hop channels in the North American plan.
 const FHSSChannels = 79
@@ -28,34 +27,6 @@ func basePermutation() []int {
 		out[i], out[j] = out[j], out[i]
 	}
 	return out
-}
-
-// HopPattern returns the first n hops of hopping-sequence set element
-// idx: the base permutation rotated by idx channels, repeated cyclically.
-func HopPattern(idx, n int) []int {
-	base := basePermutation()
-	out := make([]int, n)
-	for i := range out {
-		out[i] = (base[i%FHSSChannels] + idx) % FHSSChannels
-	}
-	return out
-}
-
-// CollisionFraction returns the fraction of hop slots in which two
-// pattern indices land on the same channel over one full cycle. Distinct
-// indices of the same rotated family never collide; identical indices
-// always do — which is why co-located networks are assigned different
-// sequence-set members.
-func CollisionFraction(idxA, idxB int) float64 {
-	a := HopPattern(idxA, FHSSChannels)
-	b := HopPattern(idxB, FHSSChannels)
-	hits := 0
-	for i := range a {
-		if a[i] == b[i] {
-			hits++
-		}
-	}
-	return float64(hits) / FHSSChannels
 }
 
 // hopSource abstracts the random draws CoexistenceThroughput needs, so

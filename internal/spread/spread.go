@@ -47,46 +47,3 @@ func Despread(chips []complex128) []complex128 {
 	}
 	return out
 }
-
-// RakeDespread is a RAKE receiver: it despreads at each multipath
-// finger delay (one correlator per channel tap), weights each finger by
-// the conjugate of its tap gain, and maximal-ratio combines. The Barker
-// sequence's off-peak autocorrelation of at most 1 keeps the fingers
-// nearly orthogonal, which is what made DSSS robust in multipath. taps
-// are the channel impulse response at chip spacing (finger k delayed k
-// chips).
-func RakeDespread(chips []complex128, taps []complex128) []complex128 {
-	n := len(chips) / len(Barker)
-	scale := 1 / math.Sqrt(float64(len(Barker)))
-	var gain float64
-	for _, g := range taps {
-		gain += real(g)*real(g) + imag(g)*imag(g)
-	}
-	if gain == 0 {
-		return make([]complex128, n)
-	}
-	out := make([]complex128, n)
-	for i := 0; i < n; i++ {
-		var combined complex128
-		for d, g := range taps {
-			if g == 0 {
-				continue
-			}
-			var s complex128
-			for j, c := range Barker {
-				idx := i*len(Barker) + j + d
-				if idx >= len(chips) {
-					break
-				}
-				s += chips[idx] * c
-			}
-			combined += complexConj(g) * s
-		}
-		out[i] = combined * complex(scale/gain, 0)
-	}
-	return out
-}
-
-func complexConj(z complex128) complex128 {
-	return complex(real(z), -imag(z))
-}

@@ -104,59 +104,6 @@ func TestDespreadSuppressesTone(t *testing.T) {
 	}
 }
 
-func TestRakeBeatsPlainDespreadInMultipath(t *testing.T) {
-	// A two-tap channel smears chips across symbol boundaries; the RAKE
-	// collects the echo energy that the single correlator wastes.
-	src := rng.New(40)
-	const nSyms = 4000
-	taps := []complex128{complex(0.8, 0), complex(0, 0.6)} // power 1
-	tdl := &channel.TDL{Taps: taps}
-	berPlain, berRake := 0, 0
-	d := modem.NewDifferential(modem.BPSK)
-	bits := src.Bits(nSyms)
-	chips := Spread(d.Modulate(bits))
-	rx := channel.AWGN(tdl.Apply(chips), 0.02, src)
-	plain := modem.NewDifferential(modem.BPSK).Demodulate(Despread(rx), 1)
-	rake := modem.NewDifferential(modem.BPSK).Demodulate(RakeDespread(rx, taps), 1)
-	for i := range bits {
-		if plain[i] != bits[i] {
-			berPlain++
-		}
-		if rake[i] != bits[i] {
-			berRake++
-		}
-	}
-	if berRake > berPlain {
-		t.Errorf("RAKE errors %d exceed plain despreading %d", berRake, berPlain)
-	}
-	if berRake > nSyms/100 {
-		t.Errorf("RAKE BER %v too high on a 2-tap channel", float64(berRake)/nSyms)
-	}
-}
-
-func TestRakeFlatChannelMatchesDespread(t *testing.T) {
-	// With a single unit tap the RAKE degenerates to the plain correlator.
-	src := rng.New(41)
-	d := modem.NewDifferential(modem.QPSK)
-	chips := Spread(d.Modulate(src.Bits(128)))
-	plain := Despread(chips)
-	rake := RakeDespread(chips, []complex128{1})
-	for i := range plain {
-		if cmplx.Abs(plain[i]-rake[i]) > 1e-12 {
-			t.Fatal("RAKE with one unit finger diverges from Despread")
-		}
-	}
-}
-
-func TestRakeZeroChannel(t *testing.T) {
-	out := RakeDespread(make([]complex128, 22), []complex128{0, 0})
-	for _, v := range out {
-		if v != 0 {
-			t.Fatal("zero channel must yield zero output")
-		}
-	}
-}
-
 func TestCCKRoundTripBothModes(t *testing.T) {
 	src := rng.New(4)
 	for _, mode := range []CCKMode{CCK55, CCK11} {
@@ -257,24 +204,18 @@ func TestCCKRejectsBadMode(t *testing.T) {
 }
 
 func TestHopPatternCoversAllChannels(t *testing.T) {
-	hops := HopPattern(0, FHSSChannels)
+	// The base permutation CoexistenceThroughput rotates must visit every
+	// channel once per cycle.
+	hops := basePermutation()
+	if len(hops) != FHSSChannels {
+		t.Fatalf("%d hops, want %d", len(hops), FHSSChannels)
+	}
 	seen := make([]bool, FHSSChannels)
 	for _, h := range hops {
 		if h < 0 || h >= FHSSChannels || seen[h] {
 			t.Fatalf("invalid hop %d", h)
 		}
 		seen[h] = true
-	}
-}
-
-func TestHopPatternsOrthogonal(t *testing.T) {
-	if got := CollisionFraction(0, 0); got != 1 {
-		t.Errorf("same index collision fraction = %v, want 1", got)
-	}
-	for idx := 1; idx < 5; idx++ {
-		if got := CollisionFraction(0, idx); got != 0 {
-			t.Errorf("rotated patterns %d collide %v of the time", idx, got)
-		}
 	}
 }
 
@@ -334,14 +275,5 @@ func TestCoexistenceEdgeCases(t *testing.T) {
 	solo := CoexistenceThroughput(1, 1000, src)
 	if solo[0] != 1 {
 		t.Errorf("single network success %v, want 1", solo[0])
-	}
-}
-
-func TestHopPatternCycles(t *testing.T) {
-	hops := HopPattern(3, 2*FHSSChannels)
-	for i := 0; i < FHSSChannels; i++ {
-		if hops[i] != hops[i+FHSSChannels] {
-			t.Fatal("hop pattern does not cycle")
-		}
 	}
 }
