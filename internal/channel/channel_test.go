@@ -273,3 +273,38 @@ func TestSNRDecreasesWithDistance(t *testing.T) {
 		t.Error("SNR must fall with distance")
 	}
 }
+
+// TestLossDBBits pins the path loss bit for bit, through the model and
+// through its precomputed curve, to values recorded before the
+// breakpoint term was hoisted out of the per-distance loss: below 1 m,
+// exactly at the breakpoint and one ulp either side of it, beyond it,
+// and at 10 km.
+func TestLossDBBits(t *testing.T) {
+	m24 := Model24GHz()
+	m52 := PathLossModel{FreqHz: 5.2e9, BreakpointM: 5, ExponentFar: 3.5}
+	for _, tc := range []struct {
+		m    PathLossModel
+		d    float64
+		bits uint64
+	}{
+		{m24, 0.25, 0x404406a833321282},
+		{m24, 10, 0x404e06a833321282},
+		{m24, math.Nextafter(10, 0), 0x404e06a833321280},
+		{m24, math.Nextafter(10, 11), 0x404e06a833321282},
+		{m24, 37.5, 0x4054092897148a79},
+		{m24, 1e4, 0x4064a1aa0ccc84a0},
+		{m52, 0.25, 0x40476248e9723974},
+		{m52, 5, 0x404e5fa5e4d94e64},
+		{m52, math.Nextafter(5, 0), 0x404e5fa5e4d94e64},
+		{m52, math.Nextafter(5, 6), 0x404e5fa5e4d94e64},
+		{m52, 37.5, 0x4056d7f613edf618},
+		{m52, 1e4, 0x40660910cb393a70},
+	} {
+		for _, got := range []float64{tc.m.LossDB(tc.d), tc.m.Curve().LossDB(tc.d)} {
+			if math.Float64bits(got) != tc.bits {
+				t.Errorf("%+v at %v m: loss %v (%#x), want %v (%#x)", tc.m, tc.d,
+					got, math.Float64bits(got), math.Float64frombits(tc.bits), tc.bits)
+			}
+		}
+	}
+}

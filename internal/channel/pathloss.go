@@ -27,14 +27,31 @@ func (m PathLossModel) freeSpaceDB(d float64) float64 {
 
 // LossDB returns the median path loss in dB at distance d (metres). For
 // d below 1 m the 1 m loss is returned, keeping link budgets finite.
-func (m PathLossModel) LossDB(d float64) float64 {
+func (m PathLossModel) LossDB(d float64) float64 { return m.Curve().LossDB(d) }
+
+// LossCurve is a PathLossModel with the breakpoint's free-space loss
+// computed once, for callers that evaluate the loss at many distances
+// (a gain matrix over every node pair).
+type LossCurve struct {
+	m      PathLossModel
+	bpLoss float64 // m.freeSpaceDB(m.BreakpointM)
+}
+
+// Curve returns the model with its breakpoint loss precomputed.
+func (m PathLossModel) Curve() LossCurve {
+	return LossCurve{m: m, bpLoss: m.freeSpaceDB(m.BreakpointM)}
+}
+
+// LossDB returns the model's median path loss in dB at distance d
+// (metres); see PathLossModel.LossDB.
+func (c LossCurve) LossDB(d float64) float64 {
 	if d < 1 {
 		d = 1
 	}
-	if d <= m.BreakpointM {
-		return m.freeSpaceDB(d)
+	if d <= c.m.BreakpointM {
+		return c.m.freeSpaceDB(d)
 	}
-	return m.freeSpaceDB(m.BreakpointM) + 10*m.ExponentFar*math.Log10(d/m.BreakpointM)
+	return c.bpLoss + 10*c.m.ExponentFar*math.Log10(d/c.m.BreakpointM)
 }
 
 // LinkBudget describes a transmitter-receiver pair.

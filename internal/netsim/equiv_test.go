@@ -121,6 +121,35 @@ func equivScenarios() []struct {
 			cfg.ObssPdThresholdDBm = -62
 			return poissonGrid(bondedHt(cfg))
 		}},
+		// A 1/6/11 floor whose flows join channels, merging their gain
+		// domains.
+		{"cross-channel-flows", 1.5e5, crossChannelFlows},
+	}
+}
+
+// crossChannelFlows is a 6-BSS 1/6/11 floor of saturated stations
+// (APs 25 m apart, channel 1 at the origin) plus two Poisson flows that
+// join channels. A new station on channel 11 is pinned to a channel-6
+// AP about 85 m away: its frames go out on channel 11 to a receiver on
+// channel 6 and never deliver, but the simulator reads the gains
+// between the two channels — the rate choice (well below the top rate
+// at that range) and every concurrent channel-11 sender's power at the
+// off-channel AP. A STA→STA relay runs from a new channel-1 station to
+// a channel-6 station; its second hop is sent by the destination's own
+// AP, so it reads no cross-channel gain, and the domain merge on it is
+// conservative.
+func crossChannelFlows(cfg Config) func(seed int64) *Network {
+	build := DenseGrid(cfg, 6, 3, []int{1, 6, 11}, 25, 1000)
+	return func(seed int64) *Network {
+		n := build(seed)
+		ch1, ch6, ch11 := n.bss[0], n.bss[4], n.bss[2]
+		relay := n.AddStation(ch1, "relay", ch1.AP.X+4, ch1.AP.Y+4)
+		n.Add(FlowSpec{From: relay, To: n.nodes[ch6.AP.id+1], AC: AC_BE,
+			Gen: Poisson{PayloadBytes: 500, PktPerSec: 200}})
+		pinned := n.AddStation(ch11, "pinned", 80, -40)
+		n.Add(FlowSpec{From: pinned, To: ch6.AP, AC: AC_BE,
+			Gen: Poisson{PayloadBytes: 500, PktPerSec: 200}})
+		return n
 	}
 }
 
@@ -325,5 +354,60 @@ func TestEagerTrackingEquivalence(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestGainDomainEquivalence pins the gain domains against the layout
+// they replace. Production stores one gain matrix per domain (channels,
+// merged where a flow crosses them); the oracle (Config.oneGainDomain)
+// stores one matrix over every node, as a mobile build does. A partition
+// that splits a pair the run reads would read another pair's gain (or
+// none), so the two must produce bit-identical Results on every
+// equivalence row and seed and every compat preset, sharded and bonded
+// included. The cross-channel-flows row fails when the partition
+// ignores flows (its pinned station reads gains across channels).
+func TestGainDomainEquivalence(t *testing.T) {
+	split := 0 // production builds with more than one domain
+	check := func(t *testing.T, label string, build func(one bool) *Network, durationUs float64, shards int) {
+		t.Helper()
+		var fp [2]string
+		for k, one := range []bool{false, true} {
+			n := build(one)
+			r := n.Run(durationUs)
+			if shards > 0 && r.Shards != shards {
+				t.Fatalf("%s ran %d shards, want %d", label, r.Shards, shards)
+			}
+			if !one && len(n.gainBounds) > 2 {
+				split++
+			}
+			fp[k] = fingerprint(r)
+		}
+		if fp[0] != fp[1] {
+			t.Errorf("%s: per-domain gains diverged from the one-domain oracle\n%s",
+				label, explainDivergence(func() *Network { return build(false) }, func() *Network { return build(true) }, durationUs))
+		}
+	}
+	for _, sc := range equivScenarios() {
+		t.Run(sc.name, func(t *testing.T) {
+			for seed := int64(1); seed <= equivSeeds; seed++ {
+				check(t, fmt.Sprintf("seed %d", seed), func(one bool) *Network {
+					cfg := DefaultConfig()
+					cfg.oneGainDomain = one
+					return sc.build(cfg)(seed)
+				}, sc.durationUs, 0)
+			}
+		})
+	}
+	for _, row := range compatScenarios() {
+		t.Run(row.name, func(t *testing.T) {
+			check(t, row.name, func(one bool) *Network {
+				n := row.build()
+				n.cfg.oneGainDomain = one
+				return n
+			}, row.durationUs, row.shards)
+		})
+	}
+	if split == 0 {
+		t.Fatal("no production build split into more than one gain domain")
 	}
 }

@@ -22,11 +22,17 @@ import (
 //   - on a static floor, each active frame's curIntfMw equals the sum
 //     the frames in F cross into it, recomputed from the gain matrix.
 //
+// At every frame start it also checks that the gains the frame reads
+// are stored (tx.gain[rx.gi] means nothing across gain domains): its
+// sender and receiver share a gain domain, and so does every other
+// sender on its medium, whose power crosses into its receiver.
+//
 // The probe tracks F itself: at EvTxStart the new frame is the last
 // entry of its sender's medium's active list, and at EvTxEnd the
 // finishing frame is the tracked one already marked done.
 type csInvariantProbe struct {
 	n      *Network
+	dom    []int // gain domain by node id, read once the network is built
 	live   []liveFrame
 	checks int
 	err    error
@@ -44,7 +50,9 @@ func (p *csInvariantProbe) OnEvent(ev Event) {
 	switch ev.Kind {
 	case EvTxStart:
 		m := p.n.nodes[ev.Node].med
-		p.live = append(p.live, liveFrame{m.active[len(m.active)-1], m})
+		lf := liveFrame{m.active[len(m.active)-1], m}
+		p.err = p.checkDomains(ev, lf)
+		p.live = append(p.live, lf)
 	case EvTxEnd:
 		p.err = p.check(ev)
 		for i, lf := range p.live {
@@ -54,6 +62,24 @@ func (p *csInvariantProbe) OnEvent(ev Event) {
 			}
 		}
 	}
+}
+
+func (p *csInvariantProbe) checkDomains(ev Event, a liveFrame) error {
+	if p.dom == nil {
+		p.dom = gainDomainOf(p.n)
+	}
+	tx, rx := a.tr.tx, a.tr.rx
+	if p.dom[tx.id] != p.dom[rx.id] {
+		return fmt.Errorf("t=%v: frame from node %d (gain domain %d) to node %d (gain domain %d)",
+			ev.TimeUs, tx.id, p.dom[tx.id], rx.id, p.dom[rx.id])
+	}
+	for _, b := range p.live {
+		if b.m == a.m && p.dom[b.tr.tx.id] != p.dom[tx.id] {
+			return fmt.Errorf("t=%v: frame from node %d (gain domain %d) shares a medium with one from node %d (gain domain %d)",
+				ev.TimeUs, tx.id, p.dom[tx.id], b.tr.tx.id, p.dom[b.tr.tx.id])
+		}
+	}
+	return nil
 }
 
 func (p *csInvariantProbe) check(ev Event) error {

@@ -310,9 +310,9 @@ const (
 // obssPdMw), so the test is a multiply and two compares. Small enough
 // to inline into the carrier-sense scan.
 func (n *Network) hears(tr *transmission, nd *Node) (v csVerdict, p float64) {
-	// Reading the gain matrix directly, not through rxPowerMw, keeps
-	// the function inside the inlining budget.
-	p = n.rxMw[tr.tx.id][nd.id] * tr.scaleMw
+	// Reading the gain row directly, not through rxPowerMw, keeps the
+	// function inside the inlining budget.
+	p = tr.tx.gain[nd.gi] * tr.scaleMw
 	if n.bonded {
 		// d is the frame's first slot relative to the listener's span:
 		// the spans share a slot iff -chW < d < 2, and the listener's
@@ -406,7 +406,7 @@ func (m *medium) start(tr *transmission) {
 	// Snapshot the crossed interference only when gains can actually
 	// change mid-frame (roamScan is the one thing that moves nodes);
 	// on a static floor finish recomputes the identical figure from the
-	// gain matrix, sparing two list appends per overlapping pair in the
+	// gain rows, sparing two list appends per overlapping pair in the
 	// densest part of the hot loop.
 	snap := m.net.cfg.RoamIntervalUs > 0
 	for _, a := range prev {

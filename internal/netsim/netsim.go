@@ -174,6 +174,13 @@ type Config struct {
 	// set.
 	eagerCarrierSense bool
 
+	// oneGainDomain builds the gain state as one domain over every node,
+	// the mobile layout, even on a static build: the oracle the
+	// per-channel gain domains (Network.gainMembers) must be
+	// bit-identical to. Like disableSpatialIndex it is a test oracle
+	// that only in-package tests set.
+	oneGainDomain bool
+
 	// Shards requests execution on up to this many parallel engines
 	// (shard.go): Prepare partitions the BSSs into causally independent
 	// interaction groups and runs whole groups per shard, each engine
@@ -369,6 +376,13 @@ type Node struct {
 	bss  *BSS
 	med  *medium
 
+	// gain is the node's row of its gain domain's received-power matrix
+	// (Network.gainMembers): gain[o.gi] is the power, in milliwatts, at
+	// node o when this node transmits, for every o in the same domain.
+	// gi is the node's index in its domain.
+	gain []float64
+	gi   int
+
 	// sh is the execution shard that owns this node's MAC state — its
 	// engine schedules every event the node fires, its rng.Source draws
 	// the node's randomness, and its counters take the node's
@@ -498,26 +512,45 @@ type Network struct {
 	edca   EdcaParams
 	edcaOn bool
 
-	// rxMw[i][j] is the received power, in milliwatts, at node j when
-	// node i transmits — the one gain matrix. Every per-frame decision
-	// reads it in linear units: the interference crossing in
+	// The gain state is split into gain domains: sets of nodes whose
+	// pairwise received powers a run can read. A static build makes one
+	// domain per channel (per bonded component, keyed by chanRoot) and
+	// merges the domains a flow connects, as the shard planner does: a
+	// station pinned to an AP on another channel sends to a receiver
+	// off its medium, so its rate choice and every concurrent sender's
+	// interference at that AP read gains between the channels (a
+	// STA→STA relay's second hop is sent by the destination's own AP
+	// and reads none; merging it too keeps the rule one line). Carrier
+	// sense, NAV decode and the interference crossing otherwise stay
+	// inside one medium, so no static run reads a gain between
+	// domains. A build with mobility (Config.RoamIntervalUs > 0) is one
+	// domain: the roam scan compares every AP at every station, and a
+	// roamer may change channel.
+	//
+	// gainMembers lists every node, domain by domain and in id order
+	// within a domain; domain d is gainMembers[gainBounds[d]:
+	// gainBounds[d+1]], and a node's index in it is Node.gi. Each node
+	// holds its own row (Node.gain), so every per-frame decision reads
+	// tx.gain[rx.gi] in linear units: the interference crossing in
 	// medium.start/finish sums powers for every concurrent pair, and
 	// carrier sense, the OBSS-PD window and NAV decode (hears, start)
 	// compare against thresholds New converts to mW once, so no frame
 	// pays a dB↔mW conversion. The dBm figure is a readback
 	// (rxPowerDBm) for the two callers off the frame path, the roam
-	// scan and the memoized rate choice. The matrix is capped row views
-	// into backing arrays of at most gainBlockBytes (newGainMatrix).
+	// scan and the memoized rate choice. The rows are capacity-capped
+	// views into backing arrays of at most gainBlockBytes (gainRows).
 	//
 	// shadowDB[i][j] is the symmetric per-pair shadowing draw baked into
-	// rxMw. Only refreshGains reads it after build, and only a move
-	// calls refreshGains, so it is kept only when Config.RoamIntervalUs
-	// is positive; a static build leaves it nil. shadowMin is the most
-	// negative draw (0 when there is none), the widening minShadowDB
-	// reports to the index and shard-planning radii.
-	rxMw      [][]float64
-	shadowDB  [][]float64
-	shadowMin float64
+	// the gains. Only refreshGains reads it after build, and only a
+	// move calls refreshGains, so it is kept only when
+	// Config.RoamIntervalUs is positive; a static build leaves it nil.
+	// shadowMin is the most negative draw over every pair, same-domain
+	// or not (0 when there is none), the widening minShadowDB reports
+	// to the index and shard-planning radii.
+	gainMembers []*Node
+	gainBounds  []int
+	shadowDB    [][]float64
+	shadowMin   float64
 
 	noiseFloorDBm float64
 	noiseFloorMw  float64
@@ -552,7 +585,7 @@ type Network struct {
 	// csMw is Config.CSThresholdDBm in milliwatts, and navMw the
 	// weakest power at which the most robust mode still decodes (noise
 	// floor plus its SNR requirement): the carrier-sense and NAV-decode
-	// thresholds the hot path compares rxMw against.
+	// thresholds the hot path compares the gain rows against.
 	csMw  float64
 	navMw float64
 
@@ -778,27 +811,36 @@ func dist(a, b *Node) float64 {
 	return math.Hypot(a.X-b.X, a.Y-b.Y)
 }
 
-// build computes the pairwise gain matrix, groups nodes into per-channel
-// media, and selects per-station uplink modes.
+// build lays out the gain domains and fills their received-power rows,
+// plans the shards, groups nodes into per-channel media, and selects
+// per-station uplink modes.
 func (n *Network) build() {
+	if n.bonded {
+		n.chanRoot = bondedComponents(n.bss)
+	}
+	domOf := n.gainDomains()
+	gainRows(n.gainBounds, func(r int, row []float64) { n.gainMembers[r].gain = row })
 	nn := len(n.nodes)
-	n.rxMw = newGainMatrix(nn)
 	mobile := n.cfg.RoamIntervalUs > 0
 	if mobile {
 		n.shadowDB = newGainMatrix(nn)
 	}
-	// One draw per unordered pair, row-major over the upper triangle.
-	// Each draw is parked in rxMw[i][j] until fillGains folds it into
-	// the received power; without shadowing every draw is 0, which the
-	// zeroed matrix already holds.
+	// One draw per unordered pair, row-major over the upper triangle,
+	// whether or not the pair shares a domain: the RNG stream and
+	// shadowMin do not depend on the domain layout. A same-domain draw
+	// is parked in the upper cell (ids ascend with gi inside a domain)
+	// until fillGains folds it into the received power; without
+	// shadowing every draw is 0, which the zeroed rows already hold.
 	if sd := n.cfg.PathLoss.ShadowDB; sd > 0 {
-		for i := 0; i < nn; i++ {
-			row := n.rxMw[i]
+		for i, a := range n.nodes {
+			da := domOf[a.bss.idx]
 			for j := i + 1; j < nn; j++ {
 				sh := n.src.Gaussian(0, sd)
-				row[j] = sh
 				if sh < n.shadowMin {
 					n.shadowMin = sh
+				}
+				if b := n.nodes[j]; domOf[b.bss.idx] == da {
+					a.gain[b.gi] = sh
 				}
 				if mobile {
 					n.shadowDB[i][j], n.shadowDB[j][i] = sh, sh
@@ -808,12 +850,9 @@ func (n *Network) build() {
 	}
 	n.fillGains()
 	// Index query radii depend on the shadowing draws just baked into
-	// the gain matrix: media size their grids from csRangeM, and the
-	// shard planner's interaction radius builds on both.
+	// the gains: media size their grids from csRangeM, and the shard
+	// planner's interaction radius builds on both.
 	n.csRangeM, n.navRangeM = n.indexRanges()
-	if n.bonded {
-		n.chanRoot = bondedComponents(n.bss)
-	}
 	n.planShards()
 	// One medium per distinct (shard, channel), in global
 	// first-appearance order — APs in BSS order, then stations — so the
@@ -834,6 +873,88 @@ func (n *Network) build() {
 	}
 	n.bssBytes = make([]int, len(n.bss))
 	n.built = true
+}
+
+// gainDomains partitions the nodes into gain domains (see
+// Network.gainMembers): union-find over BSS indices, merging BSSs on
+// one channel key (the channel, or its chanRoot when bonded) and BSSs a
+// flow connects, or one domain holding everything under mobility and
+// under the Config.oneGainDomain oracle. It sets gainMembers,
+// gainBounds and every Node.gi, and returns each BSS's domain index,
+// which build needs only while it draws the shadowing. Domains are
+// numbered in the order of their smallest BSS index. No maps, and four
+// slices however many domains there are (two under mobility): builds
+// are frequent in the experiments, and CI gates their allocs/op.
+func (n *Network) gainDomains() (domOf []int) {
+	nb, nn := len(n.bss), len(n.nodes)
+	domOf = make([]int, nb)
+	if n.cfg.RoamIntervalUs > 0 || n.cfg.oneGainDomain {
+		// n.nodes is final once built, and already in id order.
+		n.gainMembers = n.nodes
+		n.gainBounds = []int{0, nn}
+		for i, nd := range n.nodes {
+			nd.gi = i
+		}
+		return domOf
+	}
+	key := func(b *BSS) int {
+		if n.bonded {
+			return n.chanRoot[b.Channel]
+		}
+		return b.Channel
+	}
+	// Merge each BSS into the first BSS on its channel key: until the
+	// flows are merged below, every set's root is its key's first BSS.
+	uf := newUnionFind(make([]int, nb))
+	for i, b := range n.bss {
+		k := key(b)
+		for j := range i {
+			if uf[j] == j && key(n.bss[j]) == k {
+				uf.union(j, i)
+				break
+			}
+		}
+	}
+	for _, f := range n.flows {
+		if f.To != nil {
+			uf.union(f.From.bss.idx, f.To.bss.idx)
+		}
+	}
+	// Number the domains by root (a root is its set's smallest index,
+	// so it is numbered before its members).
+	domains := 0
+	for i := range n.bss {
+		if r := uf.find(i); r == i {
+			domOf[i] = domains
+			domains++
+		} else {
+			domOf[i] = domOf[r]
+		}
+	}
+	// Counting sort, nodes in id order: bounds[d+1] counts domain d's
+	// nodes, then holds its start and serves as its cursor, which leaves
+	// it at the domain's end.
+	bounds := make([]int, domains+1)
+	for _, nd := range n.nodes {
+		bounds[domOf[nd.bss.idx]+1]++
+	}
+	start := 0
+	for d := range domains {
+		bounds[d+1], start = start, start+bounds[d+1]
+	}
+	n.gainMembers = make([]*Node, nn)
+	for _, nd := range n.nodes {
+		d := domOf[nd.bss.idx]
+		n.gainMembers[bounds[d+1]] = nd
+		bounds[d+1]++
+	}
+	for d := range domains {
+		for r := bounds[d]; r < bounds[d+1]; r++ {
+			n.gainMembers[r].gi = r - bounds[d]
+		}
+	}
+	n.gainBounds = bounds
+	return domOf
 }
 
 // bondedComponents groups the deployment's primary channels into
@@ -869,56 +990,66 @@ func bondedComponents(bss []*BSS) map[int]int {
 	return root
 }
 
-// fillGains computes the initial received-power matrix: each unordered
-// pair exactly once (the per-node refreshGains would do every pair
-// twice), with rows striped across cores — the O(n²) transcendental
-// bill (path-loss log, dB→mW exponential) dominates setup on 1000+
-// node floors, and the per-pair math is pure, so the fan-out is
-// bit-for-bit deterministic. build has already parked each pair's
-// shadowing draw (in dB) in the upper cell rxMw[i][j], so no randomness
-// crosses a goroutine boundary. The fill overwrites that cell in place
-// with the received power in mW: row i's worker is the only one that
-// reads or writes row i's upper part, and the lower cells rxMw[j][i]
-// (j > i) it mirrors into are never read during the fill, so the
-// workers share no cell.
+// fillGains computes every domain's received powers: each unordered
+// same-domain pair exactly once (the per-node refreshGains would do
+// every pair twice), with the flat member rows striped across cores —
+// the O(k²) transcendental bill per domain (path-loss log, dB→mW
+// exponential) dominates setup on 1000+ node floors, and the per-pair
+// math is pure, so the fan-out is bit-for-bit deterministic. build has
+// already parked each pair's shadowing draw (in dB) in the upper cell
+// a.gain[b.gi] (a's id below b's), so no randomness crosses a goroutine
+// boundary. The fill overwrites that cell in place with the received
+// power in mW: row a's worker is the only one that reads or writes a's
+// upper part, and the lower cells b.gain[a.gi] it mirrors into are
+// never read during the fill, so the workers share no cell. Every cell
+// holds the bits a single n×n matrix would hold for the pair.
 func (n *Network) fillGains() {
-	nn := len(n.nodes)
-	b := n.cfg.Budget
-	fillRow := func(i int) {
-		nd := n.nodes[i]
-		for j := i + 1; j < nn; j++ {
-			loss := n.cfg.PathLoss.LossDB(dist(nd, n.nodes[j])) + n.rxMw[i][j]
-			p := b.TxPowerDBm + b.TxAntennaGain + b.RxAntennaGain - loss
-			mw := mwFromDBm(p)
-			n.rxMw[i][j], n.rxMw[j][i] = mw, mw
-		}
-	}
 	workers := runtime.GOMAXPROCS(0)
 	if workers > 8 {
 		workers = 8
 	}
-	if nn < 256 || workers < 2 {
-		for i := 0; i < nn; i++ {
-			fillRow(i)
-		}
+	if len(n.nodes) < 256 || workers < 2 {
+		n.fillStripe(0, 1)
 		return
 	}
+	// The goroutines capture step, not workers: workers is reassigned
+	// above, so capturing it would move it to the heap where it is
+	// declared, and the serial path must not allocate.
+	step := workers
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 0; w < step; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := w; i < nn; i += workers {
-				fillRow(i)
-			}
+			n.fillStripe(w, step)
 		}(w)
 	}
 	wg.Wait()
 }
 
-// refreshGains recomputes row and column i of the received-power matrix
-// whenever node i moves. It needs the shadowing matrix, which only a
-// build with mobility (Config.RoamIntervalUs > 0) keeps.
+// fillStripe is one fillGains worker: it fills the flat member rows
+// r ≡ w (mod step). Row r's domain starts gi places before it.
+func (n *Network) fillStripe(w, step int) {
+	b := n.cfg.Budget
+	curve := n.cfg.PathLoss.Curve()
+	for r := w; r < len(n.gainMembers); r += step {
+		a := n.gainMembers[r]
+		row, i := a.gain, a.gi
+		dom := n.gainMembers[r-i : r-i+len(row)]
+		for j := i + 1; j < len(dom); j++ {
+			o := dom[j]
+			loss := curve.LossDB(dist(a, o)) + row[j]
+			p := b.TxPowerDBm + b.TxAntennaGain + b.RxAntennaGain - loss
+			mw := mwFromDBm(p)
+			row[j], o.gain[i] = mw, mw
+		}
+	}
+}
+
+// refreshGains recomputes the moved node's row and column whenever it
+// moves. It needs the shadowing matrix, which only a build with
+// mobility (Config.RoamIntervalUs > 0) keeps; that build is one gain
+// domain, so every node's gi is its id.
 func (n *Network) refreshGains(nd *Node) {
 	if n.shadowDB == nil {
 		panic("netsim: refreshGains needs Config.RoamIntervalUs > 0 (a static build keeps no shadowing matrix to move a node with)")
@@ -927,59 +1058,89 @@ func (n *Network) refreshGains(nd *Node) {
 		clear(sh.modeCache)
 	}
 	b := n.cfg.Budget
+	curve := n.cfg.PathLoss.Curve()
 	for j, other := range n.nodes {
 		if other == nd {
 			continue
 		}
-		loss := n.cfg.PathLoss.LossDB(dist(nd, other)) + n.shadowDB[nd.id][j]
+		loss := curve.LossDB(dist(nd, other)) + n.shadowDB[nd.id][j]
 		p := b.TxPowerDBm + b.TxAntennaGain + b.RxAntennaGain - loss
 		mw := mwFromDBm(p)
-		n.rxMw[nd.id][j] = mw
-		n.rxMw[j][nd.id] = mw
+		nd.gain[other.gi] = mw
+		other.gain[nd.gi] = mw
 	}
 }
 
-// gainBlockBytes caps one backing array of a gain matrix.
+// gainBlockBytes caps one backing array of gain rows.
 const gainBlockBytes = 4 << 20
 
-// newGainMatrix allocates an nn×nn matrix as capacity-capped row views
-// into backing arrays of whole rows, each at most gainBlockBytes (one
-// array below about 720 nodes): a few allocations instead of nn, and no
-// per-row size-class rounding (allocated alone, a 4,100-node row of
-// 32,800 B is just over the largest small-object class and rounds up
-// to 40,960 B). The block cap matters when networks are built one after
-// another in a process: a single 134 MB array needs a contiguous free
-// run that the previous network's freed matrix no longer provides once
-// any small object lands inside it, and then the heap grows by a whole
-// matrix; 4 MB blocks refill the freed runs.
-func newGainMatrix(nn int) [][]float64 {
-	rows := make([][]float64, nn)
-	per := max(1, gainBlockBytes/(8*max(nn, 1)))
-	for lo := 0; lo < nn; lo += per {
-		hi := min(nn, lo+per)
-		back := make([]float64, (hi-lo)*nn)
-		for i := lo; i < hi; i++ {
-			rows[i] = back[(i-lo)*nn : (i-lo+1)*nn : (i-lo+1)*nn]
+// gainRows allocates the rows of the gain domains whose bounds are
+// given (domain d is flat rows [bounds[d], bounds[d+1]), k rows of k
+// cells for a domain of k) and hands each, zeroed, to set. The rows are
+// capacity-capped views laid end to end into backing arrays of whole
+// rows, each at most gainBlockBytes and shared across domains: a few
+// allocations instead of one per row, and no per-row size-class
+// rounding (allocated alone, a 4,100-cell row of 32,800 B is just over
+// the largest small-object class and rounds up to 40,960 B). The block
+// cap matters when networks are built one after another in a process:
+// a single 134 MB array needs a contiguous free run that the previous
+// network's freed rows no longer provide once any small object lands
+// inside it, and then the heap grows by a whole matrix; 4 MB blocks
+// refill the freed runs. One domain of nn is the nn×nn matrix in
+// blocks of gainBlockBytes/(8·nn) rows.
+func gainRows(bounds []int, set func(r int, row []float64)) {
+	const blockCells = gainBlockBytes / 8
+	var back []float64
+	for d := 0; d+1 < len(bounds); d++ {
+		k := bounds[d+1] - bounds[d]
+		for r := bounds[d]; r < bounds[d+1]; r++ {
+			if len(back) < k {
+				// Size the next block: whole rows from r on while they
+				// fit, and at least one.
+				cells, rr := 0, r
+				for dd := d; dd+1 < len(bounds); dd++ {
+					kk := bounds[dd+1] - bounds[dd]
+					for ; rr < bounds[dd+1] && (cells == 0 || cells+kk <= blockCells); rr++ {
+						cells += kk
+					}
+					if rr < bounds[dd+1] {
+						break
+					}
+				}
+				back = make([]float64, cells)
+			}
+			set(r, back[:k:k])
+			back = back[k:]
 		}
 	}
-	return rows
 }
 
-// gainBytes is the heap the gain state holds after build: per retained
-// matrix (rxMw, and shadowDB when kept), nn² float64s plus nn 24-byte
-// row headers.
+// newGainMatrix allocates an nn×nn matrix through gainRows, as one
+// domain: the mobile build's shadowing draws, indexed by node id.
+func newGainMatrix(nn int) [][]float64 {
+	m := make([][]float64, nn)
+	gainRows([]int{0, nn}, func(r int, row []float64) { m[r] = row })
+	return m
+}
+
+// gainBytes is the heap the gain state holds after build: per domain
+// of k nodes, k² float64s plus k 24-byte row headers, and the nn×nn
+// shadowing matrix with its row headers when a mobile build keeps it.
 func (n *Network) gainBytes() int64 {
 	var total int64
-	for _, m := range [][][]float64{n.rxMw, n.shadowDB} {
-		nn := int64(len(m))
+	for d := 0; d+1 < len(n.gainBounds); d++ {
+		k := int64(n.gainBounds[d+1] - n.gainBounds[d])
+		total += k*k*8 + k*24
+	}
+	if nn := int64(len(n.shadowDB)); nn > 0 {
 		total += nn*nn*8 + nn*24
 	}
 	return total
 }
 
 // rxPowerMw returns the received power, in milliwatts, at node rx when
-// tx transmits.
-func (n *Network) rxPowerMw(tx, rx *Node) float64 { return n.rxMw[tx.id][rx.id] }
+// tx transmits. The two must share a gain domain.
+func (n *Network) rxPowerMw(tx, rx *Node) float64 { return tx.gain[rx.gi] }
 
 // rxPowerDBm is the same figure in dBm, read back from the mW matrix
 // with a logarithm: for the roam scan and the memoized rate choice
@@ -1010,11 +1171,11 @@ func (n *Network) ampduAirUs(m linkmodel.Mode, totalBytes int) float64 {
 func (n *Network) rtsAirUs() float64 { return n.cfg.Dcf.PlcpUs + n.cfg.RtsUs }
 func (n *Network) ctsAirUs() float64 { return n.cfg.Dcf.PlcpUs + n.cfg.CtsUs }
 
-// Prepare freezes the topology (gain matrix, media, spatial index) and
+// Prepare freezes the topology (gain rows, media, spatial index) and
 // seeds the traffic processes without advancing virtual time. Run calls
 // it implicitly; calling it explicitly lets setup cost be separated
 // from event-loop cost — the scale benchmarks time the two phases
-// independently, since the O(n²) gain matrix dwarfs short runs on
+// independently, since the O(n²) gain fill dwarfs short runs on
 // 1000+ node floors. After Prepare, the only permitted call is Run.
 func (n *Network) Prepare() {
 	if n.prepared {
@@ -1404,8 +1565,9 @@ type Result struct {
 	Plan       ShardPlan
 
 	// GainBytes is the heap held by the pairwise gain state after
-	// build: 2·n² float64s for the received-power matrices, plus n²
-	// more for the shadowing matrix when mobility keeps it.
+	// build: for each gain domain of k nodes, k² float64 received
+	// powers plus k 24-byte row headers (k²·8 + k·24 bytes), plus
+	// n²·8 + n·24 for the shadowing matrix when mobility keeps it.
 	GainBytes int64
 
 	// FramePools holds each shard's frame-record pool counters, indexed

@@ -15,7 +15,7 @@ import (
 // rng.Source stream, its own media, and its own run counters. While
 // sim.RunAll drives the engines, a shard's goroutine may touch only
 // state owned by that shard plus the Network's frozen build products
-// (config, gain matrices, node positions); everything mutable in the
+// (config, gain rows, node positions); everything mutable in the
 // MAC hot path hangs off the shard a node belongs to.
 //
 // Partitioning is by interaction group, not by raw grid cell: two BSSs
@@ -252,8 +252,8 @@ func (n *Network) interactRangeM() float64 {
 	return r
 }
 
-// minShadowDB is the most favorable (most negative) shadowing draw in
-// the deployment, or 0 without shadowing — the widening both the
+// minShadowDB is the most favorable (most negative) shadowing draw over
+// every node pair, or 0 without shadowing — the widening both the
 // spatial-index radii and the shard-planning radius apply to stay
 // conservative per pair. build tracks it while drawing, so no matrix
 // scan is needed and a static build keeps no shadowing matrix at all.
@@ -261,7 +261,8 @@ func (n *Network) minShadowDB() float64 { return n.shadowMin }
 
 // interactionGroups partitions the BSS set into groups that cannot
 // influence each other: union-find over BSS indices, merging on (a) any
-// same-channel node pair within interactRangeM — carrier sense, NAV
+// same-channel node pair within interactRangeM (a coupled pair under
+// bonding; either way one inside a gain domain) — carrier sense, NAV
 // adoption, and SINR-relevant interference are all confined to a
 // channel — and (b) any flow connecting two BSSs (relay and downlink
 // traffic must stay on one engine, so closed-loop transport feedback
@@ -271,40 +272,23 @@ func (n *Network) minShadowDB() float64 { return n.shadowMin }
 // smallest member, so the partition is a pure function of the
 // topology.
 func (n *Network) interactionGroups() (out [][]int, flowMerges int) {
-	parent := make([]int, len(n.bss))
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	union := func(a, b int) {
-		ra, rb := find(a), find(b)
-		if ra == rb {
-			return
-		}
-		if rb < ra {
-			ra, rb = rb, ra
-		}
-		parent[rb] = ra
-	}
+	uf := newUnionFind(make([]int, len(n.bss)))
+	// Spectrally coupled channels always share a gain domain, so only
+	// same-domain pairs can couple: walk each domain's member list.
 	r := n.interactRangeM()
-	for i, a := range n.nodes {
-		for j := i + 1; j < len(n.nodes); j++ {
-			b := n.nodes[j]
-			if a.bss == b.bss || !n.channelsCouple(a.bss.Channel, b.bss.Channel) {
-				continue
-			}
-			if find(a.bss.idx) == find(b.bss.idx) {
-				continue
-			}
-			if dist(a, b) <= r {
-				union(a.bss.idx, b.bss.idx)
+	for d := 0; d+1 < len(n.gainBounds); d++ {
+		dom := n.gainMembers[n.gainBounds[d]:n.gainBounds[d+1]]
+		for i, a := range dom {
+			for _, b := range dom[i+1:] {
+				if a.bss == b.bss || !n.channelsCouple(a.bss.Channel, b.bss.Channel) {
+					continue
+				}
+				if uf.find(a.bss.idx) == uf.find(b.bss.idx) {
+					continue
+				}
+				if dist(a, b) <= r {
+					uf.union(a.bss.idx, b.bss.idx)
+				}
 			}
 		}
 	}
@@ -313,15 +297,15 @@ func (n *Network) interactionGroups() (out [][]int, flowMerges int) {
 		if f.To != nil {
 			to = f.To.bss
 		}
-		if find(f.From.bss.idx) != find(to.idx) {
+		if uf.find(f.From.bss.idx) != uf.find(to.idx) {
 			flowMerges++
 		}
-		union(f.From.bss.idx, to.idx)
+		uf.union(f.From.bss.idx, to.idx)
 	}
 	groups := make(map[int][]int)
 	roots := make([]int, 0)
 	for i := range n.bss {
-		rt := find(i)
+		rt := uf.find(i)
 		if len(groups[rt]) == 0 {
 			roots = append(roots, rt)
 		}
@@ -333,6 +317,35 @@ func (n *Network) interactionGroups() (out [][]int, flowMerges int) {
 		out = append(out, groups[rt])
 	}
 	return out, flowMerges
+}
+
+// unionFind is a disjoint-set forest over 0..len-1 in which every set's
+// root is its smallest member, so a partition read off it does not
+// depend on the order of the unions.
+type unionFind []int
+
+// newUnionFind makes every element of parent its own set.
+func newUnionFind(parent []int) unionFind {
+	for i := range parent {
+		parent[i] = i
+	}
+	return parent
+}
+
+func (u unionFind) find(x int) int {
+	for u[x] != x {
+		u[x] = u[u[x]]
+		x = u[x]
+	}
+	return x
+}
+
+func (u unionFind) union(a, b int) {
+	ra, rb := u.find(a), u.find(b)
+	if rb < ra {
+		ra, rb = rb, ra
+	}
+	u[rb] = ra
 }
 
 // balanceGroups assigns whole interaction groups to k shards, heaviest
@@ -368,7 +381,7 @@ func balanceGroups(groups [][]int, bssNodes []int, k int) []int {
 }
 
 // planShards decides the partition and creates the shards, assigning
-// every node to one. Called from build after the gain matrix and index
+// every node to one. Called from build after the gains and index
 // ranges are final (the planning radius depends on the shadowing
 // draws) and before media are created. The single-shard path — whether
 // requested or fallen back to — hands shard 0 the Network's own

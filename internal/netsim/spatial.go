@@ -244,7 +244,7 @@ func (g *spatialGrid) query(x, y, radiusM float64, out []*Node) []*Node {
 //     reaches, which extends below the energy-detect threshold.
 //
 // Both radii widen by the most favorable (most negative) shadowing draw
-// in the gain matrix, so per-pair shadowing can never push a sensing
+// over every node pair, so per-pair shadowing can never push a sensing
 // node outside the queried cells. Ranges are clamped to [1 m, 1e7 m]; a
 // threshold so low that the cap binds just degenerates the grid toward
 // one floor-sized cell, i.e. the brute-force scan.
