@@ -539,7 +539,8 @@ func main() {
 		}
 		if o.shardStats {
 			gb := results[0].GainBytes
-			fmt.Fprintf(os.Stderr, "gain state: %d bytes (%.1f MB)\n", gb, float64(gb)/1e6)
+			fmt.Fprintf(os.Stderr, "gain state: %d bytes (%.1f MB), %d pairs refreshed by roam ticks\n",
+				gb, float64(gb)/1e6, results[0].GainRefreshPairs)
 		}
 	}
 	if o.shardStats {

@@ -11,9 +11,57 @@ import (
 	"sort"
 )
 
-// DBToLinear converts a power ratio expressed in decibels to a linear ratio.
+// DBToLinear converts a power ratio expressed in decibels to a linear
+// ratio. It returns math.Pow(10, db/10) bit for bit, in a little over
+// half the time (pow10).
 func DBToLinear(db float64) float64 {
-	return math.Pow(10, db/10)
+	return pow10(db / 10)
+}
+
+// ln10 is math.Log(10) as math.Pow(10, y) computes it on every call.
+// It is evaluated at run time, not folded from math.Ln10, so it holds
+// the same bits.
+var ln10 = math.Log(10)
+
+// pow10 is math.Pow(10, y), step for step, with the work that depends
+// only on the base done once: Log(10) is ln10, and Frexp(10) is
+// 0.625·2⁴. Every input math.Pow special-cases goes to math.Pow: y of
+// 0 or 1, ±1/2 (its Sqrt path), NaN and ±Inf, and |y| ≥ 300, where the
+// result leaves the normal range. Below 300 the integer part has at
+// most 9 bits, so the exponent never nears the ±4096 that math.Pow's
+// squaring loop guards against, and the guard is left out.
+func pow10(y float64) float64 {
+	if !(math.Abs(y) < 300) || y == 0 || y == 1 || y == 0.5 || y == -0.5 {
+		return math.Pow(10, y)
+	}
+	// ans = a1·2^ae: 10^yf, then 10^yi by repeated squaring.
+	yi, yf := math.Modf(math.Abs(y))
+	a1, ae := 1.0, 0
+	if yf != 0 {
+		if yf > 0.5 {
+			yf--
+			yi++
+		}
+		a1 = math.Exp(yf * ln10)
+	}
+	x1, xe := 0.625, 4
+	for i := int64(yi); i != 0; i >>= 1 {
+		if i&1 == 1 {
+			a1 *= x1
+			ae += xe
+		}
+		x1 *= x1
+		xe <<= 1
+		if x1 < .5 {
+			x1 += x1
+			xe--
+		}
+	}
+	if y < 0 {
+		a1 = 1 / a1
+		ae = -ae
+	}
+	return math.Ldexp(a1, ae)
 }
 
 // LinearToDB converts a linear power ratio to decibels. A non-positive

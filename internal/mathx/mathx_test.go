@@ -2,6 +2,7 @@ package mathx
 
 import (
 	"math"
+	"math/rand/v2"
 	"testing"
 )
 
@@ -80,3 +81,54 @@ func TestMinMaxPercentile(t *testing.T) {
 		t.Errorf("P50 = %v, want 2.5", got)
 	}
 }
+
+// TestDBToLinearBits holds DBToLinear to math.Pow(10, db/10) bit for
+// bit: every input math.Pow special-cases, subnormal and overflowing
+// results, the 0.1 dB grid, and 10M seeded draws over [−200, 50] dB.
+// The gain matrices store its results, so a single differing bit would
+// change simulated outcomes.
+func TestDBToLinearBits(t *testing.T) {
+	check := func(db float64) {
+		want := math.Pow(10, db/10)
+		if got := DBToLinear(db); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("DBToLinear(%v) = %v (%#x), math.Pow gives %v (%#x)",
+				db, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+	for _, db := range []float64{
+		0, math.Copysign(0, -1), 5, -5, 10, -10, 2.5, -2.5,
+		math.NaN(), math.Inf(1), math.Inf(-1), 3000, -3000,
+		2990, -2990, 3083, 3090, -3070, -3200, -3240, -3300,
+		2999.999999, -2999.999999, math.Nextafter(3000, 0), math.Nextafter(-3000, 0),
+		1e-300, -1e-300, 4.9999999999, 5.0000000001, math.MaxFloat64, -math.MaxFloat64,
+	} {
+		check(db)
+	}
+	// Subnormal results: 10^y for y in (−324, −308).
+	for db := -3240.0; db <= -3070; db += 0.37 {
+		check(db)
+	}
+	for k := -3000; k <= 3000; k++ {
+		check(float64(k) / 10)
+	}
+	r := rand.New(rand.NewPCG(1, 2))
+	for range 10_000_000 {
+		check(-200 + 250*r.Float64())
+	}
+}
+
+func BenchmarkDBToLinear(b *testing.B) {
+	r := rand.New(rand.NewPCG(1, 2))
+	xs := make([]float64, 1024)
+	for i := range xs {
+		xs[i] = -200 + 250*r.Float64()
+	}
+	var sink float64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sink += DBToLinear(xs[i&1023])
+	}
+	benchSink = sink
+}
+
+var benchSink float64

@@ -346,7 +346,7 @@ func TestScenarioAndConfigGuards(t *testing.T) {
 				b := n.AddAP("AP", 0, 0, 1)
 				st := n.AddStation(b, "sta", 5, 0)
 				n.build()
-				n.refreshGains(st)
+				n.refreshGains([]*Node{st})
 			}},
 	}
 	for _, tc := range cases {

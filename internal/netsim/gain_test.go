@@ -3,6 +3,7 @@ package netsim
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -16,11 +17,13 @@ import (
 // pair, and drops the shadowing matrix; a build with mobility is one
 // domain and keeps the full matrix. Every gain the static build stores
 // must equal the mobile build's bit for bit, the scalar must equal a
-// full scan of the retained draws, and re-deriving every row from the
-// retained draws (refreshGains on unmoved nodes) must change nothing.
-// The 320-node case is above fillGains' 256-node cutover, so under
-// -race it checks that the striped workers' in-place read of the parked
-// draw never races another worker's lower-triangle writes.
+// full scan of the retained draws, and re-deriving every pair from the
+// retained draws (refreshGains with every node listed as moved, none
+// having moved) must change nothing. The 320-node case is above
+// fillGains' and refreshGains' 256-node cutover, so under -race it
+// checks that the striped fill workers' in-place read of the parked
+// draw never races another worker's lower-triangle writes, and that
+// the striped refresh workers share no cell.
 func TestGainStateOracle(t *testing.T) {
 	shadowed := DefaultConfig()
 	shadowed.PathLoss.ShadowDB = 6
@@ -103,9 +106,7 @@ func TestGainStateOracle(t *testing.T) {
 			}
 
 			want2 := gainMatrix(mobile)
-			for _, nd := range mobile.nodes {
-				mobile.refreshGains(nd)
-			}
+			mobile.refreshGains(mobile.nodes)
 			assertBitIdentical(t, "refreshed gains", want2, gainMatrix(mobile))
 		})
 	}
@@ -453,6 +454,146 @@ func mismatchedRules(n *Network, shadow [][]float64) string {
 			if got, want := scan(rb, c), scan(p, c); got != want {
 				return fmt.Sprintf("station %d on AP %d: the roam scan picks AP %d on the readback, AP %d on p",
 					nd.id, aps[c], aps[got], aps[want])
+			}
+		}
+	}
+	return ""
+}
+
+// TestMobileRefreshMatchesRecompute pins the roam tick's gain refresh,
+// which moves every node first and then recomputes each pair with a
+// moved node once, against a recompute of every cell from the final
+// positions and the shadowing draws. It runs every mobile equivalence
+// row on every seed, and a 272-node floor of walkers above
+// refreshGains' 256-node cutover, whose striped workers the race
+// detector then covers. Each run also holds Result.GainRefreshPairs to
+// its closed form, Σ m·(n−m) + m(m−1)/2 over the ticks, where an
+// observer between ticks counts the m nodes whose position changed.
+func TestMobileRefreshMatchesRecompute(t *testing.T) {
+	type row struct {
+		name       string
+		durationUs float64
+		build      func(seed int64) *Network
+	}
+	var rows []row
+	for _, sc := range equivScenarios() {
+		if !strings.HasPrefix(sc.name, "roaming-") {
+			continue
+		}
+		for seed := int64(1); seed <= equivSeeds; seed++ {
+			rows = append(rows, row{fmt.Sprintf("%s/seed%d", sc.name, seed), sc.durationUs,
+				func(int64) *Network { return sc.build(DefaultConfig())(seed) }})
+		}
+	}
+	if len(rows) != 2*equivSeeds {
+		t.Fatalf("%d mobile equivalence runs, want the two roaming rows × %d seeds", len(rows), equivSeeds)
+	}
+	rows = append(rows, row{"walker-floor-272", 1e6, walkerFloor})
+	for _, r := range rows {
+		n := r.build(1)
+		if r.name == "walker-floor-272" && len(n.nodes) < 256 {
+			t.Fatalf("%s has %d nodes, below the striped refresh's cutover", r.name, len(n.nodes))
+		}
+		res, want, ticks := runCountingMovers(n, r.durationUs)
+		t.Logf("%s: %d ticks moved nodes, %d pairs refreshed, %d roams", r.name, ticks, want, res.Roams)
+		if ticks == 0 {
+			t.Fatalf("%s: no roam tick moved a node", r.name)
+		}
+		if res.GainRefreshPairs != want {
+			t.Errorf("%s: GainRefreshPairs = %d, the closed form over the observed movers gives %d",
+				r.name, res.GainRefreshPairs, want)
+		}
+		if d := staleGain(n); d != "" {
+			t.Errorf("%s: %s", r.name, d)
+		}
+	}
+	if got := SingleLink(DefaultConfig(), 10, 500)(1).Run(1e5).GainRefreshPairs; got != 0 {
+		t.Fatalf("a static run reports %d refreshed pairs, want 0", got)
+	}
+	// Below the 256-node cutover the refresh runs on the calling
+	// goroutine and allocates nothing.
+	n := rows[2*equivSeeds-1].build(1)
+	n.build()
+	if a := testing.AllocsPerRun(5, func() { n.refreshGains(n.nodes) }); a != 0 {
+		t.Fatalf("refreshGains on %d nodes made %v allocations, want 0", len(n.nodes), a)
+	}
+}
+
+// walkerFloor is 16 APs 30 m apart in a 4×4 grid on 1/6/11, each with
+// 16 stations on random-waypoint walks over a 20 m square around it at
+// 20–40 m/s with 250 ms pauses, so a tick's mover count varies. One
+// light Poisson uplink per BSS keeps the run cheap.
+func walkerFloor(seed int64) *Network {
+	cfg := DefaultConfig()
+	cfg.PathLoss.ShadowDB = 4
+	cfg.RoamIntervalUs = 100000
+	n := New(cfg, seed)
+	chans := []int{1, 6, 11}
+	for i := range 16 {
+		x, y := float64(30*(i%4)), float64(30*(i/4))
+		b := n.AddAP(fmt.Sprintf("AP%d", i), x, y, chans[i%3])
+		walk := RandomWaypoint{MinX: x - 10, MaxX: x + 10, MinY: y - 10, MaxY: y + 10,
+			SpeedMinMps: 20, SpeedMaxMps: 40, PauseUs: 250000}
+		for s := range 16 {
+			st := n.AddStation(b, fmt.Sprintf("sta%d.%d", i, s), x+5, y)
+			n.SetRandomWaypoint(st, walk)
+			if s == 0 {
+				n.Add(FlowSpec{From: st, AC: AC_BE, Gen: Poisson{PayloadBytes: 500, PktPerSec: 50}})
+			}
+		}
+	}
+	return n
+}
+
+// runCountingMovers runs n for durationUs with an observer half a roam
+// interval off the ticks, which counts the nodes each tick moved. It
+// returns the result, the closed-form pair count over those ticks and
+// the number of ticks that moved a node.
+func runCountingMovers(n *Network, durationUs float64) (res Result, pairs, ticks int) {
+	n.Prepare()
+	nn := len(n.nodes)
+	pos := make([][2]float64, nn)
+	snap := func() {
+		m := 0
+		for i, nd := range n.nodes {
+			if p := [2]float64{nd.X, nd.Y}; p != pos[i] {
+				pos[i] = p
+				m++
+			}
+		}
+		if m > 0 {
+			pairs += m*(nn-m) + m*(m-1)/2
+			ticks++
+		}
+	}
+	snap()
+	pairs, ticks = 0, 0
+	eng := &n.shards[0].eng
+	var observe func()
+	observe = func() {
+		snap()
+		eng.Schedule(n.cfg.RoamIntervalUs, observe)
+	}
+	eng.Schedule(n.cfg.RoamIntervalUs/2, observe)
+	res = n.Run(durationUs)
+	snap()
+	return res, pairs, ticks
+}
+
+// staleGain recomputes every cell of a mobile network's gain rows from
+// the nodes' current positions and the shadowing draws, and describes
+// the first cell that differs in any bit ("" when none).
+func staleGain(n *Network) string {
+	b := n.cfg.Budget
+	for i, a := range n.nodes {
+		for j, o := range n.nodes {
+			if i == j {
+				continue
+			}
+			loss := n.cfg.PathLoss.LossDB(dist(a, o)) + n.shadowDB[i][j]
+			want := mwFromDBm(b.TxPowerDBm + b.TxAntennaGain + b.RxAntennaGain - loss)
+			if got := a.gain[o.gi]; math.Float64bits(got) != math.Float64bits(want) {
+				return fmt.Sprintf("gain %d→%d holds %v, the final positions give %v", i, j, got, want)
 			}
 		}
 	}

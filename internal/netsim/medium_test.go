@@ -36,7 +36,7 @@ func TestFinishUnwindsSnapshotAfterMidFrameMove(t *testing.T) {
 	// matrix refreshes, so a finish-time recomputation would subtract a
 	// much smaller figure than was added.
 	s1.X = 2000
-	n.refreshGains(s1)
+	n.refreshGains([]*Node{s1})
 	if m.grid != nil {
 		m.grid.update(s1)
 	}

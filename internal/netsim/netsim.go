@@ -552,6 +552,13 @@ type Network struct {
 	shadowDB    [][]float64
 	shadowMin   float64
 
+	// movers is the roam scan's reused list of the nodes a tick moved,
+	// in id order (allocated at build, with capacity for every node,
+	// when the build has mobility). gainRefreshPairs counts the pairs
+	// refreshGains has recomputed (Result.GainRefreshPairs).
+	movers           []*Node
+	gainRefreshPairs int
+
 	noiseFloorDBm float64
 	noiseFloorMw  float64
 	built         bool
@@ -824,6 +831,7 @@ func (n *Network) build() {
 	mobile := n.cfg.RoamIntervalUs > 0
 	if mobile {
 		n.shadowDB = newGainMatrix(nn)
+		n.movers = make([]*Node, 0, nn)
 	}
 	// One draw per unordered pair, row-major over the upper triangle,
 	// whether or not the pair shares a domain: the RNG stream and
@@ -991,84 +999,150 @@ func bondedComponents(bss []*BSS) map[int]int {
 }
 
 // fillGains computes every domain's received powers: each unordered
-// same-domain pair exactly once (the per-node refreshGains would do
-// every pair twice), with the flat member rows striped across cores —
-// the O(k²) transcendental bill per domain (path-loss log, dB→mW
-// exponential) dominates setup on 1000+ node floors, and the per-pair
-// math is pure, so the fan-out is bit-for-bit deterministic. build has
-// already parked each pair's shadowing draw (in dB) in the upper cell
-// a.gain[b.gi] (a's id below b's), so no randomness crosses a goroutine
-// boundary. The fill overwrites that cell in place with the received
-// power in mW: row a's worker is the only one that reads or writes a's
-// upper part, and the lower cells b.gain[a.gi] it mirrors into are
-// never read during the fill, so the workers share no cell. Every cell
-// holds the bits a single n×n matrix would hold for the pair.
+// same-domain pair exactly once, with the flat member rows striped
+// across cores — the O(k²) transcendental bill per domain (path-loss
+// log, dB→mW exponential) dominates setup on 1000+ node floors, and
+// the per-pair math is pure, so the fan-out is bit-for-bit
+// deterministic. build has already parked each pair's shadowing draw
+// (in dB) in the upper cell a.gain[b.gi] (a's id below b's), so no
+// randomness crosses a goroutine boundary. The fill overwrites that
+// cell in place with the received power in mW: row a's worker is the
+// only one that reads or writes a's upper part, and the lower cells
+// b.gain[a.gi] it mirrors into are never read during the fill, so the
+// workers share no cell. Every cell holds the bits a single n×n matrix
+// would hold for the pair.
 func (n *Network) fillGains() {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > 8 {
-		workers = 8
-	}
-	if len(n.nodes) < 256 || workers < 2 {
+	step := n.stripeWorkers(len(n.gainMembers))
+	if step < 2 {
 		n.fillStripe(0, 1)
 		return
 	}
-	// The goroutines capture step, not workers: workers is reassigned
-	// above, so capturing it would move it to the heap where it is
-	// declared, and the serial path must not allocate.
-	step := workers
 	var wg sync.WaitGroup
-	for w := 0; w < step; w++ {
+	for w := range step {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			n.fillStripe(w, step)
-		}(w)
+		}()
 	}
 	wg.Wait()
+}
+
+// stripeWorkers is how many goroutines a gain pass striped over parts
+// (fillGains' member rows, refreshGains' movers) runs on: one per core,
+// at most 8 and at most one per part, or 1 below 256 nodes, where the
+// pass is too small to pay for the fan-out. A pass run on one worker
+// allocates nothing.
+func (n *Network) stripeWorkers(parts int) int {
+	if len(n.nodes) < 256 {
+		return 1
+	}
+	return min(runtime.GOMAXPROCS(0), 8, parts)
 }
 
 // fillStripe is one fillGains worker: it fills the flat member rows
 // r ≡ w (mod step). Row r's domain starts gi places before it.
 func (n *Network) fillStripe(w, step int) {
-	b := n.cfg.Budget
-	curve := n.cfg.PathLoss.Curve()
+	pg := n.newPairGain()
 	for r := w; r < len(n.gainMembers); r += step {
 		a := n.gainMembers[r]
 		row, i := a.gain, a.gi
 		dom := n.gainMembers[r-i : r-i+len(row)]
 		for j := i + 1; j < len(dom); j++ {
 			o := dom[j]
-			loss := curve.LossDB(dist(a, o)) + row[j]
-			p := b.TxPowerDBm + b.TxAntennaGain + b.RxAntennaGain - loss
-			mw := mwFromDBm(p)
+			mw := pg.mw(a, o, row[j])
 			row[j], o.gain[i] = mw, mw
 		}
 	}
 }
 
-// refreshGains recomputes the moved node's row and column whenever it
-// moves. It needs the shadowing matrix, which only a build with
-// mobility (Config.RoamIntervalUs > 0) keeps; that build is one gain
-// domain, so every node's gi is its id.
-func (n *Network) refreshGains(nd *Node) {
+// pairGain computes one pair's received power: the one formula
+// fillStripe and refreshStripe share, so a cell holds the same bits
+// whichever wrote it. budgetDBm is TxPowerDBm + TxAntennaGain +
+// RxAntennaGain, summed in that order.
+type pairGain struct {
+	curve     channel.LossCurve
+	budgetDBm float64
+}
+
+func (n *Network) newPairGain() pairGain {
+	b := n.cfg.Budget
+	return pairGain{n.cfg.PathLoss.Curve(), b.TxPowerDBm + b.TxAntennaGain + b.RxAntennaGain}
+}
+
+// mw is the received power in mW between a and o, given the pair's
+// shadowing draw in dB. Distance and path loss are symmetric, so the
+// order of a and o does not matter.
+func (g *pairGain) mw(a, o *Node, shadowDB float64) float64 {
+	loss := g.curve.LossDB(dist(a, o)) + shadowDB
+	return mwFromDBm(g.budgetDBm - loss)
+}
+
+// refreshGains recomputes the gains a roam tick's moves changed: every
+// unordered pair with at least one node in movers, exactly once. It
+// runs after the tick has moved every node, so each pair is computed
+// at its final positions; movers must be in id order. It needs the
+// shadowing matrix, which only a build with mobility
+// (Config.RoamIntervalUs > 0) keeps; that build is one gain domain, so
+// every node's gi is its id. A pair belongs to its lower-id mover, and
+// the movers are striped across cores like fillGains' rows: a worker
+// writes only the cells of the pairs its movers own, so no two workers
+// share a cell, and the per-pair math is pure, so the fan-out is
+// bit-for-bit deterministic.
+func (n *Network) refreshGains(movers []*Node) {
 	if n.shadowDB == nil {
 		panic("netsim: refreshGains needs Config.RoamIntervalUs > 0 (a static build keeps no shadowing matrix to move a node with)")
+	}
+	if len(movers) == 0 {
+		return
 	}
 	for _, sh := range n.shards {
 		clear(sh.modeCache)
 	}
-	b := n.cfg.Budget
-	curve := n.cfg.PathLoss.Curve()
-	for j, other := range n.nodes {
-		if other == nd {
-			continue
-		}
-		loss := curve.LossDB(dist(nd, other)) + n.shadowDB[nd.id][j]
-		p := b.TxPowerDBm + b.TxAntennaGain + b.RxAntennaGain - loss
-		mw := mwFromDBm(p)
-		nd.gain[other.gi] = mw
-		other.gain[nd.gi] = mw
+	step := n.stripeWorkers(len(movers))
+	if step < 2 {
+		n.gainRefreshPairs += n.refreshStripe(movers, 0, 1)
+		return
 	}
+	var pairs [8]int
+	var wg sync.WaitGroup
+	for w := range step {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			pairs[w] = n.refreshStripe(movers, w, step)
+		}()
+	}
+	wg.Wait()
+	for _, p := range pairs {
+		n.gainRefreshPairs += p
+	}
+}
+
+// refreshStripe is one refreshGains worker: it recomputes the pairs
+// owned by movers k ≡ w (mod step) and returns how many it computed.
+func (n *Network) refreshStripe(movers []*Node, w, step int) (pairs int) {
+	pg := n.newPairGain()
+	for k := w; k < len(movers); k += step {
+		a := movers[k]
+		shadow := n.shadowDB[a.id]
+		// movers[:k] are the movers below a in id order: each owns its
+		// pair with a, and the walk over n.nodes meets them in order.
+		lower := movers[:k]
+		for j, o := range n.nodes {
+			if o == a {
+				continue
+			}
+			if len(lower) > 0 && lower[0] == o {
+				lower = lower[1:]
+				continue
+			}
+			mw := pg.mw(a, o, shadow[j])
+			a.gain[o.gi], o.gain[a.gi] = mw, mw
+			pairs++
+		}
+	}
+	return pairs
 }
 
 // gainBlockBytes caps one backing array of gain rows.
@@ -1247,7 +1321,11 @@ func (n *Network) roamScan() {
 			}
 		}
 	}
+	// Move every node first, then refresh the gains once: nothing
+	// between two moves reads a gain (the grid reads positions only),
+	// so each moved pair is computed once, at its final positions.
 	dtS := n.cfg.RoamIntervalUs / 1e6
+	movers := n.movers[:0]
 	for _, nd := range n.nodes {
 		moved := false
 		if nd.wp != nil {
@@ -1258,12 +1336,14 @@ func (n *Network) roamScan() {
 			moved = true
 		}
 		if moved {
-			n.refreshGains(nd)
+			movers = append(movers, nd)
 			if nd.med.grid != nil {
 				nd.med.grid.update(nd)
 			}
 		}
 	}
+	n.movers = movers
+	n.refreshGains(movers)
 	for _, nd := range n.nodes {
 		if nd.ap || nd.transmitting {
 			// Never tear down an in-flight exchange; the station will
@@ -1570,6 +1650,12 @@ type Result struct {
 	// n²·8 + n·24 for the shadowing matrix when mobility keeps it.
 	GainBytes int64
 
+	// GainRefreshPairs counts the node pairs the roam ticks recomputed
+	// received power for, summed over the run: each tick recomputes
+	// every pair with at least one moved node once, m·(n−m) + m(m−1)/2
+	// pairs for m of n nodes moved. Zero without mobility.
+	GainRefreshPairs int
+
 	// FramePools holds each shard's frame-record pool counters, indexed
 	// by shard (framepool.go): transmission and packet records recycled
 	// vs newly allocated. The misses are the per-frame objects the run
@@ -1579,7 +1665,8 @@ type Result struct {
 
 func (n *Network) collect(durationUs float64) Result {
 	res := Result{DurationUs: durationUs, Shards: len(n.shards),
-		ModeAttempts: n.shards[0].modeAttempts, GainBytes: n.gainBytes()}
+		ModeAttempts: n.shards[0].modeAttempts, GainBytes: n.gainBytes(),
+		GainRefreshPairs: n.gainRefreshPairs}
 	if n.cfg.Aggregation != nil {
 		res.AmpduHist = n.shards[0].ampduHist
 	}

@@ -104,7 +104,7 @@ func TestGridCandidatesSupersetOfInRange(t *testing.T) {
 			nd := m.nodes[n.Src().Intn(len(m.nodes))]
 			nd.X = (n.Src().Float64() - 0.25) * 600
 			nd.Y = (n.Src().Float64() - 0.25) * 600
-			n.refreshGains(nd)
+			n.refreshGains([]*Node{nd})
 			m.grid.update(nd)
 			flip := m.nodes[n.Src().Intn(len(m.nodes))]
 			if flip.csTracked {
@@ -160,7 +160,7 @@ func TestGridTracksMediumMigration(t *testing.T) {
 		}
 	}
 	st.X = 38
-	n.refreshGains(st)
+	n.refreshGains([]*Node{st})
 	m1.grid.update(st)
 	st.reassociate(b2)
 	if st.med != m2 {
