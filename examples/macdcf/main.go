@@ -16,27 +16,30 @@ func main() {
 	src := rng.New(5)
 
 	fmt.Println("1. saturated DCF: contention cost and fairness (54 Mbps, 1500 B)")
-	for _, n := range []int{1, 5, 20} {
-		stas := make([]*mac.Station, n)
-		for i := range stas {
-			stas[i] = &mac.Station{Name: fmt.Sprintf("s%d", i), RateMbps: 54}
-		}
-		res := mac.RunDcf(mac.Dot11agDcf(), stas, 1500, 2e6, src.Split())
+	for i, n := range []int{1, 5, 20} {
+		res := netsim.DenseGrid(netsim.DefaultConfig(), 1, n, []int{1}, 1, 1500)(int64(i)).Run(2e6)
 		var shares []float64
-		for _, s := range res.PerStation {
-			shares = append(shares, s.GoodputMbps)
+		for _, f := range res.Flows {
+			shares = append(shares, f.GoodputMbps)
 		}
 		fmt.Printf("   %2d stations: total %5.1f Mbps, collisions %4.1f%%, Jain %.3f\n",
-			n, res.TotalGoodputMbps,
-			100*float64(res.Collisions)/float64(res.TxEvents), netsim.JainIndex(shares))
+			n, res.AggGoodputMbps,
+			100*float64(res.Collisions)/float64(res.Attempts), netsim.JainIndex(shares))
 	}
 
 	fmt.Println("\n2. the overhead wall (single station, with and without 32-frame A-MPDU)")
-	for _, rate := range []float64{54, 300, 600} {
-		plain := []*mac.Station{{Name: "a", RateMbps: rate}}
-		agg := []*mac.Station{{Name: "a", RateMbps: rate, Aggregation: 32}}
-		g1 := mac.RunDcf(mac.Dot11agDcf(), plain, 1500, 5e5, src.Split()).TotalGoodputMbps
-		g2 := mac.RunDcf(mac.Dot11agDcf(), agg, 1500, 5e5, src.Split()).TotalGoodputMbps
+	agg := netsim.DefaultAggregation()
+	for i, rate := range []float64{54, 300, 600} {
+		// A one-entry rate table pins the PHY rate: the top of the
+		// OFDM ladder (54 Mbps), run at the sweep rate.
+		mode := linkmodel.OfdmModes()[7]
+		mode.RateMbps = rate
+		plain := netsim.DefaultConfig()
+		plain.Modes = []linkmodel.Mode{mode}
+		aggregated := plain
+		aggregated.Aggregation = &agg
+		g1 := netsim.SingleLink(plain, 5, 1500)(int64(i)).Run(5e5).AggGoodputMbps
+		g2 := netsim.SingleLink(aggregated, 5, 1500)(int64(i)).Run(5e5).AggGoodputMbps
 		fmt.Printf("   PHY %3.0f Mbps: %5.1f plain (%2.0f%%)  %5.1f aggregated (%2.0f%%)\n",
 			rate, g1, 100*g1/rate, g2, 100*g2/rate)
 	}

@@ -4,7 +4,7 @@
 // symbol, and carrier-frequency-offset estimation from both training
 // fields. The core PHYs assume genie synchronization; this package
 // supplies the front-end that removes that assumption (exercised by the
-// E15 extension experiment).
+// E16 extension experiment).
 package acquire
 
 import (

@@ -5,6 +5,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/netsim"
 )
 
 // parse extracts a float cell, tolerating ratio suffixes like "5.0x".
@@ -246,6 +248,53 @@ func TestE19AnomalyShape(t *testing.T) {
 	airAt1 := parse(t, tb.Rows[len(tb.Rows)-1][4])
 	if airAt1 <= airAt54*2 {
 		t.Errorf("legacy airtime share %v -> %v; expected it to balloon", airAt54, airAt1)
+	}
+}
+
+// modesByNode records which PHY modes each node's data frames went out
+// at.
+type modesByNode map[int]map[string]bool
+
+func (m modesByNode) OnEvent(ev netsim.Event) {
+	if ev.Kind != netsim.EvTxStart || ev.Frame != netsim.FrameData {
+		return
+	}
+	if m[ev.Node] == nil {
+		m[ev.Node] = map[string]bool{}
+	}
+	m[ev.Node][ev.Mode] = true
+}
+
+// TestE19StationsHoldTheirModes pins E19's premise: on every row the
+// three fast stations attempt only at OFDM 54 Mbps and the legacy
+// station only at its row's mode. Without it a path-loss or rate-table
+// change could move a station to another rate while the anomaly's
+// shape still holds.
+func TestE19StationsHoldTheirModes(t *testing.T) {
+	const fast = "OFDM 54 Mbps"
+	for _, rate := range e19LegacyRates {
+		legacy := modeAt(rate).Name
+		n := e19Network(rate, 1)
+		seen := modesByNode{}
+		n.AttachProbe(seen)
+		res := n.Run(2e5)
+		want := map[string]bool{fast: true, legacy: true}
+		for name, count := range res.ModeAttempts {
+			if !want[name] || count == 0 {
+				t.Errorf("legacy %g Mbps: ModeAttempts[%q] = %d, want attempts only at %q and %q",
+					rate, name, count, fast, legacy)
+			}
+		}
+		if len(res.ModeAttempts) != len(want) {
+			t.Errorf("legacy %g Mbps: ModeAttempts %v, want attempts at both %q and %q",
+				rate, res.ModeAttempts, fast, legacy)
+		}
+		// Node 0 is the AP; the stations follow in the order added.
+		for id, mode := range map[int]string{1: fast, 2: fast, 3: fast, 4: legacy} {
+			if len(seen[id]) != 1 || !seen[id][mode] {
+				t.Errorf("legacy %g Mbps: station %d attempted at %v, want only %q", rate, id, seen[id], mode)
+			}
+		}
 	}
 }
 

@@ -1,10 +1,14 @@
 package experiments
 
 import (
+	"math"
+
 	"repro/internal/acquire"
 	"repro/internal/channel"
 	"repro/internal/dsp"
+	"repro/internal/linkmodel"
 	"repro/internal/mac"
+	"repro/internal/netsim"
 	"repro/internal/power"
 	"repro/internal/report"
 	"repro/internal/rng"
@@ -21,9 +25,10 @@ import (
 
 // E15Aggregation sweeps PHY rate with and without frame aggregation:
 // per-frame DCF overhead is constant, so MAC efficiency collapses as the
-// PHY accelerates unless frames amortize it.
+// PHY accelerates unless frames amortize it. Each cell is one saturated
+// station on a clean 5 m netsim link; a one-entry rate table (the OFDM
+// 54 Mbps mode at the sweep rate) pins the PHY rate, as in E26.
 func E15Aggregation(cfg Config) []report.Table {
-	src := rng.New(cfg.Seed)
 	t := report.Table{
 		ID:     "E15",
 		Title:  "Saturated single-station MAC goodput vs PHY rate (1500 B frames)",
@@ -31,11 +36,17 @@ func E15Aggregation(cfg Config) []report.Table {
 		Header: []string{"PHY Mbps", "goodput Mbps", "efficiency", "goodput 32-agg", "efficiency 32-agg"},
 	}
 	const simUs = 400000
-	for _, rate := range []float64{11, 54, 150, 300, 600} {
-		plain := []*mac.Station{{Name: "a", RateMbps: rate}}
-		agg := []*mac.Station{{Name: "a", RateMbps: rate, Aggregation: 32}}
-		gPlain := mac.RunDcf(mac.Dot11agDcf(), plain, 1500, simUs, src.Split()).TotalGoodputMbps
-		gAgg := mac.RunDcf(mac.Dot11agDcf(), agg, 1500, simUs, src.Split()).TotalGoodputMbps
+	agg := netsim.DefaultAggregation()
+	for i, rate := range []float64{11, 54, 150, 300, 600} {
+		mode := modeAt(54)
+		mode.RateMbps = rate
+		plain := netsim.DefaultConfig()
+		plain.Modes = []linkmodel.Mode{mode}
+		aggregated := plain
+		aggregated.Aggregation = &agg
+		seed := cfg.Seed*1500 + int64(i)
+		gPlain := netsim.SingleLink(plain, 5, 1500)(seed).Run(simUs).AggGoodputMbps
+		gAgg := netsim.SingleLink(aggregated, 5, 1500)(seed).Run(simUs).AggGoodputMbps
 		t.AddRow(rate, gPlain, gPlain/rate, gAgg, gAgg/rate)
 	}
 	return []report.Table{t}
@@ -170,9 +181,9 @@ func E18Signature(cfg Config) []report.Table {
 // E19Anomaly demonstrates the DCF performance anomaly: one station stuck
 // at a legacy rate consumes most of the airtime, dragging every fast
 // station down toward its speed — the coexistence cost of the
-// generational ladder E1 celebrates.
+// generational ladder E1 celebrates. Each row is one netsim run of
+// e19Network.
 func E19Anomaly(cfg Config) []report.Table {
-	src := rng.New(cfg.Seed)
 	t := report.Table{
 		ID:     "E19",
 		Title:  "DCF performance anomaly: 3 fast stations + 1 legacy station",
@@ -180,21 +191,69 @@ func E19Anomaly(cfg Config) []report.Table {
 		Header: []string{"legacy rate", "fast goodput each", "legacy goodput", "total", "legacy airtime"},
 	}
 	const simUs = 2e6
-	for _, legacyRate := range []float64{54, 11, 2, 1} {
-		stations := []*mac.Station{
-			{Name: "fast1", RateMbps: 54},
-			{Name: "fast2", RateMbps: 54},
-			{Name: "fast3", RateMbps: 54},
-			{Name: "legacy", RateMbps: legacyRate},
-		}
-		res := mac.RunDcf(mac.Dot11agDcf(), stations, 1500, simUs, src.Split())
+	d := netsim.DefaultConfig().Dcf // e19Network's MAC timing
+	for i, legacyRate := range e19LegacyRates {
+		res := e19Network(legacyRate, cfg.Seed*1900+int64(i)).Run(simUs)
+		// The legacy airtime column is the medium time the legacy
+		// station's delivered exchanges held.
+		exchangeUs := d.PlcpUs + 8*1500/legacyRate + d.SIFSUs + d.AckUs
+		legacy := res.Flows[3]
 		t.AddRow(legacyRate,
-			res.PerStation[0].GoodputMbps,
-			res.PerStation[3].GoodputMbps,
-			res.TotalGoodputMbps,
-			res.PerStation[3].AirtimeFraction)
+			res.Flows[0].GoodputMbps,
+			legacy.GoodputMbps,
+			res.AggGoodputMbps,
+			float64(legacy.Delivered)*exchangeUs/simUs)
 	}
 	return []report.Table{t}
+}
+
+// e19LegacyRates are E19's rows: the rate of the slow station.
+var e19LegacyRates = []float64{54, 11, 2, 1}
+
+// e19Network is one E19 row: three saturated OFDM 54 Mbps stations and
+// one at legacyRate (DSSS 1/2, CCK 11, or 54 for the all-fast
+// baseline) uplinking 1500 B frames to one AP, on a two-entry rate
+// table {legacy mode, OFDM 54}. Every station sits 6 dB above its own
+// mode's SNR requirement, so median-SNR selection gives each exactly
+// its mode. The fast stations stand on the AP–legacy ray, so all four
+// hear each other inside the −82 dBm carrier-sense range. Their power
+// at the AP exceeds the legacy station's by at most 16.7 dB, below
+// OFDM 54's 18.35 dB requirement, so a collision with the legacy frame
+// is almost never captured.
+func e19Network(legacyRate float64, seed int64) *netsim.Network {
+	fast, legacy := modeAt(54), modeAt(legacyRate)
+	c := netsim.DefaultConfig()
+	c.Modes = []linkmodel.Mode{fast}
+	if legacy != fast {
+		c.Modes = []linkmodel.Mode{legacy, fast}
+	}
+	n := netsim.New(c, seed)
+	b := n.AddAP("AP", 0, 0, 1)
+	add := func(name string, m linkmodel.Mode) {
+		st := n.AddStation(b, name, distForSNR(c, m.SnrReqDB+6), 0)
+		n.Add(netsim.FlowSpec{From: st, AC: netsim.AC_BE, Gen: netsim.Saturated{PayloadBytes: 1500}})
+	}
+	add("fast1", fast)
+	add("fast2", fast)
+	add("fast3", fast)
+	add("legacy", legacy)
+	return n
+}
+
+// distForSNR is the distance at which c's link budget leaves snrDB
+// above the noise floor: LinkBudget.SNRdBAt inverted by bisection over
+// the monotone path-loss curve.
+func distForSNR(c netsim.Config, snrDB float64) float64 {
+	lo, hi := 1.0, 1e4
+	for range 60 {
+		mid := math.Sqrt(lo * hi)
+		if c.Budget.SNRdBAt(c.PathLoss, mid) >= snrDB {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 // E20EnergyPerBit closes the loop on the paper's conclusion: each

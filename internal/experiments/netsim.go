@@ -22,6 +22,20 @@ import (
 // netsimSeeds is the Monte-Carlo fan-out per table row.
 const netsimSeeds = 3
 
+// modeAt is the legacy PHY mode at rateMbps from the DSSS, CCK and
+// OFDM ladders, whose rates do not overlap. A one-entry rate table of
+// it pins a link to that rate.
+func modeAt(rateMbps float64) linkmodel.Mode {
+	for _, ladder := range [][]linkmodel.Mode{linkmodel.DsssModes(), linkmodel.CckModes(), linkmodel.OfdmModes()} {
+		for _, m := range ladder {
+			if m.RateMbps == rateMbps {
+				return m
+			}
+		}
+	}
+	panic(fmt.Sprintf("experiments: no legacy mode at %g Mbps", rateMbps))
+}
+
 // E22DenseBSS grows a co-channel deployment from one BSS to four and
 // watches aggregate capacity, per-flow fairness, and the collision rate
 // as every added cell joins the same collision domain — then shows the
@@ -307,14 +321,8 @@ func E26AmpduEfficiency(cfg Config) []report.Table {
 	for _, rate := range []float64{6, 12, 24, 54} {
 		// A one-entry rate table pins the PHY rate — the sweep axis is
 		// the ladder itself, not link adaptation.
-		var mode linkmodel.Mode
-		for _, m := range linkmodel.OfdmModes() {
-			if m.RateMbps == rate {
-				mode = m
-			}
-		}
 		base := netsim.DefaultConfig()
-		base.Modes = []linkmodel.Mode{mode}
+		base.Modes = []linkmodel.Mode{modeAt(rate)}
 		aggCfg := base
 		a := netsim.DefaultAggregation()
 		aggCfg.Aggregation = &a
@@ -514,11 +522,7 @@ func E30HtRateAdaptation(cfg Config) []report.Table {
 	// comparison is about rate selection, not MAC efficiency.
 	agg := *htCfg.Aggregation
 	legacy54 := netsim.DefaultConfig()
-	for _, m := range linkmodel.OfdmModes() {
-		if m.RateMbps == 54 {
-			legacy54.Modes = []linkmodel.Mode{m}
-		}
-	}
+	legacy54.Modes = []linkmodel.Mode{modeAt(54)}
 	legacy54.Aggregation = &agg
 	robust := netsim.DefaultConfig()
 	robust.Modes = linkmodel.HtModes(2, 40)[:1] // the ladder head: MCS0 1ss 20 MHz

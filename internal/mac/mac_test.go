@@ -9,107 +9,6 @@ import (
 	"repro/internal/rng"
 )
 
-func saturated(n int, rate float64) []*Station {
-	out := make([]*Station, n)
-	for i := range out {
-		out[i] = &Station{Name: string(rune('A' + i)), RateMbps: rate}
-	}
-	return out
-}
-
-func TestDcfSingleStationEfficiency(t *testing.T) {
-	// One station, no contention: goodput should approach but not reach
-	// the PHY rate because of PLCP/DIFS/SIFS/ACK overhead.
-	src := rng.New(1)
-	res := RunDcf(Dot11agDcf(), saturated(1, 54), 1500, 1e6, src)
-	g := res.TotalGoodputMbps
-	if g <= 20 || g >= 54 {
-		t.Errorf("single-station goodput %v Mbps, want between 20 and 54", g)
-	}
-	if res.Collisions != 0 {
-		t.Errorf("collisions with one station: %d", res.Collisions)
-	}
-}
-
-func TestDcfOverheadCollapsesAtHighRate(t *testing.T) {
-	// The famous MAC-efficiency problem motivating aggregation: at 600
-	// Mbps PHY the per-frame overhead dominates and efficiency collapses.
-	src := rng.New(2)
-	g54 := RunDcf(Dot11agDcf(), saturated(1, 54), 1500, 1e6, src.Split()).TotalGoodputMbps
-	g600 := RunDcf(Dot11agDcf(), saturated(1, 600), 1500, 1e6, src.Split()).TotalGoodputMbps
-	eff54 := g54 / 54
-	eff600 := g600 / 600
-	if eff600 > eff54/2 {
-		t.Errorf("MAC efficiency at 600 Mbps (%v) should be far below 54 Mbps (%v)", eff600, eff54)
-	}
-}
-
-func TestAggregationRestoresEfficiency(t *testing.T) {
-	src := rng.New(3)
-	plain := saturated(1, 600)
-	agg := saturated(1, 600)
-	agg[0].Aggregation = 32
-	gPlain := RunDcf(Dot11agDcf(), plain, 1500, 1e6, src.Split()).TotalGoodputMbps
-	gAgg := RunDcf(Dot11agDcf(), agg, 1500, 1e6, src.Split()).TotalGoodputMbps
-	if gAgg < 3*gPlain {
-		t.Errorf("32-frame aggregation goodput %v not >> unaggregated %v", gAgg, gPlain)
-	}
-}
-
-func TestDcfCollisionsGrowWithStations(t *testing.T) {
-	src := rng.New(4)
-	r2 := RunDcf(Dot11agDcf(), saturated(2, 54), 1500, 1e6, src.Split())
-	r20 := RunDcf(Dot11agDcf(), saturated(20, 54), 1500, 1e6, src.Split())
-	c2 := float64(r2.Collisions) / float64(r2.TxEvents)
-	c20 := float64(r20.Collisions) / float64(r20.TxEvents)
-	if c20 <= c2 {
-		t.Errorf("collision rate with 20 stations (%v) not above 2 stations (%v)", c20, c2)
-	}
-	if r20.TotalGoodputMbps >= r2.TotalGoodputMbps {
-		t.Errorf("aggregate goodput should degrade with contention: %v vs %v",
-			r20.TotalGoodputMbps, r2.TotalGoodputMbps)
-	}
-}
-
-func TestDcfFairness(t *testing.T) {
-	// Identical stations should share goodput roughly evenly.
-	src := rng.New(5)
-	res := RunDcf(Dot11agDcf(), saturated(5, 54), 1000, 2e6, src)
-	var minG, maxG float64 = math.Inf(1), 0
-	for _, s := range res.PerStation {
-		if s.GoodputMbps < minG {
-			minG = s.GoodputMbps
-		}
-		if s.GoodputMbps > maxG {
-			maxG = s.GoodputMbps
-		}
-	}
-	if maxG > 1.5*minG {
-		t.Errorf("unfair shares: min %v, max %v", minG, maxG)
-	}
-}
-
-func TestDcfLossyLinkReducesGoodput(t *testing.T) {
-	src := rng.New(6)
-	clean := saturated(1, 54)
-	lossy := saturated(1, 54)
-	lossy[0].PER = 0.3
-	gClean := RunDcf(Dot11agDcf(), clean, 1500, 1e6, src.Split()).TotalGoodputMbps
-	gLossy := RunDcf(Dot11agDcf(), lossy, 1500, 1e6, src.Split()).TotalGoodputMbps
-	if gLossy >= gClean {
-		t.Errorf("30%% PER goodput %v not below clean %v", gLossy, gClean)
-	}
-}
-
-func TestDcf11bSlowerThan11g(t *testing.T) {
-	src := rng.New(7)
-	b := RunDcf(Dot11bDcf(), saturated(1, 11), 1500, 1e6, src.Split()).TotalGoodputMbps
-	g := RunDcf(Dot11agDcf(), saturated(1, 54), 1500, 1e6, src.Split()).TotalGoodputMbps
-	if b >= g {
-		t.Errorf("11b goodput %v not below 11g %v", b, g)
-	}
-}
-
 func TestDot11eEdcaTxopDefaults(t *testing.T) {
 	// The standard's default TXOP limits: voice and video burst, best
 	// effort and background hold one exchange per access; the DSSS/CCK

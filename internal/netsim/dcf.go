@@ -771,7 +771,7 @@ func (nd *Node) fail(tr *transmission) {
 		nd.failAmpduRts(q, ex)
 		return
 	}
-	if to := tr.pkt.flow.To; nd.ap && to != nil && !to.ap && to.bss.AP != nd {
+	if ap := nd.roamedAway(tr.pkt); ap != nil {
 		// The destination reassociated while this frame was in flight
 		// (the one packet handoffDownlink must leave mid-exchange):
 		// stop retrying from an AP the station no longer listens to and
@@ -780,12 +780,23 @@ func (nd *Node) fail(tr *transmission) {
 		q.popFront(1)
 		q.cw = q.params().CWMin
 		q.retries = 0
-		to.bss.AP.enqueue(tr.pkt)
+		ap.enqueue(tr.pkt)
 		nd.recontend()
 		return
 	}
 	q.exchangeFailed(true)
 	nd.recontend()
+}
+
+// roamedAway returns the current AP of p's destination station when
+// that station reassociated away from nd, an AP still holding p, and
+// nil otherwise. Such a frame goes to the new AP instead of being
+// retried from one the station no longer listens to.
+func (nd *Node) roamedAway(p *packet) *Node {
+	if to := p.flow.To; nd.ap && to != nil && !to.ap && to.bss.AP != nd {
+		return to.bss.AP
+	}
+	return nil
 }
 
 // failAmpduRts finishes the no-CTS path for a protected A-MPDU burst:
@@ -797,9 +808,9 @@ func (nd *Node) fail(tr *transmission) {
 func (nd *Node) failAmpduRts(q *acQueue, ex *exchange) {
 	keep := nd.sh.pktScratch[:0]
 	for _, p := range ex.mpdus {
-		if to := p.flow.To; nd.ap && to != nil && !to.ap && to.bss.AP != nd {
+		if ap := nd.roamedAway(p); ap != nil {
 			p.retries = 0
-			to.bss.AP.enqueue(p)
+			ap.enqueue(p)
 			continue
 		}
 		keep = append(keep, p)

@@ -55,10 +55,13 @@ type medium struct {
 }
 
 // busyUsAt / overlapUsAt close the running busy/overlap integrals at
-// time nowUs without mutating them — the sampler reads mid-run.
+// time nowUs without mutating them — the sampler reads mid-run, and
+// collect at the horizon. busyUsAt adds the open interval as one term:
+// Result.AirtimeFrac has always been summed in that order, and the
+// compat goldens pin it bit for bit.
 func (m *medium) busyUsAt(nowUs float64) float64 {
 	if len(m.active) > 0 {
-		return m.busyUs + nowUs - m.busyStartUs
+		return m.busyUs + (nowUs - m.busyStartUs)
 	}
 	return m.busyUs
 }

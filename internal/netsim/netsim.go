@@ -1742,11 +1742,7 @@ func (n *Network) collect(durationUs float64) Result {
 		res.BssGoodputMbps[i] = float64(8*b) / durationUs
 	}
 	for _, m := range n.media {
-		busy := m.busyUs
-		if len(m.active) > 0 {
-			busy += durationUs - m.busyStartUs
-		}
-		if frac := busy / durationUs; frac > res.AirtimeFrac {
+		if frac := m.busyUsAt(durationUs) / durationUs; frac > res.AirtimeFrac {
 			res.AirtimeFrac = frac
 		}
 	}

@@ -275,12 +275,9 @@ func (nd *Node) applyBlockAck(tr *transmission, ok []bool) {
 		} else {
 			sh.noiseLoss[ac]++
 		}
-		if to := p.flow.To; nd.ap && to != nil && !to.ap && to.bss.AP != nd {
-			// The destination reassociated while the burst was in
-			// flight: hand the MPDU to its current AP instead of
-			// retrying from one it no longer listens to.
+		if ap := nd.roamedAway(p); ap != nil {
 			p.retries = 0
-			to.bss.AP.enqueue(p)
+			ap.enqueue(p)
 			continue
 		}
 		p.retries++

@@ -73,8 +73,6 @@ var reachableAllowlist = map[string]string{
 	"fec.ViterbiDecodeHard":              "TestViterbiSoftBeatsHard: the hard-decision comparator for the soft decoder",
 	"fec.Deinterleave":                   "TestInterleaveRoundTrip: the inverse that checks Interleave",
 	"fec.LDPC.CheckParity":               "TestLDPCEncodeSatisfiesParity: checks the encoder's codewords",
-	"linkmodel.DsssModes":                "TestThresholdOrdering and phy's TestDsssModes: the DSSS ladder fixture",
-	"linkmodel.CckModes":                 "TestThresholdOrdering and phy's TestCckModes: the CCK ladder fixture",
 	"mac.Dot11bDcf":                      "TestDot11eEdcaTxopDefaults: covers the 11b TXOP column of Dot11eEdca",
 	"mac.ArfController.Probing":          "TestArfProbeFailureFallsBackImmediately: observes the ARF probe state",
 	"matrix.FromRows":                    "the matrix and mimo tests build their fixtures with it",
