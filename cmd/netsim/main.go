@@ -539,7 +539,7 @@ func main() {
 		}
 		if o.shardStats {
 			gb := results[0].GainBytes
-			fmt.Fprintf(os.Stderr, "gain state: %d bytes (%.1f MB), %d pairs refreshed by roam ticks\n",
+			fmt.Fprintf(os.Stderr, "gain state: %d bytes (%.1f MB), %d pairs refreshed by roam ticks and channel changes\n",
 				gb, float64(gb)/1e6, results[0].GainRefreshPairs)
 		}
 	}

@@ -124,6 +124,50 @@ func equivScenarios() []struct {
 		// A 1/6/11 floor whose flows join channels, merging their gain
 		// domains.
 		{"cross-channel-flows", 1.5e5, crossChannelFlows},
+		// Walkers among six APs on 1/6/11 with saturated uplinks and
+		// downlinks: most roams change medium, often while the old AP
+		// is sending to the roamer, so the roam tick's refresh skips
+		// pairs between media and each such roam recomputes the
+		// roamer's row (refreshRow).
+		{"roaming-walkers-1-6-11", 1.5e6, func(cfg Config) func(int64) *Network {
+			cfg.RoamIntervalUs = 20000
+			return roamingChannels(cfg, 20, 40)
+		}},
+		// The same floor at 6 Mbps with a 500 µs tick: a 1000-byte
+		// frame holds the air for about three ticks, so a station that
+		// roams while its old AP sends to it is still that frame's
+		// receiver at the next tick, and senders on the old medium
+		// (co-channel APs 135 m apart are hidden from each other)
+		// cross interference into it at a receiver on another medium.
+		{"roaming-short-tick", 1.2e6, func(cfg Config) func(int64) *Network {
+			cfg.Modes = cfg.Modes[:1]
+			cfg.RoamIntervalUs = 500
+			return roamingChannels(cfg, 40, 80)
+		}},
+	}
+}
+
+// roamingChannels puts six APs 45 m apart in a row on channels 1, 6,
+// 11, 1, 6, 11 and two stations at each, walking random waypoints over
+// the whole row at speedMin–speedMax m/s. Each AP's first station
+// sends a saturated 1000-byte uplink, and the AP sends its second one
+// a saturated 1000-byte downlink that follows it from AP to AP.
+// cfg.RoamIntervalUs must be set.
+func roamingChannels(cfg Config, speedMin, speedMax float64) func(seed int64) *Network {
+	return func(seed int64) *Network {
+		n := New(cfg, seed)
+		walk := RandomWaypoint{MinX: -10, MaxX: 235, MinY: -10, MaxY: 10,
+			SpeedMinMps: speedMin, SpeedMaxMps: speedMax}
+		for i, ch := range []int{1, 6, 11, 1, 6, 11} {
+			b := n.AddAP(fmt.Sprintf("AP%d", i), float64(45*i), 0, ch)
+			up := n.AddStation(b, fmt.Sprintf("up%d", i), b.AP.X+20, 0)
+			down := n.AddStation(b, fmt.Sprintf("down%d", i), b.AP.X-20, 0)
+			n.SetRandomWaypoint(up, walk)
+			n.SetRandomWaypoint(down, walk)
+			n.Add(FlowSpec{From: up, AC: AC_BE, Gen: Saturated{PayloadBytes: 1000}})
+			n.Add(FlowSpec{From: b.AP, To: down, AC: AC_BE, Gen: Saturated{PayloadBytes: 1000}})
+		}
+		return n
 	}
 }
 

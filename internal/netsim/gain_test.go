@@ -3,6 +3,7 @@ package netsim
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -461,14 +462,16 @@ func mismatchedRules(n *Network, shadow [][]float64) string {
 }
 
 // TestMobileRefreshMatchesRecompute pins the roam tick's gain refresh,
-// which moves every node first and then recomputes each pair with a
-// moved node once, against a recompute of every cell from the final
-// positions and the shadowing draws. It runs every mobile equivalence
-// row on every seed, and a 272-node floor of walkers above
-// refreshGains' 256-node cutover, whose striped workers the race
-// detector then covers. Each run also holds Result.GainRefreshPairs to
-// its closed form, Σ m·(n−m) + m(m−1)/2 over the ticks, where an
-// observer between ticks counts the m nodes whose position changed.
+// which moves every node first and then recomputes each readable pair
+// with a moved node once (Network.readable), plus the row of each
+// station that then changes medium (refreshRow), against a recompute
+// of every readable cell from the final positions and the shadowing
+// draws. It runs every mobile equivalence row on every seed, and a
+// 272-node floor of walkers above refreshGains' 256-node cutover, whose
+// striped workers the race detector then covers. Each run also holds
+// Result.GainRefreshPairs to its closed form: per tick, the readable
+// pairs with a moved node, then the row of each roam that changed
+// medium (runCountingPairs).
 func TestMobileRefreshMatchesRecompute(t *testing.T) {
 	type row struct {
 		name       string
@@ -485,27 +488,36 @@ func TestMobileRefreshMatchesRecompute(t *testing.T) {
 				func(int64) *Network { return sc.build(DefaultConfig())(seed) }})
 		}
 	}
-	if len(rows) != 2*equivSeeds {
-		t.Fatalf("%d mobile equivalence runs, want the two roaming rows × %d seeds", len(rows), equivSeeds)
+	if len(rows) != 4*equivSeeds {
+		t.Fatalf("%d mobile equivalence runs, want the four roaming rows × %d seeds", len(rows), equivSeeds)
 	}
 	rows = append(rows, row{"walker-floor-272", 1e6, walkerFloor})
+	var rowCells, offAirTicks int
 	for _, r := range rows {
 		n := r.build(1)
 		if r.name == "walker-floor-272" && len(n.nodes) < 256 {
 			t.Fatalf("%s has %d nodes, below the striped refresh's cutover", r.name, len(n.nodes))
 		}
-		res, want, ticks := runCountingMovers(n, r.durationUs)
-		t.Logf("%s: %d ticks moved nodes, %d pairs refreshed, %d roams", r.name, ticks, want, res.Roams)
-		if ticks == 0 {
+		c := runCountingPairs(n, r.durationUs)
+		t.Logf("%s: %d ticks moved nodes, %d pairs refreshed (%d in roamers' rows), %d roams",
+			r.name, c.ticks, c.pairs, c.rowCells, c.res.Roams)
+		if c.ticks == 0 {
 			t.Fatalf("%s: no roam tick moved a node", r.name)
 		}
-		if res.GainRefreshPairs != want {
-			t.Errorf("%s: GainRefreshPairs = %d, the closed form over the observed movers gives %d",
-				r.name, res.GainRefreshPairs, want)
+		if c.res.GainRefreshPairs != c.pairs {
+			t.Errorf("%s: GainRefreshPairs = %d, the closed form over the observed movers and roams gives %d",
+				r.name, c.res.GainRefreshPairs, c.pairs)
 		}
 		if d := staleGain(n); d != "" {
 			t.Errorf("%s: %s", r.name, d)
 		}
+		rowCells += c.rowCells
+		offAirTicks += c.offAirTicks
+	}
+	// The cases the rule adds to same-medium and AP pairs must occur.
+	if rowCells == 0 || offAirTicks == 0 {
+		t.Fatalf("over every run, %d cells in roamers' rows and %d ticks with a receiver off its frame's medium; want both positive",
+			rowCells, offAirTicks)
 	}
 	if got := SingleLink(DefaultConfig(), 10, 500)(1).Run(1e5).GainRefreshPairs; got != 0 {
 		t.Fatalf("a static run reports %d refreshed pairs, want 0", got)
@@ -517,6 +529,56 @@ func TestMobileRefreshMatchesRecompute(t *testing.T) {
 	if a := testing.AllocsPerRun(5, func() { n.refreshGains(n.nodes) }); a != 0 {
 		t.Fatalf("refreshGains on %d nodes made %v allocations, want 0", len(n.nodes), a)
 	}
+}
+
+// TestReadableRefreshMatchesFullRefresh pins the readable-pair refresh
+// against the full one it replaces (Config.fullGainRefresh: every pair
+// with a moved node, no row recompute on a change of medium). On every
+// equivalence row and seed, every compat preset and the walker floor,
+// the run with every skipped cell poisoned with NaN
+// (Config.poisonSkippedGains) must be bit-identical to the oracle's, and
+// under mobility it carries the invariant probe, which fails on any NaN
+// gain read. Static builds never refresh, so their rows hold trivially;
+// the mobile ones are the roaming rows, two of which change medium.
+func TestReadableRefreshMatchesFullRefresh(t *testing.T) {
+	check := func(t *testing.T, label string, build func() *Network, durationUs float64) {
+		t.Helper()
+		mk := func(full bool) func() *Network {
+			return func() *Network {
+				n := build()
+				n.cfg.fullGainRefresh = full
+				n.cfg.poisonSkippedGains = !full
+				return n
+			}
+		}
+		n := mk(false)()
+		var p *csInvariantProbe
+		if n.cfg.RoamIntervalUs > 0 {
+			p = &csInvariantProbe{n: n}
+			n.AttachProbe(p)
+		}
+		rule := fingerprint(n.Run(durationUs))
+		if p != nil && p.err != nil {
+			t.Fatalf("%s: %v", label, p.err)
+		}
+		if full := fingerprint(mk(true)().Run(durationUs)); rule != full {
+			t.Fatalf("%s: the readable-pair refresh diverged from the full refresh\n%s",
+				label, explainDivergence(mk(false), mk(true), durationUs))
+		}
+	}
+	for _, sc := range equivScenarios() {
+		t.Run(sc.name, func(t *testing.T) {
+			for seed := int64(1); seed <= equivSeeds; seed++ {
+				check(t, fmt.Sprintf("seed %d", seed), func() *Network { return sc.build(DefaultConfig())(seed) }, sc.durationUs)
+			}
+		})
+	}
+	for _, row := range compatScenarios() {
+		t.Run(row.name, func(t *testing.T) { check(t, row.name, row.build, row.durationUs) })
+	}
+	t.Run("walker-floor-272", func(t *testing.T) {
+		check(t, "walker-floor-272", func() *Network { return walkerFloor(1) }, 1e6)
+	})
 }
 
 // walkerFloor is 16 APs 30 m apart in a 4×4 grid on 1/6/11, each with
@@ -545,49 +607,136 @@ func walkerFloor(seed int64) *Network {
 	return n
 }
 
-// runCountingMovers runs n for durationUs with an observer half a roam
-// interval off the ticks, which counts the nodes each tick moved. It
-// returns the result, the closed-form pair count over those ticks and
-// the number of ticks that moved a node.
-func runCountingMovers(n *Network, durationUs float64) (res Result, pairs, ticks int) {
+// pairCount is what runCountingPairs observed: the run's Result, the
+// closed-form pair count, the ticks that moved a node, the cells of
+// roamers' rows within the count, and the ticks that found a receiver
+// off the medium of a frame on the air to it.
+type pairCount struct {
+	res                                 Result
+	pairs, ticks, rowCells, offAirTicks int
+}
+
+// runCountingPairs runs n for durationUs with an observer at every
+// roam tick, right after the roam scan (scheduled later for the same
+// instant, it runs after it), which counts the pairs the tick
+// recomputed from what it can see: the nodes whose position changed,
+// the media they held before the tick (media change only at ticks),
+// the frames on the air (the scan neither starts nor ends one) and
+// the tick's reassociations in order (EvRoam). Per tick that is the
+// readable pairs with a moved node, then for each roam that changed
+// medium the roamer's row: the other nodes of the new medium and the
+// distinct receivers off it of frames on its air.
+func runCountingPairs(n *Network, durationUs float64) (c pairCount) {
 	n.Prepare()
 	nn := len(n.nodes)
 	pos := make([][2]float64, nn)
-	snap := func() {
+	med := make([]*medium, nn)
+	for i, nd := range n.nodes {
+		pos[i], med[i] = [2]float64{nd.X, nd.Y}, nd.med
+	}
+	roams := &sliceProbe{}
+	n.AttachProbe(roams)
+	moved := make([]bool, nn)
+	eng := &n.shards[0].eng
+	var observe func()
+	observe = func() {
 		m := 0
 		for i, nd := range n.nodes {
-			if p := [2]float64{nd.X, nd.Y}; p != pos[i] {
+			p := [2]float64{nd.X, nd.Y}
+			moved[i] = p != pos[i]
+			if moved[i] {
 				pos[i] = p
 				m++
 			}
 		}
 		if m > 0 {
-			pairs += m*(nn-m) + m*(m-1)/2
-			ticks++
+			c.ticks++
+			off := offAirOn(n, med)
+			if len(off) > 0 {
+				c.offAirTicks++
+			}
+			for i, a := range n.nodes {
+				for j := i + 1; j < nn; j++ {
+					if (moved[i] || moved[j]) && readableOn(a, n.nodes[j], med, off) {
+						c.pairs++
+					}
+				}
+			}
 		}
-	}
-	snap()
-	pairs, ticks = 0, 0
-	eng := &n.shards[0].eng
-	var observe func()
-	observe = func() {
-		snap()
+		for _, ev := range roams.events {
+			if ev.Kind != EvRoam {
+				continue
+			}
+			st, to := n.nodes[ev.Node], n.nodes[ev.Peer].med
+			if med[st.id] == to {
+				continue
+			}
+			med[st.id] = to
+			for _, o := range n.nodes {
+				if o != st && med[o.id] == to {
+					c.rowCells++
+				}
+			}
+			for _, x := range offAirOn(n, med) {
+				if x.med == to {
+					c.rowCells++
+				}
+			}
+		}
+		roams.events = roams.events[:0]
 		eng.Schedule(n.cfg.RoamIntervalUs, observe)
 	}
-	eng.Schedule(n.cfg.RoamIntervalUs/2, observe)
-	res = n.Run(durationUs)
-	snap()
-	return res, pairs, ticks
+	eng.Schedule(n.cfg.RoamIntervalUs, observe)
+	c.res = n.Run(durationUs)
+	c.pairs += c.rowCells
+	return c
 }
 
-// staleGain recomputes every cell of a mobile network's gain rows from
-// the nodes' current positions and the shadowing draws, and describes
-// the first cell that differs in any bit ("" when none).
+// offAirOn lists, once each, the receivers of frames on the air that
+// are not on the frame's medium, with medium assignment med.
+func offAirOn(n *Network, med []*medium) []airRx {
+	var off []airRx
+	for _, m := range n.media {
+		for _, a := range m.active {
+			x := airRx{a.rx, m}
+			if med[a.rx.id] != m && !slices.Contains(off, x) {
+				off = append(off, x)
+			}
+		}
+	}
+	return off
+}
+
+// readableOn is the readable-pair rule under medium assignment med and
+// off-medium receivers off: a and o share a medium, one of them is an
+// AP, or one of them receives, off its medium, a frame on the other's.
+func readableOn(a, o *Node, med []*medium, off []airRx) bool {
+	if med[a.id] == med[o.id] || a.ap || o.ap {
+		return true
+	}
+	for _, x := range off {
+		if x.rx == a && x.med == med[o.id] || x.rx == o && x.med == med[a.id] {
+			return true
+		}
+	}
+	return false
+}
+
+// staleGain recomputes every readable cell of a mobile network's gain
+// rows (readableOn, on the nodes' media and the frames now on the
+// air) from the nodes' current positions and the shadowing draws, and
+// describes the first cell that differs in any bit ("" when none). The
+// other cells hold gains from older positions, which no read reaches.
 func staleGain(n *Network) string {
 	b := n.cfg.Budget
+	med := make([]*medium, len(n.nodes))
+	for i, nd := range n.nodes {
+		med[i] = nd.med
+	}
+	off := offAirOn(n, med)
 	for i, a := range n.nodes {
 		for j, o := range n.nodes {
-			if i == j {
+			if i == j || !readableOn(a, o, med, off) {
 				continue
 			}
 			loss := n.cfg.PathLoss.LossDB(dist(a, o)) + n.shadowDB[i][j]

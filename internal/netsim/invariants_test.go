@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"testing"
@@ -25,7 +26,12 @@ import (
 // At every frame start it also checks that the gains the frame reads
 // are stored (tx.gain[rx.gi] means nothing across gain domains): its
 // sender and receiver share a gain domain, and so does every other
-// sender on its medium, whose power crosses into its receiver.
+// sender on its medium, whose power crosses into its receiver. And it
+// fails on any NaN gain a frame start or a reassociation reads, or any
+// NaN SINR a frame is judged at: under Config.poisonSkippedGains the
+// roam tick writes NaN into every cell it skips (Network.readable), so
+// a NaN read is a read of a cell the tick left stale (nanRead,
+// nanRoam).
 //
 // The probe tracks F itself: at EvTxStart the new frame is the last
 // entry of its sender's medium's active list, and at EvTxEnd the
@@ -52,6 +58,9 @@ func (p *csInvariantProbe) OnEvent(ev Event) {
 		m := p.n.nodes[ev.Node].med
 		lf := liveFrame{m.active[len(m.active)-1], m}
 		p.err = p.checkDomains(ev, lf)
+		if p.err == nil {
+			p.err = p.nanRead(ev, lf)
+		}
 		p.live = append(p.live, lf)
 	case EvTxEnd:
 		p.err = p.check(ev)
@@ -61,7 +70,80 @@ func (p *csInvariantProbe) OnEvent(ev Event) {
 				break
 			}
 		}
+	case EvRoam:
+		p.err = p.nanRoam(ev)
+	case EvRxOutcome:
+		if math.IsNaN(ev.SinrDB) {
+			p.err = fmt.Errorf("t=%v: frame from node %d to node %d judged at a NaN SINR", ev.TimeUs, ev.Node, ev.Peer)
+		}
 	}
+}
+
+// nanRead checks the gains medium.start reads for frame a, which its
+// medium's active list now holds: the sender's power at its receiver,
+// the sender's row and column over the medium's nodes (carrier sense,
+// NAV decode, the OBSS-PD window from the sender's seat), and both
+// interference crossings with every other frame on the medium.
+func (p *csInvariantProbe) nanRead(ev Event, a liveFrame) error {
+	tx, rx := a.tr.tx, a.tr.rx
+	nan := func(from, to *Node) error {
+		if math.IsNaN(from.gain[to.gi]) {
+			return fmt.Errorf("t=%v: frame from node %d to node %d reads a NaN gain %d→%d",
+				ev.TimeUs, tx.id, rx.id, from.id, to.id)
+		}
+		return nil
+	}
+	if err := nan(tx, rx); err != nil {
+		return err
+	}
+	for _, nd := range a.m.nodes {
+		if nd == tx {
+			continue
+		}
+		if err := cmp.Or(nan(tx, nd), nan(nd, tx)); err != nil {
+			return err
+		}
+	}
+	for _, b := range a.m.active {
+		if b == a.tr {
+			continue
+		}
+		if err := cmp.Or(nan(tx, b.rx), nan(b.tx, rx)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// nanRoam checks the row of a station that has just reassociated: the
+// gains its carrier-sense re-baseline read from every frame on its
+// medium's air, and the cells refreshRow must have brought up to date,
+// to every node of the medium and to every receiver that roamed off it
+// while a frame on its air is still addressed to it.
+func (p *csInvariantProbe) nanRoam(ev Event) error {
+	st := p.n.nodes[ev.Node]
+	m := st.med
+	nan := func(from, to *Node) error {
+		if math.IsNaN(from.gain[to.gi]) {
+			return fmt.Errorf("t=%v: node %d reassociated to node %d with a NaN gain %d→%d",
+				ev.TimeUs, st.id, ev.Peer, from.id, to.id)
+		}
+		return nil
+	}
+	for _, a := range m.active {
+		if err := cmp.Or(nan(a.tx, st), nan(st, a.rx)); err != nil {
+			return err
+		}
+	}
+	for _, o := range m.nodes {
+		if o == st {
+			continue
+		}
+		if err := nan(st, o); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func (p *csInvariantProbe) checkDomains(ev Event, a liveFrame) error {

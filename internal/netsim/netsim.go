@@ -48,6 +48,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -180,6 +181,16 @@ type Config struct {
 	// bit-identical to. Like disableSpatialIndex it is a test oracle
 	// that only in-package tests set.
 	oneGainDomain bool
+
+	// fullGainRefresh makes a roam tick recompute every pair with a
+	// moved node, readable or not (Network.readable), and a station
+	// that changes medium skip its row recompute (refreshRow): the
+	// refresh the readable-pair rule must be bit-identical to.
+	// poisonSkippedGains writes NaN into every cell the rule skips, so
+	// that any read of one shows. Test oracles, like
+	// disableSpatialIndex.
+	fullGainRefresh    bool
+	poisonSkippedGains bool
 
 	// Shards requests execution on up to this many parallel engines
 	// (shard.go): Prepare partitions the BSSs into causally independent
@@ -541,8 +552,8 @@ type Network struct {
 	// views into backing arrays of at most gainBlockBytes (gainRows).
 	//
 	// shadowDB[i][j] is the symmetric per-pair shadowing draw baked into
-	// the gains. Only refreshGains reads it after build, and only a
-	// move calls refreshGains, so it is kept only when
+	// the gains. Only refreshGains and refreshRow read it after build,
+	// and only a move calls them, so it is kept only when
 	// Config.RoamIntervalUs is positive; a static build leaves it nil.
 	// shadowMin is the most negative draw over every pair, same-domain
 	// or not (0 when there is none), the widening minShadowDB reports
@@ -554,9 +565,13 @@ type Network struct {
 
 	// movers is the roam scan's reused list of the nodes a tick moved,
 	// in id order (allocated at build, with capacity for every node,
-	// when the build has mobility). gainRefreshPairs counts the pairs
-	// refreshGains has recomputed (Result.GainRefreshPairs).
+	// when the build has mobility). offAir is the tick's reused list of
+	// the receivers that roamed off the medium of a frame still on the
+	// air to them (refreshGains). gainRefreshPairs counts the pairs
+	// refreshGains and refreshRow have recomputed
+	// (Result.GainRefreshPairs).
 	movers           []*Node
+	offAir           []airRx
 	gainRefreshPairs int
 
 	noiseFloorDBm float64
@@ -1078,17 +1093,23 @@ func (g *pairGain) mw(a, o *Node, shadowDB float64) float64 {
 	return mwFromDBm(g.budgetDBm - loss)
 }
 
-// refreshGains recomputes the gains a roam tick's moves changed: every
-// unordered pair with at least one node in movers, exactly once. It
-// runs after the tick has moved every node, so each pair is computed
-// at its final positions; movers must be in id order. It needs the
-// shadowing matrix, which only a build with mobility
-// (Config.RoamIntervalUs > 0) keeps; that build is one gain domain, so
-// every node's gi is its id. A pair belongs to its lower-id mover, and
-// the movers are striped across cores like fillGains' rows: a worker
-// writes only the cells of the pairs its movers own, so no two workers
-// share a cell, and the per-pair math is pure, so the fan-out is
-// bit-for-bit deterministic.
+// refreshGains recomputes the gains a roam tick's moves changed that a
+// run can still read: every unordered pair with at least one node in
+// movers that readable admits, exactly once. It runs after the tick has
+// moved every node and before any station reassociates, so each pair
+// is computed at its final positions and judged on the media the nodes
+// held through the tick. A station that then changes medium recomputes
+// its row to the new one (refreshRow), so every cell a run can read
+// holds the bits a recompute of every pair would give it; the other
+// cells keep gains from older positions and are never read (under
+// Config.poisonSkippedGains they hold NaN). movers must be in id
+// order. It needs the shadowing matrix, which only a build with
+// mobility (Config.RoamIntervalUs > 0) keeps; that build is one gain
+// domain, so every node's gi is its id. A pair belongs to its lower-id
+// mover, and the movers are striped across cores like fillGains' rows:
+// a worker writes only the cells of the pairs its movers own, so no two
+// workers share a cell, and the per-pair math is pure, so the fan-out
+// is bit-for-bit deterministic.
 func (n *Network) refreshGains(movers []*Node) {
 	if n.shadowDB == nil {
 		panic("netsim: refreshGains needs Config.RoamIntervalUs > 0 (a static build keeps no shadowing matrix to move a node with)")
@@ -1098,6 +1119,14 @@ func (n *Network) refreshGains(movers []*Node) {
 	}
 	for _, sh := range n.shards {
 		clear(sh.modeCache)
+	}
+	n.offAir = n.offAir[:0]
+	for _, m := range n.media {
+		for _, a := range m.active {
+			if a.rx.med != m {
+				n.offAir = append(n.offAir, airRx{a.rx, m})
+			}
+		}
 	}
 	step := n.stripeWorkers(len(movers))
 	if step < 2 {
@@ -1119,8 +1148,39 @@ func (n *Network) refreshGains(movers []*Node) {
 	}
 }
 
-// refreshStripe is one refreshGains worker: it recomputes the pairs
-// owned by movers k ≡ w (mod step) and returns how many it computed.
+// airRx is a receiver that roamed off med while a frame on med's air
+// was still addressed to it: new frames on med cross interference into
+// that frame at the receiver (medium.start), so its gains to med's
+// nodes stay readable until the frame ends.
+type airRx struct {
+	rx  *Node
+	med *medium
+}
+
+// readable reports whether a run can read the gain between a and o
+// before the next roam tick, judged on the media the nodes hold while
+// refreshGains runs: carrier sense, NAV decode, the interference
+// crossing, the SINR judgment and the rate choice stay on one medium
+// (an AP's frame to a station that roamed away is judged lost, and its
+// retry goes to the station's new AP), and the roam scan reads every
+// station→AP cell. So a pair is readable when the two share a medium,
+// when one is an AP, or when one is an off-medium receiver of a frame
+// on the other's medium (Network.offAir).
+func (n *Network) readable(a, o *Node) bool {
+	if a.med == o.med || a.ap || o.ap || n.cfg.fullGainRefresh {
+		return true
+	}
+	for _, x := range n.offAir {
+		if x.rx == a && x.med == o.med || x.rx == o && x.med == a.med {
+			return true
+		}
+	}
+	return false
+}
+
+// refreshStripe is one refreshGains worker: it recomputes the readable
+// pairs owned by movers k ≡ w (mod step) and returns how many it
+// computed.
 func (n *Network) refreshStripe(movers []*Node, w, step int) (pairs int) {
 	pg := n.newPairGain()
 	for k := w; k < len(movers); k += step {
@@ -1137,12 +1197,48 @@ func (n *Network) refreshStripe(movers []*Node, w, step int) (pairs int) {
 				lower = lower[1:]
 				continue
 			}
+			if !n.readable(a, o) {
+				if n.cfg.poisonSkippedGains {
+					a.gain[o.gi], o.gain[a.gi] = math.NaN(), math.NaN()
+				}
+				continue
+			}
 			mw := pg.mw(a, o, shadow[j])
 			a.gain[o.gi], o.gain[a.gi] = mw, mw
 			pairs++
 		}
 	}
 	return pairs
+}
+
+// refreshRow recomputes the gains of station nd, which reassociate has
+// just moved to another medium, to every node it can now read that
+// the tick's refresh may have skipped: the nodes of its new medium, and
+// the receivers that roamed off that medium while a frame on its air is
+// still addressed to them. Nothing has moved since the tick, so each
+// cell gets the bits refreshGains would have given it.
+func (n *Network) refreshRow(nd *Node) {
+	if n.cfg.fullGainRefresh {
+		return
+	}
+	pg := n.newPairGain()
+	shadow := n.shadowDB[nd.id]
+	set := func(o *Node) {
+		mw := pg.mw(nd, o, shadow[o.id])
+		nd.gain[o.gi], o.gain[nd.gi] = mw, mw
+		n.gainRefreshPairs++
+	}
+	m := nd.med
+	for _, o := range m.nodes {
+		if o != nd {
+			set(o)
+		}
+	}
+	for i, a := range m.active {
+		if o := a.rx; o.med != m && !slices.ContainsFunc(m.active[:i], func(b *transmission) bool { return b.rx == o }) {
+			set(o)
+		}
+	}
 }
 
 // gainBlockBytes caps one backing array of gain rows.
@@ -1213,7 +1309,12 @@ func (n *Network) gainBytes() int64 {
 }
 
 // rxPowerMw returns the received power, in milliwatts, at node rx when
-// tx transmits. The two must share a gain domain.
+// tx transmits. The two must share a gain domain. Under mobility only
+// the cells Network.readable admits are kept current between roam
+// ticks: two nodes on one medium, a pair with an AP, and a receiver
+// that roamed off the medium of a frame still on the air to it, paired
+// with that medium's nodes. Any other cell may hold a gain from older
+// positions (NaN under Config.poisonSkippedGains).
 func (n *Network) rxPowerMw(tx, rx *Node) float64 { return tx.gain[rx.gi] }
 
 // rxPowerDBm is the same figure in dBm, read back from the mW matrix
@@ -1453,6 +1554,9 @@ func (nd *Node) reassociate(b *BSS) {
 		old.remove(nd)
 		next.addNode(nd)
 		nd.med = next
+		// The tick refreshed only the pairs readable on the old media:
+		// bring the row to the new one up to date before it is read.
+		nd.net.refreshRow(nd)
 	}
 	// Judge the new medium's frames at the moved gains. A tracked roamer
 	// defers now; an untracked one leaves its verdict in latent for
@@ -1650,10 +1754,14 @@ type Result struct {
 	// n²·8 + n·24 for the shadowing matrix when mobility keeps it.
 	GainBytes int64
 
-	// GainRefreshPairs counts the node pairs the roam ticks recomputed
-	// received power for, summed over the run: each tick recomputes
-	// every pair with at least one moved node once, m·(n−m) + m(m−1)/2
-	// pairs for m of n nodes moved. Zero without mobility.
+	// GainRefreshPairs counts the node pairs whose received power the
+	// run recomputed after moves, summed over the run: each roam tick
+	// recomputes once every pair with at least one moved node that the
+	// run can read (two nodes on one medium, a pair with an AP, or a
+	// receiver that roamed off the medium of a frame still on the air
+	// to it, with that medium's nodes), and each station that then
+	// changes medium recomputes its row to the new medium's nodes and
+	// those receivers off it. Zero without mobility.
 	GainRefreshPairs int
 
 	// FramePools holds each shard's frame-record pool counters, indexed
