@@ -538,9 +538,11 @@ func main() {
 				plan.Shards, plan.Requested, plan.Groups)
 		}
 		if o.shardStats {
-			gb := results[0].GainBytes
+			r := results[0]
 			fmt.Fprintf(os.Stderr, "gain state: %d bytes (%.1f MB), %d pairs refreshed by roam ticks and channel changes\n",
-				gb, float64(gb)/1e6, results[0].GainRefreshPairs)
+				r.GainBytes, float64(r.GainBytes)/1e6, r.GainRefreshPairs)
+			fmt.Fprintf(os.Stderr, "interference crossings: %d over %d frame starts (%.1f per start)\n",
+				r.Crossings, r.FrameStarts, float64(r.Crossings)/float64(max(r.FrameStarts, 1)))
 		}
 	}
 	if o.shardStats {

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"time"
 
@@ -22,15 +23,17 @@ import (
 // netsimSeeds is the Monte-Carlo fan-out per table row.
 const netsimSeeds = 3
 
-// modeAt is the legacy PHY mode at rateMbps from the DSSS, CCK and
-// OFDM ladders, whose rates do not overlap. A one-entry rate table of
+// legacyModes is the DSSS, CCK and OFDM ladders, whose rates do not
+// overlap. They are built once: each ladder call formats every mode's
+// name, and modeAt runs several times per exhibit run.
+var legacyModes = slices.Concat(linkmodel.DsssModes(), linkmodel.CckModes(), linkmodel.OfdmModes())
+
+// modeAt is the legacy PHY mode at rateMbps. A one-entry rate table of
 // it pins a link to that rate.
 func modeAt(rateMbps float64) linkmodel.Mode {
-	for _, ladder := range [][]linkmodel.Mode{linkmodel.DsssModes(), linkmodel.CckModes(), linkmodel.OfdmModes()} {
-		for _, m := range ladder {
-			if m.RateMbps == rateMbps {
-				return m
-			}
+	for _, m := range legacyModes {
+		if m.RateMbps == rateMbps {
+			return m
 		}
 	}
 	panic(fmt.Sprintf("experiments: no legacy mode at %g Mbps", rateMbps))

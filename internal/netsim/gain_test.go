@@ -73,6 +73,11 @@ func TestGainStateOracle(t *testing.T) {
 			}
 			assertGainLayout(t, static)
 			assertGainLayout(t, mobile)
+			for name, n := range map[string]*Network{"static": static, "mobile": mobile} {
+				if d := asymmetricGain(n); d != "" {
+					t.Fatalf("%s build: %s", name, d)
+				}
+			}
 			assertOneBackingArray(t, "mobile shadowDB", mobile.shadowDB, nn)
 			assertSameGains(t, static, mobile)
 
@@ -109,6 +114,9 @@ func TestGainStateOracle(t *testing.T) {
 			want2 := gainMatrix(mobile)
 			mobile.refreshGains(mobile.nodes)
 			assertBitIdentical(t, "refreshed gains", want2, gainMatrix(mobile))
+			if d := asymmetricGain(mobile); d != "" {
+				t.Fatalf("refreshed gains: %s", d)
+			}
 		})
 	}
 	if got := SingleLink(DefaultConfig(), 10, 500)(1).Run(1e4).GainBytes; got != 2*2*8+2*24 {
@@ -284,6 +292,24 @@ func assertSameGains(t *testing.T, n, one *Network) {
 			}
 		}
 	}
+}
+
+// asymmetricGain describes the first same-domain pair of n whose two
+// cells, a.gain[b.gi] and b.gain[a.gi], differ in any bit ("" when
+// none). medium.start reads a pair's power from either cell (the
+// crossing into a new frame reads its receiver's row), so both must
+// hold the same bits, NaN poisoning included.
+func asymmetricGain(n *Network) string {
+	dom := gainDomainOf(n)
+	for i, a := range n.nodes {
+		for j := i + 1; j < len(n.nodes); j++ {
+			b := n.nodes[j]
+			if dom[i] == dom[j] && math.Float64bits(a.gain[b.gi]) != math.Float64bits(b.gain[a.gi]) {
+				return fmt.Sprintf("pair %d-%d holds %v one way and %v the other", i, j, a.gain[b.gi], b.gain[a.gi])
+			}
+		}
+	}
+	return ""
 }
 
 // gainMatrix copies a one-domain network's gain rows, indexed by id.
@@ -471,7 +497,10 @@ func mismatchedRules(n *Network, shadow [][]float64) string {
 // striped workers the race detector then covers. Each run also holds
 // Result.GainRefreshPairs to its closed form: per tick, the readable
 // pairs with a moved node, then the row of each roam that changed
-// medium (runCountingPairs).
+// medium (runCountingPairs). The runs poison every skipped cell with
+// NaN (Config.poisonSkippedGains), and after each tick both cells of
+// every pair must hold the same bits (asymmetricGain): the interference
+// crossing reads a pair from either side.
 func TestMobileRefreshMatchesRecompute(t *testing.T) {
 	type row struct {
 		name       string
@@ -498,7 +527,11 @@ func TestMobileRefreshMatchesRecompute(t *testing.T) {
 		if r.name == "walker-floor-272" && len(n.nodes) < 256 {
 			t.Fatalf("%s has %d nodes, below the striped refresh's cutover", r.name, len(n.nodes))
 		}
+		n.cfg.poisonSkippedGains = true
 		c := runCountingPairs(n, r.durationUs)
+		if c.asym != "" {
+			t.Errorf("%s: %s", r.name, c.asym)
+		}
 		t.Logf("%s: %d ticks moved nodes, %d pairs refreshed (%d in roamers' rows), %d roams",
 			r.name, c.ticks, c.pairs, c.rowCells, c.res.Roams)
 		if c.ticks == 0 {
@@ -609,11 +642,13 @@ func walkerFloor(seed int64) *Network {
 
 // pairCount is what runCountingPairs observed: the run's Result, the
 // closed-form pair count, the ticks that moved a node, the cells of
-// roamers' rows within the count, and the ticks that found a receiver
-// off the medium of a frame on the air to it.
+// roamers' rows within the count, the ticks that found a receiver off
+// the medium of a frame on the air to it, and the first pair whose two
+// cells differed after a tick ("" when none).
 type pairCount struct {
 	res                                 Result
 	pairs, ticks, rowCells, offAirTicks int
+	asym                                string
 }
 
 // runCountingPairs runs n for durationUs with an observer at every
@@ -625,7 +660,8 @@ type pairCount struct {
 // the tick's reassociations in order (EvRoam). Per tick that is the
 // readable pairs with a moved node, then for each roam that changed
 // medium the roamer's row: the other nodes of the new medium and the
-// distinct receivers off it of frames on its air.
+// distinct receivers off it of frames on its air. The observer also
+// checks every pair's two cells for the same bits (asymmetricGain).
 func runCountingPairs(n *Network, durationUs float64) (c pairCount) {
 	n.Prepare()
 	nn := len(n.nodes)
@@ -684,6 +720,9 @@ func runCountingPairs(n *Network, durationUs float64) (c pairCount) {
 			}
 		}
 		roams.events = roams.events[:0]
+		if d := asymmetricGain(n); d != "" && c.asym == "" {
+			c.asym = fmt.Sprintf("after the tick at t=%v: %s", eng.Now(), d)
+		}
 		eng.Schedule(n.cfg.RoamIntervalUs, observe)
 	}
 	eng.Schedule(n.cfg.RoamIntervalUs, observe)

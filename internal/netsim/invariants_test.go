@@ -83,7 +83,8 @@ func (p *csInvariantProbe) OnEvent(ev Event) {
 // medium's active list now holds: the sender's power at its receiver,
 // the sender's row and column over the medium's nodes (carrier sense,
 // NAV decode, the OBSS-PD window from the sender's seat), and both
-// interference crossings with every other frame on the medium.
+// interference crossings with every other frame on the medium, each
+// read from a row of a's own endpoints.
 func (p *csInvariantProbe) nanRead(ev Event, a liveFrame) error {
 	tx, rx := a.tr.tx, a.tr.rx
 	nan := func(from, to *Node) error {
@@ -108,7 +109,7 @@ func (p *csInvariantProbe) nanRead(ev Event, a liveFrame) error {
 		if b == a.tr {
 			continue
 		}
-		if err := cmp.Or(nan(tx, b.rx), nan(b.tx, rx)); err != nil {
+		if err := cmp.Or(nan(tx, b.rx), nan(rx, b.tx)); err != nil {
 			return err
 		}
 	}
@@ -286,4 +287,55 @@ func everyPreset() []compatRow {
 		}
 	}
 	return append(rows, compatScenarios()...)
+}
+
+// crossingProbe counts frame starts and, at each, the frames already
+// on the air of the sender's medium: the new frame is the last entry of
+// that medium's active list, so the start crossed every other entry.
+type crossingProbe struct {
+	n                 *Network
+	starts, crossings int
+}
+
+func (p *crossingProbe) OnEvent(ev Event) {
+	if ev.Kind == EvTxStart {
+		p.starts++
+		p.crossings += len(p.n.nodes[ev.Node].med.active) - 1
+	}
+}
+
+// TestCrossingsCounter pins Result.FrameStarts and Result.Crossings
+// against crossingProbe on every equivalence row and seed and every
+// compat preset. Each shard gets its own probe (AttachShardProbes
+// keeps the plan), so the sharded presets check the per-shard sums.
+func TestCrossingsCounter(t *testing.T) {
+	sharded := 0
+	for _, rw := range everyPreset() {
+		n := rw.build()
+		var probes []*crossingProbe
+		n.AttachShardProbes(func(int) Probe {
+			p := &crossingProbe{n: n}
+			probes = append(probes, p)
+			return p
+		})
+		r := n.Run(rw.durationUs)
+		if r.Shards > 1 {
+			sharded++
+		}
+		var starts, crossings int
+		for _, p := range probes {
+			starts += p.starts
+			crossings += p.crossings
+		}
+		if r.FrameStarts == 0 {
+			t.Errorf("%s: no frame started", rw.name)
+		}
+		if r.FrameStarts != starts || r.Crossings != crossings {
+			t.Errorf("%s: Result counts %d frame starts crossing %d frames on the air, the probe %d crossing %d",
+				rw.name, r.FrameStarts, r.Crossings, starts, crossings)
+		}
+	}
+	if sharded == 0 {
+		t.Fatal("no preset ran on more than one shard")
+	}
 }

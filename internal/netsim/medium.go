@@ -104,6 +104,11 @@ type transmission struct {
 	mode    linkmodel.Mode
 	startUs float64
 
+	// txGi / rxGi are the endpoints' gain indices (Node.gi), copied at
+	// start. A node's gi never changes after build, so the crossing
+	// loops index gain rows with them and load no Node.
+	txGi, rxGi int
+
 	// chLo / chW are the frame's occupied 20 MHz slot span [chLo,
 	// chLo+chW): the sender's primary channel, two slots wide when a
 	// bonded medium carries a 40 MHz mode. Always width 1 on legacy
@@ -377,6 +382,7 @@ func (m *medium) start(tr *transmission) {
 	}
 	tr.color = tr.tx.bss.color
 	tr.scaleMw = 1
+	tr.txGi, tr.rxGi = tr.tx.gi, tr.rx.gi
 	if m.net.obssOn {
 		// OBSS-PD coupling rule: a transmission launched while an
 		// inter-BSS frame sits in the ignore window [CSThresholdDBm,
@@ -402,6 +408,8 @@ func (m *medium) start(tr *transmission) {
 	}
 	prev := m.active
 	m.active = append(m.active, tr)
+	m.sh.frameStarts++
+	m.sh.crossings += len(prev)
 	if m.sh.probe != nil {
 		m.sh.probe.OnEvent(m.sh.txEvent(EvTxStart, tr))
 	}
@@ -411,7 +419,16 @@ func (m *medium) start(tr *transmission) {
 	// on a static floor finish recomputes the identical figure from the
 	// gain rows, sparing two list appends per overlapping pair in the
 	// densest part of the hot loop.
+	//
+	// Both crossings read a row of one of tr's own endpoints, so the
+	// loop loads no Node: tr's sender's power at a's receiver is
+	// txRow[a.rxGi], and a's sender's power at tr's receiver is
+	// rxRow[a.txGi], the receiver's own cell of the pair. Gains are
+	// symmetric and every write (build, roam-tick refresh, refreshRow,
+	// NaN poisoning) sets both cells of a pair, so it holds the same
+	// bits as a.tx's row would.
 	snap := m.net.cfg.RoamIntervalUs > 0
+	txRow, rxRow := tr.tx.gain, tr.rx.gain
 	for _, a := range prev {
 		if a.rx == tr.tx {
 			// The node a was addressed to is now talking over it.
@@ -419,7 +436,7 @@ func (m *medium) start(tr *transmission) {
 		}
 		if a.rx != tr.tx {
 			if f := overlapFrac(tr, a, m.bonded); f > 0 {
-				mw := m.net.rxPowerMw(tr.tx, a.rx) * f * tr.scaleMw
+				mw := txRow[a.rxGi] * f * tr.scaleMw
 				a.addInterference(mw)
 				if snap {
 					tr.contrib = append(tr.contrib, contribution{a, a.gen, mw})
@@ -428,7 +445,7 @@ func (m *medium) start(tr *transmission) {
 		}
 		if a.tx != tr.rx {
 			if f := overlapFrac(a, tr, m.bonded); f > 0 {
-				mw := m.net.rxPowerMw(a.tx, tr.rx) * f * a.scaleMw
+				mw := rxRow[a.txGi] * f * a.scaleMw
 				tr.addInterference(mw)
 				if snap {
 					a.contrib = append(a.contrib, contribution{tr, tr.gen, mw})
@@ -549,10 +566,11 @@ func (m *medium) finish(tr *transmission) {
 		// (channels never change without mobility, so the overlap
 		// fraction recomputes identically too — including the frame's
 		// own OBSS-PD power scale, fixed at launch).
+		txRow := tr.tx.gain
 		for _, a := range m.active {
 			if a.rx != tr.tx {
 				if f := overlapFrac(tr, a, m.bonded); f > 0 {
-					a.subInterference(m.net.rxPowerMw(tr.tx, a.rx) * f * tr.scaleMw)
+					a.subInterference(txRow[a.rxGi] * f * tr.scaleMw)
 				}
 			}
 		}

@@ -542,13 +542,16 @@ type Network struct {
 	// within a domain; domain d is gainMembers[gainBounds[d]:
 	// gainBounds[d+1]], and a node's index in it is Node.gi. Each node
 	// holds its own row (Node.gain), so every per-frame decision reads
-	// tx.gain[rx.gi] in linear units: the interference crossing in
-	// medium.start/finish sums powers for every concurrent pair, and
-	// carrier sense, the OBSS-PD window and NAV decode (hears, start)
-	// compare against thresholds New converts to mW once, so no frame
-	// pays a dB↔mW conversion. The dBm figure is a readback
-	// (rxPowerDBm) for the two callers off the frame path, the roam
-	// scan and the memoized rate choice. The rows are capacity-capped
+	// a pair's power in linear units from a node's own row: carrier
+	// sense, the OBSS-PD window and NAV decode (hears, start) read the
+	// sender's, tx.gain[rx.gi], and compare against thresholds New
+	// converts to mW once, so no frame pays a dB↔mW conversion. The
+	// interference crossing in medium.start/finish sums powers for
+	// every concurrent pair from the rows of the new frame's sender and
+	// receiver; the receiver's cell of a pair stands in for the other
+	// sender's, which every write keeps bit-identical. The dBm figure
+	// is a readback (rxPowerDBm) for the two callers off the frame
+	// path, the roam scan and the memoized rate choice. The rows are capacity-capped
 	// views into backing arrays of at most gainBlockBytes (gainRows).
 	//
 	// shadowDB[i][j] is the symmetric per-pair shadowing draw baked into
@@ -1764,6 +1767,14 @@ type Result struct {
 	// those receivers off it. Zero without mobility.
 	GainRefreshPairs int
 
+	// FrameStarts counts the frames put on the air (data, RTS and CTS
+	// alike). Crossings counts, over those starts, the frames already
+	// on the same medium's air, each of which the start's crossing loop
+	// visits: Crossings/FrameStarts is the mean active-list length a
+	// start walks. Both are counted per shard and summed.
+	FrameStarts int
+	Crossings   int
+
 	// FramePools holds each shard's frame-record pool counters, indexed
 	// by shard (framepool.go): transmission and packet records recycled
 	// vs newly allocated. The misses are the per-frame objects the run
@@ -1807,6 +1818,8 @@ func (n *Network) collect(durationUs float64) Result {
 		res.BlockAckRetries += sh.blockAckRetries
 		res.ObssIgnores += sh.obssIgnores
 		res.ObssReuseTx += sh.obssReuseTx
+		res.FrameStarts += sh.frameStarts
+		res.Crossings += sh.crossings
 		for ac := 0; ac < int(NumACs); ac++ {
 			attempts[ac] += sh.attempts[ac]
 			delivered[ac] += sh.delivered[ac]

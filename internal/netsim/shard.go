@@ -74,6 +74,8 @@ type shard struct {
 	acBytesDelivered      [NumACs]int
 	obssIgnores           int
 	obssReuseTx           int
+	frameStarts           int
+	crossings             int
 
 	// frames recycles the shard's transmission and packet records
 	// (framepool.go). okScratch and pktScratch are the Block-ACK path's

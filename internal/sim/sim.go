@@ -2,10 +2,12 @@
 // clock and a priority queue of scheduled callbacks. The MAC power-save
 // and traffic models run on it, and netsim's hot loop schedules and
 // cancels events at frame rate, so the engine recycles event records
-// through a free list instead of allocating one per Schedule.
+// through a free list instead of allocating one per Schedule, and keeps
+// its queue as a 4-ary min-heap whose slots carry each event's (time,
+// seq) key inline: a sift compares keys without loading an event
+// record. Events fire in (time, seq) order, a strict total order, so
+// the firing sequence does not depend on the heap's shape.
 package sim
-
-import "container/heap"
 
 // event is one pooled scheduled-callback record. Records are owned by
 // the engine: popped or cancelled events return to the free list and
@@ -15,11 +17,9 @@ import "container/heap"
 // what makes a late Cancel on a fired (and possibly reused) event a
 // no-op.
 type event struct {
-	time float64
-	seq  int64
-	fn   func()
-	gen  uint64
-	// index is the event's position in the owning engine's heap, or -1
+	fn  func()
+	gen uint64
+	// index is the event's slot in the owning engine's heap, or -1
 	// once it has fired or been removed. Cancel uses it to take the
 	// event out of the queue eagerly rather than leaving a dead entry
 	// to be skipped at pop time — workloads that churn cancellations
@@ -55,7 +55,7 @@ func (r EventRef) Cancel() {
 	}
 	eng := r.ev.eng
 	eng.stats.Cancelled++
-	heap.Remove(&eng.queue, r.ev.index)
+	eng.remove(r.ev.index)
 	eng.release(r.ev)
 }
 
@@ -92,7 +92,7 @@ func (s Stats) PoolHitRate() float64 {
 // ready to use.
 type Engine struct {
 	now   float64
-	queue eventHeap
+	queue []slot
 	seq   int64
 	free  []*event
 	stats Stats
@@ -120,8 +120,9 @@ func (e *Engine) At(t float64, fn func()) EventRef {
 	}
 	e.seq++
 	ev := e.alloc()
-	ev.time, ev.seq, ev.fn = t, e.seq, fn
-	heap.Push(&e.queue, ev)
+	ev.fn = fn
+	e.queue = append(e.queue, slot{t, e.seq, ev})
+	e.up(len(e.queue) - 1)
 	e.stats.Scheduled++
 	if n := len(e.queue); n > e.stats.HeapHighWater {
 		e.stats.HeapHighWater = n
@@ -153,11 +154,12 @@ func (e *Engine) release(ev *event) {
 
 // Step fires the next event. It reports false when the queue is empty.
 func (e *Engine) Step() bool {
-	if e.queue.Len() == 0 {
+	if len(e.queue) == 0 {
 		return false
 	}
-	ev := heap.Pop(&e.queue).(*event)
-	e.now = ev.time
+	e.now = e.queue[0].time
+	ev := e.queue[0].ev
+	e.remove(0)
 	e.stats.Fired++
 	fn := ev.fn
 	// Release before running: refs to this event go stale now, and the
@@ -170,7 +172,7 @@ func (e *Engine) Step() bool {
 // Run fires events until the queue empties or the clock passes until.
 // Events scheduled exactly at until still fire.
 func (e *Engine) Run(until float64) {
-	for e.queue.Len() > 0 && e.queue[0].time <= until {
+	for len(e.queue) > 0 && e.queue[0].time <= until {
 		e.Step()
 	}
 	if e.now < until {
@@ -180,35 +182,87 @@ func (e *Engine) Run(until float64) {
 
 // Pending returns the number of live events in the queue. Cancelled
 // events are removed eagerly, so this is just the queue length.
-func (e *Engine) Pending() int { return e.queue.Len() }
+func (e *Engine) Pending() int { return len(e.queue) }
 
-// eventHeap orders by time, breaking ties by scheduling order so the
+// slot is one heap entry: the event's key, copied inline so that a
+// sift compares keys without loading the record, and the record
+// itself.
+type slot struct {
+	time float64
+	seq  int64
+	ev   *event
+}
+
+// before orders slots by time, breaking ties by scheduling order so the
 // simulation is deterministic.
-type eventHeap []*event
+func (s *slot) before(o *slot) bool {
+	return s.time < o.time || s.time == o.time && s.seq < o.seq
+}
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].time != h[j].time {
-		return h[i].time < h[j].time
+// The queue is a 4-ary min-heap: the children of slot i are slots
+// 4i+1 … 4i+4. Against a binary heap it halves the levels a sift walks,
+// and a slot's four children share a cache line or two. Every move
+// writes the moved event's index, which Cancel removes by.
+
+// up sifts slot i toward the root.
+func (e *Engine) up(i int) {
+	q := e.queue
+	s := q[i]
+	for i > 0 {
+		p := (i - 1) / 4
+		if !s.before(&q[p]) {
+			break
+		}
+		q[i] = q[p]
+		q[i].ev.index = i
+		i = p
 	}
-	return h[i].seq < h[j].seq
+	q[i] = s
+	s.ev.index = i
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+
+// down sifts slot i toward the leaves and reports whether it moved.
+func (e *Engine) down(i int) bool {
+	q := e.queue
+	n := len(q)
+	s := q[i]
+	i0 := i
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		m := c
+		for j := c + 1; j < min(c+4, n); j++ {
+			if q[j].before(&q[m]) {
+				m = j
+			}
+		}
+		if !q[m].before(&s) {
+			break
+		}
+		q[i] = q[m]
+		q[i].ev.index = i
+		i = m
+	}
+	q[i] = s
+	s.ev.index = i
+	return i > i0
 }
-func (h *eventHeap) Push(x any) {
-	ev := x.(*event)
-	ev.index = len(*h)
-	*h = append(*h, ev)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	*h = old[:n-1]
-	return ev
+
+// remove takes slot i out of the queue: the last slot fills the hole
+// and sifts whichever way its key points. The removed event's index
+// becomes -1.
+func (e *Engine) remove(i int) {
+	q := e.queue
+	n := len(q) - 1
+	q[i].ev.index = -1
+	if i != n {
+		q[i] = q[n]
+	}
+	q[n] = slot{} // drop the record pointer from the spare capacity
+	e.queue = q[:n]
+	if i != n && !e.down(i) {
+		e.up(i)
+	}
 }
