@@ -7,14 +7,10 @@ import (
 	"fmt"
 
 	"repro/internal/linkmodel"
-	"repro/internal/mac"
 	"repro/internal/netsim"
-	"repro/internal/rng"
 )
 
 func main() {
-	src := rng.New(5)
-
 	fmt.Println("1. saturated DCF: contention cost and fairness (54 Mbps, 1500 B)")
 	for i, n := range []int{1, 5, 20} {
 		res := netsim.DenseGrid(netsim.DefaultConfig(), 1, n, []int{1}, 1, 1500)(int64(i)).Run(2e6)
@@ -44,26 +40,32 @@ func main() {
 			rate, g1, 100*g1/rate, g2, 100*g2/rate)
 	}
 
-	fmt.Println("\n3. ARF rate adaptation across SNR (fading link)")
-	modes := linkmodel.OfdmModes()
-	for _, snr := range []float64{10, 20, 30} {
-		res := mac.RunArf(mac.DefaultArf(), modes, snr, true, 2000, 1500, src.Split())
-		fmt.Printf("   %2.0f dB: settled on %-14s goodput %5.1f Mbps, delivery %3.0f%%\n",
-			snr, res.FinalMode.Name, res.GoodputMbps,
-			100*float64(res.FramesOK)/float64(res.FramesSent))
+	fmt.Println("\n3. per-frame ARF across distance (one saturated station)")
+	arf := netsim.DefaultConfig()
+	arf.RateControl = "arf"
+	for i, distM := range []float64{10, 90, 150} {
+		res := netsim.SingleLink(arf, distM, 1500)(int64(i)).Run(1e6)
+		top, topCount := "", 0
+		for _, m := range arf.Modes { // rate-table order breaks ties
+			if c := res.ModeAttempts[m.Name]; c > topCount {
+				top, topCount = m.Name, c
+			}
+		}
+		fmt.Printf("   %3.0f m: mostly %-14s goodput %5.1f Mbps, delivery %3.0f%%\n",
+			distM, top, res.AggGoodputMbps, 100*float64(res.Delivered)/float64(res.Attempts))
 	}
 
 	fmt.Println("\n4. hidden terminals at 6 Mbps (long vulnerable window)")
-	plain := mac.RunHiddenTerminal(hiddenCfg(false), 4e6, src.Split())
-	rts := mac.RunHiddenTerminal(hiddenCfg(true), 4e6, src.Split())
-	fmt.Printf("   plain:   %4.1f Mbps, collision rate %4.1f%%, %d drops\n",
-		plain.GoodputMbps, 100*float64(plain.Collisions)/float64(plain.Attempts), plain.Dropped)
-	fmt.Printf("   RTS/CTS: %4.1f Mbps, collision rate %4.1f%%, %d drops\n",
-		rts.GoodputMbps, 100*float64(rts.Collisions)/float64(rts.Attempts), rts.Dropped)
-}
-
-func hiddenCfg(rts bool) mac.HiddenConfig {
-	cfg := mac.DefaultHidden(rts)
-	cfg.RateMbps = 6
-	return cfg
+	hidden := netsim.DefaultConfig()
+	hidden.Modes = linkmodel.OfdmModes()[:1] // pin OFDM 6 Mbps
+	rtsCts := hidden
+	rtsCts.RtsThresholdBytes = 1 // RTS/CTS before every data frame
+	for _, row := range []struct {
+		name string
+		cfg  netsim.Config
+	}{{"plain:  ", hidden}, {"RTS/CTS:", rtsCts}} {
+		res := netsim.HiddenPair(row.cfg, 300, 1500)(1).Run(4e6)
+		fmt.Printf("   %s %4.1f Mbps, collision rate %4.1f%%, %d drops\n",
+			row.name, res.AggGoodputMbps, 100*float64(res.Collisions)/float64(res.Attempts), res.RetryDrops)
+	}
 }

@@ -430,6 +430,39 @@ func TestE26AmpduRestoresEfficiency(t *testing.T) {
 	}
 }
 
+func TestE17HiddenTerminalShape(t *testing.T) {
+	tb := E17HiddenTerminal(Quick())[0]
+	if len(tb.Rows) != 4 {
+		t.Fatalf("%d rows, want 6/12/24/54 Mbps", len(tb.Rows))
+	}
+	// Columns: rate, plain goodput, plain collision rate, RTS goodput,
+	// RTS collision rate, RTS wins. The data frame is the vulnerable
+	// window, so RTS/CTS pays most at the lowest rate...
+	first := tb.Rows[0]
+	if ratio := parse(t, first[3]) / parse(t, first[1]); ratio < 1.5 {
+		t.Errorf("%s Mbps: RTS/plain goodput %.2fx, want at least 1.5x", first[0], ratio)
+	}
+	// ...and its edge shrinks as the frame does: the goodput ratio and
+	// the plain collision rate fall strictly up the rate ladder.
+	prevRatio, prevColl := math.Inf(1), math.Inf(1)
+	for _, row := range tb.Rows {
+		ratio := parse(t, row[3]) / parse(t, row[1])
+		if ratio >= prevRatio {
+			t.Errorf("%s Mbps: RTS/plain ratio %.3f not below %.3f at the rate before", row[0], ratio, prevRatio)
+		}
+		prevRatio = ratio
+		plainColl, rtsColl := parse(t, row[2]), parse(t, row[4])
+		if plainColl >= prevColl {
+			t.Errorf("%s Mbps: plain collision rate %v not below %v at the rate before", row[0], plainColl, prevColl)
+		}
+		prevColl = plainColl
+		// Collisions shrink to the RTS at every rate.
+		if rtsColl >= plainColl {
+			t.Errorf("%s Mbps: RTS collision rate %v not below plain %v", row[0], rtsColl, plainColl)
+		}
+	}
+}
+
 func TestE24RtsRecoveryAndArfStaircase(t *testing.T) {
 	tables := E24RtsCtsHidden(Quick())
 	if len(tables) != 2 {

@@ -8,11 +8,9 @@ import (
 	"time"
 
 	"repro/internal/linkmodel"
-	"repro/internal/mac"
 	"repro/internal/netsim"
 	"repro/internal/netsim/app"
 	"repro/internal/report"
-	"repro/internal/rng"
 )
 
 // E22-E27 move the repo from slot-averaged MAC models to the
@@ -37,6 +35,21 @@ func modeAt(rateMbps float64) linkmodel.Mode {
 		}
 	}
 	panic(fmt.Sprintf("experiments: no legacy mode at %g Mbps", rateMbps))
+}
+
+// hiddenSweep runs netsim.HiddenPair over netsimSeeds seeds and returns
+// the mean aggregate goodput and the mean per-run collision rate. The
+// stations stand 300 m apart, 150 m either side of the AP: out of each
+// other's carrier-sense range, in range of the AP's CTS.
+func hiddenSweep(c netsim.Config, payload int, durationUs float64, baseSeed int64) (mbps, collRate float64) {
+	jobs := netsim.SeedSweep("hidden", netsim.HiddenPair(c, 300, payload), durationUs, baseSeed, netsimSeeds)
+	results := netsim.ScenarioRunner{Workers: 4}.RunAll(jobs)
+	for _, r := range results {
+		if r.Attempts > 0 {
+			collRate += float64(r.Collisions) / float64(r.Attempts) / float64(len(results))
+		}
+	}
+	return netsim.MeanAggGoodput(results), collRate
 }
 
 // E22DenseBSS grows a co-channel deployment from one BSS to four and
@@ -129,66 +142,30 @@ func E23TrafficMix(cfg Config) []report.Table {
 	return []report.Table{t}
 }
 
-// E24RtsCtsHidden plays the hidden-terminal rescue at packet level and
-// holds it against the closed-form stand-in it replaces: two saturated
-// stations that cannot carrier-sense each other, with and without the
-// RTS/CTS/NAV exchange, in netsim (SINR, backoff, NAV timers) and in
-// mac.RunHiddenTerminal (vulnerable-window bookkeeping). The second
-// table turns on per-frame ARF and sweeps a station outward: the
+// E24RtsCtsHidden plays the hidden-terminal rescue at packet level:
+// two saturated stations that cannot carrier-sense each other, with and
+// without the RTS/CTS/NAV exchange, at the rate netsim's median-SNR
+// selection picks for the geometry (E17 pins the rate instead). The
+// second table turns on per-frame ARF and sweeps a station outward: the
 // per-mode attempt histogram walks down the rate staircase with
 // distance instead of being frozen at association.
 func E24RtsCtsHidden(cfg Config) []report.Table {
 	durationUs := float64(cfg.Frames) * 8000
 	payload := cfg.PayloadBytes + 1100
-	const sepM = 300
 
 	hidden := report.Table{
 		ID:     "E24",
-		Title:  "Hidden pair: RTS/CTS + NAV rescue, packet-level vs closed form",
+		Title:  "Hidden pair: RTS/CTS + NAV rescue, packet-level",
 		Note:   "packet-level extension: collisions shrink to the RTS; the CTS-set NAV silences the hidden peer",
 		Header: []string{"model", "plain Mbps", "rts Mbps", "recovery", "plain coll", "rts coll"},
 	}
-
-	run := func(build func(seed int64) *netsim.Network) (mbps, collRate float64) {
-		jobs := netsim.SeedSweep("hidden", build, durationUs, cfg.Seed*3000, netsimSeeds)
-		results := netsim.ScenarioRunner{Workers: 4}.RunAll(jobs)
-		for _, r := range results {
-			if r.Attempts > 0 {
-				collRate += float64(r.Collisions) / float64(r.Attempts) / float64(len(results))
-			}
-		}
-		return netsim.MeanAggGoodput(results), collRate
-	}
 	base := netsim.DefaultConfig()
-	plainMbps, plainColl := run(netsim.HiddenPair(base, sepM, payload))
+	plainMbps, plainColl := hiddenSweep(base, payload, durationUs, cfg.Seed*3000)
 	rts := base
 	rts.RtsThresholdBytes = 1 // RTS/CTS before every data frame
-	rtsMbps, rtsColl := run(netsim.HiddenPair(rts, sepM, payload))
+	rtsMbps, rtsColl := hiddenSweep(rts, payload, durationUs, cfg.Seed*3000)
 	hidden.AddRow("netsim", plainMbps, rtsMbps,
 		report.FormatRatio(rtsMbps/plainMbps), plainColl, rtsColl)
-
-	// Closed form at the rate netsim's median-SNR selection picks for
-	// this geometry (derived, not hard-coded, so a link-budget or mode
-	// table change cannot silently make the rows compare different PHY
-	// rates) — the two models argue about MAC dynamics, not link budget.
-	staSnrDB := base.Budget.TxPowerDBm + base.Budget.TxAntennaGain + base.Budget.RxAntennaGain -
-		base.PathLoss.LossDB(sepM/2) - base.Budget.NoiseFloorDBm()
-	staMode, _ := linkmodel.BestMode(base.Modes, staSnrDB, false, 0.1)
-	cf := func(rts bool, seed int64) (float64, float64) {
-		hc := mac.DefaultHidden(rts)
-		hc.RateMbps = staMode.RateMbps
-		hc.PayloadBytes = payload
-		r := mac.RunHiddenTerminal(hc, durationUs, rng.New(seed))
-		coll := 0.0
-		if r.Attempts > 0 {
-			coll = float64(r.Collisions) / float64(r.Attempts)
-		}
-		return r.GoodputMbps, coll
-	}
-	cfPlain, cfPlainColl := cf(false, cfg.Seed*3000+1)
-	cfRts, cfRtsColl := cf(true, cfg.Seed*3000+2)
-	hidden.AddRow("closed form", cfPlain, cfRts,
-		report.FormatRatio(cfRts/cfPlain), cfPlainColl, cfRtsColl)
 
 	arfCfg := netsim.DefaultConfig()
 	arfCfg.RateControl = "arf"
@@ -203,15 +180,7 @@ func E24RtsCtsHidden(cfg Config) []report.Table {
 		Header: []string{"distance m", "goodput Mbps", "mean attempt Mbps", "top mode"},
 	}
 	for _, distM := range []float64{10, 60, 90, 120, 150} {
-		build := func(seed int64) *netsim.Network {
-			n := netsim.New(arfCfg, seed)
-			b := n.AddAP("AP", 0, 0, 1)
-			st := n.AddStation(b, "sta", distM, 0)
-			n.Add(netsim.FlowSpec{From: st, AC: netsim.AC_BE,
-				Gen: netsim.Saturated{PayloadBytes: payload}})
-			return n
-		}
-		jobs := netsim.SeedSweep("arf", build, durationUs, cfg.Seed*4000, netsimSeeds)
+		jobs := netsim.SeedSweep("arf", netsim.SingleLink(arfCfg, distM, payload), durationUs, cfg.Seed*4000, netsimSeeds)
 		results := netsim.ScenarioRunner{Workers: 4}.RunAll(jobs)
 		var frames, rateSum float64
 		top, topCount := "", 0
@@ -394,25 +363,13 @@ func E27LargeFloorScale(cfg Config) []report.Table {
 // this measures the capacity ceiling in the same traffic direction,
 // which the self-limiting transport can approach but not exceed.
 func saturatedDownlinkFloor(cfg netsim.Config, nBSS, staPerBSS int) func(seed int64) *netsim.Network {
-	channels := []int{1, 6, 11}
-	const spacingM = 12.0
 	return func(seed int64) *netsim.Network {
 		n := netsim.New(cfg, seed)
 		cols := int(math.Ceil(math.Sqrt(float64(nBSS))))
-		for i := 0; i < nBSS; i++ {
-			col, row := i%cols, i/cols
-			x := float64(col) * spacingM
-			y := float64(row) * spacingM
-			b := n.AddAP(fmt.Sprintf("AP%d", i), x, y, channels[(col+2*row)%len(channels)])
-			for s := 0; s < staPerBSS; s++ {
-				ang := 2 * math.Pi * float64(s) / float64(staPerBSS)
-				r := 3 + 5*n.Src().Float64()
-				st := n.AddStation(b, fmt.Sprintf("sta%d.%d", i, s),
-					x+r*math.Cos(ang), y+r*math.Sin(ang))
-				n.Add(netsim.FlowSpec{From: b.AP, To: st, AC: netsim.AC_BE,
-					Gen: netsim.Saturated{PayloadBytes: 1000}})
-			}
-		}
+		netsim.RingFloor(n, nBSS, staPerBSS, cols, 12, []int{1, 6, 11}, func(b *netsim.BSS, st *netsim.Node, _ int) {
+			n.Add(netsim.FlowSpec{From: b.AP, To: st, AC: netsim.AC_BE,
+				Gen: netsim.Saturated{PayloadBytes: 1000}})
+		})
 		return n
 	}
 }

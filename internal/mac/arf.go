@@ -1,10 +1,5 @@
 package mac
 
-import (
-	"repro/internal/linkmodel"
-	"repro/internal/rng"
-)
-
 // ARF (automatic rate fallback) is the classic 802.11 rate-adaptation
 // rule: step the rate up after a run of consecutive successes, step it
 // down after consecutive failures, and — the rule that makes the probe
@@ -21,9 +16,9 @@ type ArfConfig struct {
 // DefaultArf matches the original Lucent WaveLAN-II parameters.
 func DefaultArf() ArfConfig { return ArfConfig{UpAfter: 10, DownAfter: 2} }
 
-// ArfController is the per-link ARF state machine, separated from the
-// closed-form RunArf loop so packet-level simulators (internal/netsim)
-// can own one per destination and feed it every frame outcome.
+// ArfController is the per-link ARF state machine: packet-level
+// simulators (internal/netsim) own one per destination and feed it
+// every frame outcome.
 type ArfController struct {
 	cfg    ArfConfig
 	nModes int
@@ -100,44 +95,4 @@ func (a *ArfController) OnVerdict(delivered, total int) {
 	} else {
 		a.OnFailure()
 	}
-}
-
-// ArfResult reports the outcome of an adaptation run.
-type ArfResult struct {
-	FramesSent    int
-	FramesOK      int
-	GoodputMbps   float64 // delivered payload over airtime at chosen rates
-	FinalMode     linkmodel.Mode
-	ModeHistogram map[string]int // frames attempted per mode name
-}
-
-// RunArf sends nFrames over a link with the given mean SNR (fading or
-// AWGN per the flag), adapting across the mode set through an
-// ArfController.
-func RunArf(cfg ArfConfig, modes []linkmodel.Mode, meanSnrDB float64, fading bool, nFrames, payloadBytes int, src *rng.Source) ArfResult {
-	if len(modes) == 0 {
-		panic("mac: no modes")
-	}
-	ctl := NewArfController(cfg, len(modes), 0)
-	res := ArfResult{ModeHistogram: map[string]int{}}
-	var airtimeUs, deliveredBits float64
-	for f := 0; f < nFrames; f++ {
-		m := modes[ctl.ModeIndex()]
-		res.ModeHistogram[m.Name]++
-		res.FramesSent++
-		airtimeUs += float64(8*payloadBytes)/m.RateMbps + 20 // PLCP overhead
-		per := m.PER(meanSnrDB, fading)
-		if src.Float64() < per {
-			ctl.OnFailure()
-			continue
-		}
-		res.FramesOK++
-		deliveredBits += float64(8 * payloadBytes)
-		ctl.OnSuccess()
-	}
-	if airtimeUs > 0 {
-		res.GoodputMbps = deliveredBits / airtimeUs
-	}
-	res.FinalMode = modes[ctl.ModeIndex()]
-	return res
 }

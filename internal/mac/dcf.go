@@ -1,11 +1,12 @@
 // Package mac holds the 802.11 medium access layer's parameters and
 // controllers: DCF and EDCA timing and contention windows, the ARF and
-// Minstrel rate-adaptation controllers, the beacon-based power-save
+// Minstrel rate-adaptation controllers, and the beacon-based power-save
 // mode whose latency/energy trade the paper's low-power section calls
-// for, and the hidden-terminal closed form. The distributed
-// coordination function itself (CSMA/CA with binary exponential
-// backoff) runs packet by packet in internal/netsim, which
-// TestBianchiSaturationAnchor holds to Bianchi's saturation model.
+// for. The distributed coordination function itself (CSMA/CA with
+// binary exponential backoff, RTS/CTS and NAV) runs packet by packet in
+// internal/netsim, which TestBianchiSaturationAnchor holds to Bianchi's
+// saturation model and TestHiddenPairAnchor to a hidden-terminal closed
+// form.
 package mac
 
 // DcfConfig holds the timing and contention parameters of one PHY era.

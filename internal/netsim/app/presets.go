@@ -9,7 +9,7 @@ import (
 )
 
 // Composable closed-loop floor presets: a grid of BSSs in the
-// LargeFloor layout, each cell populated with application users drawn
+// netsim.RingFloor layout LargeFloor uses, each cell populated with application users drawn
 // from a per-preset mix instead of saturated senders. Every user's
 // transport loop self-limits to what the MAC acknowledges, so — unlike
 // the open-loop floors — the offered load tracks congestion, and the
@@ -67,9 +67,10 @@ func checkCount(scenario, field string, v, minimum int) {
 	}
 }
 
-// build assembles the preset into a scenario builder: nBSS APs on the
-// grid, usersPerBSS application users ringed around each, kinds cycled
-// from the mix, every user's QoE registered on the network.
+// build assembles the preset into a scenario builder: nBSS APs on
+// netsim.RingFloor's grid, usersPerBSS application users ringed around
+// each, kinds cycled from the mix, every user's QoE registered on the
+// network.
 func (p floorPreset) build(cfg netsim.Config, nBSS, usersPerBSS int) func(seed int64) *netsim.Network {
 	checkCount(p.name, "nBSS", nBSS, 1)
 	checkCount(p.name, "usersPerBSS", usersPerBSS, 1)
@@ -81,45 +82,35 @@ func (p floorPreset) build(cfg netsim.Config, nBSS, usersPerBSS int) func(seed i
 		cols := int(math.Ceil(math.Sqrt(float64(nBSS))))
 		floorW := float64(cols-1)*p.spacingM + 10
 		user := 0
-		for i := 0; i < nBSS; i++ {
-			col, row := i%cols, i/cols
-			x := float64(col) * p.spacingM
-			y := float64(row) * p.spacingM
-			b := n.AddAP(fmt.Sprintf("AP%d", i), x, y, p.channels[(col+2*row)%len(p.channels)])
-			for s := 0; s < usersPerBSS; s++ {
-				ang := 2 * math.Pi * float64(s) / float64(usersPerBSS)
-				r := 3 + 5*n.Src().Float64()
-				st := n.AddStation(b, fmt.Sprintf("sta%d.%d", i, s),
-					x+r*math.Cos(ang), y+r*math.Sin(ang))
-				if p.mobile {
-					n.SetRandomWaypoint(st, netsim.RandomWaypoint{
-						MinX: -5, MinY: -5, MaxX: floorW, MaxY: floorW,
-						SpeedMinMps: p.speedMin, SpeedMaxMps: p.speedMax,
-						PauseUs: 2e6,
-					})
-				}
-				start := n.Src().Float64() * p.staggerStartMaxUs
-				switch p.mix[user%len(p.mix)] {
-				case kindWeb:
-					f := n.Add(netsim.FlowSpec{From: b.AP, To: st, AC: netsim.AC_BE,
-						Gen: netsim.Pull{SegmentBytes: 1000}})
-					u := NewWebUser(transport.Attach(f, transport.Config{}),
-						webProfile(start), n.Src().Split())
-					n.AddQoE(u.QoE)
-				case kindVideo:
-					f := n.Add(netsim.FlowSpec{From: b.AP, To: st, AC: netsim.AC_VI,
-						Gen: netsim.Pull{SegmentBytes: 1000}})
-					u := NewVideoUser(transport.Attach(f, transport.Config{}),
-						videoProfile(start))
-					n.AddQoE(u.QoE)
-				case kindVoice:
-					f := n.Add(netsim.FlowSpec{From: st, AC: netsim.AC_VO, Gen: voiceGen()})
-					u := NewVoiceUser(f, VoiceConfig{})
-					n.AddQoE(u.QoE)
-				}
-				user++
+		netsim.RingFloor(n, nBSS, usersPerBSS, cols, p.spacingM, p.channels, func(b *netsim.BSS, st *netsim.Node, _ int) {
+			if p.mobile {
+				n.SetRandomWaypoint(st, netsim.RandomWaypoint{
+					MinX: -5, MinY: -5, MaxX: floorW, MaxY: floorW,
+					SpeedMinMps: p.speedMin, SpeedMaxMps: p.speedMax,
+					PauseUs: 2e6,
+				})
 			}
-		}
+			start := n.Src().Float64() * p.staggerStartMaxUs
+			switch p.mix[user%len(p.mix)] {
+			case kindWeb:
+				f := n.Add(netsim.FlowSpec{From: b.AP, To: st, AC: netsim.AC_BE,
+					Gen: netsim.Pull{SegmentBytes: 1000}})
+				u := NewWebUser(transport.Attach(f, transport.Config{}),
+					webProfile(start), n.Src().Split())
+				n.AddQoE(u.QoE)
+			case kindVideo:
+				f := n.Add(netsim.FlowSpec{From: b.AP, To: st, AC: netsim.AC_VI,
+					Gen: netsim.Pull{SegmentBytes: 1000}})
+				u := NewVideoUser(transport.Attach(f, transport.Config{}),
+					videoProfile(start))
+				n.AddQoE(u.QoE)
+			case kindVoice:
+				f := n.Add(netsim.FlowSpec{From: st, AC: netsim.AC_VO, Gen: voiceGen()})
+				u := NewVoiceUser(f, VoiceConfig{})
+				n.AddQoE(u.QoE)
+			}
+			user++
+		})
 		return n
 	}
 }

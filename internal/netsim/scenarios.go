@@ -89,12 +89,8 @@ const largeFloorSpacingM = 25
 // LargeFloor is the 100+ BSS enterprise-floor workload behind the E27
 // density sweep and the spatial-index scale benchmark: nBSS APs laid
 // out gridCols per row at a fixed 25 m pitch, channels drawn from the
-// given list (1/6/11 for the classic reuse pattern) in a staggered
-// assignment — channels[(col + 2·row) mod len] — so no two
-// grid-adjacent APs share a channel in either direction, the way real
-// channel plans stagger reuse (plain round-robin would stack
-// same-channel APs into adjacent columns whenever gridCols divides by
-// the channel count), and staPerBSS stations ringed around each AP in
+// given list (1/6/11 for the classic reuse pattern) in RingFloor's
+// staggered plan, and staPerBSS stations ringed around each AP in
 // the high-density association profile of a real enterprise floor: the
 // first station of every BSS is a saturated uplink (the cell's active
 // user), the rest are associated but lightly loaded (a 200-byte
@@ -115,24 +111,42 @@ func LargeFloor(cfg Config, nBSS, staPerBSS, gridCols int, channels ...int) func
 	const payloadBytes = 1000
 	return func(seed int64) *Network {
 		n := New(cfg, seed)
-		for i := 0; i < nBSS; i++ {
-			col, row := i%gridCols, i/gridCols
-			x := float64(col) * largeFloorSpacingM
-			y := float64(row) * largeFloorSpacingM
-			b := n.AddAP(fmt.Sprintf("AP%d", i), x, y, channels[(col+2*row)%len(channels)])
-			for s := 0; s < staPerBSS; s++ {
-				ang := 2 * math.Pi * float64(s) / float64(staPerBSS)
-				r := 3 + 5*n.Src().Float64()
-				st := n.AddStation(b, fmt.Sprintf("sta%d.%d", i, s),
-					x+r*math.Cos(ang), y+r*math.Sin(ang))
-				if s == 0 {
-					n.Add(FlowSpec{From: st, AC: AC_BE, Gen: Saturated{PayloadBytes: payloadBytes}})
-				} else {
-					n.Add(FlowSpec{From: st, AC: AC_BE, Gen: CBR{PayloadBytes: 200, IntervalUs: 1e6}})
-				}
+		RingFloor(n, nBSS, staPerBSS, gridCols, largeFloorSpacingM, channels, func(_ *BSS, st *Node, s int) {
+			if s == 0 {
+				n.Add(FlowSpec{From: st, AC: AC_BE, Gen: Saturated{PayloadBytes: payloadBytes}})
+			} else {
+				n.Add(FlowSpec{From: st, AC: AC_BE, Gen: CBR{PayloadBytes: 200, IntervalUs: 1e6}})
 			}
-		}
+		})
 		return n
+	}
+}
+
+// RingFloor lays out the floor that LargeFloor, the closed-loop app
+// presets and E29's open-loop reference share. nBSS APs sit gridCols
+// per row at spacingM pitch; AP i is "AP<i>", on channel
+// channels[(col + 2·row) mod len]. That staggered plan keeps
+// grid-adjacent APs off each other's channel in both directions, the
+// way real channel plans stagger reuse (plain round-robin would stack
+// same-channel APs into adjacent columns whenever gridCols divides by
+// the channel count). Around each AP, staPerBSS stations "sta<i>.<s>"
+// stand at evenly spaced angles on a ring of radius 3 + 5·U m, one
+// n.Src() draw each. station runs right after each station joins, in
+// placement order, to give it flows, mobility or users; any draws it
+// makes from n.Src() fall between the ring radii.
+func RingFloor(n *Network, nBSS, staPerBSS, gridCols int, spacingM float64, channels []int, station func(b *BSS, st *Node, s int)) {
+	for i := 0; i < nBSS; i++ {
+		col, row := i%gridCols, i/gridCols
+		x := float64(col) * spacingM
+		y := float64(row) * spacingM
+		b := n.AddAP(fmt.Sprintf("AP%d", i), x, y, channels[(col+2*row)%len(channels)])
+		for s := 0; s < staPerBSS; s++ {
+			ang := 2 * math.Pi * float64(s) / float64(staPerBSS)
+			r := 3 + 5*n.Src().Float64()
+			st := n.AddStation(b, fmt.Sprintf("sta%d.%d", i, s),
+				x+r*math.Cos(ang), y+r*math.Sin(ang))
+			station(b, st, s)
+		}
 	}
 }
 
