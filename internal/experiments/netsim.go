@@ -157,14 +157,14 @@ func E24RtsCtsHidden(cfg Config) []report.Table {
 		ID:     "E24",
 		Title:  "Hidden pair: RTS/CTS + NAV rescue, packet-level",
 		Note:   "packet-level extension: collisions shrink to the RTS; the CTS-set NAV silences the hidden peer",
-		Header: []string{"model", "plain Mbps", "rts Mbps", "recovery", "plain coll", "rts coll"},
+		Header: []string{"plain Mbps", "rts Mbps", "recovery", "plain coll", "rts coll"},
 	}
 	base := netsim.DefaultConfig()
 	plainMbps, plainColl := hiddenSweep(base, payload, durationUs, cfg.Seed*3000)
 	rts := base
 	rts.RtsThresholdBytes = 1 // RTS/CTS before every data frame
 	rtsMbps, rtsColl := hiddenSweep(rts, payload, durationUs, cfg.Seed*3000)
-	hidden.AddRow("netsim", plainMbps, rtsMbps,
+	hidden.AddRow(plainMbps, rtsMbps,
 		report.FormatRatio(rtsMbps/plainMbps), plainColl, rtsColl)
 
 	arfCfg := netsim.DefaultConfig()

@@ -8,6 +8,7 @@ package mathx
 
 import (
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -121,23 +122,118 @@ func MinMax(xs []float64) (lo, hi float64) {
 
 // Percentile returns the p-th percentile (0 <= p <= 100) of xs using linear
 // interpolation between order statistics. It panics on an empty slice.
+// xs is left as it was; PercentileInPlace is the same figure without
+// the copy.
 func Percentile(xs []float64, p float64) float64 {
 	if len(xs) == 0 {
 		panic("mathx: Percentile of empty slice")
 	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
+	return PercentileInPlace(append([]float64(nil), xs...), p)
+}
+
+// PercentileInPlace is Percentile computed by selection in xs itself,
+// which it reorders. It reads the two order statistics a full sort
+// would interpolate between — statistic i by quickselect, then i+1 as
+// the least value above it — so it returns the bits the sort gives:
+// equal float64 values share their bits, except ±0 and NaN payloads,
+// which a sort orders arbitrarily too. NaNs order first, as in
+// sort.Float64s. It panics on an empty slice.
+func PercentileInPlace(xs []float64, p float64) float64 {
+	n := len(xs)
+	if n == 0 {
+		panic("mathx: Percentile of empty slice")
+	}
 	if p <= 0 {
-		return s[0]
+		return least(xs)
 	}
 	if p >= 100 {
-		return s[len(s)-1]
+		return greatest(xs)
 	}
-	pos := p / 100 * float64(len(s)-1)
+	pos := p / 100 * float64(n-1)
 	i := int(math.Floor(pos))
 	frac := pos - float64(i)
-	if i+1 >= len(s) {
-		return s[len(s)-1]
+	if i+1 >= n {
+		return greatest(xs)
 	}
-	return Lerp(s[i], s[i+1], frac)
+	selectNth(xs, i, 2*bits.Len(uint(n)))
+	return Lerp(xs[i], least(xs[i+1:]), frac)
+}
+
+// floatLess is sort.Float64s's order: ascending, NaNs first.
+func floatLess(a, b float64) bool {
+	return a < b || (a != a && b == b)
+}
+
+// least and greatest return the first and last value of xs in
+// floatLess order.
+func least(xs []float64) float64 {
+	m := xs[0]
+	for _, x := range xs[1:] {
+		if floatLess(x, m) {
+			m = x
+		}
+	}
+	return m
+}
+
+func greatest(xs []float64) float64 {
+	m := xs[0]
+	for _, x := range xs[1:] {
+		if floatLess(m, x) {
+			m = x
+		}
+	}
+	return m
+}
+
+// selectNth reorders xs so that xs[k] holds the value a sort would put
+// there, nothing before it orders above it and nothing after it below.
+// Hoare partitioning around a median-of-three pivot keeps runs of equal
+// values (a flow's identical delays) and already-sorted input linear.
+// An input that still defeats the pivot choice is finished by a sort
+// of the range left once the given number of partitioning passes has
+// run, so with passes of order log n the worst case stays O(n log n).
+func selectNth(xs []float64, k, passes int) {
+	lo, hi := 0, len(xs)-1
+	for ; hi > lo; passes-- {
+		if passes == 0 {
+			sort.Float64s(xs[lo : hi+1])
+			return
+		}
+		mid := lo + (hi-lo)/2
+		if floatLess(xs[mid], xs[lo]) {
+			xs[mid], xs[lo] = xs[lo], xs[mid]
+		}
+		if floatLess(xs[hi], xs[mid]) {
+			xs[hi], xs[mid] = xs[mid], xs[hi]
+			if floatLess(xs[mid], xs[lo]) {
+				xs[mid], xs[lo] = xs[lo], xs[mid]
+			}
+		}
+		pivot := xs[mid]
+		i, j := lo, hi
+		for i <= j {
+			for floatLess(xs[i], pivot) {
+				i++
+			}
+			for floatLess(pivot, xs[j]) {
+				j--
+			}
+			if i <= j {
+				xs[i], xs[j] = xs[j], xs[i]
+				i++
+				j--
+			}
+		}
+		// xs[lo..j] order at or below the pivot, xs[i..hi] at or above
+		// it, and anything between equals it.
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return
+		}
+	}
 }

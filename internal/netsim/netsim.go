@@ -401,11 +401,13 @@ type Node struct {
 	sh *shard
 
 	// ord is the node's membership number on its current medium (set by
-	// medium.addNode); cell is the spatial-grid cell it is filed under.
-	// Together they let indexed carrier-sense scans replay the exact
-	// brute-force iteration order.
+	// medium.addNode); cell is the spatial-grid cell it is filed under
+	// and gc that cell itself (nil while filed in no grid). Together
+	// they let indexed carrier-sense scans replay the exact brute-force
+	// iteration order.
 	ord  int
 	cell cellKey
+	gc   *gridCell
 
 	// csTracked marks the node as under live carrier-sense bookkeeping:
 	// it has queued traffic (or is mid-exchange), so in-flight frames
@@ -1830,7 +1832,6 @@ func (n *Network) collect(durationUs float64) Result {
 			acAirtimeUs[ac] += sh.acAirtimeUs[ac]
 		}
 	}
-	var delaysByAC [NumACs][]float64
 	for ac := 0; ac < int(NumACs); ac++ {
 		res.PerAC[ac] = ACStats{
 			Attempts: attempts[ac], Delivered: delivered[ac],
@@ -1845,18 +1846,36 @@ func (n *Network) collect(durationUs float64) Result {
 		res.RetryDrops += retryDrops[ac]
 		res.QueueDrops += queueDrop[ac]
 	}
+	// One scratch buffer, sized once for the largest access category's
+	// delay samples, serves every flow's P95 selection and then each
+	// AC's concatenation in turn; the flows' own delay lists are never
+	// reordered.
+	var acSamples [NumACs]int
 	for _, f := range n.flows {
-		fs := f.stats(durationUs)
+		acSamples[f.ac] += len(f.delaysUs)
+	}
+	scratch := make([]float64, 0, slices.Max(acSamples[:]))
+	if len(n.flows) > 0 {
+		res.Flows = make([]FlowStats, 0, len(n.flows))
+	}
+	for _, f := range n.flows {
+		fs := f.stats(durationUs, &scratch)
 		res.Flows = append(res.Flows, fs)
 		res.AggGoodputMbps += fs.GoodputMbps
 		res.PerAC[f.ac].Flows++
-		delaysByAC[f.ac] = append(delaysByAC[f.ac], f.delaysUs...)
 	}
-	for ac := range delaysByAC {
-		if d := delaysByAC[ac]; len(d) > 0 {
-			res.PerAC[ac].MeanDelayUs = mathx.Mean(d)
-			res.PerAC[ac].P95DelayUs = mathx.Percentile(d, 95)
+	for ac := range res.PerAC {
+		if acSamples[ac] == 0 {
+			continue
 		}
+		d := scratch[:0]
+		for _, f := range n.flows {
+			if int(f.ac) == ac {
+				d = append(d, f.delaysUs...)
+			}
+		}
+		res.PerAC[ac].MeanDelayUs = mathx.Mean(d)
+		res.PerAC[ac].P95DelayUs = mathx.PercentileInPlace(d, 95)
 	}
 	res.BssGoodputMbps = make([]float64, len(n.bss))
 	for i, b := range n.bssBytes {

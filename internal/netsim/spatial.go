@@ -16,7 +16,12 @@ import (
 // cell size, a 3x3 block) is additionally served from a per-cell
 // neighborhood cache that is invalidated only when membership around
 // the cell changes, so on a floor where nobody is roaming it is built
-// once and every transmission after that pays a single map lookup.
+// once. Each cell links the live cells of its 3x3 block (gridCell.nbrs)
+// and each node points at its cell (Node.gc), so a transmission's
+// candidate list, a tracking change's cache patch and a membership
+// change's invalidation follow pointers and pay no map lookup; the map
+// serves only cell creation, re-filing a moved node and the
+// general-radius NAV query.
 //
 // Correctness contract: a query at radius r returns a SUPERSET of the
 // nodes within r metres of the probe point (cells are visited by a
@@ -39,15 +44,21 @@ import (
 type cellKey struct{ ix, iy int }
 
 // gridCell is one cell's membership, the csTracked subset of it (the
-// nodes carrier sense must actually touch — see Node.joinCS), and the
-// cached tracked 3x3-neighborhood candidate list (nil when stale). The
+// nodes carrier sense must actually touch — see Node.joinCS), the
+// cached tracked 3x3-neighborhood candidate list (nil when stale), and
+// nbrs: the cell itself plus every live cell of its 3x3 block, in no
+// particular order (hood sorts what it gathers). A cell links itself
+// into its neighbours' nbrs when it is created and unlinks when it
+// empties and is deleted, so nbrs never holds a deleted cell. The
 // cache is an immutable snapshot: invalidation drops the pointer and a
 // rebuild allocates fresh, so a scan that started before a (rare)
 // mid-iteration rebuild keeps a consistent view.
 type gridCell struct {
+	key     cellKey
 	nodes   []*Node
 	tracked []*Node
 	hood    []*Node
+	nbrs    []*gridCell
 }
 
 type spatialGrid struct {
@@ -67,31 +78,65 @@ func (g *spatialGrid) keyFor(x, y float64) cellKey {
 }
 
 // invalidateAround drops the neighborhood caches whose 3x3 block
-// contains k — the cells within Chebyshev distance 1.
-func (g *spatialGrid) invalidateAround(k cellKey) {
+// contains c — c's linked neighbours and c itself.
+func invalidateAround(c *gridCell) {
+	for _, nb := range c.nbrs {
+		nb.hood = nil
+	}
+}
+
+// newCell creates the cell at k and links it both ways with every live
+// cell of its 3x3 block.
+func (g *spatialGrid) newCell(k cellKey) *gridCell {
+	c := &gridCell{key: k}
+	c.nbrs = append(c.nbrs, c)
 	for ix := k.ix - 1; ix <= k.ix+1; ix++ {
 		for iy := k.iy - 1; iy <= k.iy+1; iy++ {
-			if c := g.cells[cellKey{ix, iy}]; c != nil {
-				c.hood = nil
+			if nb := g.cells[cellKey{ix, iy}]; nb != nil {
+				c.nbrs = append(c.nbrs, nb)
+				nb.nbrs = append(nb.nbrs, c)
 			}
 		}
 	}
+	g.cells[k] = c
+	return c
+}
+
+// dropCell deletes an emptied cell and unlinks it from its neighbours,
+// so no nbrs list keeps it (and its lists) alive: a walker that leaves
+// the floor would otherwise strand one cell per cell it crossed.
+func (g *spatialGrid) dropCell(c *gridCell) {
+	for _, nb := range c.nbrs {
+		if nb == c {
+			continue
+		}
+		for i, x := range nb.nbrs {
+			if x == c {
+				last := len(nb.nbrs) - 1
+				nb.nbrs[i] = nb.nbrs[last]
+				nb.nbrs[last] = nil
+				nb.nbrs = nb.nbrs[:last]
+				break
+			}
+		}
+	}
+	c.nbrs = nil
+	delete(g.cells, c.key)
 }
 
 // add inserts the node under its current position.
 func (g *spatialGrid) add(nd *Node) {
 	k := g.keyFor(nd.X, nd.Y)
-	nd.cell = k
 	c := g.cells[k]
 	if c == nil {
-		c = &gridCell{}
-		g.cells[k] = c
+		c = g.newCell(k)
 	}
+	nd.cell, nd.gc = k, c
 	c.nodes = append(c.nodes, nd)
 	if nd.csTracked {
 		c.tracked = append(c.tracked, nd)
 	}
-	g.invalidateAround(k)
+	invalidateAround(c)
 }
 
 func spliceNode(list []*Node, nd *Node) []*Node {
@@ -108,16 +153,17 @@ func spliceNode(list []*Node, nd *Node) []*Node {
 
 // remove deletes the node from the cell it was last filed under.
 func (g *spatialGrid) remove(nd *Node) {
-	c := g.cells[nd.cell]
+	c := nd.gc
 	if c == nil {
 		return
 	}
+	nd.gc = nil
 	c.nodes = spliceNode(c.nodes, nd)
 	c.tracked = spliceNode(c.tracked, nd)
+	invalidateAround(c)
 	if len(c.nodes) == 0 {
-		delete(g.cells, nd.cell)
+		g.dropCell(c)
 	}
-	g.invalidateAround(nd.cell)
 }
 
 // update re-files a node whose position changed (roam scan tick). Cheap
@@ -139,7 +185,7 @@ func (g *spatialGrid) update(nd *Node) {
 // because tracking only changes between transmissions, never inside a
 // carrier-sense scan.
 func (g *spatialGrid) setTracked(nd *Node, on bool) {
-	c := g.cells[nd.cell]
+	c := nd.gc
 	if c == nil {
 		return
 	}
@@ -148,17 +194,14 @@ func (g *spatialGrid) setTracked(nd *Node, on bool) {
 	} else {
 		c.tracked = spliceNode(c.tracked, nd)
 	}
-	for ix := nd.cell.ix - 1; ix <= nd.cell.ix+1; ix++ {
-		for iy := nd.cell.iy - 1; iy <= nd.cell.iy+1; iy++ {
-			nb := g.cells[cellKey{ix, iy}]
-			if nb == nil || nb.hood == nil {
-				continue
-			}
-			if on {
-				nb.hood = ordInsert(nb.hood, nd)
-			} else {
-				nb.hood = ordRemove(nb.hood, nd)
-			}
+	for _, nb := range c.nbrs {
+		if nb.hood == nil {
+			continue
+		}
+		if on {
+			nb.hood = ordInsert(nb.hood, nd)
+		} else {
+			nb.hood = ordRemove(nb.hood, nd)
 		}
 	}
 }
@@ -193,17 +236,14 @@ func ordRemove(list []*Node, nd *Node) []*Node {
 // dense floor with mostly-idle associations the candidate list is the
 // handful of live contenders nearby, not the whole neighborhood. The
 // returned slice is shared and must not be modified or returned to a
-// buffer pool.
+// buffer pool. Ords are unique on a medium, so the sort fixes the
+// order whatever order nbrs gathers the cells in.
 func (g *spatialGrid) hood(nd *Node) []*Node {
-	c := g.cells[nd.cell]
+	c := nd.gc
 	if c.hood == nil {
 		out := []*Node{}
-		for ix := nd.cell.ix - 1; ix <= nd.cell.ix+1; ix++ {
-			for iy := nd.cell.iy - 1; iy <= nd.cell.iy+1; iy++ {
-				if nb := g.cells[cellKey{ix, iy}]; nb != nil {
-					out = append(out, nb.tracked...)
-				}
-			}
+		for _, nb := range c.nbrs {
+			out = append(out, nb.tracked...)
 		}
 		sortByOrd(out)
 		c.hood = out

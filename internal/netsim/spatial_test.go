@@ -2,6 +2,8 @@ package netsim
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -181,4 +183,158 @@ func TestGridTracksMediumMigration(t *testing.T) {
 		t.Fatal("old medium's tracked neighborhood still populated after the roam")
 	}
 	assertSuperset(t, n, m2)
+}
+
+// gridLinkFault checks every grid's cell links: each live cell is
+// non-empty and filed under its own key, its nbrs list is exactly
+// itself plus the map's cells of its 3x3 block, once each (so no
+// deleted cell is referenced), and every node filed in a grid points
+// at the map's cell for its key and is listed in it. It returns the
+// first fault, or "".
+func gridLinkFault(n *Network) string {
+	for _, m := range n.media {
+		g := m.grid
+		if g == nil {
+			continue
+		}
+		for k, c := range g.cells {
+			if c.key != k || len(c.nodes) == 0 {
+				return fmt.Sprintf("channel %d: cell %v keyed %v holds %d nodes", m.channel, k, c.key, len(c.nodes))
+			}
+			want := 0
+			for ix := k.ix - 1; ix <= k.ix+1; ix++ {
+				for iy := k.iy - 1; iy <= k.iy+1; iy++ {
+					if g.cells[cellKey{ix, iy}] != nil {
+						want++
+					}
+				}
+			}
+			seen := make(map[*gridCell]bool, len(c.nbrs))
+			for _, nb := range c.nbrs {
+				if g.cells[nb.key] != nb {
+					return fmt.Sprintf("channel %d: cell %v links cell %v, which the map no longer holds", m.channel, k, nb.key)
+				}
+				if max(abs(nb.key.ix-k.ix), abs(nb.key.iy-k.iy)) > 1 || seen[nb] {
+					return fmt.Sprintf("channel %d: cell %v links cell %v outside its block or twice", m.channel, k, nb.key)
+				}
+				seen[nb] = true
+			}
+			if !seen[c] || len(c.nbrs) != want {
+				return fmt.Sprintf("channel %d: cell %v links %d cells (itself: %v), its block holds %d",
+					m.channel, k, len(c.nbrs), seen[c], want)
+			}
+		}
+	}
+	for _, nd := range n.nodes {
+		g := nd.med.grid
+		if g == nil {
+			continue
+		}
+		if nd.gc == nil || nd.gc != g.cells[nd.cell] {
+			return fmt.Sprintf("%s points at a cell other than its key %v's", nd.Name, nd.cell)
+		}
+		if !slices.Contains(nd.gc.nodes, nd) {
+			return fmt.Sprintf("%s is not listed in its cell %v", nd.Name, nd.cell)
+		}
+	}
+	return ""
+}
+
+func abs(x int) int { return max(x, -x) }
+
+// gridWalkers is a 3x3 grid of APs 40 m apart on one channel, two
+// stations each, plus four SetVelocity walkers that leave it at 860–
+// 1100 m/s in different directions — several ~114 m carrier-sense cells
+// a second each — with a light uplink apiece, so their tracking churns
+// while they cross cells that are created and emptied behind them.
+func gridWalkers(seed int64) *Network {
+	cfg := DefaultConfig()
+	cfg.RoamIntervalUs = 50000
+	n := New(cfg, seed)
+	var home *BSS
+	for i := range 9 {
+		x, y := float64(40*(i%3)), float64(40*(i/3))
+		b := n.AddAP(fmt.Sprintf("AP%d", i), x, y, 1)
+		if i == 4 {
+			home = b
+		}
+		for s := range 2 {
+			n.AddStation(b, fmt.Sprintf("sta%d.%d", i, s), x+5, y+float64(5*s))
+		}
+	}
+	for i, v := range [][2]float64{{1100, 0}, {-700, 500}, {0, -900}, {700, 700}} {
+		st := n.AddStation(home, fmt.Sprintf("walker%d", i), 40, 40)
+		n.SetVelocity(st, v[0], v[1])
+		n.Add(FlowSpec{From: st, AC: AC_BE, Gen: Poisson{PayloadBytes: 300, PktPerSec: 200}})
+	}
+	return n
+}
+
+// TestGridNeighborLinks holds the grid's cell links (gridCell.nbrs,
+// Node.gc) to the cell map after every roam tick, on the mobile
+// equivalence rows, walker-floor-272, and gridWalkers, whose walkers
+// leave the floor: an emptied cell must be unlinked from its
+// neighbours, or their lists would keep it (and its node lists) alive.
+func TestGridNeighborLinks(t *testing.T) {
+	type row struct {
+		name       string
+		durationUs float64
+		build      func() *Network
+	}
+	var rows []row
+	for _, sc := range equivScenarios() {
+		if !strings.HasPrefix(sc.name, "roaming-") {
+			continue
+		}
+		for seed := int64(1); seed <= equivSeeds; seed++ {
+			rows = append(rows, row{fmt.Sprintf("%s/seed%d", sc.name, seed), sc.durationUs,
+				func() *Network { return sc.build(DefaultConfig())(seed) }})
+		}
+	}
+	rows = append(rows,
+		row{"walker-floor-272", 1e6, func() *Network { return walkerFloor(1) }},
+		row{"grid-walkers", 1e6, func() *Network { return gridWalkers(1) }})
+	for _, r := range rows {
+		n := r.build()
+		n.Prepare()
+		if n.media[0].grid == nil {
+			t.Fatalf("%s: spatial index not built", r.name)
+		}
+		floorCells := len(n.media[0].grid.cells)
+		eng := &n.shards[0].eng
+		ticks, fault := 0, ""
+		var observe func()
+		observe = func() {
+			ticks++
+			if d := gridLinkFault(n); d != "" && fault == "" {
+				fault = fmt.Sprintf("after the tick at t=%v: %s", eng.Now(), d)
+			}
+			eng.Schedule(n.cfg.RoamIntervalUs, observe)
+		}
+		eng.Schedule(n.cfg.RoamIntervalUs, observe)
+		n.Run(r.durationUs)
+		if fault != "" {
+			t.Fatalf("%s: %s", r.name, fault)
+		}
+		if ticks == 0 {
+			t.Fatalf("%s: no roam tick observed", r.name)
+		}
+		if r.name != "grid-walkers" {
+			continue
+		}
+		// The walkers must really have crossed cells and left the
+		// floor, and the cells behind them must be gone.
+		g := n.media[0].grid
+		for _, nd := range n.nodes {
+			if strings.HasPrefix(nd.Name, "walker") {
+				if k := g.keyFor(0, 0); max(abs(nd.cell.ix-k.ix), abs(nd.cell.iy-k.iy)) < 5 {
+					t.Fatalf("%s ended in cell %v, under 5 cells from the floor's %v", nd.Name, nd.cell, k)
+				}
+			}
+		}
+		if len(g.cells) > floorCells+4 {
+			t.Fatalf("grid-walkers: %d live cells at the end, want the floor's %d plus one per walker",
+				len(g.cells), floorCells)
+		}
+	}
 }

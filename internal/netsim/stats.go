@@ -1,10 +1,6 @@
 package netsim
 
-import (
-	"fmt"
-
-	"repro/internal/mathx"
-)
+import "repro/internal/mathx"
 
 // FlowStats is one flow's share of a Result.
 type FlowStats struct {
@@ -40,14 +36,18 @@ func (s FlowStats) DropRate() float64 {
 	return float64(s.QueueDrops+s.RetryDrops) / float64(s.Arrivals)
 }
 
-// stats freezes the flow's accumulators into a FlowStats.
-func (f *Flow) stats(durationUs float64) FlowStats {
+// stats freezes the flow's accumulators into a FlowStats. The P95 is
+// selected in *scratch, a caller-owned buffer grown as needed and
+// reused across flows, so f.delaysUs keeps its delivery order (the
+// per-AC mean sums it in that order) and, once the buffer is large
+// enough, a flow costs one allocation: its label.
+func (f *Flow) stats(durationUs float64, scratch *[]float64) FlowStats {
 	to := "AP"
 	if f.To != nil {
 		to = f.To.Name
 	}
 	s := FlowStats{
-		Label:      fmt.Sprintf("%s→%s %s/%s", f.From.Name, to, f.Gen.Label(), f.ac),
+		Label:      f.From.Name + "→" + to + " " + f.Gen.Label() + "/" + f.ac.String(),
 		Class:      f.Gen.Label(),
 		AC:         f.ac,
 		Arrivals:   f.arrivals,
@@ -65,7 +65,8 @@ func (f *Flow) stats(durationUs float64) FlowStats {
 	if len(f.delaysUs) > 0 {
 		s.MeanDelayUs = mathx.Mean(f.delaysUs)
 		_, s.MaxDelayUs = mathx.MinMax(f.delaysUs)
-		s.P95DelayUs = mathx.Percentile(f.delaysUs, 95)
+		*scratch = append((*scratch)[:0], f.delaysUs...)
+		s.P95DelayUs = mathx.PercentileInPlace(*scratch, 95)
 	}
 	return s
 }
