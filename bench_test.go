@@ -66,6 +66,30 @@ func BenchmarkE19Anomaly(b *testing.B)        { benchExperiment(b, "E19") }
 func BenchmarkE20EnergyPerBit(b *testing.B)   { benchExperiment(b, "E20") }
 func BenchmarkE21Coexistence(b *testing.B)    { benchExperiment(b, "E21") }
 
+// workCounters sums the deterministic engine work counters of the runs
+// a benchmark makes, and reports them per op beside ns/op: the frames
+// put on the air, the interference crossings their starts walked, and
+// the gain pairs roam ticks refreshed (only when nonzero). The
+// simulation is seeded, so at a fixed -benchtime=Nx they repeat
+// exactly on any machine, and cmd/benchjson gates them exactly against
+// the baseline.
+type workCounters struct{ starts, crossings, refreshPairs int }
+
+func (c *workCounters) add(r netsim.Result) {
+	c.starts += r.FrameStarts
+	c.crossings += r.Crossings
+	c.refreshPairs += r.GainRefreshPairs
+}
+
+func (c *workCounters) report(b *testing.B) {
+	per := func(v int) float64 { return float64(v) / float64(b.N) }
+	b.ReportMetric(per(c.starts), "frame-starts/op")
+	b.ReportMetric(per(c.crossings), "crossings/op")
+	if c.refreshPairs > 0 {
+		b.ReportMetric(per(c.refreshPairs), "gain-refresh-pairs/op")
+	}
+}
+
 // E22-E26 exercise the packet-level netsim hot path: the discrete-event
 // loop plus per-transmission medium arbitration (carrier sense,
 // interference crossing, SINR judgment), per-AC EDCA contention in E25,
@@ -117,6 +141,7 @@ func BenchmarkE27LargeFloor(b *testing.B) {
 			cfg.CSThresholdDBm = -62 // OBSS-PD-style spatial reuse, as in E27
 			build := netsim.LargeFloor(cfg, 100, 40, 10, 1)
 			tracer := trace.New()
+			var work workCounters
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -135,7 +160,9 @@ func BenchmarkE27LargeFloor(b *testing.B) {
 				if mode.traced && tracer.Total() == 0 {
 					b.Fatal("tracer saw no events")
 				}
+				work.add(r)
 			}
+			work.report(b)
 		})
 	}
 }
@@ -170,6 +197,7 @@ func BenchmarkE31SpatialReuse(b *testing.B) {
 	cfg := netsim.DefaultConfig()
 	cfg.ObssPdThresholdDBm = -62
 	build := netsim.LargeFloor(cfg, 100, 40, 10, 1)
+	var work workCounters
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -184,7 +212,9 @@ func BenchmarkE31SpatialReuse(b *testing.B) {
 		if r.ObssIgnores == 0 || r.ObssReuseTx == 0 {
 			b.Fatal("spatial reuse never engaged")
 		}
+		work.add(r)
 	}
+	work.report(b)
 }
 
 // BenchmarkE28ShardedFloor is the sharded core-scaling curve: a
@@ -208,6 +238,7 @@ func BenchmarkE28ShardedFloor(b *testing.B) {
 			cfg.CSThresholdDBm = -62 // OBSS-PD-style spatial reuse, as in E27
 			cfg.Shards = shards
 			build := netsim.LargeFloor(cfg, 1024, 3, 32, 1, 6, 11, 36, 40, 44, 48, 52)
+			var work workCounters
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -222,7 +253,9 @@ func BenchmarkE28ShardedFloor(b *testing.B) {
 				if r.Shards != shards {
 					b.Fatalf("planned %d shards, want %d (%+v)", r.Shards, shards, r.Plan)
 				}
+				work.add(r)
 			}
+			work.report(b)
 		})
 	}
 }
@@ -239,6 +272,7 @@ func BenchmarkE28ShardedFloor(b *testing.B) {
 // matrix via Prepare) is excluded as in E27/E28.
 func BenchmarkE29ClosedLoop(b *testing.B) {
 	build := app.ApartmentBlock(netsim.DefaultConfig(), 9, 8)
+	var work workCounters
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -253,5 +287,7 @@ func BenchmarkE29ClosedLoop(b *testing.B) {
 		if r.QoE == nil || r.QoE.Users != 72 {
 			b.Fatal("QoE block missing or wrong user count")
 		}
+		work.add(r)
 	}
+	work.report(b)
 }

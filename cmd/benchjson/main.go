@@ -12,6 +12,11 @@
 //	{"benchmarks": [{"name": "BenchmarkE22NetSim-8", "iterations": 1,
 //	  "ns_per_op": 123456, "bytes_per_op": 789, "allocs_per_op": 12}, ...]}
 //
+// Every other column a benchmark reports with b.ReportMetric (the
+// engine work counters of E27–E31: frame-starts/op, crossings/op,
+// gain-refresh-pairs/op) goes into the entry's "metrics" object, keyed
+// by its unit.
+//
 // With -baseline, every benchmark present in both runs is compared by
 // ns/op (names matched with the -GOMAXPROCS suffix stripped, so runs
 // from different machines line up) and regressions beyond -warn-pct are
@@ -27,6 +32,12 @@
 // contains -fail-match — reserve it for the one hot-path benchmark a PR
 // makes a promise about (e.g. the probe layer's ≤2% when-off bar on
 // BenchmarkE27LargeFloor/indexed), where a timing excursion is signal.
+// A third gate is always on under -baseline: every extra metric the
+// baseline entry records must read exactly its baseline value. Those
+// are work counters of seeded runs, so any difference, up or down, is
+// a change in what the simulation did, not noise; a benchmark run at a
+// different -benchtime than its baseline averages other seeds, so the
+// baseline rows come from a pass shaped like CI's.
 package main
 
 import (
@@ -35,6 +46,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -46,6 +58,8 @@ type Bench struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op,omitempty"`
 	AllocsPerOp int64   `json:"allocs_per_op,omitempty"`
+	// Metrics holds the b.ReportMetric columns, by unit.
+	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
 // Artifact is the JSON document benchjson emits.
@@ -71,13 +85,20 @@ func parseLine(line string) (Bench, bool) {
 		if err != nil {
 			continue
 		}
-		switch fields[i+1] {
+		switch unit := fields[i+1]; unit {
 		case "ns/op":
 			b.NsPerOp = v
 		case "B/op":
 			b.BytesPerOp = int64(v)
 		case "allocs/op":
 			b.AllocsPerOp = int64(v)
+		case "MB/s":
+			// SetBytes throughput is a timing, not a counter.
+		default:
+			if b.Metrics == nil {
+				b.Metrics = make(map[string]float64)
+			}
+			b.Metrics[unit] = v
 		}
 	}
 	if b.NsPerOp == 0 {
@@ -126,6 +147,8 @@ func compare(current, baseline []Bench, warnPct float64) (warnings []string, mat
 // any of the comma-separated match substrings (empty matches none);
 // allocsPct gates allocs/op on every benchmark the baseline also
 // measured allocations for. Zero pct disables the respective gate.
+// Every extra metric a baseline entry records must be reported with
+// exactly its value.
 func gate(current, baseline []Bench, match string, nsPct, allocsPct float64) []string {
 	base := make(map[string]Bench, len(baseline))
 	for _, b := range baseline {
@@ -164,6 +187,21 @@ func gate(current, baseline []Bench, match string, nsPct, allocsPct float64) []s
 				errs = append(errs,
 					fmt.Sprintf("::error::%s allocs/op regressed %.1f%% (limit %.1f%%): %d vs baseline %d",
 						name, pct, allocsPct, c.AllocsPerOp, b.AllocsPerOp))
+			}
+		}
+		units := make([]string, 0, len(b.Metrics))
+		for unit := range b.Metrics {
+			units = append(units, unit)
+		}
+		sort.Strings(units)
+		num := func(v float64) string { return strconv.FormatFloat(v, 'f', -1, 64) }
+		for _, unit := range units {
+			want := b.Metrics[unit]
+			if got, ok := c.Metrics[unit]; !ok {
+				errs = append(errs, fmt.Sprintf("::error::%s reports no %s (baseline %s)", name, unit, num(want)))
+			} else if got != want {
+				errs = append(errs, fmt.Sprintf("::error::%s %s is %s, baseline %s: a work counter must match exactly",
+					name, unit, num(got), num(want)))
 			}
 		}
 	}

@@ -140,3 +140,48 @@ func TestGateMatchList(t *testing.T) {
 		t.Fatalf("blank match list armed the gate: %v", errs)
 	}
 }
+
+// TestMetricColumns: b.ReportMetric columns are parsed by unit, and
+// under a baseline that records them they are gated exactly — a work
+// counter that moves either way, or goes missing, fails; a benchmark
+// whose baseline records none is not gated on them.
+func TestMetricColumns(t *testing.T) {
+	b, ok := parseLine("BenchmarkE27LargeFloor/indexed-2  1  512345678 ns/op  115568 frame-starts/op  2876543 crossings/op  9612345 B/op  29498 allocs/op")
+	if !ok {
+		t.Fatal("benchmark line with metrics not recognised")
+	}
+	if b.NsPerOp != 512345678 || b.BytesPerOp != 9612345 || b.AllocsPerOp != 29498 ||
+		len(b.Metrics) != 2 || b.Metrics["frame-starts/op"] != 115568 || b.Metrics["crossings/op"] != 2876543 {
+		t.Fatalf("parsed %+v", b)
+	}
+	if b, _ := parseLine("BenchmarkX-2  10  100 ns/op  25.00 MB/s"); b.Metrics != nil {
+		t.Errorf("MB/s parsed as a counter: %v", b.Metrics)
+	}
+	base := []Bench{{Name: "BenchmarkE27LargeFloor/indexed", NsPerOp: 1e9, AllocsPerOp: 29498,
+		Metrics: map[string]float64{"frame-starts/op": 115568, "crossings/op": 2876543}}}
+	if errs := gate([]Bench{b}, base, "", 0, 2); len(errs) != 0 {
+		t.Fatalf("matching counters failed the gate: %v", errs)
+	}
+	for _, tc := range []struct {
+		name    string
+		metrics map[string]float64
+	}{
+		{"fewer crossings", map[string]float64{"frame-starts/op": 115568, "crossings/op": 2876542}},
+		{"more starts", map[string]float64{"frame-starts/op": 115569, "crossings/op": 2876543}},
+		{"missing counter", map[string]float64{"frame-starts/op": 115568}},
+	} {
+		c := b
+		c.Metrics = tc.metrics
+		errs := gate([]Bench{c}, base, "", 0, 0)
+		if len(errs) != 1 || !strings.Contains(errs[0], "/op") {
+			t.Errorf("%s: got %v, want one counter error", tc.name, errs)
+		}
+	}
+	// No counters in the baseline row: nothing to hold.
+	base[0].Metrics = nil
+	c := b
+	c.Metrics = map[string]float64{"crossings/op": 1}
+	if errs := gate([]Bench{c}, base, "", 0, 0); len(errs) != 0 {
+		t.Fatalf("a baseline without counters gated them: %v", errs)
+	}
+}

@@ -1,6 +1,10 @@
 package channel
 
-import "math"
+import (
+	"math"
+
+	"repro/internal/mathx"
+)
 
 // PathLossModel is the TGn-style indoor breakpoint model: free-space decay
 // (exponent 2) out to the breakpoint distance, exponent 3.5 beyond it.
@@ -22,7 +26,7 @@ func Model24GHz() PathLossModel {
 // freeSpaceDB returns free-space path loss at distance d metres.
 func (m PathLossModel) freeSpaceDB(d float64) float64 {
 	lambda := 299792458.0 / m.FreqHz
-	return 20 * math.Log10(4*math.Pi*d/lambda)
+	return 20 * mathx.Log10(4*math.Pi*d/lambda)
 }
 
 // LossDB returns the median path loss in dB at distance d (metres). For
@@ -51,7 +55,7 @@ func (c LossCurve) LossDB(d float64) float64 {
 	if d <= c.m.BreakpointM {
 		return c.m.freeSpaceDB(d)
 	}
-	return c.bpLoss + 10*c.m.ExponentFar*math.Log10(d/c.m.BreakpointM)
+	return c.bpLoss + 10*c.m.ExponentFar*mathx.Log10(d/c.m.BreakpointM)
 }
 
 // LinkBudget describes a transmitter-receiver pair.

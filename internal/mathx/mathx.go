@@ -1,6 +1,15 @@
 // Package mathx provides the small numerical utilities shared by the
 // wlan simulation stack: decibel conversions, clamping and linear
-// interpolation, and descriptive statistics.
+// interpolation, descriptive statistics, and the gain kernel netsim's
+// gain rows are computed with.
+//
+// The gain kernel is Hypot, Log10 and DBToLinear. Each returns the bits
+// of its math package counterpart (math.Hypot, math.Log10,
+// math.Pow(10, ·/10)) for every input, so a gain computed through it is
+// the gain the math package gives. On amd64 Hypot, Log10 and the
+// exponential under DBToLinear are Go ports of math's assembly
+// (kernel_amd64.go), which the compiler schedules the caller's loop
+// around; elsewhere they call the math package (kernel_other.go).
 //
 // All routines operate on float64 and are deterministic; none of them
 // allocate unless they return a slice.
@@ -24,33 +33,18 @@ func DBToLinear(db float64) float64 {
 // the same bits.
 var ln10 = math.Log(10)
 
-// pow10 is math.Pow(10, y), step for step, with the work that depends
-// only on the base done once: Log(10) is ln10, and Frexp(10) is
-// 0.625·2⁴. Every input math.Pow special-cases goes to math.Pow: y of
-// 0 or 1, ±1/2 (its Sqrt path), NaN and ±Inf, and |y| ≥ 300, where the
-// result leaves the normal range. Below 300 the integer part has at
-// most 9 bits, so the exponent never nears the ±4096 that math.Pow's
-// squaring loop guards against, and the guard is left out.
-func pow10(y float64) float64 {
-	if !(math.Abs(y) < 300) || y == 0 || y == 1 || y == 0.5 || y == -0.5 {
-		return math.Pow(10, y)
-	}
-	// ans = a1·2^ae: 10^yf, then 10^yi by repeated squaring.
-	yi, yf := math.Modf(math.Abs(y))
-	a1, ae := 1.0, 0
-	if yf != 0 {
-		if yf > 0.5 {
-			yf--
-			yi++
-		}
-		a1 = math.Exp(yf * ln10)
-	}
+// pow10Squares holds math.Pow(10, y)'s squaring loop for every bit of
+// an integer part below 512: a set bit b multiplies the mantissa by x
+// and adds e to the exponent, where x·2^e = 10^(2^b) as the loop forms
+// it from Frexp(10) = 0.625·2⁴, squaring x and renormalising it to
+// [0.5, 1).
+var pow10Squares = func() (t [9]struct {
+	x float64
+	e int
+}) {
 	x1, xe := 0.625, 4
-	for i := int64(yi); i != 0; i >>= 1 {
-		if i&1 == 1 {
-			a1 *= x1
-			ae += xe
-		}
+	for b := range t {
+		t[b].x, t[b].e = x1, xe
 		x1 *= x1
 		xe <<= 1
 		if x1 < .5 {
@@ -58,11 +52,48 @@ func pow10(y float64) float64 {
 			xe--
 		}
 	}
+	return t
+}()
+
+// pow10 is math.Pow(10, y), step for step, with the work that depends
+// only on the base done once: Log(10) is ln10, and the squaring loop's
+// factors are pow10Squares. Every input math.Pow special-cases goes to
+// math.Pow: y of 0 or 1, ±1/2 (its Sqrt path), NaN and ±Inf, and
+// |y| ≥ 300, where the result leaves the normal range. Below 300 the
+// integer part has at most 9 bits, so the exponent never nears the
+// ±4096 that math.Pow's squaring loop guards against, and the guard is
+// left out. math.Modf's split is a truncation to int64 (its fraction
+// is the exact difference either way). The result lies within
+// 10^±300, so it is normal, and a1, between 10^-½·2⁻⁹ and 10^½·2⁹,
+// keeps 2^ae normal too: math.Ldexp's scaling is then one exact
+// multiply by 2^ae.
+func pow10(y float64) float64 {
+	ay := math.Abs(y)
+	if !(ay < 300) || y == 0 || y == 1 || y == 0.5 || y == -0.5 {
+		return math.Pow(10, y)
+	}
+	// ans = a1·2^ae: 10^yf, then 10^yi by repeated squaring.
+	yi := int64(ay)
+	yf := ay - float64(yi)
+	a1, ae := 1.0, 0
+	if yf != 0 {
+		if yf > 0.5 {
+			yf--
+			yi++
+		}
+		a1 = exp(yf * ln10)
+	}
+	for b := 0; yi != 0; b, yi = b+1, yi>>1 {
+		if yi&1 == 1 {
+			a1 *= pow10Squares[b].x
+			ae += pow10Squares[b].e
+		}
+	}
 	if y < 0 {
 		a1 = 1 / a1
 		ae = -ae
 	}
-	return math.Ldexp(a1, ae)
+	return a1 * math.Float64frombits(uint64(ae+1023)<<52)
 }
 
 // LinearToDB converts a linear power ratio to decibels. A non-positive

@@ -572,11 +572,15 @@ type Network struct {
 	// in id order (allocated at build, with capacity for every node,
 	// when the build has mobility). offAir is the tick's reused list of
 	// the receivers that roamed off the medium of a frame still on the
-	// air to them (refreshGains). gainRefreshPairs counts the pairs
-	// refreshGains and refreshRow have recomputed
-	// (Result.GainRefreshPairs).
+	// air to them (refreshGains). refreshCells holds each refresh
+	// worker's scratch list of the cells a mover's row recomputes
+	// (refreshStripe; refreshRow uses the first), each with room for
+	// every node and allocated at a build with mobility, so a tick
+	// allocates nothing. gainRefreshPairs counts the pairs refreshGains
+	// and refreshRow have recomputed (Result.GainRefreshPairs).
 	movers           []*Node
 	offAir           []airRx
+	refreshCells     [][]gainCell
 	gainRefreshPairs int
 
 	noiseFloorDBm float64
@@ -835,7 +839,7 @@ func (n *Network) Add(spec FlowSpec) *Flow {
 
 // dist returns the distance in metres between two nodes.
 func dist(a, b *Node) float64 {
-	return math.Hypot(a.X-b.X, a.Y-b.Y)
+	return mathx.Hypot(a.X-b.X, a.Y-b.Y)
 }
 
 // build lays out the gain domains and fills their received-power rows,
@@ -852,6 +856,12 @@ func (n *Network) build() {
 	if mobile {
 		n.shadowDB = newGainMatrix(nn)
 		n.movers = make([]*Node, 0, nn)
+		workers := n.stripeWorkers(nn)
+		back := make([]gainCell, workers*nn)
+		n.refreshCells = make([][]gainCell, workers)
+		for w := range n.refreshCells {
+			n.refreshCells[w] = back[w*nn : w*nn : (w+1)*nn]
+		}
 	}
 	// One draw per unordered pair, row-major over the upper triangle,
 	// whether or not the pair shares a domain: the RNG stream and
@@ -1061,25 +1071,36 @@ func (n *Network) stripeWorkers(parts int) int {
 }
 
 // fillStripe is one fillGains worker: it fills the flat member rows
-// r ≡ w (mod step). Row r's domain starts gi places before it.
+// r ≡ w (mod step). Row r's domain starts gi places before it, so the
+// row's cells above the diagonal pair it with the members after it.
+// Each row runs in two passes: every cell's loss, written over its
+// parked draw, then every cell's received power and its mirror cell.
 func (n *Network) fillStripe(w, step int) {
 	pg := n.newPairGain()
 	for r := w; r < len(n.gainMembers); r += step {
 		a := n.gainMembers[r]
-		row, i := a.gain, a.gi
-		dom := n.gainMembers[r-i : r-i+len(row)]
-		for j := i + 1; j < len(dom); j++ {
-			o := dom[j]
-			mw := pg.mw(a, o, row[j])
-			row[j], o.gain[i] = mw, mw
+		i := a.gi
+		others := n.gainMembers[r+1 : r-i+len(a.gain)]
+		cells := a.gain[i+1:]
+		cells = cells[:len(others)] // the same length, stated for bounds-check elimination
+		for j, o := range others {
+			cells[j] = pg.lossDB(a, o, cells[j])
+		}
+		for j, o := range others {
+			mw := pg.mw(cells[j])
+			cells[j], o.gain[i] = mw, mw
 		}
 	}
 }
 
-// pairGain computes one pair's received power: the one formula
-// fillStripe and refreshStripe share, so a cell holds the same bits
-// whichever wrote it. budgetDBm is TxPowerDBm + TxAntennaGain +
-// RxAntennaGain, summed in that order.
+// pairGain computes one pair's received power in two steps, the one
+// formula fillStripe, refreshStripe and refreshRow share, so a cell
+// holds the same bits whichever wrote it: lossDB, the path loss plus
+// the pair's shadowing draw, then mw, the received power at that loss.
+// The gain passes take each step over a whole row before the next, so
+// the row's independent cells overlap in the pipeline rather than
+// waiting on one pair's chain of Hypot, Log10 and exp. budgetDBm is
+// TxPowerDBm + TxAntennaGain + RxAntennaGain, summed in that order.
 type pairGain struct {
 	curve     channel.LossCurve
 	budgetDBm float64
@@ -1090,12 +1111,36 @@ func (n *Network) newPairGain() pairGain {
 	return pairGain{n.cfg.PathLoss.Curve(), b.TxPowerDBm + b.TxAntennaGain + b.RxAntennaGain}
 }
 
-// mw is the received power in mW between a and o, given the pair's
-// shadowing draw in dB. Distance and path loss are symmetric, so the
-// order of a and o does not matter.
-func (g *pairGain) mw(a, o *Node, shadowDB float64) float64 {
-	loss := g.curve.LossDB(dist(a, o)) + shadowDB
-	return mwFromDBm(g.budgetDBm - loss)
+// lossDB is the loss in dB between a and o, given the pair's shadowing
+// draw in dB. Distance and path loss are symmetric, so the order of a
+// and o does not matter.
+func (g *pairGain) lossDB(a, o *Node, shadowDB float64) float64 {
+	return g.curve.LossDB(dist(a, o)) + shadowDB
+}
+
+// mw is the received power in mW at a loss of lossDB.
+func (g *pairGain) mw(lossDB float64) float64 {
+	return mwFromDBm(g.budgetDBm - lossDB)
+}
+
+// gainCell is one cell of a refresh pass: the other node of a's pair,
+// and the pair's shadowing draw, which the first pass overwrites with
+// the pair's loss (pairGain.setRow).
+type gainCell struct {
+	o  *Node
+	db float64
+}
+
+// setRow runs the two gain passes over a's pairs in cells: the loss of
+// each, then the received power, into both cells of the pair.
+func (g *pairGain) setRow(a *Node, cells []gainCell) {
+	for c := range cells {
+		cells[c].db = g.lossDB(a, cells[c].o, cells[c].db)
+	}
+	for _, c := range cells {
+		mw := g.mw(c.db)
+		a.gain[c.o.gi], c.o.gain[a.gi] = mw, mw
+	}
 }
 
 // refreshGains recomputes the gains a roam tick's moves changed that a
@@ -1133,7 +1178,7 @@ func (n *Network) refreshGains(movers []*Node) {
 			}
 		}
 	}
-	step := n.stripeWorkers(len(movers))
+	step := min(n.stripeWorkers(len(movers)), len(n.refreshCells))
 	if step < 2 {
 		n.gainRefreshPairs += n.refreshStripe(movers, 0, 1)
 		return
@@ -1184,13 +1229,15 @@ func (n *Network) readable(a, o *Node) bool {
 }
 
 // refreshStripe is one refreshGains worker: it recomputes the readable
-// pairs owned by movers k ≡ w (mod step) and returns how many it
-// computed.
+// pairs owned by movers k ≡ w (mod step), a mover's at a time in the
+// two gain passes over the worker's scratch list (Network.refreshCells),
+// and returns how many it computed.
 func (n *Network) refreshStripe(movers []*Node, w, step int) (pairs int) {
 	pg := n.newPairGain()
 	for k := w; k < len(movers); k += step {
 		a := movers[k]
 		shadow := n.shadowDB[a.id]
+		cells := n.refreshCells[w][:0]
 		// movers[:k] are the movers below a in id order: each owns its
 		// pair with a, and the walk over n.nodes meets them in order.
 		lower := movers[:k]
@@ -1208,10 +1255,10 @@ func (n *Network) refreshStripe(movers []*Node, w, step int) (pairs int) {
 				}
 				continue
 			}
-			mw := pg.mw(a, o, shadow[j])
-			a.gain[o.gi], o.gain[a.gi] = mw, mw
-			pairs++
+			cells = append(cells, gainCell{o, shadow[j]})
 		}
+		pg.setRow(a, cells)
+		pairs += len(cells)
 	}
 	return pairs
 }
@@ -1221,29 +1268,28 @@ func (n *Network) refreshStripe(movers []*Node, w, step int) (pairs int) {
 // the tick's refresh may have skipped: the nodes of its new medium, and
 // the receivers that roamed off that medium while a frame on its air is
 // still addressed to them. Nothing has moved since the tick, so each
-// cell gets the bits refreshGains would have given it.
+// cell gets the bits refreshGains would have given it. It runs after
+// the tick's refresh has finished, on the first worker's scratch list.
 func (n *Network) refreshRow(nd *Node) {
 	if n.cfg.fullGainRefresh {
 		return
 	}
-	pg := n.newPairGain()
 	shadow := n.shadowDB[nd.id]
-	set := func(o *Node) {
-		mw := pg.mw(nd, o, shadow[o.id])
-		nd.gain[o.gi], o.gain[nd.gi] = mw, mw
-		n.gainRefreshPairs++
-	}
+	cells := n.refreshCells[0][:0]
 	m := nd.med
 	for _, o := range m.nodes {
 		if o != nd {
-			set(o)
+			cells = append(cells, gainCell{o, shadow[o.id]})
 		}
 	}
 	for i, a := range m.active {
 		if o := a.rx; o.med != m && !slices.ContainsFunc(m.active[:i], func(b *transmission) bool { return b.rx == o }) {
-			set(o)
+			cells = append(cells, gainCell{o, shadow[o.id]})
 		}
 	}
+	pg := n.newPairGain()
+	pg.setRow(nd, cells)
+	n.gainRefreshPairs += len(cells)
 }
 
 // gainBlockBytes caps one backing array of gain rows.
