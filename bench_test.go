@@ -227,10 +227,10 @@ func BenchmarkE31SpatialReuse(b *testing.B) {
 // Setup (the O(n²) gain matrix, via Prepare) is excluded so ns/op
 // measures the event loops plus the worker-pool fan-out.
 //
-// The curve only bends on multi-core machines: shard workers default
-// to GOMAXPROCS, so on a single-core runner every variant measures the
-// same serial work (~flat), while with GOMAXPROCS >=
-// 4 the shards=4 variant shows the parallel speedup.
+// The curve only bends on multi-core machines: the Network's worker
+// cap (SetWorkers) defaults to GOMAXPROCS, so on a single-core runner
+// every variant measures the same serial work (~flat), while with
+// GOMAXPROCS >= 4 the shards=4 variant shows the parallel speedup.
 func BenchmarkE28ShardedFloor(b *testing.B) {
 	for _, shards := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {

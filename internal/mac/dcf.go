@@ -1,5 +1,5 @@
 // Package mac holds the 802.11 medium access layer's parameters and
-// controllers: DCF and EDCA timing and contention windows, the ARF and
+// controllers: DCF timing and contention windows, the ARF and
 // Minstrel rate-adaptation controllers, and the beacon-based power-save
 // mode whose latency/energy trade the paper's low-power section calls
 // for. The distributed coordination function itself (CSMA/CA with

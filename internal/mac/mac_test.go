@@ -9,26 +9,6 @@ import (
 	"repro/internal/rng"
 )
 
-func TestDot11eEdcaTxopDefaults(t *testing.T) {
-	// The standard's default TXOP limits: voice and video burst, best
-	// effort and background hold one exchange per access; the DSSS/CCK
-	// column doubles the OFDM values.
-	ag := Dot11eEdca(Dot11agDcf())
-	if ag[AC_VO].TxopLimitUs != 1504 || ag[AC_VI].TxopLimitUs != 3008 {
-		t.Errorf("a/g TXOP limits VO %v VI %v, want 1504/3008",
-			ag[AC_VO].TxopLimitUs, ag[AC_VI].TxopLimitUs)
-	}
-	if ag[AC_BE].TxopLimitUs != 0 || ag[AC_BK].TxopLimitUs != 0 {
-		t.Errorf("BE/BK TXOP limits %v/%v, want single-exchange 0",
-			ag[AC_BE].TxopLimitUs, ag[AC_BK].TxopLimitUs)
-	}
-	b := Dot11eEdca(Dot11bDcf())
-	if b[AC_VO].TxopLimitUs != 3264 || b[AC_VI].TxopLimitUs != 6016 {
-		t.Errorf("11b TXOP limits VO %v VI %v, want 3264/6016",
-			b[AC_VO].TxopLimitUs, b[AC_VI].TxopLimitUs)
-	}
-}
-
 func TestArfAdaptsUpAtHighSNR(t *testing.T) {
 	src := rng.New(8)
 	modes := linkmodel.OfdmModes()

@@ -237,7 +237,7 @@ func TestShardedClosedLoopRepeatDeterminism(t *testing.T) {
 	}
 	run := func(workers int) (string, [][4]int) {
 		n, controls := build()
-		n.SetShardWorkers(workers)
+		n.SetWorkers(workers)
 		fp := fingerprint(n.Run(3e5))
 		if got := n.Plan().Shards; got != groups {
 			t.Fatalf("planned %d shards, want %d: %+v", got, groups, n.Plan())

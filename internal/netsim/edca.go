@@ -7,18 +7,40 @@ import (
 	"repro/internal/mac"
 )
 
-// AC aliases mac.AccessCategory so FlowSpec and the per-AC tables use
-// the same four categories as the MAC-layer presets.
-type AC = mac.AccessCategory
+// 802.11e EDCA: four prioritized access categories, each contending
+// with its own AIFS (arbitration inter-frame space) and contention
+// window. A smaller AIFSN and CW let a category seize the medium ahead
+// of the others; DefaultEdca holds the standard's mapping of voice
+// ahead of video ahead of best effort ahead of background.
+
+// AC indexes the four EDCA access categories. Higher values are higher
+// priority — AC_VO wins a virtual collision against AC_BE.
+type AC int
 
 const (
-	AC_BK = mac.AC_BK
-	AC_BE = mac.AC_BE
-	AC_VI = mac.AC_VI
-	AC_VO = mac.AC_VO
+	AC_BK AC = iota // background
+	AC_BE           // best effort (the legacy-DCF class)
+	AC_VI           // video
+	AC_VO           // voice
+
 	// NumACs sizes per-AC tables (queues, counters, EdcaParams).
-	NumACs = mac.NumACs
+	NumACs
 )
+
+// String names the category the way the standard writes it.
+func (ac AC) String() string {
+	switch ac {
+	case AC_BK:
+		return "AC_BK"
+	case AC_BE:
+		return "AC_BE"
+	case AC_VI:
+		return "AC_VI"
+	case AC_VO:
+		return "AC_VO"
+	}
+	return fmt.Sprintf("AC(%d)", int(ac))
+}
 
 // AcParams is one access category's channel-access parameter set as
 // netsim consumes it: the AIFS already resolved to microseconds, the
@@ -44,36 +66,44 @@ type AcParams struct {
 // from Config.Dcf, which reproduces pre-EDCA results exactly.
 type EdcaParams [NumACs]AcParams
 
-// DefaultEdca resolves the 802.11e default parameter sets
-// (mac.Dot11eEdca) against the given DCF timing, giving every category
-// the same queue depth. TXOP limits are left at zero — one exchange per
-// channel access — so results stay bit-for-bit comparable with the
-// pre-TXOP simulator; chain WithDot11eTxop to opt into the standard's
-// default per-AC limits.
+// DefaultEdca returns the 802.11e default parameter sets, derived from
+// the PHY's DCF timing (aCWmin/aCWmax are d.CWMin/d.CWMax, and
+// AIFS = SIFS + AIFSN·slot, so AIFSN 2 reproduces legacy DIFS), with
+// every category given the same queue depth:
+//
+//	AC_BK: AIFSN 7, CW aCWmin..aCWmax
+//	AC_BE: AIFSN 3, CW aCWmin..aCWmax
+//	AC_VI: AIFSN 2, CW (aCWmin+1)/2-1 .. aCWmin
+//	AC_VO: AIFSN 2, CW (aCWmin+1)/4-1 .. (aCWmin+1)/2-1
+//
+// TXOP limits are left at zero — one exchange per channel access — so
+// results stay bit-for-bit comparable with the pre-TXOP simulator;
+// chain WithDot11eTxop to opt into the standard's default per-AC
+// limits.
 func DefaultEdca(d mac.DcfConfig, queueLimit int) EdcaParams {
-	tbl := mac.Dot11eEdca(d)
-	var out EdcaParams
-	for ac := range out {
-		p := tbl[ac]
-		out[ac] = AcParams{
-			AifsUs:     d.SIFSUs + float64(p.AIFSN)*d.SlotUs,
-			CWMin:      p.CWMin,
-			CWMax:      p.CWMax,
-			QueueLimit: queueLimit,
-		}
+	ac := func(aifsn, cwMin, cwMax int) AcParams {
+		return AcParams{AifsUs: d.SIFSUs + float64(aifsn)*d.SlotUs,
+			CWMin: cwMin, CWMax: cwMax, QueueLimit: queueLimit}
 	}
-	return out
+	return EdcaParams{
+		AC_BK: ac(7, d.CWMin, d.CWMax),
+		AC_BE: ac(3, d.CWMin, d.CWMax),
+		AC_VI: ac(2, (d.CWMin+1)/2-1, d.CWMin),
+		AC_VO: ac(2, (d.CWMin+1)/4-1, (d.CWMin+1)/2-1),
+	}
 }
 
 // WithDot11eTxop returns a copy of the table with the 802.11e default
-// TXOP limits from mac.Dot11eEdca(d) applied: voice and video may burst
-// SIFS-separated exchanges for 1.504/3.008 ms (OFDM timing; the DSSS
-// column doubles both), best effort and background stay at one exchange
-// per access.
+// TXOP limits applied: voice and video may burst SIFS-separated
+// exchanges for 1.504/3.008 ms, the standard's defaults for OFDM PHYs;
+// a DSSS/CCK timing (20 us slots) gets the 802.11b column instead,
+// 3.264/6.016 ms. Best effort and background stay at one exchange per
+// access in both.
 func (e EdcaParams) WithDot11eTxop(d mac.DcfConfig) EdcaParams {
-	tbl := mac.Dot11eEdca(d)
-	for ac := range e {
-		e[ac].TxopLimitUs = tbl[ac].TxopLimitUs
+	e[AC_BK].TxopLimitUs, e[AC_BE].TxopLimitUs = 0, 0
+	e[AC_VI].TxopLimitUs, e[AC_VO].TxopLimitUs = 3008, 1504
+	if d.SlotUs >= 20 {
+		e[AC_VI].TxopLimitUs, e[AC_VO].TxopLimitUs = 6016, 3264
 	}
 	return e
 }

@@ -622,6 +622,56 @@ func TestReadableRefreshMatchesFullRefresh(t *testing.T) {
 	})
 }
 
+// TestWorkerCapBoundsGainPasses: the Network's one worker cap
+// (SetWorkers) sizes the gain passes as well as the shard driver.
+// Under a cap of 1 the 272-node walker floor, above the passes'
+// 256-node cutover, fills on one stripe and keeps one refresh scratch
+// list, so its fill and its roam-tick refresh run on the calling
+// goroutine and allocate nothing; a cap of 3 stripes both passes three
+// ways on any machine. Every gain cell after the build and after a
+// mobile run, and the run's result, must be bit-identical to a build
+// at the default cap (GOMAXPROCS).
+func TestWorkerCapBoundsGainPasses(t *testing.T) {
+	build := func(cap int) *Network {
+		n := walkerFloor(1)
+		if len(n.nodes) < 256 {
+			t.Fatalf("walker floor has %d nodes, below the striped passes' cutover", len(n.nodes))
+		}
+		n.SetWorkers(cap)
+		n.Prepare()
+		return n
+	}
+	def := build(0)
+	wantBuild := gainMatrix(def)
+	wantRun := fingerprint(def.Run(1e6))
+	wantAfter := gainMatrix(def)
+	for _, c := range []struct{ cap, stripes int }{{1, 1}, {3, 3}} {
+		n := build(c.cap)
+		if got := n.stripeWorkers(len(n.gainMembers)); got != c.stripes {
+			t.Fatalf("cap %d: the fill runs on %d stripes, want %d", c.cap, got, c.stripes)
+		}
+		if got := len(n.refreshCells); got != c.stripes {
+			t.Fatalf("cap %d: %d refresh scratch lists, want %d", c.cap, got, c.stripes)
+		}
+		assertBitIdentical(t, fmt.Sprintf("cap %d gain after build", c.cap), wantBuild, gainMatrix(n))
+		if got := fingerprint(n.Run(1e6)); got != wantRun {
+			t.Fatalf("cap %d: the run diverged from the default cap's\ngot  %s\nwant %s", c.cap, got, wantRun)
+		}
+		assertBitIdentical(t, fmt.Sprintf("cap %d gain after the run", c.cap), wantAfter, gainMatrix(n))
+		if c.cap != 1 {
+			continue
+		}
+		if a := testing.AllocsPerRun(3, func() { n.refreshGains(n.nodes) }); a != 0 {
+			t.Fatalf("cap 1: refreshGains on %d nodes made %v allocations, want 0", len(n.nodes), a)
+		}
+		// A second fill would read the received powers as shadowing
+		// draws, so this runs last, on gains no check reads again.
+		if a := testing.AllocsPerRun(1, n.fillGains); a != 0 {
+			t.Fatalf("cap 1: fillGains on %d nodes made %v allocations, want 0", len(n.nodes), a)
+		}
+	}
+}
+
 // shortTickSeeds is how many seeds TestReadableRefreshMatchesFullRefresh
 // runs roaming-short-tick on, past equivSeeds.
 const shortTickSeeds = 10

@@ -47,10 +47,8 @@ package netsim
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 	"sort"
-	"sync"
 
 	"repro/internal/channel"
 	"repro/internal/linkmodel"
@@ -513,11 +511,12 @@ type Network struct {
 
 	// shards are the execution partitions build creates (shard.go); a
 	// single-engine run is the one-shard degenerate case. plan records
-	// how the partition was decided; shardWorkers caps the goroutines a
-	// multi-shard Run uses (see SetShardWorkers).
-	shards       []*shard
-	plan         ShardPlan
-	shardWorkers int
+	// how the partition was decided. workers caps the goroutines of
+	// every pass that fans out: the gain fill, the roam-tick refresh and
+	// a multi-shard Run (see SetWorkers).
+	shards  []*shard
+	plan    ShardPlan
+	workers int
 
 	// edca is the effective per-AC parameter table: Config.Edca when
 	// set, otherwise the legacy table (plain DCF in every slot) with
@@ -1030,44 +1029,38 @@ func bondedComponents(bss []*BSS) map[int]int {
 
 // fillGains computes every domain's received powers: each unordered
 // same-domain pair exactly once, with the flat member rows striped
-// across cores — the O(k²) transcendental bill per domain (path-loss
-// log, dB→mW exponential) dominates setup on 1000+ node floors, and
-// the per-pair math is pure, so the fan-out is bit-for-bit
-// deterministic. build has already parked each pair's shadowing draw
-// (in dB) in the upper cell a.gain[b.gi] (a's id below b's), so no
-// randomness crosses a goroutine boundary. The fill overwrites that
-// cell in place with the received power in mW: row a's worker is the
-// only one that reads or writes a's upper part, and the lower cells
-// b.gain[a.gi] it mirrors into are never read during the fill, so the
-// workers share no cell. Every cell holds the bits a single n×n matrix
-// would hold for the pair.
+// across stripeWorkers goroutines (sim.Parallel, one stripe each) —
+// the O(k²) transcendental bill per domain (path-loss log, dB→mW
+// exponential) dominates setup on 1000+ node floors, and the per-pair
+// math is pure, so the fan-out is bit-for-bit deterministic. build
+// has already parked each pair's shadowing draw (in dB) in the upper
+// cell a.gain[b.gi] (a's id below b's), so no randomness crosses a
+// goroutine boundary. The fill overwrites that cell in place with the
+// received power in mW: row a's stripe is the only one that reads or
+// writes a's upper part, and the lower cells b.gain[a.gi] it mirrors
+// into are never read during the fill, so the stripes share no cell.
+// Every cell holds the bits a single n×n matrix would hold for the
+// pair.
 func (n *Network) fillGains() {
 	step := n.stripeWorkers(len(n.gainMembers))
 	if step < 2 {
-		n.fillStripe(0, 1)
+		n.fillStripe(0, 1) // inline: a one-stripe fill allocates nothing
 		return
 	}
-	var wg sync.WaitGroup
-	for w := range step {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			n.fillStripe(w, step)
-		}()
-	}
-	wg.Wait()
+	sim.Parallel(step, step, func(w int) { n.fillStripe(w, step) })
 }
 
-// stripeWorkers is how many goroutines a gain pass striped over parts
-// (fillGains' member rows, refreshGains' movers) runs on: one per core,
-// at most 8 and at most one per part, or 1 below 256 nodes, where the
-// pass is too small to pay for the fan-out. A pass run on one worker
-// allocates nothing.
+// stripeWorkers is how many stripes, one goroutine each, a gain pass
+// striped over parts (fillGains' member rows, refreshGains' movers)
+// runs on: the Network's worker cap (SetWorkers; GOMAXPROCS by
+// default), at most 8 and at most one per part, or 1 below 256 nodes,
+// where the pass is too small to pay for the fan-out. A pass run on
+// one stripe allocates nothing.
 func (n *Network) stripeWorkers(parts int) int {
 	if len(n.nodes) < 256 {
 		return 1
 	}
-	return min(runtime.GOMAXPROCS(0), 8, parts)
+	return min(sim.Workers(parts, n.workers), 8)
 }
 
 // fillStripe is one fillGains worker: it fills the flat member rows
@@ -1156,9 +1149,9 @@ func (g *pairGain) setRow(a *Node, cells []gainCell) {
 // order. It needs the shadowing matrix, which only a build with
 // mobility (Config.RoamIntervalUs > 0) keeps; that build is one gain
 // domain, so every node's gi is its id. A pair belongs to its lower-id
-// mover, and the movers are striped across cores like fillGains' rows:
-// a worker writes only the cells of the pairs its movers own, so no two
-// workers share a cell, and the per-pair math is pure, so the fan-out
+// mover, and the movers are striped like fillGains' rows: a stripe
+// writes only the cells of the pairs its movers own, so no two
+// stripes share a cell, and the per-pair math is pure, so the fan-out
 // is bit-for-bit deterministic.
 func (n *Network) refreshGains(movers []*Node) {
 	if n.shadowDB == nil {
@@ -1180,19 +1173,11 @@ func (n *Network) refreshGains(movers []*Node) {
 	}
 	step := min(n.stripeWorkers(len(movers)), len(n.refreshCells))
 	if step < 2 {
-		n.gainRefreshPairs += n.refreshStripe(movers, 0, 1)
+		n.gainRefreshPairs += n.refreshStripe(movers, 0, 1) // inline: allocates nothing
 		return
 	}
 	var pairs [8]int
-	var wg sync.WaitGroup
-	for w := range step {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			pairs[w] = n.refreshStripe(movers, w, step)
-		}()
-	}
-	wg.Wait()
+	sim.Parallel(step, step, func(w int) { pairs[w] = n.refreshStripe(movers, w, step) })
 	for _, p := range pairs {
 		n.gainRefreshPairs += p
 	}
@@ -1446,7 +1431,7 @@ func (n *Network) Run(durationUs float64) Result {
 	for i, sh := range n.shards {
 		engines[i] = &sh.eng
 	}
-	sim.RunAll(engines, durationUs, n.shardWorkers)
+	sim.RunAll(engines, durationUs, n.workers)
 	return n.collect(durationUs)
 }
 

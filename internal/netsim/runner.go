@@ -4,6 +4,8 @@ import (
 	"runtime"
 	"sync"
 	"time"
+
+	"repro/internal/sim"
 )
 
 // Job is one independent simulation: a scenario builder plus the seed
@@ -40,24 +42,28 @@ func (p Progress) Rate() float64 {
 	return p.SimUs / 1e6 / p.WallSeconds
 }
 
-// ScenarioRunner fans jobs across a worker pool. Each worker runs whole
-// jobs, and each job owns every piece of mutable state it touches
-// (engine, nodes, rng.Source), so results are bit-for-bit identical to
-// a serial run regardless of worker count or scheduling.
+// ScenarioRunner fans jobs across a worker pool (sim.Parallel). Each
+// worker runs whole jobs, and each job owns every piece of mutable
+// state it touches (engine, nodes, rng.Source), so results are
+// bit-for-bit identical to a serial run regardless of worker count or
+// scheduling.
 //
 // Concurrency contract: two parallelism levels exist — jobs across the
-// pool, and shards inside one job (Config.Shards). RunAll keeps their
-// product within Parallelism by dividing the budget: each job may use
-// at most Parallelism / workers goroutines for its shards (floored at
-// 1, injected via Network.SetShardWorkers). Shard worker count never
-// changes results, so the split is purely a scheduling decision.
+// pool, and the passes inside one job that fan out on their own: the
+// gain fill and the roam-tick gain refresh of a build of 256 nodes or
+// more, and the shards of a sharded run (Config.Shards). RunAll keeps
+// their product within Parallelism by dividing the budget: each job's
+// Network gets a worker cap of Parallelism / workers (floored at 1,
+// set with Network.SetWorkers before Run builds the Network), which
+// bounds every one of those passes. No pass's worker count changes
+// results, so the split is purely a scheduling decision.
 type ScenarioRunner struct {
 	// Workers is the pool size; values below 2 run the jobs serially.
 	// The effective pool never exceeds Parallelism.
 	Workers int
 
 	// Parallelism caps the total goroutines running simulation work —
-	// pool workers times per-job shard workers. 0 means GOMAXPROCS.
+	// pool workers times each job's worker cap. 0 means GOMAXPROCS.
 	Parallelism int
 
 	// OnProgress, when set, is called once per finished job, serialized
@@ -67,33 +73,28 @@ type ScenarioRunner struct {
 	OnProgress func(Progress)
 }
 
-// budget resolves the total-goroutine cap and the per-job shard-worker
-// slice for a pool of the given size.
+// budget resolves the total-goroutine cap and the per-job worker cap
+// for a pool of the given size.
 func (r ScenarioRunner) budget(workers int) (total, perJob int) {
 	total = r.Parallelism
 	if total <= 0 {
 		total = runtime.GOMAXPROCS(0)
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	perJob = total / workers
-	if perJob < 1 {
-		perJob = 1
-	}
-	return total, perJob
+	return total, max(1, total/max(1, workers))
 }
 
 // RunAll executes every job and returns results in job order.
 func (r ScenarioRunner) RunAll(jobs []Job) []Result {
 	out := make([]Result, len(jobs))
+	workers := max(1, min(r.Workers, len(jobs)))
+	total, perJob := r.budget(workers)
 	done := 0
 	var mu sync.Mutex
-	runOne := func(i, shardWorkers int) {
+	sim.Parallel(len(jobs), min(workers, total), func(i int) {
 		j := jobs[i]
 		start := time.Now()
 		net := j.Build(j.Seed)
-		net.SetShardWorkers(shardWorkers)
+		net.SetWorkers(perJob)
 		out[i] = net.Run(j.DurationUs)
 		if r.OnProgress == nil {
 			return
@@ -105,39 +106,7 @@ func (r ScenarioRunner) RunAll(jobs []Job) []Result {
 			Seed: j.Seed, WallSeconds: wall, SimUs: j.DurationUs}
 		r.OnProgress(p)
 		mu.Unlock()
-	}
-	if r.Workers < 2 || len(jobs) < 2 {
-		// Serial pool: a sharded job may have the whole budget.
-		_, perJob := r.budget(1)
-		for i := range jobs {
-			runOne(i, perJob)
-		}
-		return out
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	workers := r.Workers
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	total, perJob := r.budget(workers)
-	if workers > total {
-		workers = total
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				runOne(i, perJob)
-			}
-		}()
-	}
-	for i := range jobs {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
+	})
 	return out
 }
 

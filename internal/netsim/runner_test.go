@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 )
@@ -69,6 +70,33 @@ func TestRunnerMixedScenarios(t *testing.T) {
 	for i, r := range results {
 		if r.Attempts == 0 {
 			t.Errorf("job %s ran nothing: %+v", jobs[i].Name, r)
+		}
+	}
+}
+
+// TestRunnerCapBoundsBuild: the runner's per-job share of Parallelism
+// reaches each job's build, not only its run. Every job here is the
+// 272-node walker floor, above the gain passes' 256-node cutover, so
+// its build sizes one refresh scratch list per fill stripe; a pool of
+// 2 under Parallelism 2 leaves each job one stripe, and a serial pool
+// under Parallelism 3 gives its job three.
+func TestRunnerCapBoundsBuild(t *testing.T) {
+	for _, c := range []struct{ workers, parallelism, stripes int }{{2, 2, 1}, {1, 3, 3}} {
+		var mu sync.Mutex
+		var nets []*Network
+		jobs := SeedSweep("walkers", func(seed int64) *Network {
+			n := walkerFloor(seed)
+			mu.Lock()
+			nets = append(nets, n)
+			mu.Unlock()
+			return n
+		}, 1e5, 0, 2)
+		ScenarioRunner{Workers: c.workers, Parallelism: c.parallelism}.RunAll(jobs)
+		for _, n := range nets {
+			if got := len(n.refreshCells); got != c.stripes {
+				t.Errorf("Workers=%d Parallelism=%d: a job's build sized %d stripes, want %d",
+					c.workers, c.parallelism, got, c.stripes)
+			}
 		}
 	}
 }

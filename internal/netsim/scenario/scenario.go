@@ -576,7 +576,7 @@ func (c *Overrides) Apply(cfg netsim.Config) netsim.Config {
 		a := netsim.DefaultAggregation()
 		a.MaxAmpduFrames = *c.AmpduFrames
 		if c.HtStreams != nil {
-			a.MaxAmpduAirUs = 4000
+			a.MaxAmpduAirUs = netsim.HtPpduMaxAirUs
 		}
 		cfg.Aggregation = &a
 	}

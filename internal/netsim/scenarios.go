@@ -24,6 +24,13 @@ func checkCount(scenario, field string, v, minimum int) {
 	}
 }
 
+// HtPpduMaxAirUs is the HT PPDU duration cap HtConfig puts on A-MPDU
+// airtime (AggConfig.MaxAmpduAirUs). Without it a Minstrel probe at
+// the slowest ladder entry would drag a full 64 KiB burst out to tens
+// of milliseconds of airtime — one sampling decision worth a third of
+// a short run.
+const HtPpduMaxAirUs = 4000
+
 // HtConfig is DefaultConfig retuned for 802.11n HT operation: the full
 // linkmodel.HtModes rate ladder for nss spatial streams at widthMHz
 // (20 or 40), Minstrel sampling rate control over that 2-D ladder,
@@ -39,11 +46,7 @@ func HtConfig(nss, widthMHz int) Config {
 	}
 	cfg.RateControl = "minstrel"
 	agg := DefaultAggregation()
-	// The HT PPDU duration cap. Without it a Minstrel probe at the
-	// slowest ladder entry would drag a full 64 KiB burst out to tens
-	// of milliseconds of airtime — one sampling decision worth a third
-	// of a short run.
-	agg.MaxAmpduAirUs = 4000
+	agg.MaxAmpduAirUs = HtPpduMaxAirUs
 	cfg.Aggregation = &agg
 	return cfg
 }

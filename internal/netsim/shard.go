@@ -203,11 +203,14 @@ func (n *Network) CheckFlowsCoSharded() error {
 	return nil
 }
 
-// SetShardWorkers caps the goroutines a multi-shard Run may occupy (0
-// means GOMAXPROCS, clamped to the shard count). Worker count never
+// SetWorkers caps the goroutines every pass of the Network that fans
+// out may occupy: the gain fill and the roam-tick gain refresh (at
+// most 8 stripes, and one below 256 nodes; see stripeWorkers) and a
+// multi-shard Run (at most one per shard). 0 means GOMAXPROCS. Set it
+// before Prepare or Run, which build the gains. Worker count never
 // changes results — only wall-clock — so ScenarioRunner uses this to
-// keep seeds × shards inside its Parallelism budget.
-func (n *Network) SetShardWorkers(k int) { n.shardWorkers = k }
+// keep jobs × per-job workers inside its Parallelism budget.
+func (n *Network) SetWorkers(k int) { n.workers = k }
 
 // channelsCouple reports whether two BSS primary channels can exchange
 // energy: equality in the legacy 20 MHz model, and under 40 MHz

@@ -282,7 +282,7 @@ func TestShardedRepeatDeterminism(t *testing.T) {
 					probes[shard] = &sliceProbe{}
 					return probes[shard]
 				})
-				n.SetShardWorkers(workers)
+				n.SetWorkers(workers)
 				fp := fingerprint(n.Run(sc.durationUs))
 				if got := n.Plan().Shards; got != sc.groups {
 					t.Fatalf("planned %d shards, want %d: %+v", got, sc.groups, n.Plan())

@@ -92,7 +92,7 @@ func TestCrossBssConnShardedDeterminism(t *testing.T) {
 		c.OnStart = func() { c.Send(120_000, func(float64) {}) }
 		n.Add(netsim.FlowSpec{From: s1, AC: netsim.AC_BE, Gen: netsim.CBR{PayloadBytes: 600, IntervalUs: 3000}})
 		n.Add(netsim.FlowSpec{From: fs, AC: netsim.AC_BE, Gen: netsim.Saturated{PayloadBytes: 800}})
-		n.SetShardWorkers(workers)
+		n.SetWorkers(workers)
 		n.Prepare()
 		if err := n.CheckFlowsCoSharded(); err != nil {
 			t.Fatal(err)

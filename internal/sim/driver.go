@@ -13,43 +13,66 @@ import (
 	"sync/atomic"
 )
 
-// RunAll fires every event scheduled at or before untilUs on every
-// engine and leaves each engine's clock at exactly untilUs. workers
-// caps the goroutines running engines concurrently; 0 means
-// GOMAXPROCS, and the effective count never exceeds len(engines).
-// Worker count affects wall-clock only, never results.
-func RunAll(engines []*Engine, untilUs float64, workers int) {
+// Workers resolves a worker cap for n items: 0 or less means
+// GOMAXPROCS, and the count never exceeds n. Parallel runs on this
+// many goroutines; a caller whose one-worker path must allocate
+// nothing checks it first, because the closure it would hand Parallel
+// is heap-allocated even when Parallel runs it inline.
+func Workers(n, workers int) int {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(engines) {
-		workers = len(engines)
-	}
+	return min(workers, n)
+}
+
+// Parallel calls body(i) exactly once for every i in [0, n), on at
+// most Workers(n, workers) goroutines, and returns when every call has
+// returned. With at most one worker it runs the calls in index order
+// on the calling goroutine. Otherwise the workers take indices from a
+// shared cursor in ascending order: items are rarely balanced
+// perfectly, so a fast worker picks up the next item instead of
+// idling behind a static stripe. Calls for distinct indices may run
+// concurrently, so body must make them share no mutable state.
+func Parallel(n, workers int, body func(i int)) {
+	workers = Workers(n, workers)
 	if workers <= 1 {
+		for i := range n {
+			body(i)
+		}
+		return
+	}
+	var pool struct { // the cursor and the WaitGroup in one allocation
+		cursor atomic.Int64
+		wg     sync.WaitGroup
+	}
+	pool.wg.Add(workers)
+	for range workers {
+		go func() {
+			defer pool.wg.Done()
+			for {
+				i := int(pool.cursor.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				body(i)
+			}
+		}()
+	}
+	pool.wg.Wait()
+}
+
+// RunAll fires every event scheduled at or before untilUs on every
+// engine and leaves each engine's clock at exactly untilUs. workers
+// caps the goroutines running engines concurrently (see Workers).
+// Worker count affects wall-clock only, never results.
+func RunAll(engines []*Engine, untilUs float64, workers int) {
+	if Workers(len(engines), workers) <= 1 {
 		for _, e := range engines {
 			e.Run(untilUs)
 		}
 		return
 	}
-	// Work-stealing over an atomic cursor: engines are rarely balanced
-	// perfectly, so a fast worker picks up the next engine instead of
-	// idling behind a static stripe.
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= len(engines) {
-					return
-				}
-				engines[i].Run(untilUs)
-			}
-		}()
-	}
-	wg.Wait()
+	Parallel(len(engines), workers, func(i int) { engines[i].Run(untilUs) })
 }
 
 // MergeStats folds per-engine snapshots into one aggregate: event and

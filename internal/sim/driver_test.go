@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"sync/atomic"
 	"testing"
 )
 
@@ -123,5 +124,56 @@ func TestRunAllConcurrentEngines(t *testing.T) {
 		if es[i].Now() != 1000 {
 			t.Fatalf("engine %d finished at %v, want 1000", i, es[i].Now())
 		}
+	}
+}
+
+// TestParallelRunsEveryIndexOnce: for every item count and worker cap
+// (the GOMAXPROCS default, serial, fewer workers than items, more
+// workers than items), each index in [0, n) runs exactly once and no
+// other index runs. Under -race the counters also show that the
+// workers hand indices over without a data race.
+func TestParallelRunsEveryIndexOnce(t *testing.T) {
+	for _, n := range []int{0, 1, 7, 64} {
+		for _, workers := range []int{0, 1, 2, 8, n + 3} {
+			counts := make([]atomic.Int32, n)
+			Parallel(n, workers, func(i int) { counts[i].Add(1) })
+			for i := range counts {
+				if c := counts[i].Load(); c != 1 {
+					t.Errorf("n=%d workers=%d: index %d ran %d times, want once", n, workers, i, c)
+				}
+			}
+		}
+	}
+}
+
+// TestParallelSerialInOrder: with at most one worker (after the clamp
+// to n) Parallel runs the items in index order on the caller.
+func TestParallelSerialInOrder(t *testing.T) {
+	for _, c := range []struct{ n, workers int }{{5, 1}, {1, 8}, {1, 0}} {
+		var order []int
+		Parallel(c.n, c.workers, func(i int) { order = append(order, i) })
+		for i, got := range order {
+			if got != i {
+				t.Fatalf("n=%d workers=%d: ran %v, want 0..%d in order", c.n, c.workers, order, c.n-1)
+			}
+		}
+		if len(order) != c.n {
+			t.Fatalf("n=%d workers=%d: ran %d items", c.n, c.workers, len(order))
+		}
+	}
+}
+
+// TestRunAllOneWorkerAllocatesNothing: a run on one worker — a single
+// engine, or a cap of 1 — allocates nothing, so a serial Network.Run
+// pays nothing for the fan-out it does not use.
+func TestRunAllOneWorkerAllocatesNothing(t *testing.T) {
+	one := []*Engine{{}}
+	two := []*Engine{{}, {}}
+	until := 0.0
+	if a := testing.AllocsPerRun(20, func() { until++; RunAll(one, until, 0) }); a != 0 {
+		t.Errorf("one engine: %v allocs per RunAll, want 0", a)
+	}
+	if a := testing.AllocsPerRun(20, func() { until++; RunAll(two, until, 1) }); a != 0 {
+		t.Errorf("two engines on one worker: %v allocs per RunAll, want 0", a)
 	}
 }

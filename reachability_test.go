@@ -73,7 +73,7 @@ var reachableAllowlist = map[string]string{
 	"fec.ViterbiDecodeHard":              "TestViterbiSoftBeatsHard: the hard-decision comparator for the soft decoder",
 	"fec.Deinterleave":                   "TestInterleaveRoundTrip: the inverse that checks Interleave",
 	"fec.LDPC.CheckParity":               "TestLDPCEncodeSatisfiesParity: checks the encoder's codewords",
-	"mac.Dot11bDcf":                      "TestDot11eEdcaTxopDefaults: covers the 11b TXOP column of Dot11eEdca",
+	"mac.Dot11bDcf":                      "netsim's TestDot11eEdcaTxopDefaults: covers the 11b TXOP column of WithDot11eTxop",
 	"mac.ArfController.Probing":          "TestArfProbeFailureFallsBackImmediately: observes the ARF probe state",
 	"matrix.FromRows":                    "the matrix and mimo tests build their fixtures with it",
 	"matrix.Matrix.FrobeniusNorm":        "checkSVD and the channel tests measure residuals and power with it",
