@@ -68,16 +68,18 @@ func BenchmarkE21Coexistence(b *testing.B)    { benchExperiment(b, "E21") }
 
 // workCounters sums the deterministic engine work counters of the runs
 // a benchmark makes, and reports them per op beside ns/op: the frames
-// put on the air, the interference crossings their starts walked, and
-// the gain pairs roam ticks refreshed (only when nonzero). The
-// simulation is seeded, so at a fixed -benchtime=Nx they repeat
-// exactly on any machine, and cmd/benchjson gates them exactly against
-// the baseline.
-type workCounters struct{ starts, crossings, refreshPairs int }
+// put on the air, the interference crossings their starts walked, the
+// carrier-sense candidates their scans walked and judged, and the gain
+// pairs roam ticks refreshed (only when nonzero). The simulation is
+// seeded, so at a fixed -benchtime=Nx they repeat exactly on any
+// machine, and cmd/benchjson gates them exactly against the baseline.
+type workCounters struct{ starts, crossings, csCandidates, csJudged, refreshPairs int }
 
 func (c *workCounters) add(r netsim.Result) {
 	c.starts += r.FrameStarts
 	c.crossings += r.Crossings
+	c.csCandidates += r.CsCandidates
+	c.csJudged += r.CsJudged
 	c.refreshPairs += r.GainRefreshPairs
 }
 
@@ -85,6 +87,8 @@ func (c *workCounters) report(b *testing.B) {
 	per := func(v int) float64 { return float64(v) / float64(b.N) }
 	b.ReportMetric(per(c.starts), "frame-starts/op")
 	b.ReportMetric(per(c.crossings), "crossings/op")
+	b.ReportMetric(per(c.csCandidates), "cs-candidates/op")
+	b.ReportMetric(per(c.csJudged), "cs-judged/op")
 	if c.refreshPairs > 0 {
 		b.ReportMetric(per(c.refreshPairs), "gain-refresh-pairs/op")
 	}

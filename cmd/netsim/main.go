@@ -543,6 +543,8 @@ func main() {
 				r.GainBytes, float64(r.GainBytes)/1e6, r.GainRefreshPairs)
 			fmt.Fprintf(os.Stderr, "interference crossings: %d over %d frame starts (%.1f per start)\n",
 				r.Crossings, r.FrameStarts, float64(r.Crossings)/float64(max(r.FrameStarts, 1)))
+			fmt.Fprintf(os.Stderr, "carrier sense: %d candidates, %d judged (%.1f%% of candidates)\n",
+				r.CsCandidates, r.CsJudged, 100*float64(r.CsJudged)/float64(max(r.CsCandidates, 1)))
 		}
 	}
 	if o.shardStats {

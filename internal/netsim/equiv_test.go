@@ -255,11 +255,18 @@ func roamingCrowd(cfg Config) func(seed int64) *Network {
 // reassociating no longer pins the handoff path against its oracle.
 func runRow(t *testing.T, name string, n *Network, durationUs float64) string {
 	t.Helper()
+	return fingerprint(runRowResult(t, name, n, durationUs))
+}
+
+// runRowResult is runRow's run and roam check, returning the Result
+// itself for the assertions a fingerprint leaves out.
+func runRowResult(t *testing.T, name string, n *Network, durationUs float64) Result {
+	t.Helper()
 	r := n.Run(durationUs)
 	if strings.Contains(name, "roam") && r.Roams == 0 {
 		t.Fatalf("%s: no station roamed — the row no longer exercises reassociation", name)
 	}
-	return fingerprint(r)
+	return r
 }
 
 // sliceProbe records every event into a growing slice. It lives here
@@ -329,14 +336,26 @@ func TestSpatialIndexEquivalence(t *testing.T) {
 					cfg.disableSpatialIndex = disable
 					return func() *Network { return sc.build(cfg)(seed) }
 				}
-				run := func(disable bool) string {
-					return runRow(t, sc.name, build(disable)(), sc.durationUs)
+				run := func(disable bool) Result {
+					return runRowResult(t, sc.name, build(disable)(), sc.durationUs)
 				}
-				indexed, brute := run(false), run(true)
-				if indexed != brute {
+				ri, rb := run(false), run(true)
+				if indexed, brute := fingerprint(ri), fingerprint(rb); indexed != brute {
 					t.Fatalf("seed %d: indexed run diverged from the brute-force oracle\n%s\nindexed:\n%s\nbrute:\n%s",
 						seed, explainDivergence(build(false), build(true), sc.durationUs),
 						indexed, brute)
+				}
+				// The grid's superset guarantee as a count: the index
+				// only drops candidates the scan's row test would
+				// reject, so hears judges the same candidates either
+				// way, out of no more walked.
+				if ri.CsJudged != rb.CsJudged {
+					t.Fatalf("seed %d: carrier sense judged %d candidates indexed, %d brute force",
+						seed, ri.CsJudged, rb.CsJudged)
+				}
+				if ri.CsCandidates > rb.CsCandidates {
+					t.Fatalf("seed %d: indexed scan walked %d candidates, more than brute force's %d",
+						seed, ri.CsCandidates, rb.CsCandidates)
 				}
 			}
 		})

@@ -29,6 +29,16 @@ type medium struct {
 	nodes   []*Node
 	active  []*transmission
 
+	// entries is the membership as carrier-sense candidates, index for
+	// index beside nodes: the brute-force scan walks it, so start keeps
+	// one scan loop over gain indices whether or not the grid serves
+	// the candidates. members is the gain domain's member slice
+	// (Network.domainMembers), which every node of the medium shares:
+	// members[gi] is the node with gain index gi, so the scan resolves a
+	// candidate to its Node only once its power passes the threshold.
+	entries []candidate
+	members []*Node
+
 	// bonded mirrors Config.ChannelWidthMHz == 40: channel is then a
 	// component root rather than a literal channel, and the hot paths
 	// apply per-pair slot-overlap fractions.
@@ -212,9 +222,16 @@ func (t *transmission) subInterference(mw float64) {
 // candidate sets can be sorted back into membership order, and files it
 // in the spatial index.
 func (m *medium) addNode(nd *Node) {
+	if m.members == nil {
+		m.members = m.net.domainMembers(nd)
+	}
+	if nd.gi >= len(m.members) || m.members[nd.gi] != nd {
+		panic("netsim: a medium's members must share one gain domain")
+	}
 	nd.ord = m.nextOrd
 	m.nextOrd++
 	m.nodes = append(m.nodes, nd)
+	m.entries = append(m.entries, candidateOf(nd))
 	if m.grid != nil {
 		m.grid.add(nd)
 	}
@@ -226,7 +243,10 @@ func (m *medium) remove(nd *Node) {
 	if m.grid != nil {
 		m.grid.remove(nd)
 	}
-	dropNode(&m.nodes, nd)
+	if i := slices.Index(m.nodes, nd); i >= 0 {
+		m.nodes = slices.Delete(m.nodes, i, i+1)
+		m.entries = slices.Delete(m.entries, i, i+1)
+	}
 }
 
 // bruteScanCutoff is the membership size below which the linear scan
@@ -235,16 +255,18 @@ func (m *medium) remove(nd *Node) {
 // are bit-for-bit equivalent, so the cutover is purely a speed choice.
 const bruteScanCutoff = 64
 
-// csCandidates returns the nodes the carrier-sense scan must consider
-// for a transmission from tx: the whole membership when the index is
-// off or the channel is small (the scan then filters on csTracked
-// itself), otherwise the cached tracked-neighborhood list — already
-// restricted to nodes with live carrier-sense state and sorted into
-// membership order, the exact order the brute-force scan would visit
-// (event scheduling depends on it).
-func (m *medium) csCandidates(tx *Node) []*Node {
+// csCandidates returns the gain indices the carrier-sense scan must
+// consider for a transmission from tx: the whole membership (entries)
+// when the index is off or the channel is small (the scan then filters
+// on csTracked itself), otherwise the cached tracked-neighborhood list
+// — already restricted to nodes with live carrier-sense state and
+// sorted into membership order, the exact order the brute-force scan
+// would visit (event scheduling depends on it). Either way a candidate
+// is an index into tx's gain row and into members, so the scan loads a
+// candidate's Node only after its power passes the threshold test.
+func (m *medium) csCandidates(tx *Node) []candidate {
 	if m.grid == nil || len(m.nodes) <= bruteScanCutoff {
-		return m.nodes
+		return m.entries
 	}
 	return m.grid.hood(tx)
 }
@@ -316,7 +338,9 @@ const (
 // only lower the power, so the csRangeM-sized grid cells stay a
 // conservative superset. The thresholds are precomputed in mW (csMw,
 // obssPdMw), so the test is a multiply and two compares. Small enough
-// to inline into the carrier-sense scan.
+// to inline into the carrier-sense scan. The scan makes the first test
+// (p < csMw) itself, on the sender's row, before it loads a candidate's
+// Node, so there hears judges only candidates the frame reaches.
 func (n *Network) hears(tr *transmission, nd *Node) (v csVerdict, p float64) {
 	// Reading the gain row directly, not through rxPowerMw, keeps the
 	// function inside the inlining budget.
@@ -467,11 +491,25 @@ func (m *medium) start(tr *transmission) {
 	// floor most associated stations are idle most of the time, so this
 	// is the difference between touching the whole neighborhood per
 	// frame and touching the handful of live contenders.
+	//
+	// A candidate is a gain index. Its power in the sender's own row is
+	// hears' first test — bonded overlap only lowers it further — so a
+	// candidate below csMw is quiet without its Node being loaded; only
+	// the rest are resolved through members and judged.
 	tr.sensed = m.getBuf()
-	for _, nd := range m.csCandidates(tr.tx) {
-		if nd == tr.tx || !nd.csTracked {
+	cands := m.csCandidates(tr.tx)
+	row, members := tr.tx.gain, m.members
+	csMw, scaleMw, txGi := m.net.csMw, tr.scaleMw, int32(tr.txGi)
+	judged := 0
+	for _, c := range cands {
+		if row[c.gi]*scaleMw < csMw || c.gi == txGi {
 			continue
 		}
+		nd := members[c.gi]
+		if !nd.csTracked {
+			continue
+		}
+		judged++
 		switch v, p := m.net.hears(tr, nd); v {
 		case csBusy:
 			tr.sensed = append(tr.sensed, nd)
@@ -489,6 +527,8 @@ func (m *medium) start(tr *transmission) {
 			}
 		}
 	}
+	m.sh.csCandidates += len(cands)
+	m.sh.csJudged += judged
 	if tr.navUntilUs > 0 {
 		// Virtual carrier sense: every node that can DECODE the control
 		// frame adopts its duration-field reservation. Decoding reaches

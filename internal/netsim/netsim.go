@@ -1353,6 +1353,20 @@ func (n *Network) gainBytes() int64 {
 // positions (NaN under Config.poisonSkippedGains).
 func (n *Network) rxPowerMw(tx, rx *Node) float64 { return tx.gain[rx.gi] }
 
+// domainMembers returns the member slice of nd's gain domain,
+// gainMembers[gainBounds[d]:gainBounds[d+1]], in which nd sits at
+// index gi. Under mobility that is every node (n.nodes). A medium keeps
+// it to resolve carrier-sense candidates (gain indices) to Nodes.
+func (n *Network) domainMembers(nd *Node) []*Node {
+	for d := 0; d+1 < len(n.gainBounds); d++ {
+		lo, hi := n.gainBounds[d], n.gainBounds[d+1]
+		if nd.gi < hi-lo && n.gainMembers[lo+nd.gi] == nd {
+			return n.gainMembers[lo:hi:hi]
+		}
+	}
+	panic("netsim: node " + nd.Name + " is in no gain domain")
+}
+
 // rxPowerDBm is the same figure in dBm, read back from the mW matrix
 // with a logarithm: for the roam scan and the memoized rate choice
 // only, never the per-frame path.
@@ -1808,6 +1822,18 @@ type Result struct {
 	FrameStarts int
 	Crossings   int
 
+	// CsCandidates counts, over the frame starts, the carrier-sense
+	// candidates the scan walked: the tracked 3x3 hood of the sender's
+	// grid cell, or the whole membership on a brute-force medium.
+	// CsJudged counts those past the scan's row test (power at or above
+	// the carrier-sense threshold in the sender's gain row), tracked and
+	// not the sender: the ones whose Node the scan loaded and hears
+	// judged. The index only ever adds candidates the row test rejects,
+	// so CsJudged is the same with it on or off. Counted per shard and
+	// summed.
+	CsCandidates int
+	CsJudged     int
+
 	// FramePools holds each shard's frame-record pool counters, indexed
 	// by shard (framepool.go): transmission and packet records recycled
 	// vs newly allocated. The misses are the per-frame objects the run
@@ -1853,6 +1879,8 @@ func (n *Network) collect(durationUs float64) Result {
 		res.ObssReuseTx += sh.obssReuseTx
 		res.FrameStarts += sh.frameStarts
 		res.Crossings += sh.crossings
+		res.CsCandidates += sh.csCandidates
+		res.CsJudged += sh.csJudged
 		for ac := 0; ac < int(NumACs); ac++ {
 			attempts[ac] += sh.attempts[ac]
 			delivered[ac] += sh.delivered[ac]

@@ -76,6 +76,8 @@ type shard struct {
 	obssReuseTx           int
 	frameStarts           int
 	crossings             int
+	csCandidates          int
+	csJudged              int
 
 	// frames recycles the shard's transmission and packet records
 	// (framepool.go). okScratch and pktScratch are the Block-ACK path's

@@ -23,6 +23,14 @@ import (
 // serves only cell creation, re-filing a moved node and the
 // general-radius NAV query.
 //
+// A carrier-sense candidate is a gain index, not a Node. Hoods hold
+// packed {gi, ord} entries (candidate), so a rebuild gathers and sorts
+// them, and a tracking change patches them, without loading a Node.
+// medium.start tests each entry's power in the sender's own gain row
+// first and resolves it to its Node (medium.members) only when the
+// frame reaches it: on a dense floor most candidates sit below the
+// threshold, and their Nodes are never touched.
+//
 // Correctness contract: a query at radius r returns a SUPERSET of the
 // nodes within r metres of the probe point (cells are visited by a
 // conservative Chebyshev bound), and the caller re-applies the exact
@@ -43,9 +51,20 @@ import (
 // dense array.
 type cellKey struct{ ix, iy int }
 
-// gridCell is one cell's membership, the csTracked subset of it (the
-// nodes carrier sense must actually touch — see Node.joinCS), the
-// cached tracked 3x3-neighborhood candidate list (nil when stale), and
+// candidate is one carrier-sense candidate: a node's gain index
+// (Node.gi) and its membership number (Node.ord), packed into the size
+// of a pointer. All members of a medium share one gain domain, so gi
+// names the node on its medium (medium.members[gi]), and ord fixes its
+// place in the scan order.
+type candidate struct{ gi, ord int32 }
+
+func candidateOf(nd *Node) candidate { return candidate{int32(nd.gi), int32(nd.ord)} }
+
+// gridCell is one cell's membership, the csTracked subset of it as
+// candidates (the nodes carrier sense must actually touch — see
+// Node.joinCS), the cached tracked 3x3-neighborhood candidate list (nil
+// when stale; gain indices, so neither a rebuild nor the scan's
+// threshold test loads a Node), and
 // nbrs: the cell itself plus every live cell of its 3x3 block, in no
 // particular order (hood sorts what it gathers). A cell links itself
 // into its neighbours' nbrs when it is created and unlinks when it
@@ -56,8 +75,8 @@ type cellKey struct{ ix, iy int }
 type gridCell struct {
 	key     cellKey
 	nodes   []*Node
-	tracked []*Node
-	hood    []*Node
+	tracked []candidate
+	hood    []candidate
 	nbrs    []*gridCell
 }
 
@@ -134,7 +153,7 @@ func (g *spatialGrid) add(nd *Node) {
 	nd.cell, nd.gc = k, c
 	c.nodes = append(c.nodes, nd)
 	if nd.csTracked {
-		c.tracked = append(c.tracked, nd)
+		c.tracked = append(c.tracked, candidateOf(nd))
 	}
 	invalidateAround(c)
 }
@@ -151,6 +170,20 @@ func spliceNode(list []*Node, nd *Node) []*Node {
 	return list
 }
 
+// spliceCandidate removes nd's entry from an unordered candidate list.
+// Gain indices are unique on a medium, so gi alone names the entry.
+func spliceCandidate(list []candidate, nd *Node) []candidate {
+	gi := int32(nd.gi)
+	for i, x := range list {
+		if x.gi == gi {
+			last := len(list) - 1
+			list[i] = list[last]
+			return list[:last]
+		}
+	}
+	return list
+}
+
 // remove deletes the node from the cell it was last filed under.
 func (g *spatialGrid) remove(nd *Node) {
 	c := nd.gc
@@ -159,7 +192,7 @@ func (g *spatialGrid) remove(nd *Node) {
 	}
 	nd.gc = nil
 	c.nodes = spliceNode(c.nodes, nd)
-	c.tracked = spliceNode(c.tracked, nd)
+	c.tracked = spliceCandidate(c.tracked, nd)
 	invalidateAround(c)
 	if len(c.nodes) == 0 {
 		g.dropCell(c)
@@ -190,9 +223,9 @@ func (g *spatialGrid) setTracked(nd *Node, on bool) {
 		return
 	}
 	if on {
-		c.tracked = append(c.tracked, nd)
+		c.tracked = append(c.tracked, candidateOf(nd))
 	} else {
-		c.tracked = spliceNode(c.tracked, nd)
+		c.tracked = spliceCandidate(c.tracked, nd)
 	}
 	for _, nb := range c.nbrs {
 		if nb.hood == nil {
@@ -206,23 +239,26 @@ func (g *spatialGrid) setTracked(nd *Node, on bool) {
 	}
 }
 
-// ordInsert files nd into an ord-sorted list at its membership
+// ordInsert files nd's entry into an ord-sorted list at its membership
 // position.
-func ordInsert(list []*Node, nd *Node) []*Node {
+func ordInsert(list []candidate, nd *Node) []candidate {
+	e := candidateOf(nd)
 	i := len(list)
-	for i > 0 && list[i-1].ord > nd.ord {
+	for i > 0 && list[i-1].ord > e.ord {
 		i--
 	}
-	list = append(list, nil)
+	list = append(list, candidate{})
 	copy(list[i+1:], list[i:])
-	list[i] = nd
+	list[i] = e
 	return list
 }
 
-// ordRemove splices nd out of an ord-sorted list, preserving order.
-func ordRemove(list []*Node, nd *Node) []*Node {
+// ordRemove splices nd's entry out of an ord-sorted list, preserving
+// order.
+func ordRemove(list []candidate, nd *Node) []candidate {
+	gi := int32(nd.gi)
 	for i, x := range list {
-		if x == nd {
+		if x.gi == gi {
 			return append(list[:i], list[i+1:]...)
 		}
 	}
@@ -237,18 +273,38 @@ func ordRemove(list []*Node, nd *Node) []*Node {
 // handful of live contenders nearby, not the whole neighborhood. The
 // returned slice is shared and must not be modified or returned to a
 // buffer pool. Ords are unique on a medium, so the sort fixes the
-// order whatever order nbrs gathers the cells in.
-func (g *spatialGrid) hood(nd *Node) []*Node {
+// order whatever order nbrs gathers the cells in. A rebuild makes the
+// list in one allocation sized to the block's tracked count, and loads
+// no Node.
+func (g *spatialGrid) hood(nd *Node) []candidate {
 	c := nd.gc
 	if c.hood == nil {
-		out := []*Node{}
+		k := 0
+		for _, nb := range c.nbrs {
+			k += len(nb.tracked)
+		}
+		out := make([]candidate, 0, k)
 		for _, nb := range c.nbrs {
 			out = append(out, nb.tracked...)
 		}
-		sortByOrd(out)
+		sortCandidates(out)
 		c.hood = out
 	}
 	return c.hood
+}
+
+// sortCandidates is sortByOrd over candidate entries: an insertion sort
+// over a handful of nearly ascending runs, one per gathered cell.
+func sortCandidates(list []candidate) {
+	for i := 1; i < len(list); i++ {
+		e := list[i]
+		j := i - 1
+		for j >= 0 && list[j].ord > e.ord {
+			list[j+1] = list[j]
+			j--
+		}
+		list[j+1] = e
+	}
 }
 
 // query appends every node within radiusM of (x, y) — plus, by cell

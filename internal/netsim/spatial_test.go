@@ -43,6 +43,17 @@ func buildRandomFloor(t *testing.T, seed int64, nNodes int, sideM float64) *Netw
 	return n
 }
 
+// hoodNodes resolves carrier-sense candidates (gain indices) to the
+// Nodes they name through the medium's member slice, the way
+// medium.start does.
+func hoodNodes(m *medium, cands []candidate) []*Node {
+	out := make([]*Node, len(cands))
+	for i, c := range cands {
+		out[i] = m.members[c.gi]
+	}
+	return out
+}
+
 // assertSuperset checks, for every node as a probe, that the
 // carrier-sense candidates cover every TRACKED node above the
 // energy-detect threshold and the NAV candidates cover every node above
@@ -56,7 +67,7 @@ func assertSuperset(t *testing.T, n *Network, m *medium) {
 			get    func() ([]*Node, bool)
 			passes func(nd *Node) bool
 		}{
-			{"cs", func() ([]*Node, bool) { return m.csCandidates(tx), false }, func(nd *Node) bool {
+			{"cs", func() ([]*Node, bool) { return hoodNodes(m, m.csCandidates(tx)), false }, func(nd *Node) bool {
 				return nd.csTracked && n.rxPowerDBm(tx, nd) >= n.cfg.CSThresholdDBm
 			}},
 			{"nav", func() ([]*Node, bool) { return m.navCandidates(tx) }, func(nd *Node) bool {
@@ -134,7 +145,7 @@ func TestGridTracksMediumMigration(t *testing.T) {
 	m1, m2 := n.media[0], n.media[1]
 
 	inGrid := func(m *medium, nd *Node) bool {
-		for _, c := range m.csCandidates(nd) {
+		for _, c := range hoodNodes(m, m.csCandidates(nd)) {
 			if c == nd {
 				return true
 			}
@@ -150,7 +161,7 @@ func TestGridTracksMediumMigration(t *testing.T) {
 		m  *medium
 		nd *Node
 	}{{m1, st}} {
-		cands := c.m.grid.hood(c.nd)
+		cands := hoodNodes(c.m, c.m.grid.hood(c.nd))
 		found := false
 		for _, x := range cands {
 			if x == c.nd {
@@ -168,7 +179,7 @@ func TestGridTracksMediumMigration(t *testing.T) {
 	if st.med != m2 {
 		t.Fatalf("walker on medium %d, want channel 6", st.med.channel)
 	}
-	hood2 := m2.grid.hood(st)
+	hood2 := hoodNodes(m2, m2.grid.hood(st))
 	found := false
 	for _, x := range hood2 {
 		if x == st {
@@ -242,6 +253,64 @@ func gridLinkFault(n *Network) string {
 
 func abs(x int) int { return max(x, -x) }
 
+// hoodFault checks every built carrier-sense hood against the cell
+// map: each cell's tracked list holds exactly its csTracked nodes, and
+// each cached hood lists exactly the csTracked nodes of its 3x3 block,
+// as {gi, ord} entries in ord order, each of which the medium resolves
+// (members[gi]) to that node. It returns the first fault, or "".
+func hoodFault(n *Network) string {
+	for _, m := range n.media {
+		g := m.grid
+		if g == nil {
+			continue
+		}
+		for k, c := range g.cells {
+			var want []candidate
+			for _, nd := range c.nodes {
+				if nd.csTracked {
+					want = append(want, candidateOf(nd))
+				}
+			}
+			if len(c.tracked) != len(want) {
+				return fmt.Sprintf("channel %d: cell %v tracks %d entries, holds %d tracked nodes",
+					m.channel, k, len(c.tracked), len(want))
+			}
+			for _, e := range want {
+				if !slices.Contains(c.tracked, e) {
+					return fmt.Sprintf("channel %d: cell %v does not track %+v", m.channel, k, e)
+				}
+			}
+			if c.hood == nil {
+				continue
+			}
+			var block []*Node
+			for ix := k.ix - 1; ix <= k.ix+1; ix++ {
+				for iy := k.iy - 1; iy <= k.iy+1; iy++ {
+					if nb := g.cells[cellKey{ix, iy}]; nb != nil {
+						for _, nd := range nb.nodes {
+							if nd.csTracked {
+								block = append(block, nd)
+							}
+						}
+					}
+				}
+			}
+			slices.SortFunc(block, func(a, b *Node) int { return a.ord - b.ord })
+			if len(c.hood) != len(block) {
+				return fmt.Sprintf("channel %d: cell %v's hood lists %d entries, its block holds %d tracked nodes",
+					m.channel, k, len(c.hood), len(block))
+			}
+			for i, e := range c.hood {
+				if nd := block[i]; e != candidateOf(nd) || m.members[e.gi] != nd {
+					return fmt.Sprintf("channel %d: cell %v's hood entry %d is %+v, want %s (gi %d, ord %d)",
+						m.channel, k, i, e, nd.Name, nd.gi, nd.ord)
+				}
+			}
+		}
+	}
+	return ""
+}
+
 // gridWalkers is a 3x3 grid of APs 40 m apart on one channel, two
 // stations each, plus four SetVelocity walkers that leave it at 860–
 // 1100 m/s in different directions — several ~114 m carrier-sense cells
@@ -275,6 +344,9 @@ func gridWalkers(seed int64) *Network {
 // equivalence rows, walker-floor-272, and gridWalkers, whose walkers
 // leave the floor: an emptied cell must be unlinked from its
 // neighbours, or their lists would keep it (and its node lists) alive.
+// Every built hood must also match its block's tracked nodes entry for
+// entry (hoodFault), so a tracking change that misses a cached hood, or
+// a move that leaves one stale, fails it.
 func TestGridNeighborLinks(t *testing.T) {
 	type row struct {
 		name       string
@@ -306,7 +378,11 @@ func TestGridNeighborLinks(t *testing.T) {
 		var observe func()
 		observe = func() {
 			ticks++
-			if d := gridLinkFault(n); d != "" && fault == "" {
+			d := gridLinkFault(n)
+			if d == "" {
+				d = hoodFault(n)
+			}
+			if d != "" && fault == "" {
 				fault = fmt.Sprintf("after the tick at t=%v: %s", eng.Now(), d)
 			}
 			eng.Schedule(n.cfg.RoamIntervalUs, observe)
@@ -336,5 +412,41 @@ func TestGridNeighborLinks(t *testing.T) {
 			t.Fatalf("grid-walkers: %d live cells at the end, want the floor's %d plus one per walker",
 				len(g.cells), floorCells)
 		}
+	}
+}
+
+// TestHoodRebuildAllocatesOnce pins a hood rebuild at one allocation:
+// the candidate list is sized to its block's tracked count before it
+// is gathered, so neither the gather nor the sort grows it.
+func TestHoodRebuildAllocatesOnce(t *testing.T) {
+	n := buildRandomFloor(t, 1, 200, 1500)
+	m := n.media[0]
+	// Probe at the node whose block gathers tracked entries from the
+	// most cells, so an unsized gather would have to grow.
+	var probe *Node
+	cells := 0
+	for _, nd := range m.nodes {
+		k := 0
+		for _, nb := range nd.gc.nbrs {
+			if len(nb.tracked) > 0 {
+				k++
+			}
+		}
+		if k > cells {
+			probe, cells = nd, k
+		}
+	}
+	if cells < 2 {
+		t.Fatalf("no block gathers tracked nodes from two cells (best %d)", cells)
+	}
+	want := len(m.grid.hood(probe))
+	allocs := testing.AllocsPerRun(20, func() {
+		probe.gc.hood = nil
+		if got := len(m.grid.hood(probe)); got != want {
+			t.Fatalf("rebuilt hood lists %d entries, want %d", got, want)
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("a hood rebuild allocated %v times, want 1", allocs)
 	}
 }
