@@ -33,7 +33,8 @@ const equivSeeds = 5
 // roaming with downlink handoff (incremental grid updates and medium
 // migration), and the 3-channel LargeFloor with an OBSS-PD-style CS
 // threshold (many small neighborhoods — the case the index exists for).
-// A row whose name contains "roam" must roam (runRow).
+// A row whose name contains "roam" must roam (runRow), and a row in
+// gridRows must take the grid path (TestSpatialIndexEquivalence).
 func equivScenarios() []struct {
 	name       string
 	durationUs float64
@@ -80,7 +81,14 @@ func equivScenarios() []struct {
 		// the air.
 		{"roaming-crowd", 3e6, func(cfg Config) func(int64) *Network {
 			cfg.RoamIntervalUs = 20000
-			return roamingCrowd(cfg)
+			return roamingCrowd(cfg, 16)
+		}},
+		// The crowd at 72 walkers, 76 nodes on one medium: above the
+		// brute-scan cutoff, so every roam tick re-files movers in the
+		// grid the indexed scans read.
+		{"roaming-crowd-indexed", 1.5e6, func(cfg Config) func(int64) *Network {
+			cfg.RoamIntervalUs = 20000
+			return roamingCrowd(cfg, 72)
 		}},
 		// 36 BSS x (1 saturated + 1 keepalive) on ONE channel = 108
 		// nodes on one medium: the grid hood cache, tracked-list
@@ -90,6 +98,25 @@ func equivScenarios() []struct {
 		{"large-floor-reuse", 3e4, func(cfg Config) func(int64) *Network {
 			cfg.CSThresholdDBm = -62 // OBSS-PD-style spatial reuse
 			return LargeFloor(cfg, 36, 2, 6, 1)
+		}},
+		// The same 108-node medium with RTS on every frame: each RTS
+		// and CTS runs the NAV scan over the grid's decode-range query.
+		{"large-floor-rts", 3e4, func(cfg Config) func(int64) *Network {
+			cfg.CSThresholdDBm = -62
+			return LargeFloor(rtsEvery(cfg), 36, 2, 6, 1)
+		}},
+		// RTS under OBSS-PD coloring at the default -82 dBm energy
+		// detect: the indexed CS and NAV scans apply the color-aware
+		// window to every inter-BSS listener.
+		{"large-floor-obss-rts", 3e4, func(cfg Config) func(int64) *Network {
+			cfg.ObssPdThresholdDBm = -62
+			return LargeFloor(rtsEvery(cfg), 36, 2, 6, 1)
+		}},
+		// The floor bonded on {1,2,3}, one component of 108 nodes:
+		// half-power CS and the full-cover NAV rule over the grid.
+		{"large-floor-bonded", 3e4, func(cfg Config) func(int64) *Network {
+			cfg.ObssPdThresholdDBm = -62
+			return LargeFloor(rtsEvery(bondedHt(cfg)), 36, 2, 6, 1, 2, 3)
 		}},
 		// HT + 40 MHz bonding on deliberately overlapping channels
 		// {1,2,3}: every adjacent pair shares one 20 MHz slot, so the
@@ -145,6 +172,21 @@ func equivScenarios() []struct {
 			return roamingChannels(cfg, 40, 80)
 		}},
 	}
+}
+
+// gridRows names the equivScenarios rows with a medium above
+// bruteScanCutoff, whose indexed runs must take the grid path: there
+// the indexed carrier-sense scan walks fewer candidates than the
+// brute-force one, so a row shrunk below the cutoff fails
+// TestSpatialIndexEquivalence instead of quietly comparing the
+// brute-force scan with itself.
+var gridRows = map[string]bool{
+	"dense-grid-shadowed":   true,
+	"roaming-crowd-indexed": true,
+	"large-floor-reuse":     true,
+	"large-floor-rts":       true,
+	"large-floor-obss-rts":  true,
+	"large-floor-bonded":    true,
 }
 
 // roamingChannels puts six APs 45 m apart in a row on channels 1, 6,
@@ -223,11 +265,11 @@ func poissonGrid(cfg Config) func(seed int64) *Network {
 	}
 }
 
-// roamingCrowd puts 4 APs on channel 1, 40 m apart in a row, and 16
-// stations on random-waypoint walks over the row at 10–30 m/s,
-// alternately saturated and Poisson (100 pkt/s) 1000-byte uplinks.
-// cfg.RoamIntervalUs must be set.
-func roamingCrowd(cfg Config) func(seed int64) *Network {
+// roamingCrowd puts 4 APs on channel 1, 40 m apart in a row, and the
+// given number of stations on random-waypoint walks over the row at
+// 10–30 m/s, alternately saturated and Poisson (100 pkt/s) 1000-byte
+// uplinks. cfg.RoamIntervalUs must be set.
+func roamingCrowd(cfg Config, walkers int) func(seed int64) *Network {
 	return func(seed int64) *Network {
 		n := New(cfg, seed)
 		aps := make([]*BSS, 4)
@@ -236,7 +278,7 @@ func roamingCrowd(cfg Config) func(seed int64) *Network {
 		}
 		walk := RandomWaypoint{MinX: -10, MaxX: 130, MinY: -10, MaxY: 10,
 			SpeedMinMps: 10, SpeedMaxMps: 30}
-		for s := 0; s < 16; s++ {
+		for s := 0; s < walkers; s++ {
 			b := aps[s%len(aps)]
 			st := n.AddStation(b, fmt.Sprintf("sta%d", s), b.AP.X+5, 0)
 			n.SetRandomWaypoint(st, walk)
@@ -328,7 +370,11 @@ func explainDivergence(buildA, buildB func() *Network, durationUs float64, ignor
 }
 
 func TestSpatialIndexEquivalence(t *testing.T) {
+	marked := 0
 	for _, sc := range equivScenarios() {
+		if gridRows[sc.name] {
+			marked++
+		}
 		t.Run(sc.name, func(t *testing.T) {
 			for seed := int64(1); seed <= equivSeeds; seed++ {
 				build := func(disable bool) func() *Network {
@@ -357,8 +403,15 @@ func TestSpatialIndexEquivalence(t *testing.T) {
 					t.Fatalf("seed %d: indexed scan walked %d candidates, more than brute force's %d",
 						seed, ri.CsCandidates, rb.CsCandidates)
 				}
+				if gridRows[sc.name] && ri.CsCandidates == rb.CsCandidates {
+					t.Fatalf("seed %d: indexed scan walked all %d brute-force candidates — the row no longer takes the grid path",
+						seed, rb.CsCandidates)
+				}
 			}
 		})
+	}
+	if marked != len(gridRows) {
+		t.Fatalf("%d of the %d gridRows name an equivalence row", marked, len(gridRows))
 	}
 }
 

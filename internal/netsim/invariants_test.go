@@ -97,7 +97,7 @@ func (p *csInvariantProbe) nanRead(ev Event, a liveFrame) error {
 	if err := nan(tx, rx); err != nil {
 		return err
 	}
-	for _, nd := range a.m.nodes {
+	for _, nd := range hoodNodes(a.m, a.m.entries) {
 		if nd == tx {
 			continue
 		}
@@ -136,7 +136,7 @@ func (p *csInvariantProbe) nanRoam(ev Event) error {
 			return err
 		}
 	}
-	for _, o := range m.nodes {
+	for _, o := range hoodNodes(m, m.entries) {
 		if o == st {
 			continue
 		}

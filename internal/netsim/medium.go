@@ -26,16 +26,16 @@ type medium struct {
 	// members all live on one shard, so a medium never needs locking.
 	sh      *shard
 	channel int
-	nodes   []*Node
 	active  []*transmission
 
-	// entries is the membership as carrier-sense candidates, index for
-	// index beside nodes: the brute-force scan walks it, so start keeps
-	// one scan loop over gain indices whether or not the grid serves
-	// the candidates. members is the gain domain's member slice
-	// (Network.domainMembers), which every node of the medium shares:
-	// members[gi] is the node with gain index gi, so the scan resolves a
-	// candidate to its Node only once its power passes the threshold.
+	// entries is the membership as candidates, in membership order
+	// (Node.ord): the brute-force scans walk it, so start keeps one
+	// carrier-sense loop and one NAV loop over gain indices whether or
+	// not the grid serves the candidates. members is the gain domain's
+	// member slice (Network.domainMembers), which every node of the
+	// medium shares: members[gi] is the node with gain index gi, so a
+	// scan resolves a candidate to its Node only once its power passes
+	// the threshold.
 	entries []candidate
 	members []*Node
 
@@ -48,12 +48,16 @@ type medium struct {
 	// when Config.disableSpatialIndex keeps the brute-force scan as the
 	// test oracle. nextOrd numbers membership so indexed candidate sets
 	// can be replayed in exactly the brute-force iteration order. bufs
-	// is a free stack of query buffers — a stack, not a single slice,
+	// is a free stack of sensed lists — a stack, not a single slice,
 	// because start can re-enter itself through a carrier-sense pause
-	// that launches a same-instant transmission.
+	// that launches a same-instant transmission. navBuf is the NAV
+	// query's buffer: one slice suffices, since the NAV scan only
+	// freezes countdowns and arms NAV events, never launches a frame,
+	// and so never re-enters start while the buffer is live.
 	grid    *spatialGrid
 	nextOrd int
 	bufs    [][]*Node
+	navBuf  []candidate
 
 	// union busy-time accounting for the airtime-fraction stat, plus
 	// the overlap (≥2 concurrent frames — collision airtime) integral
@@ -230,7 +234,6 @@ func (m *medium) addNode(nd *Node) {
 	}
 	nd.ord = m.nextOrd
 	m.nextOrd++
-	m.nodes = append(m.nodes, nd)
 	m.entries = append(m.entries, candidateOf(nd))
 	if m.grid != nil {
 		m.grid.add(nd)
@@ -243,10 +246,7 @@ func (m *medium) remove(nd *Node) {
 	if m.grid != nil {
 		m.grid.remove(nd)
 	}
-	if i := slices.Index(m.nodes, nd); i >= 0 {
-		m.nodes = slices.Delete(m.nodes, i, i+1)
-		m.entries = slices.Delete(m.entries, i, i+1)
-	}
+	m.entries = ordRemove(m.entries, nd)
 }
 
 // bruteScanCutoff is the membership size below which the linear scan
@@ -265,43 +265,26 @@ const bruteScanCutoff = 64
 // is an index into tx's gain row and into members, so the scan loads a
 // candidate's Node only after its power passes the threshold test.
 func (m *medium) csCandidates(tx *Node) []candidate {
-	if m.grid == nil || len(m.nodes) <= bruteScanCutoff {
+	if m.grid == nil || len(m.entries) <= bruteScanCutoff {
 		return m.entries
 	}
 	return m.grid.hood(tx)
 }
 
-// navCandidates returns the nodes that could possibly decode tx's
-// control frame and adopt its NAV — untracked nodes included, since an
-// idle station's NAV matters the moment traffic arrives. pooled reports
-// that the slice came from the buffer stack and must be returned via
-// putBuf after the scan.
-func (m *medium) navCandidates(tx *Node) (cands []*Node, pooled bool) {
-	if m.grid == nil || len(m.nodes) <= bruteScanCutoff {
-		return m.nodes, false
+// navCandidates returns the gain indices of the nodes that could
+// possibly decode tx's control frame and adopt its NAV — untracked
+// nodes included, since an idle station's NAV matters the moment
+// traffic arrives: the whole membership when the index is off or the
+// channel is small, otherwise the grid's decode-range query, gathered
+// into navBuf and sorted into membership order. The grid slice is
+// valid until the next call.
+func (m *medium) navCandidates(tx *Node) []candidate {
+	if m.grid == nil || len(m.entries) <= bruteScanCutoff {
+		return m.entries
 	}
-	buf := m.getBuf()
-	buf = m.grid.query(tx.X, tx.Y, m.net.navRangeM, buf)
-	sortByOrd(buf)
-	return buf, true
-}
-
-// sortByOrd restores membership order over the gathered cells.
-// Insertion sort: each cell's bucket is already ascending in the common
-// case (membership adds append in ord order; only roaming disturbs a
-// bucket), so the input is a handful of nearly-sorted runs and the sort
-// runs in about one comparison per element without the closure-call
-// overhead of the generic sort.
-func sortByOrd(nodes []*Node) {
-	for i := 1; i < len(nodes); i++ {
-		nd := nodes[i]
-		j := i - 1
-		for j >= 0 && nodes[j].ord > nd.ord {
-			nodes[j+1] = nodes[j]
-			j--
-		}
-		nodes[j+1] = nd
-	}
+	m.navBuf = m.grid.query(tx.X, tx.Y, m.net.navRangeM, m.navBuf[:0])
+	sortCandidates(m.navBuf)
+	return m.navBuf
 }
 
 func (m *medium) getBuf() []*Node {
@@ -538,9 +521,18 @@ func (m *medium) start(tr *transmission) {
 		// decodes the receiver's CTS and defers for the exchange. The
 		// addressee is exempt (it must answer), and a half-duplex node
 		// mid-transmission cannot decode what it partially overheard.
-		cands, pooled := m.navCandidates(tr.tx)
-		for _, nd := range cands {
-			if nd == tr.tx || nd == tr.rx || nd.transmitting {
+		//
+		// The scan has the carrier-sense loop's shape: the power test
+		// on the sender's row comes first, and only a candidate the
+		// reservation reaches is resolved to its Node. Every test before
+		// setNav is pure, so their order changes no result.
+		navMw, rxGi := m.net.navMw, int32(tr.rxGi)
+		for _, c := range m.navCandidates(tr.tx) {
+			if row[c.gi]*scaleMw < navMw || c.gi == txGi || c.gi == rxGi {
+				continue
+			}
+			nd := members[c.gi]
+			if nd.transmitting {
 				continue
 			}
 			if m.bonded && slotOverlap(tr.chLo, tr.chW, nd.bss.Channel, 2) < tr.chW {
@@ -562,12 +554,9 @@ func (m *medium) start(tr *transmission) {
 					continue
 				}
 			}
-			if m.net.rxPowerMw(tr.tx, nd)*tr.scaleMw >= m.net.navMw && nd.setNav(tr.navUntilUs) {
+			if nd.setNav(tr.navUntilUs) {
 				tr.navAdopters = append(tr.navAdopters, nd)
 			}
-		}
-		if pooled {
-			m.putBuf(cands)
 		}
 	}
 }

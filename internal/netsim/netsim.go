@@ -399,13 +399,12 @@ type Node struct {
 	sh *shard
 
 	// ord is the node's membership number on its current medium (set by
-	// medium.addNode); cell is the spatial-grid cell it is filed under
-	// and gc that cell itself (nil while filed in no grid). Together
-	// they let indexed carrier-sense scans replay the exact brute-force
-	// iteration order.
-	ord  int
-	cell cellKey
-	gc   *gridCell
+	// medium.addNode), which lets indexed scans replay the exact
+	// brute-force iteration order; gc is the spatial-grid cell it is
+	// filed under (nil while filed in no grid), and its key is the one
+	// spatialGrid.update compares a moved position's key against.
+	ord int
+	gc  *gridCell
 
 	// csTracked marks the node as under live carrier-sense bookkeeping:
 	// it has queued traffic (or is mid-exchange), so in-flight frames
@@ -1262,8 +1261,8 @@ func (n *Network) refreshRow(nd *Node) {
 	shadow := n.shadowDB[nd.id]
 	cells := n.refreshCells[0][:0]
 	m := nd.med
-	for _, o := range m.nodes {
-		if o != nd {
+	for _, c := range m.entries {
+		if o := m.members[c.gi]; o != nd {
 			cells = append(cells, gainCell{o, shadow[o.id]})
 		}
 	}
@@ -1462,7 +1461,8 @@ func (n *Network) roamScan() {
 				continue
 			}
 			a.shifted = true
-			for _, nd := range m.nodes {
+			for _, c := range m.entries {
+				nd := m.members[c.gi]
 				if nd.csTracked || nd == a.tx {
 					continue
 				}

@@ -18,18 +18,23 @@ import (
 // the cell changes, so on a floor where nobody is roaming it is built
 // once. Each cell links the live cells of its 3x3 block (gridCell.nbrs)
 // and each node points at its cell (Node.gc), so a transmission's
-// candidate list, a tracking change's cache patch and a membership
-// change's invalidation follow pointers and pay no map lookup; the map
-// serves only cell creation, re-filing a moved node and the
-// general-radius NAV query.
+// carrier-sense candidate list, a tracking change's cache patch and a
+// membership change's invalidation follow pointers and pay no map
+// lookup; the map serves only cell creation, re-filing a moved node and
+// the general-radius NAV query, whose decode range spans more than the
+// 3x3 block.
 //
-// A carrier-sense candidate is a gain index, not a Node. Hoods hold
-// packed {gi, ord} entries (candidate), so a rebuild gathers and sorts
-// them, and a tracking change patches them, without loading a Node.
-// medium.start tests each entry's power in the sender's own gain row
-// first and resolves it to its Node (medium.members) only when the
-// frame reaches it: on a dense floor most candidates sit below the
-// threshold, and their Nodes are never touched.
+// Membership is held one way throughout: as packed {gi, ord} entries
+// (candidate), a gain index and a membership number, never as Nodes.
+// A medium lists its members so (medium.entries), a cell its members
+// and their tracked subset, a hood its block's tracked entries, and the
+// NAV query gathers its cells' member entries. A rebuild gathers and
+// sorts entries, and a tracking change patches them, without loading a
+// Node. medium.start's carrier-sense and NAV scans test each entry's
+// power in the sender's own gain row first and resolve it to its Node
+// (medium.members) only when the frame reaches it: on a dense floor
+// most candidates sit below the threshold, and their Nodes are never
+// touched.
 //
 // Correctness contract: a query at radius r returns a SUPERSET of the
 // nodes within r metres of the probe point (cells are visited by a
@@ -41,7 +46,7 @@ import (
 // pair reaches beyond the median range. Candidates are returned sorted
 // by medium-membership order (Node.ord), which makes the indexed scan
 // visit nodes in exactly the order the brute-force scan over
-// medium.nodes would — a requirement for bit-for-bit equivalence, since
+// medium.entries would — a requirement for bit-for-bit equivalence, since
 // carrier-sense pauses schedule events and event order is simulation
 // state. Config.disableSpatialIndex keeps the brute-force scan
 // available as the test oracle.
@@ -51,20 +56,21 @@ import (
 // dense array.
 type cellKey struct{ ix, iy int }
 
-// candidate is one carrier-sense candidate: a node's gain index
-// (Node.gi) and its membership number (Node.ord), packed into the size
-// of a pointer. All members of a medium share one gain domain, so gi
-// names the node on its medium (medium.members[gi]), and ord fixes its
-// place in the scan order.
+// candidate is one membership entry — a carrier-sense or NAV candidate:
+// a node's gain index (Node.gi) and its membership number (Node.ord),
+// packed into the size of a pointer. All members of a medium share one
+// gain domain, so gi names the node on its medium (medium.members[gi]),
+// and ord fixes its place in the scan order.
 type candidate struct{ gi, ord int32 }
 
 func candidateOf(nd *Node) candidate { return candidate{int32(nd.gi), int32(nd.ord)} }
 
-// gridCell is one cell's membership, the csTracked subset of it as
-// candidates (the nodes carrier sense must actually touch — see
-// Node.joinCS), the cached tracked 3x3-neighborhood candidate list (nil
-// when stale; gain indices, so neither a rebuild nor the scan's
-// threshold test loads a Node), and
+// gridCell is one cell's membership (entries, what the NAV query
+// gathers) and the csTracked subset of it (tracked: the nodes carrier
+// sense must actually touch — see Node.joinCS), both as candidates in
+// no particular order, the cached tracked 3x3-neighborhood candidate
+// list (nil when stale; gain indices, so neither a rebuild nor the
+// scan's threshold test loads a Node), and
 // nbrs: the cell itself plus every live cell of its 3x3 block, in no
 // particular order (hood sorts what it gathers). A cell links itself
 // into its neighbours' nbrs when it is created and unlinks when it
@@ -74,7 +80,7 @@ func candidateOf(nd *Node) candidate { return candidate{int32(nd.gi), int32(nd.o
 // mid-iteration rebuild keeps a consistent view.
 type gridCell struct {
 	key     cellKey
-	nodes   []*Node
+	entries []candidate
 	tracked []candidate
 	hood    []candidate
 	nbrs    []*gridCell
@@ -150,24 +156,12 @@ func (g *spatialGrid) add(nd *Node) {
 	if c == nil {
 		c = g.newCell(k)
 	}
-	nd.cell, nd.gc = k, c
-	c.nodes = append(c.nodes, nd)
+	nd.gc = c
+	c.entries = append(c.entries, candidateOf(nd))
 	if nd.csTracked {
 		c.tracked = append(c.tracked, candidateOf(nd))
 	}
 	invalidateAround(c)
-}
-
-func spliceNode(list []*Node, nd *Node) []*Node {
-	for i, x := range list {
-		if x == nd {
-			last := len(list) - 1
-			list[i] = list[last]
-			list[last] = nil
-			return list[:last]
-		}
-	}
-	return list
 }
 
 // spliceCandidate removes nd's entry from an unordered candidate list.
@@ -191,10 +185,10 @@ func (g *spatialGrid) remove(nd *Node) {
 		return
 	}
 	nd.gc = nil
-	c.nodes = spliceNode(c.nodes, nd)
+	c.entries = spliceCandidate(c.entries, nd)
 	c.tracked = spliceCandidate(c.tracked, nd)
 	invalidateAround(c)
-	if len(c.nodes) == 0 {
+	if len(c.entries) == 0 {
 		g.dropCell(c)
 	}
 }
@@ -203,7 +197,7 @@ func (g *spatialGrid) remove(nd *Node) {
 // when the move stays inside the current cell, which is the common case
 // for walking-speed mobility against CS-range-sized cells.
 func (g *spatialGrid) update(nd *Node) {
-	if k := g.keyFor(nd.X, nd.Y); k != nd.cell {
+	if g.keyFor(nd.X, nd.Y) != nd.gc.key {
 		g.remove(nd)
 		g.add(nd)
 	}
@@ -293,8 +287,11 @@ func (g *spatialGrid) hood(nd *Node) []candidate {
 	return c.hood
 }
 
-// sortCandidates is sortByOrd over candidate entries: an insertion sort
-// over a handful of nearly ascending runs, one per gathered cell.
+// sortCandidates restores membership order over gathered cells'
+// candidates: an insertion sort, since the input is a handful of nearly
+// ascending runs, one per cell (a cell's list is in ord order until
+// roaming disturbs it), and it runs in about one comparison per entry
+// without the closure-call overhead of the generic sort.
 func sortCandidates(list []candidate) {
 	for i := 1; i < len(list); i++ {
 		e := list[i]
@@ -307,21 +304,21 @@ func sortCandidates(list []candidate) {
 	}
 }
 
-// query appends every node within radiusM of (x, y) — plus, by cell
-// granularity, some neighbors just beyond it — to out and returns the
-// extended slice, unsorted. Two points d apart sit at most ceil(d/cell)
-// cell indices apart per axis (the worst alignment puts them just
-// across a boundary), so the Chebyshev ring bound ceil(r/cell) covers
-// every candidate. This is the general-radius path (NAV adoption at
+// query appends the candidate of every node within radiusM of (x, y) —
+// plus, by cell granularity, some neighbors just beyond it — to out and
+// returns the extended slice, unsorted. Two points d apart sit at most
+// ceil(d/cell) cell indices apart per axis (the worst alignment puts
+// them just across a boundary), so the Chebyshev ring bound
+// ceil(r/cell) covers every candidate. This is the general-radius path (NAV adoption at
 // decode range); the radius == cell carrier-sense query goes through
 // hood instead.
-func (g *spatialGrid) query(x, y, radiusM float64, out []*Node) []*Node {
+func (g *spatialGrid) query(x, y, radiusM float64, out []candidate) []candidate {
 	c := g.keyFor(x, y)
 	kr := int(math.Ceil(radiusM / g.cellM))
 	for ix := c.ix - kr; ix <= c.ix+kr; ix++ {
 		for iy := c.iy - kr; iy <= c.iy+kr; iy++ {
 			if nb := g.cells[cellKey{ix, iy}]; nb != nil {
-				out = append(out, nb.nodes...)
+				out = append(out, nb.entries...)
 			}
 		}
 	}

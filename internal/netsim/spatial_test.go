@@ -43,9 +43,9 @@ func buildRandomFloor(t *testing.T, seed int64, nNodes int, sideM float64) *Netw
 	return n
 }
 
-// hoodNodes resolves carrier-sense candidates (gain indices) to the
-// Nodes they name through the medium's member slice, the way
-// medium.start does.
+// hoodNodes resolves candidates (gain indices) — a hood, a NAV query,
+// a cell's or the medium's membership — to the Nodes they name through
+// the medium's member slice, the way medium.start does.
 func hoodNodes(m *medium, cands []candidate) []*Node {
 	out := make([]*Node, len(cands))
 	for i, c := range cands {
@@ -61,20 +61,21 @@ func hoodNodes(m *medium, cands []candidate) []*Node {
 func assertSuperset(t *testing.T, n *Network, m *medium) {
 	t.Helper()
 	need := n.robustMode().SnrReqDB
-	for _, tx := range m.nodes {
+	members := hoodNodes(m, m.entries)
+	for _, tx := range members {
 		for _, q := range []struct {
 			kind   string
-			get    func() ([]*Node, bool)
+			get    func() []candidate
 			passes func(nd *Node) bool
 		}{
-			{"cs", func() ([]*Node, bool) { return hoodNodes(m, m.csCandidates(tx)), false }, func(nd *Node) bool {
+			{"cs", func() []candidate { return m.csCandidates(tx) }, func(nd *Node) bool {
 				return nd.csTracked && n.rxPowerDBm(tx, nd) >= n.cfg.CSThresholdDBm
 			}},
-			{"nav", func() ([]*Node, bool) { return m.navCandidates(tx) }, func(nd *Node) bool {
+			{"nav", func() []candidate { return m.navCandidates(tx) }, func(nd *Node) bool {
 				return n.linkSNRdB(tx, nd) >= need
 			}},
 		} {
-			cands, pooled := q.get()
+			cands := hoodNodes(m, q.get())
 			seen := make(map[*Node]bool, len(cands))
 			lastOrd := -1
 			for _, c := range cands {
@@ -84,7 +85,7 @@ func assertSuperset(t *testing.T, n *Network, m *medium) {
 				lastOrd = c.ord
 				seen[c] = true
 			}
-			for _, nd := range m.nodes {
+			for _, nd := range members {
 				if nd == tx || !q.passes(nd) {
 					continue
 				}
@@ -92,9 +93,6 @@ func assertSuperset(t *testing.T, n *Network, m *medium) {
 					t.Fatalf("%s query at %s dropped in-range node %s (dist %.1f m)",
 						q.kind, tx.Name, nd.Name, dist(tx, nd))
 				}
-			}
-			if pooled {
-				m.putBuf(cands)
 			}
 		}
 	}
@@ -113,13 +111,14 @@ func TestGridCandidatesSupersetOfInRange(t *testing.T) {
 		// beyond) the floor the way roamScan does, and flip nodes in and
 		// out of carrier-sense tracking, re-checking the superset
 		// property after the dust settles.
+		members := hoodNodes(m, m.entries)
 		for step := 0; step < 60; step++ {
-			nd := m.nodes[n.Src().Intn(len(m.nodes))]
+			nd := members[n.Src().Intn(len(members))]
 			nd.X = (n.Src().Float64() - 0.25) * 600
 			nd.Y = (n.Src().Float64() - 0.25) * 600
 			n.refreshGains([]*Node{nd})
 			m.grid.update(nd)
-			flip := m.nodes[n.Src().Intn(len(m.nodes))]
+			flip := members[n.Src().Intn(len(members))]
 			if flip.csTracked {
 				flip.maybeLeaveCS()
 			} else {
@@ -153,7 +152,7 @@ func TestGridTracksMediumMigration(t *testing.T) {
 		return false
 	}
 	// The small-membership cutover would serve csCandidates from
-	// m.nodes; force the grid path so the test sees the index itself.
+	// m.entries; force the grid path so the test sees the index itself.
 	if inGrid(m1, st) != true {
 		t.Fatal("walker missing from its home medium")
 	}
@@ -200,8 +199,8 @@ func TestGridTracksMediumMigration(t *testing.T) {
 // non-empty and filed under its own key, its nbrs list is exactly
 // itself plus the map's cells of its 3x3 block, once each (so no
 // deleted cell is referenced), and every node filed in a grid points
-// at the map's cell for its key and is listed in it. It returns the
-// first fault, or "".
+// at the map's cell for its position's key and is listed in it. It
+// returns the first fault, or "".
 func gridLinkFault(n *Network) string {
 	for _, m := range n.media {
 		g := m.grid
@@ -209,8 +208,8 @@ func gridLinkFault(n *Network) string {
 			continue
 		}
 		for k, c := range g.cells {
-			if c.key != k || len(c.nodes) == 0 {
-				return fmt.Sprintf("channel %d: cell %v keyed %v holds %d nodes", m.channel, k, c.key, len(c.nodes))
+			if c.key != k || len(c.entries) == 0 {
+				return fmt.Sprintf("channel %d: cell %v keyed %v holds %d nodes", m.channel, k, c.key, len(c.entries))
 			}
 			want := 0
 			for ix := k.ix - 1; ix <= k.ix+1; ix++ {
@@ -241,11 +240,12 @@ func gridLinkFault(n *Network) string {
 		if g == nil {
 			continue
 		}
-		if nd.gc == nil || nd.gc != g.cells[nd.cell] {
-			return fmt.Sprintf("%s points at a cell other than its key %v's", nd.Name, nd.cell)
+		k := g.keyFor(nd.X, nd.Y)
+		if nd.gc == nil || nd.gc != g.cells[k] {
+			return fmt.Sprintf("%s points at a cell other than its key %v's", nd.Name, k)
 		}
-		if !slices.Contains(nd.gc.nodes, nd) {
-			return fmt.Sprintf("%s is not listed in its cell %v", nd.Name, nd.cell)
+		if !slices.Contains(nd.gc.entries, candidateOf(nd)) {
+			return fmt.Sprintf("%s is not listed in its cell %v", nd.Name, k)
 		}
 	}
 	return ""
@@ -266,7 +266,7 @@ func hoodFault(n *Network) string {
 		}
 		for k, c := range g.cells {
 			var want []candidate
-			for _, nd := range c.nodes {
+			for _, nd := range hoodNodes(m, c.entries) {
 				if nd.csTracked {
 					want = append(want, candidateOf(nd))
 				}
@@ -287,7 +287,7 @@ func hoodFault(n *Network) string {
 			for ix := k.ix - 1; ix <= k.ix+1; ix++ {
 				for iy := k.iy - 1; iy <= k.iy+1; iy++ {
 					if nb := g.cells[cellKey{ix, iy}]; nb != nil {
-						for _, nd := range nb.nodes {
+						for _, nd := range hoodNodes(m, nb.entries) {
 							if nd.csTracked {
 								block = append(block, nd)
 							}
@@ -403,8 +403,8 @@ func TestGridNeighborLinks(t *testing.T) {
 		g := n.media[0].grid
 		for _, nd := range n.nodes {
 			if strings.HasPrefix(nd.Name, "walker") {
-				if k := g.keyFor(0, 0); max(abs(nd.cell.ix-k.ix), abs(nd.cell.iy-k.iy)) < 5 {
-					t.Fatalf("%s ended in cell %v, under 5 cells from the floor's %v", nd.Name, nd.cell, k)
+				if c, k := nd.gc.key, g.keyFor(0, 0); max(abs(c.ix-k.ix), abs(c.iy-k.iy)) < 5 {
+					t.Fatalf("%s ended in cell %v, under 5 cells from the floor's %v", nd.Name, c, k)
 				}
 			}
 		}
@@ -425,7 +425,7 @@ func TestHoodRebuildAllocatesOnce(t *testing.T) {
 	// most cells, so an unsized gather would have to grow.
 	var probe *Node
 	cells := 0
-	for _, nd := range m.nodes {
+	for _, nd := range hoodNodes(m, m.entries) {
 		k := 0
 		for _, nb := range nd.gc.nbrs {
 			if len(nb.tracked) > 0 {
