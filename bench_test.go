@@ -112,7 +112,25 @@ func BenchmarkE26Ampdu(b *testing.B)      { benchExperiment(b, "E26") }
 // carrier sense, per-span NAV) on the dense-floor comparison. The CI
 // gate holds its ns/op and allocs/op: rate control rides the existing
 // completion callbacks, so adapting must not add per-MPDU allocations.
-func BenchmarkE30HtLadder(b *testing.B) { benchExperiment(b, "E30") }
+// It times the exhibit's own runs at benchExperiment's seeds and
+// reports their work counters, summed over every run E30 makes.
+func BenchmarkE30HtLadder(b *testing.B) {
+	cfg := benchCfg()
+	var work workCounters
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cfg.Seed = int64(i + 1)
+		tables, results := experiments.E30HtResults(cfg)
+		if len(tables) == 0 {
+			b.Fatal("no tables")
+		}
+		for _, r := range results {
+			work.add(r)
+		}
+	}
+	work.report(b)
+}
 
 // BenchmarkE27LargeFloor is the scale-push acceptance benchmark: one
 // 100-BSS co-channel floor in the high-density association profile (40
@@ -227,13 +245,16 @@ func BenchmarkE31SpatialReuse(b *testing.B) {
 // interaction groups and honors shard requests up to 8. Each variant
 // runs the identical topology at a different Config.Shards; shards=1
 // is the single-engine baseline the 2% CI gate holds (sharding must
-// cost nothing when off), and shards=2/4/8 trace the speedup curve.
+// cost nothing when off). At shards=2/4/8 every group runs on its own
+// engine and RNG stream, each shard running its groups back to back,
+// so the three variants simulate the same events and report the same
+// work counters; only the spread of groups over goroutines differs.
 // Setup (the O(n²) gain matrix, via Prepare) is excluded so ns/op
 // measures the event loops plus the worker-pool fan-out.
 //
 // The curve only bends on multi-core machines: the Network's worker
 // cap (SetWorkers) defaults to GOMAXPROCS, so on a single-core runner
-// every variant measures the same serial work (~flat), while with
+// shards=2/4/8 measure the same serial work (~flat), while with
 // GOMAXPROCS >= 4 the shards=4 variant shows the parallel speedup.
 func BenchmarkE28ShardedFloor(b *testing.B) {
 	for _, shards := range []int{1, 2, 4, 8} {

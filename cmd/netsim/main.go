@@ -534,7 +534,7 @@ func main() {
 		if plan.Reason != "" {
 			fmt.Fprintf(os.Stderr, "shards: single engine (%s)\n", plan.Reason)
 		} else if plan.Shards > 1 {
-			fmt.Fprintf(os.Stderr, "shards: %d of %d requested, %d interaction groups\n",
+			fmt.Fprintf(os.Stderr, "shards: %d of %d requested, %d interaction groups, each on its own engine; a shard runs its groups back to back\n",
 				plan.Shards, plan.Requested, plan.Groups)
 		}
 		if o.shardStats {
@@ -554,12 +554,12 @@ func main() {
 		st := report.Table{
 			ID:    "shards",
 			Title: fmt.Sprintf("per-shard engine statistics, seed %d", jobs[0].Seed),
-			Header: []string{"shard", "nodes", "scheduled", "fired", "cancelled", "heap hw", "pool hit",
+			Header: []string{"shard", "groups", "nodes", "scheduled", "fired", "cancelled", "heap hw", "pool hit",
 				"tx reused", "tx new", "pkt reused", "pkt new"},
 		}
 		for i, s := range results[0].ShardStats {
 			fp := results[0].FramePools[i]
-			st.AddRow(i, plan.NodesPerShard[i], s.Scheduled, s.Fired, s.Cancelled,
+			st.AddRow(i, plan.GroupsPerShard[i], plan.NodesPerShard[i], s.Scheduled, s.Fired, s.Cancelled,
 				s.HeapHighWater, fmt.Sprintf("%.4f", s.PoolHitRate()),
 				fp.TxHits, fp.TxMisses, fp.PacketHits, fp.PacketMisses)
 		}

@@ -451,8 +451,17 @@ func E29ClosedLoopQoE(cfg Config) []report.Table {
 // the same spans into partially overlapping channels hands part of
 // that win back as cross-span interference.
 func E30HtRateAdaptation(cfg Config) []report.Table {
+	tables, _ := E30HtResults(cfg)
+	return tables
+}
+
+// E30HtResults runs E30 and returns its tables together with every
+// netsim Result they were computed from, in run order, so a caller can
+// read the runs' work counters.
+func E30HtResults(cfg Config) ([]report.Table, []netsim.Result) {
 	durationUs := float64(cfg.Frames) * 8000
 	const payload = 1500
+	var all []netsim.Result
 
 	run := func(c netsim.Config, distM float64, baseSeed int64) (float64, map[string]int) {
 		build := func(seed int64) *netsim.Network {
@@ -465,6 +474,7 @@ func E30HtRateAdaptation(cfg Config) []report.Table {
 		}
 		jobs := netsim.SeedSweep("ht", build, durationUs, baseSeed, netsimSeeds)
 		results := netsim.ScenarioRunner{Workers: 4}.RunAll(jobs)
+		all = append(all, results...)
 		counts := map[string]int{}
 		for _, r := range results {
 			for name, n := range r.ModeAttempts {
@@ -539,6 +549,7 @@ func E30HtRateAdaptation(cfg Config) []report.Table {
 		build := netsim.DenseGrid(c, nBSS, staPerBSS, row.channels, 20, payload)
 		jobs := netsim.SeedSweep("bond", build, durationUs, cfg.Seed*9500, netsimSeeds)
 		results := netsim.ScenarioRunner{Workers: 4}.RunAll(jobs)
+		all = append(all, results...)
 		var collRate float64
 		for _, r := range results {
 			if r.Attempts > 0 {
@@ -552,7 +563,7 @@ func E30HtRateAdaptation(cfg Config) []report.Table {
 		agg := netsim.MeanAggGoodput(results)
 		bond.AddRow(row.label, strings.Join(chans, "/"), agg, agg/nBSS, collRate)
 	}
-	return []report.Table{ladder, bond}
+	return []report.Table{ladder, bond}, all
 }
 
 // E31SpatialReuse prices 802.11ax-style OBSS-PD spatial reuse on the

@@ -81,14 +81,23 @@ func equivScenarios() []struct {
 		// the air.
 		{"roaming-crowd", 3e6, func(cfg Config) func(int64) *Network {
 			cfg.RoamIntervalUs = 20000
-			return roamingCrowd(cfg, 16)
+			return roamingCrowd(cfg, 4, 16, 40, 10, 30)
 		}},
 		// The crowd at 72 walkers, 76 nodes on one medium: above the
 		// brute-scan cutoff, so every roam tick re-files movers in the
 		// grid the indexed scans read.
 		{"roaming-crowd-indexed", 1.5e6, func(cfg Config) func(int64) *Network {
 			cfg.RoamIntervalUs = 20000
-			return roamingCrowd(cfg, 72)
+			return roamingCrowd(cfg, 4, 72, 40, 10, 30)
+		}},
+		// 72 walkers among 8 co-channel APs 80 m apart, at 150–300 m/s
+		// over a 580 m row (five ~114 m carrier-sense cells): in a 1 s
+		// run a walker covers 150–300 m, so one the grid fails to
+		// re-file soon stands outside the 3x3 block around its stale
+		// cell, and a sender next to it no longer finds it.
+		{"roaming-crowd-cells", 1e6, func(cfg Config) func(int64) *Network {
+			cfg.RoamIntervalUs = 20000
+			return roamingCrowd(cfg, 8, 72, 80, 150, 300)
 		}},
 		// 36 BSS x (1 saturated + 1 keepalive) on ONE channel = 108
 		// nodes on one medium: the grid hood cache, tracked-list
@@ -183,6 +192,7 @@ func equivScenarios() []struct {
 var gridRows = map[string]bool{
 	"dense-grid-shadowed":   true,
 	"roaming-crowd-indexed": true,
+	"roaming-crowd-cells":   true,
 	"large-floor-reuse":     true,
 	"large-floor-rts":       true,
 	"large-floor-obss-rts":  true,
@@ -265,19 +275,20 @@ func poissonGrid(cfg Config) func(seed int64) *Network {
 	}
 }
 
-// roamingCrowd puts 4 APs on channel 1, 40 m apart in a row, and the
-// given number of stations on random-waypoint walks over the row at
-// 10–30 m/s, alternately saturated and Poisson (100 pkt/s) 1000-byte
-// uplinks. cfg.RoamIntervalUs must be set.
-func roamingCrowd(cfg Config, walkers int) func(seed int64) *Network {
+// roamingCrowd puts the given number of APs on channel 1, pitchM
+// apart in a row, and the given number of stations on random-waypoint
+// walks over the row (10 m beyond its end APs, ±10 m across it) at
+// minMps–maxMps, alternately saturated and Poisson (100 pkt/s)
+// 1000-byte uplinks. cfg.RoamIntervalUs must be set.
+func roamingCrowd(cfg Config, nAPs, walkers int, pitchM, minMps, maxMps float64) func(seed int64) *Network {
 	return func(seed int64) *Network {
 		n := New(cfg, seed)
-		aps := make([]*BSS, 4)
+		aps := make([]*BSS, nAPs)
 		for i := range aps {
-			aps[i] = n.AddAP(fmt.Sprintf("AP%d", i), float64(40*i), 0, 1)
+			aps[i] = n.AddAP(fmt.Sprintf("AP%d", i), pitchM*float64(i), 0, 1)
 		}
-		walk := RandomWaypoint{MinX: -10, MaxX: 130, MinY: -10, MaxY: 10,
-			SpeedMinMps: 10, SpeedMaxMps: 30}
+		walk := RandomWaypoint{MinX: -10, MaxX: pitchM*float64(nAPs-1) + 10, MinY: -10, MaxY: 10,
+			SpeedMinMps: minMps, SpeedMaxMps: maxMps}
 		for s := 0; s < walkers; s++ {
 			b := aps[s%len(aps)]
 			st := n.AddStation(b, fmt.Sprintf("sta%d", s), b.AP.X+5, 0)

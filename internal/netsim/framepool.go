@@ -47,15 +47,23 @@ type framePool struct {
 	stats   FramePoolStats
 }
 
-// FramePoolStats counts how one shard's frame pools served a run, in
-// the shape of sim.Stats' event-record counters: Hits are requests
-// served by recycling a released record, Misses the ones that had to
-// allocate. Misses stop growing once a pool reaches the workload's live
-// set, so TxMisses + PacketMisses is the run's count of per-frame
-// objects allocated.
+// FramePoolStats counts how a shard's frame pools (one per interaction
+// group it ran) served a run, in the shape of sim.Stats' event-record
+// counters: Hits are requests served by recycling a released record,
+// Misses the ones that had to allocate. Misses stop growing once a pool
+// reaches the workload's live set, so TxMisses + PacketMisses is the
+// run's count of per-frame objects allocated.
 type FramePoolStats struct {
 	TxHits, TxMisses         uint64
 	PacketHits, PacketMisses uint64
+}
+
+// add sums o into s.
+func (s *FramePoolStats) add(o FramePoolStats) {
+	s.TxHits += o.TxHits
+	s.TxMisses += o.TxMisses
+	s.PacketHits += o.PacketHits
+	s.PacketMisses += o.PacketMisses
 }
 
 // poisonFrames, set only by tests, quarantines released records

@@ -517,8 +517,8 @@ func TestMobileRefreshMatchesRecompute(t *testing.T) {
 				func(int64) *Network { return sc.build(DefaultConfig())(seed) }})
 		}
 	}
-	if len(rows) != 5*equivSeeds {
-		t.Fatalf("%d mobile equivalence runs, want the five roaming rows × %d seeds", len(rows), equivSeeds)
+	if len(rows) != 6*equivSeeds {
+		t.Fatalf("%d mobile equivalence runs, want the six roaming rows × %d seeds", len(rows), equivSeeds)
 	}
 	rows = append(rows, row{"walker-floor-272", 1e6, walkerFloor})
 	var rowCells, offAirTicks int

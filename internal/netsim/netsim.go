@@ -190,19 +190,20 @@ type Config struct {
 	fullGainRefresh    bool
 	poisonSkippedGains bool
 
-	// Shards requests execution on up to this many parallel engines
-	// (shard.go): Prepare partitions the BSSs into causally independent
-	// interaction groups and runs whole groups per shard, each engine
-	// straight to the horizon with no synchronization between them. 0
-	// and 1 mean the classic single engine, bit-identical to every
-	// earlier release.
+	// Shards requests execution on up to this many parallel partitions
+	// (shard.go): Prepare splits the BSSs into causally independent
+	// interaction groups, gives each group its own engine and RNG
+	// stream, and assigns whole groups to partitions; each partition's
+	// goroutine runs its groups back to back, each straight to the
+	// horizon with no synchronization between them. 0 and 1 mean the
+	// classic single engine, bit-identical to every earlier release.
 	// Requests the floor cannot honor — fewer interaction groups than
 	// shards, mobility, sampling, or a plain attached Probe — clamp or
 	// fall back to fewer shards (see Network.Plan for what happened and
-	// why). Results are bit-for-bit reproducible for a fixed value, but
-	// different values draw different RNG streams, so aggregates match
-	// only statistically across shard counts; Shards: 1 remains the
-	// oracle the equivalence suite pins against.
+	// why). Every value that runs more than one partition gives the
+	// same result bit for bit, since a group draws from its own stream
+	// wherever it runs; it matches the single engine, which draws from
+	// the un-split stream, only statistically.
 	Shards int
 
 	// Channels, when positive, is the number of 20 MHz channels the
@@ -508,12 +509,15 @@ type Network struct {
 	// hot paths go through the owning shard's list.
 	media []*medium
 
-	// shards are the execution partitions build creates (shard.go); a
-	// single-engine run is the one-shard degenerate case. plan records
-	// how the partition was decided. workers caps the goroutines of
-	// every pass that fans out: the gain fill, the roam-tick refresh and
-	// a multi-shard Run (see SetWorkers).
+	// shards are the per-group execution units build creates
+	// (shard.go), in planning order; a single-engine run is the
+	// one-shard degenerate case. lanes holds each partition's engines,
+	// which Run drives back to back on one goroutine per lane. plan
+	// records how the partition was decided. workers caps the
+	// goroutines of every pass that fans out: the gain fill, the
+	// roam-tick refresh and a multi-shard Run (see SetWorkers).
 	shards  []*shard
+	lanes   [][]*sim.Engine
 	plan    ShardPlan
 	workers int
 
@@ -636,8 +640,8 @@ type Network struct {
 	// instrumented point in the MAC/medium hot paths (probe.go); the
 	// hot emission sites guard on the owning shard's copy so a
 	// probe-less run pays one nil-check. probeFactory is the sharded
-	// alternative (AttachShardProbes): one probe per shard, each seeing
-	// only its shard's stream.
+	// alternative (AttachShardProbes): one probe per partition, each
+	// seeing only the streams of the groups that partition runs.
 	probe        Probe
 	probeFactory func(shard int) Probe
 
@@ -1440,11 +1444,7 @@ func (n *Network) Run(durationUs float64) Result {
 	if !n.prepared {
 		n.Prepare()
 	}
-	engines := make([]*sim.Engine, len(n.shards))
-	for i, sh := range n.shards {
-		engines[i] = &sh.eng
-	}
-	sim.RunAll(engines, durationUs, n.workers)
+	sim.RunAll(n.lanes, durationUs, n.workers)
 	return n.collect(durationUs)
 }
 
@@ -1786,13 +1786,14 @@ type Result struct {
 	// events scheduled/fired/cancelled, heap high-water mark, and the
 	// event-record pool hit rate. For a sharded run it is the
 	// sim.MergeStats aggregate: counters summed (so PoolHitRate stays
-	// event-weighted), heap high-water the max across shards.
+	// event-weighted), heap high-water the max across engines.
 	EngineStats sim.Stats
 
-	// Shards is how many engines actually ran (1 = single-engine, see
-	// Network.Plan for how a larger request was clamped); ShardStats
-	// holds each engine's own snapshot, indexed by shard. Plan records
-	// the full planning outcome, including the fallback reason when a
+	// Shards is how many partitions actually ran (1 = single-engine,
+	// see Network.Plan for how a larger request was clamped);
+	// ShardStats holds each partition's sim.MergeStats over the engines
+	// of the groups it ran, indexed by partition. Plan records the full
+	// planning outcome, including the fallback reason when a
 	// multi-shard request collapsed to one engine.
 	Shards     int
 	ShardStats []sim.Stats
@@ -1834,15 +1835,16 @@ type Result struct {
 	CsCandidates int
 	CsJudged     int
 
-	// FramePools holds each shard's frame-record pool counters, indexed
-	// by shard (framepool.go): transmission and packet records recycled
-	// vs newly allocated. The misses are the per-frame objects the run
-	// allocated; they stop growing once the pools reach the live set.
+	// FramePools holds each partition's frame-record pool counters,
+	// summed over its groups and indexed by partition (framepool.go):
+	// transmission and packet records recycled vs newly allocated. The
+	// misses are the per-frame objects the run allocated; they stop
+	// growing once the pools reach the live set.
 	FramePools []FramePoolStats
 }
 
 func (n *Network) collect(durationUs float64) Result {
-	res := Result{DurationUs: durationUs, Shards: len(n.shards),
+	res := Result{DurationUs: durationUs, Shards: len(n.lanes),
 		ModeAttempts: n.shards[0].modeAttempts, GainBytes: n.gainBytes(),
 		GainRefreshPairs: n.gainRefreshPairs}
 	if n.cfg.Aggregation != nil {
@@ -1955,11 +1957,12 @@ func (n *Network) collect(durationUs float64) Result {
 		}
 		res.QoE.finalize()
 	}
-	res.ShardStats = make([]sim.Stats, len(n.shards))
-	res.FramePools = make([]FramePoolStats, len(n.shards))
-	for i, sh := range n.shards {
-		res.ShardStats[i] = sh.eng.Stats()
-		res.FramePools[i] = sh.frames.stats
+	res.ShardStats = make([]sim.Stats, len(n.lanes))
+	res.FramePools = make([]FramePoolStats, len(n.lanes))
+	for _, sh := range n.shards {
+		l := sh.lane
+		res.ShardStats[l] = sim.MergeStats(res.ShardStats[l], sh.eng.Stats())
+		res.FramePools[l].add(sh.frames.stats)
 	}
 	res.EngineStats = sim.MergeStats(res.ShardStats...)
 	res.Plan = n.plan

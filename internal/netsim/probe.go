@@ -47,11 +47,15 @@ func (n *Network) AttachProbe(p Probe) {
 	}
 }
 
-// AttachShardProbes installs a per-shard probe factory: at Prepare,
-// shard i's event stream goes to f(i). Each probe sees only its own
-// shard's events, on that shard's goroutine — implementations need no
-// locking as long as the probes don't share state. Unlike AttachProbe,
-// this does not force single-engine planning. Call before Prepare.
+// AttachShardProbes installs a per-partition probe factory: at
+// Prepare, partition i's event stream goes to f(i), called once per
+// partition in index order. Each probe sees only its own partition's
+// events, on that partition's goroutine — implementations need no
+// locking as long as the probes don't share state. A partition runs
+// its interaction groups one after another, so its probe sees each
+// group's events in time order, then the next group's from the start
+// of the run. Unlike AttachProbe, this does not force single-engine
+// planning. Call before Prepare.
 func (n *Network) AttachShardProbes(f func(shard int) Probe) {
 	if n.prepared {
 		panic("netsim: AttachShardProbes must be called before Prepare")

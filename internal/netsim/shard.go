@@ -11,29 +11,36 @@ import (
 
 // The shard layer: partitioning one Network into independent engines.
 //
-// A shard is one execution partition — its own sim.Engine, its own
-// rng.Source stream, its own media, and its own run counters. While
-// sim.RunAll drives the engines, a shard's goroutine may touch only
-// state owned by that shard plus the Network's frozen build products
-// (config, gain rows, node positions); everything mutable in the
-// MAC hot path hangs off the shard a node belongs to.
+// A shard is one interaction group's execution unit — its own
+// sim.Engine, its own rng.Source stream, its own media, and its own run
+// counters. While sim.RunAll drives the engines, a shard's events may
+// touch only state owned by that shard plus the Network's frozen build
+// products (config, gain rows, node positions); everything mutable in
+// the MAC hot path hangs off the shard a node belongs to.
 //
 // Partitioning is by interaction group, not by raw grid cell: two BSSs
 // interact when any of their nodes share a channel within carrier
 // sense, NAV decode, or meaningful-interference range, or when a flow
-// connects them (interactionGroups). Shards are unions of whole groups,
-// so nothing ever crosses a seam: no frame reaches another shard's
-// media, and every flow's endpoints and their APs share one shard.
-// Mobility, the sampler and a single attached Probe read state across
-// the floor, so they force one engine (planShards). Each engine
-// therefore runs straight to the horizon with no synchronization.
+// connects them (interactionGroups). A multi-shard plan gives every
+// group its own shard, so nothing ever crosses a seam: no frame reaches
+// another shard's media, and every flow's endpoints and their APs share
+// one shard. Config.Shards counts partitions (lanes): balanceGroups
+// assigns whole groups to them, and each lane's goroutine runs its
+// groups' engines back to back, heaviest group first, each straight to
+// the horizon with no synchronization. Mobility, the sampler and a
+// single attached Probe read state across the floor, so they force one
+// engine (planShards).
 //
-// Determinism: each shard's event order is a function of its own engine
-// and RNG stream only. A run with Shards: N is therefore bit-for-bit
-// reproducible for fixed N, independent of worker count or goroutine
-// scheduling. With one shard the planner hands the shard the Network's
-// own rng.Source un-split, so Shards: 0/1 runs are bit-identical to
-// the pre-shard simulator (the compat goldens pin this).
+// Determinism: each group's event order is a function of its own
+// engine and RNG stream only, and the streams are split one per group
+// in a fixed order, so the partition decides only where and when a
+// group runs, never what it draws. Every Shards: N ≥ 2 on a floor of
+// several groups therefore gives one result, bit for bit, independent
+// of N, the worker count and goroutine scheduling. With
+// one shard the planner hands it the Network's own rng.Source
+// un-split, so Shards: 0/1 runs are bit-identical to the pre-shard
+// simulator (the compat goldens pin this); they differ from the split
+// plans' draws, so the two agree only statistically.
 
 // interferenceMarginDB is how far below the noise floor a foreign
 // transmission must arrive before the planner may ignore it: energy at
@@ -41,12 +48,14 @@ import (
 // curve's resolution.
 const interferenceMarginDB = 30
 
-// shard is one independent partition of a Network: an engine, a
-// deterministic RNG stream, the media of its BSS groups, and the
-// run-counter half of what collect aggregates into a Result.
+// shard is one interaction group's execution unit (the whole floor
+// on a single engine): an engine, a deterministic RNG stream, the
+// group's media, and the run-counter half of what collect aggregates
+// into a Result. lane is the partition whose goroutine runs it.
 type shard struct {
-	net *Network
-	idx int
+	net  *Network
+	idx  int
+	lane int
 
 	eng   sim.Engine
 	src   *rng.Source
@@ -59,7 +68,7 @@ type shard struct {
 	modeCache map[[2]int]linkmodel.Mode
 
 	// Run counters, mirrored from the pre-shard Network fields; collect
-	// sums them across shards.
+	// sums them across shards in shard order.
 	attempts, delivered   [NumACs]int
 	collisions, noiseLoss [NumACs]int
 	retryDrops, queueDrop [NumACs]int
@@ -88,8 +97,8 @@ type shard struct {
 	pktScratch []*packet
 }
 
-func newShard(n *Network, idx int) *shard {
-	sh := &shard{net: n, idx: idx,
+func newShard(n *Network, idx, lane int) *shard {
+	sh := &shard{net: n, idx: idx, lane: lane,
 		modeCache:    make(map[[2]int]linkmodel.Mode),
 		modeAttempts: make(map[string]int)}
 	if n.cfg.Aggregation != nil {
@@ -102,7 +111,7 @@ func newShard(n *Network, idx int) *shard {
 // first use. Media are per (shard, channel) — per (shard, spectral
 // component) under 40 MHz bonding, where partially overlapping
 // channels must share one event timeline (Network.chanRoot) — and two
-// shards using the same key are beyond interaction range by
+// groups using the same key are beyond interaction range by
 // construction, so their media never see each other's frames.
 func (sh *shard) mediumFor(ch int) *medium {
 	n := sh.net
@@ -146,8 +155,8 @@ func (sh *shard) linkMode(tx, rx *Node) linkmodel.Mode {
 // ShardPlan describes how Prepare partitioned the deployment.
 type ShardPlan struct {
 	// Requested is Config.Shards as given (0 normalizes to 1); Shards is
-	// the count actually running, after clamping to the number of
-	// interaction groups or falling back to 1.
+	// the count of partitions actually running, after clamping to the
+	// number of interaction groups or falling back to 1.
 	Requested int
 	Shards    int
 
@@ -170,9 +179,11 @@ type ShardPlan struct {
 	// to single-engine execution.
 	Reason string
 
-	// NodesPerShard is each shard's node count — the balance the greedy
-	// assignment achieved.
-	NodesPerShard []int
+	// NodesPerShard is each partition's node count — the balance the
+	// greedy assignment achieved — and GroupsPerShard the interaction
+	// groups it runs back to back (1 each on a single engine).
+	NodesPerShard  []int
+	GroupsPerShard []int
 }
 
 // Plan returns the shard plan Prepare computed; the zero value before
@@ -197,7 +208,7 @@ func (n *Network) CheckFlowsCoSharded() error {
 		}
 		for _, nd := range nodes {
 			if nd.sh != f.From.sh {
-				return fmt.Errorf("netsim: flow %d from %s spans shards %d and %d (node %s)",
+				return fmt.Errorf("netsim: flow %d from %s spans interaction groups %d and %d (node %s)",
 					i, f.From.Name, f.From.sh.idx, nd.sh.idx, nd.Name)
 			}
 		}
@@ -208,7 +219,7 @@ func (n *Network) CheckFlowsCoSharded() error {
 // SetWorkers caps the goroutines every pass of the Network that fans
 // out may occupy: the gain fill and the roam-tick gain refresh (at
 // most 8 stripes, and one below 256 nodes; see stripeWorkers) and a
-// multi-shard Run (at most one per shard). 0 means GOMAXPROCS. Set it
+// multi-shard Run (at most one per partition). 0 means GOMAXPROCS. Set it
 // before Prepare or Run, which build the gains. Worker count never
 // changes results — only wall-clock — so ScenarioRunner uses this to
 // keep jobs × per-job workers inside its Parallelism budget.
@@ -355,53 +366,52 @@ func (u unionFind) union(a, b int) {
 	u[rb] = ra
 }
 
-// balanceGroups assigns whole interaction groups to k shards, heaviest
-// group first onto the least-loaded shard (weight = node count). Ties
-// break toward earlier groups and lower shard indices, so the
-// assignment is deterministic. Returns shard index per BSS.
-func balanceGroups(groups [][]int, bssNodes []int, k int) []int {
-	type wg struct{ idx, weight int }
-	ws := make([]wg, len(groups))
+// balanceGroups orders the interaction groups heaviest first (weight =
+// node count; stable on group index) and assigns each, in that order,
+// to the least-loaded of k lanes, ties toward the lower lane. It
+// returns the order and each ordered group's lane, so both are
+// deterministic. With k equal to the group count, group i of the order
+// runs alone on lane i.
+func balanceGroups(groups [][]int, bssNodes []int, k int) (order, lane []int) {
+	weight := make([]int, len(groups))
+	order = make([]int, len(groups))
 	for i, grp := range groups {
-		w := 0
 		for _, b := range grp {
-			w += bssNodes[b]
+			weight[i] += bssNodes[b]
 		}
-		ws[i] = wg{i, w}
+		order[i] = i
 	}
-	sort.SliceStable(ws, func(a, b int) bool { return ws[a].weight > ws[b].weight })
+	sort.SliceStable(order, func(a, b int) bool { return weight[order[a]] > weight[order[b]] })
 	load := make([]int, k)
-	out := make([]int, len(bssNodes))
-	for _, g := range ws {
+	lane = make([]int, len(groups))
+	for i, g := range order {
 		best := 0
 		for s := 1; s < k; s++ {
 			if load[s] < load[best] {
 				best = s
 			}
 		}
-		load[best] += g.weight
-		for _, b := range groups[g.idx] {
-			out[b] = best
-		}
+		load[best] += weight[g]
+		lane[i] = best
 	}
-	return out
+	return order, lane
 }
 
 // planShards decides the partition and creates the shards, assigning
 // every node to one. Called from build after the gains and index
 // ranges are final (the planning radius depends on the shadowing
-// draws) and before media are created. The single-shard path — whether
-// requested or fallen back to — hands shard 0 the Network's own
-// rng.Source and attached probe, keeping it bit-identical to the
-// pre-shard simulator; a multi-shard run splits one deterministic
-// child stream per shard in shard order.
+// draws) and before media are created. The single-engine path —
+// whether requested or fallen back to — runs one shard holding every
+// node with the Network's own rng.Source and attached probe, keeping
+// it bit-identical to the pre-shard simulator. A multi-shard plan
+// makes one shard per interaction group, in balanceGroups' heaviest-
+// first order, and splits each its own child stream in that order (the
+// multi-shard compat goldens pin it); a lane's groups share the lane's
+// probe.
 func (n *Network) planShards() {
-	req := n.cfg.Shards
-	if req < 1 {
-		req = 1
-	}
+	req := max(n.cfg.Shards, 1)
 	plan := ShardPlan{Requested: req, Shards: 1, Groups: 1}
-	var assign []int
+	var groups [][]int
 	if req > 1 {
 		switch {
 		case n.cfg.RoamIntervalUs > 0:
@@ -411,52 +421,64 @@ func (n *Network) planShards() {
 		case n.probe != nil:
 			plan.Reason = "a single attached Probe cannot observe concurrent shards (use AttachShardProbes)"
 		default:
-			groups, flowMerges := n.interactionGroups()
+			groups, plan.FlowEdgeMerges = n.interactionGroups()
 			plan.Groups = len(groups)
-			plan.FlowEdgeMerges = flowMerges
 			if len(groups) < 2 {
 				plan.Reason = "floor is one coupled interaction group"
 			} else {
-				k := req
-				if k > len(groups) {
-					k = len(groups)
-				}
-				plan.Shards = k
-				bssNodes := make([]int, len(n.bss))
-				for _, nd := range n.nodes {
-					bssNodes[nd.bss.idx]++
-				}
-				assign = balanceGroups(groups, bssNodes, k)
+				plan.Shards = min(req, len(groups))
 			}
 		}
-	}
-	n.shards = make([]*shard, plan.Shards)
-	for i := range n.shards {
-		n.shards[i] = newShard(n, i)
 	}
 	if plan.Shards == 1 {
-		n.shards[0].src = n.src
-		n.shards[0].probe = n.probe
+		sh := newShard(n, 0, 0)
+		sh.src = n.src
+		sh.probe = n.probe
 		if n.probeFactory != nil && n.probe == nil {
-			n.shards[0].probe = n.probeFactory(0)
+			sh.probe = n.probeFactory(0)
 		}
+		n.shards = []*shard{sh}
 		for _, nd := range n.nodes {
-			nd.sh = n.shards[0]
+			nd.sh = sh
 		}
 	} else {
-		for _, sh := range n.shards {
+		probes := make([]Probe, plan.Shards)
+		if n.probeFactory != nil {
+			for l := range probes {
+				probes[l] = n.probeFactory(l)
+			}
+		}
+		bssNodes := make([]int, len(n.bss))
+		for _, nd := range n.nodes {
+			bssNodes[nd.bss.idx]++
+		}
+		order, lane := balanceGroups(groups, bssNodes, plan.Shards)
+		n.shards = make([]*shard, len(order))
+		byBss := make([]*shard, len(n.bss))
+		for i, g := range order {
+			sh := newShard(n, i, lane[i])
 			sh.src = n.src.Split()
-			if n.probeFactory != nil {
-				sh.probe = n.probeFactory(sh.idx)
+			sh.probe = probes[lane[i]]
+			n.shards[i] = sh
+			for _, b := range groups[g] {
+				byBss[b] = sh
 			}
 		}
 		for _, nd := range n.nodes {
-			nd.sh = n.shards[assign[nd.bss.idx]]
+			nd.sh = byBss[nd.bss.idx]
 		}
 	}
-	plan.NodesPerShard = make([]int, plan.Shards)
+	// The two per-lane counts share one array: every build pays for it.
+	k := plan.Shards
+	counts := make([]int, 2*k)
+	plan.NodesPerShard, plan.GroupsPerShard = counts[:k:k], counts[k:]
+	n.lanes = make([][]*sim.Engine, k)
+	for _, sh := range n.shards {
+		plan.GroupsPerShard[sh.lane]++
+		n.lanes[sh.lane] = append(n.lanes[sh.lane], &sh.eng)
+	}
 	for _, nd := range n.nodes {
-		plan.NodesPerShard[nd.sh.idx]++
+		plan.NodesPerShard[nd.sh.lane]++
 	}
 	n.plan = plan
 }

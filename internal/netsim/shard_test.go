@@ -6,22 +6,25 @@ import (
 	"testing"
 
 	"repro/internal/linkmodel"
+	"repro/internal/sim"
 )
 
 // The sharded-execution test suite: planning edge cases, the co-shard
-// invariant that keeps engines independent, repeat/worker determinism
-// for a fixed shard count, the bit-identical fallback paths, and the
-// statistical equivalence of Shards: N against the single-engine
-// oracle.
+// invariant that keeps engines independent, repeat/worker determinism,
+// the bit-identical fallback paths, one result across every
+// multi-shard count, and the statistical equivalence of sharded runs
+// against the single-engine oracle.
 //
 // Two different equivalence strengths apply, and the tests keep them
 // apart deliberately. Runs that end up on ONE engine — fallback,
 // clamping, Shards: 0/1 — must be bit-identical to the classic
 // simulator, and failures there get the explainDivergence treatment
-// (name the first diverging event). Runs on N > 1 engines draw from
-// split RNG streams, so their event interleaving legitimately differs
-// from the oracle's; there the contract is repeat determinism for
-// fixed N plus statistically identical aggregates vs Shards: 1.
+// (name the first diverging event). A multi-shard plan gives each
+// interaction group its own engine and split RNG stream, so every
+// Shards: 2…N must agree bit for bit with every other, while its draws
+// legitimately differ from the single engine's un-split stream; there
+// the contract against Shards: 1 is statistically identical
+// aggregates.
 
 // shardScenarios are presets with enough channel separation to
 // decompose into several interaction groups — the floors sharding
@@ -312,12 +315,14 @@ func TestShardedRepeatDeterminism(t *testing.T) {
 	}
 }
 
-// TestShardedOracleEquivalence pins Shards: N against the single-engine
-// oracle across the sharded presets × equivSeeds. Different shard
-// counts draw different RNG streams, so the pin is statistical: every
+// TestShardedOracleEquivalence pins the sharded runs against the
+// single-engine oracle across the sharded presets × equivSeeds. Every
+// Shards: N ≥ 2 gives one result (TestShardCountsBitIdentical), but
+// its groups draw from per-group split streams while Shards: 1 draws
+// from the Network's un-split one, so this pin is statistical: every
 // conserved aggregate must balance exactly within each run, and the
-// cross-count relative gap on the throughput-scale metrics must sit in
-// the Monte-Carlo noise band. (Bit-level divergence between N and 1 is
+// relative gap on the throughput-scale metrics must sit in the
+// Monte-Carlo noise band. (Bit-level divergence between N and 1 is
 // expected; explainDivergence is for the single-engine paths, where
 // divergence means a broken mechanism.)
 func TestShardedOracleEquivalence(t *testing.T) {
@@ -375,6 +380,70 @@ func TestShardedOracleEquivalence(t *testing.T) {
 			if d := relDiff(sumOracle, sumSharded); d > tol/2 {
 				t.Errorf("mean goodput over %d seeds diverges %.1f%% (oracle %.1f, sharded %.1f)",
 					equivSeeds, 100*d, sumOracle/equivSeeds, sumSharded/equivSeeds)
+			}
+		})
+	}
+}
+
+// TestShardCountsBitIdentical: every interaction group runs on its own
+// engine with its own RNG stream, so the shard count decides only which
+// partition runs a group and when, never what it draws. On every
+// sharded preset (two seeds), and on E28's 8-group floor at a short
+// horizon (one seed), every Shards: 2…groups must give one fingerprint
+// and equal merged work counters, engine statistics and frame-pool
+// totals.
+func TestShardCountsBitIdentical(t *testing.T) {
+	type row struct {
+		name       string
+		durationUs float64
+		groups     int
+		build      func(cfg Config) func(seed int64) *Network
+		seeds      int64
+	}
+	rows := []row{{"e28-floor-8ch", 2e4, 8, func(cfg Config) func(int64) *Network {
+		cfg.CSThresholdDBm = -62
+		return LargeFloor(cfg, 1024, 3, 32, 1, 6, 11, 36, 40, 44, 48, 52)
+	}, 1}}
+	for _, sc := range shardScenarios() {
+		rows = append(rows, row{sc.name, sc.durationUs, sc.groups, sc.build, 2})
+	}
+	type outcome struct {
+		fp                              string
+		starts, crossings, cands, judge int
+		engine                          sim.Stats
+		pools                           FramePoolStats
+	}
+	for _, sc := range rows {
+		t.Run(sc.name, func(t *testing.T) {
+			for seed := int64(1); seed <= sc.seeds; seed++ {
+				var ref outcome
+				for shards := 2; shards <= sc.groups; shards++ {
+					cfg := DefaultConfig()
+					cfg.Shards = shards
+					n := sc.build(cfg)(seed)
+					r := n.Run(sc.durationUs)
+					if r.Shards != shards || r.Plan.Groups != sc.groups {
+						t.Fatalf("seed %d: planned %d shards over %d groups, want %d over %d",
+							seed, r.Shards, r.Plan.Groups, shards, sc.groups)
+					}
+					assertFlowsCoSharded(t, n)
+					got := outcome{fp: fingerprint(r), starts: r.FrameStarts, crossings: r.Crossings,
+						cands: r.CsCandidates, judge: r.CsJudged, engine: r.EngineStats}
+					for _, fp := range r.FramePools {
+						got.pools.add(fp)
+					}
+					if shards == 2 {
+						ref = got
+						continue
+					}
+					if got.fp != ref.fp {
+						t.Fatalf("seed %d: Shards: %d diverged from Shards: 2\n2:\n%s\n%d:\n%s",
+							seed, shards, ref.fp, shards, got.fp)
+					}
+					if got != ref {
+						t.Fatalf("seed %d: Shards: %d counters %+v, Shards: 2 %+v", seed, shards, got, ref)
+					}
+				}
 			}
 		})
 	}

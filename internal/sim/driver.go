@@ -1,11 +1,12 @@
 package sim
 
 // Running several engines at once. Each Engine is a single-goroutine
-// event loop; RunAll fans independent engines across a worker pool and
-// runs each straight to the horizon. Nothing synchronizes the engines
-// along the way, so the caller must hand over engines that share no
-// mutable state. Each engine's event order then depends only on its
-// own queue, never on worker count or goroutine scheduling.
+// event loop; RunAll fans lanes of independent engines across a worker
+// pool, and each lane runs its engines one after another, each
+// straight to the horizon. Nothing synchronizes the engines along the
+// way, so the caller must hand over engines that share no mutable
+// state. Each engine's event order then depends only on its own queue,
+// never on worker count, lane layout or goroutine scheduling.
 
 import (
 	"runtime"
@@ -62,17 +63,24 @@ func Parallel(n, workers int, body func(i int)) {
 }
 
 // RunAll fires every event scheduled at or before untilUs on every
-// engine and leaves each engine's clock at exactly untilUs. workers
-// caps the goroutines running engines concurrently (see Workers).
-// Worker count affects wall-clock only, never results.
-func RunAll(engines []*Engine, untilUs float64, workers int) {
-	if Workers(len(engines), workers) <= 1 {
-		for _, e := range engines {
-			e.Run(untilUs)
+// engine and leaves each engine's clock at exactly untilUs. A lane's
+// engines run back to back, in order, on one goroutine; workers caps
+// the lanes running concurrently (see Workers). Worker count affects
+// wall-clock only, never results.
+func RunAll(lanes [][]*Engine, untilUs float64, workers int) {
+	if Workers(len(lanes), workers) <= 1 {
+		for _, lane := range lanes {
+			runLane(lane, untilUs)
 		}
 		return
 	}
-	Parallel(len(engines), workers, func(i int) { engines[i].Run(untilUs) })
+	Parallel(len(lanes), workers, func(i int) { runLane(lanes[i], untilUs) })
+}
+
+func runLane(lane []*Engine, untilUs float64) {
+	for _, e := range lane {
+		e.Run(untilUs)
+	}
 }
 
 // MergeStats folds per-engine snapshots into one aggregate: event and

@@ -6,12 +6,14 @@ import (
 )
 
 // TestRunAllWorkerInvariance: engines share nothing, so any worker
-// count — serial, saturated, oversubscribed — must produce the
-// identical per-engine fire sequence and leave every clock at exactly
-// the horizon, including an engine with nothing scheduled.
+// count — serial, saturated, oversubscribed — and any lane layout must
+// produce the identical per-engine fire sequence and leave every clock
+// at exactly the horizon, including an engine with nothing scheduled.
 func TestRunAllWorkerInvariance(t *testing.T) {
 	const untilUs = 500
-	run := func(workers int) [][]float64 {
+	// Each layout partitions the six engines into lanes.
+	layouts := [][]int{{1, 1, 1, 1, 1, 1}, {2, 1, 3}, {6}}
+	run := func(workers int, layout []int) [][]float64 {
 		engines := make([]*Engine, 6)
 		fired := make([][]float64, len(engines))
 		for i := range engines {
@@ -28,7 +30,12 @@ func TestRunAllWorkerInvariance(t *testing.T) {
 			}
 			eng.Schedule(gap, tick)
 		}
-		RunAll(engines, untilUs, workers)
+		var lanes [][]*Engine
+		rest := engines
+		for _, k := range layout {
+			lanes, rest = append(lanes, rest[:k]), rest[k:]
+		}
+		RunAll(lanes, untilUs, workers)
 		for i, e := range engines {
 			if e.Now() != untilUs {
 				t.Fatalf("workers=%d: engine %d finished at %v, want %v", workers, i, e.Now(), float64(untilUs))
@@ -36,18 +43,20 @@ func TestRunAllWorkerInvariance(t *testing.T) {
 		}
 		return fired
 	}
-	ref := run(1)
-	for _, workers := range []int{0, 2, 6, 32} {
-		got := run(workers)
-		for i := range ref {
-			if len(got[i]) != len(ref[i]) {
-				t.Fatalf("workers=%d: engine %d fired %d events, serial fired %d",
-					workers, i, len(got[i]), len(ref[i]))
-			}
-			for j := range ref[i] {
-				if got[i][j] != ref[i][j] {
-					t.Fatalf("workers=%d: engine %d event %d at %.3f, serial at %.3f",
-						workers, i, j, got[i][j], ref[i][j])
+	ref := run(1, layouts[0])
+	for _, layout := range layouts {
+		for _, workers := range []int{0, 1, 2, 6, 32} {
+			got := run(workers, layout)
+			for i := range ref {
+				if len(got[i]) != len(ref[i]) {
+					t.Fatalf("workers=%d lanes %v: engine %d fired %d events, serial fired %d",
+						workers, layout, i, len(got[i]), len(ref[i]))
+				}
+				for j := range ref[i] {
+					if got[i][j] != ref[i][j] {
+						t.Fatalf("workers=%d lanes %v: engine %d event %d at %.3f, serial at %.3f",
+							workers, layout, i, j, got[i][j], ref[i][j])
+					}
 				}
 			}
 		}
@@ -63,7 +72,7 @@ func TestRunAllStatsAggregation(t *testing.T) {
 			e.Schedule(float64(j), func() {})
 		}
 	}
-	RunAll(engines, 100, 2)
+	RunAll([][]*Engine{{engines[0]}, {engines[1]}}, 100, 2)
 	s0, s1 := engines[0].Stats(), engines[1].Stats()
 	got := MergeStats(s0, s1)
 	if s0.Fired != 10 || s1.Fired != 20 {
@@ -116,7 +125,11 @@ func TestRunAllConcurrentEngines(t *testing.T) {
 		}
 		eng.Schedule(1, tick)
 	}
-	RunAll(es, 1000, 4)
+	lanes := make([][]*Engine, engines)
+	for i := range es {
+		lanes[i] = es[i : i+1]
+	}
+	RunAll(lanes, 1000, 4)
 	for i, c := range counts {
 		if c != 1000 {
 			t.Fatalf("engine %d fired %d events, want 1000", i, c)
@@ -164,16 +177,16 @@ func TestParallelSerialInOrder(t *testing.T) {
 }
 
 // TestRunAllOneWorkerAllocatesNothing: a run on one worker — a single
-// engine, or a cap of 1 — allocates nothing, so a serial Network.Run
+// lane, or a cap of 1 — allocates nothing, so a serial Network.Run
 // pays nothing for the fan-out it does not use.
 func TestRunAllOneWorkerAllocatesNothing(t *testing.T) {
-	one := []*Engine{{}}
-	two := []*Engine{{}, {}}
+	one := [][]*Engine{{{}, {}}}
+	two := [][]*Engine{{{}}, {{}}}
 	until := 0.0
 	if a := testing.AllocsPerRun(20, func() { until++; RunAll(one, until, 0) }); a != 0 {
-		t.Errorf("one engine: %v allocs per RunAll, want 0", a)
+		t.Errorf("one lane: %v allocs per RunAll, want 0", a)
 	}
 	if a := testing.AllocsPerRun(20, func() { until++; RunAll(two, until, 1) }); a != 0 {
-		t.Errorf("two engines on one worker: %v allocs per RunAll, want 0", a)
+		t.Errorf("two lanes on one worker: %v allocs per RunAll, want 0", a)
 	}
 }
