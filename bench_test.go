@@ -191,7 +191,7 @@ func BenchmarkE27LargeFloor(b *testing.B) {
 
 // BenchmarkBuildLargeFloor is the gain-matrix build layer on its own:
 // the E27 100-BSS × 40-station floor (4100 nodes), builder plus Prepare
-// per op, so ns/op is the O(n²) fillGains bill plus shard planning and
+// per op, so ns/op is the O(n²) gain fill bill plus shard planning and
 // media setup, and allocs/op holds the build to a constant number of
 // matrix allocations (one backing array per 4 MB block of rows, not
 // one per row) under the CI allocs gate.

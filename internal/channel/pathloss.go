@@ -73,6 +73,13 @@ func DefaultLinkBudget(bandwidthHz float64) LinkBudget {
 	return LinkBudget{TxPowerDBm: 15, NoiseFigureDB: 7, BandwidthHz: bandwidthHz}
 }
 
+// BudgetDBm is the received power at 0 dB of path loss: TxPowerDBm +
+// TxAntennaGain + RxAntennaGain, summed in that order. Every received
+// power is this figure less a loss.
+func (b LinkBudget) BudgetDBm() float64 {
+	return b.TxPowerDBm + b.TxAntennaGain + b.RxAntennaGain
+}
+
 // NoiseFloorDBm returns the thermal noise floor kTB plus noise figure.
 func (b LinkBudget) NoiseFloorDBm() float64 {
 	return -174 + 10*math.Log10(b.BandwidthHz) + b.NoiseFigureDB
@@ -81,6 +88,6 @@ func (b LinkBudget) NoiseFloorDBm() float64 {
 // SNRdBAt returns the received median SNR in dB at distance d under the
 // given path-loss model.
 func (b LinkBudget) SNRdBAt(m PathLossModel, d float64) float64 {
-	rx := b.TxPowerDBm + b.TxAntennaGain + b.RxAntennaGain - m.LossDB(d)
+	rx := b.BudgetDBm() - m.LossDB(d)
 	return rx - b.NoiseFloorDBm()
 }

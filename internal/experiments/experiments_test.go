@@ -1,12 +1,17 @@
 package experiments
 
 import (
+	"flag"
 	"math"
+	"os"
+	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/netsim"
+	"repro/internal/report"
 )
 
 // parse extracts a float cell, tolerating ratio suffixes like "5.0x".
@@ -20,8 +25,27 @@ func parse(t *testing.T, cell string) float64 {
 	return v
 }
 
+// updateTables rewrites quickTablesPath from this tree. The file is the
+// results contract: a change to it is a deliberate re-golden, made only
+// when an exhibit is meant to move.
+var updateTables = flag.Bool("update", false,
+	"rewrite "+quickTablesPath+" from this tree's exhibit tables at Quick()")
+
+// quickTablesPath holds every exhibit's tables at Quick() (seed 1), as
+// cmd/experiments -run all -quick prints them, with E27's wall-clock
+// column dropped.
+const quickTablesPath = "testdata/quick_tables.txt"
+
+// wallColumn is E27's wall-clock column, the one cell of the exhibits
+// that depends on the machine rather than the seed.
+const wallColumn = "wall ms/sim s"
+
+// TestAllRunnersProduceTables runs every exhibit at Quick(), checks each
+// table's shape, and compares the formatted tables with the committed
+// quickTablesPath text, line by line.
 func TestAllRunnersProduceTables(t *testing.T) {
 	cfg := Quick()
+	var out strings.Builder
 	for _, r := range All() {
 		tables := r.Run(cfg)
 		if len(tables) == 0 {
@@ -40,8 +64,57 @@ func TestAllRunnersProduceTables(t *testing.T) {
 			if out := tb.Format(); !strings.Contains(out, tb.Title) {
 				t.Errorf("%s: Format missing title", r.ID)
 			}
+			tb = dropColumn(tb, wallColumn)
+			out.WriteString(tb.Format())
+			out.WriteByte('\n')
 		}
 	}
+	got := out.String()
+	if *updateTables {
+		if err := os.MkdirAll(filepath.Dir(quickTablesPath), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(quickTablesPath, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %s", quickTablesPath)
+		return
+	}
+	data, err := os.ReadFile(quickTablesPath)
+	if err != nil {
+		t.Fatalf("read the committed tables (run with -update to write them): %v", err)
+	}
+	if want := string(data); got != want {
+		gl, wl := strings.Split(got, "\n"), strings.Split(want, "\n")
+		i := 0
+		for i < len(gl) && i < len(wl) && gl[i] == wl[i] {
+			i++
+		}
+		line := func(ls []string) string {
+			if i < len(ls) {
+				return ls[i]
+			}
+			return "<end of output>"
+		}
+		t.Fatalf("exhibit tables differ from %s at line %d:\n got: %s\nwant: %s",
+			quickTablesPath, i+1, line(gl), line(wl))
+	}
+}
+
+// dropColumn returns tb without the column headed name, or tb itself
+// when it has none.
+func dropColumn(tb report.Table, name string) report.Table {
+	c := slices.Index(tb.Header, name)
+	if c < 0 {
+		return tb
+	}
+	tb.Header = slices.Delete(slices.Clone(tb.Header), c, c+1)
+	rows := make([][]string, len(tb.Rows))
+	for i, row := range tb.Rows {
+		rows[i] = slices.Delete(slices.Clone(row), c, c+1)
+	}
+	tb.Rows = rows
+	return tb
 }
 
 func TestByID(t *testing.T) {

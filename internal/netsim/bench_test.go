@@ -12,13 +12,12 @@ import "testing"
 func BenchmarkE27LargeFloorBrute(b *testing.B) {
 	cfg := DefaultConfig()
 	cfg.CSThresholdDBm = -62 // OBSS-PD-style spatial reuse, as in E27
-	cfg.disableSpatialIndex = true
 	build := LargeFloor(cfg, 100, 40, 10, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		n := build(int64(i + 1))
+		n := withOracles(build(int64(i+1)), oracles{disableSpatialIndex: true})
 		n.Prepare()
 		b.StartTimer()
 		if r := n.Run(2e6); r.Delivered == 0 {

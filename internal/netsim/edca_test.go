@@ -360,13 +360,13 @@ func TestScenarioAndConfigGuards(t *testing.T) {
 				n.Prepare()
 				n.SetVelocity(st, 10, 0)
 			}},
-		{"gain refresh on a static build", "refreshGains needs Config.RoamIntervalUs",
+		{"gain refresh on a static build", "a gain refresh needs Config.RoamIntervalUs",
 			func() {
 				n := New(DefaultConfig(), 1)
 				b := n.AddAP("AP", 0, 0, 1)
 				st := n.AddStation(b, "sta", 5, 0)
 				n.build()
-				n.refreshGains([]*Node{st})
+				n.gains.refresh([]*Node{st})
 			}},
 	}
 	for _, tc := range cases {

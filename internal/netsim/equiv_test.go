@@ -13,7 +13,7 @@ import (
 // pure lookup accelerator: it must never change which nodes sense a
 // frame, adopt a NAV, or the order those effects apply in — so every
 // scenario, run with the index on and with the brute-force oracle
-// (Config.disableSpatialIndex), must produce bit-identical Results.
+// (disableSpatialIndex), must produce bit-identical Results.
 // This extends PR 4's golden-fingerprint technique from "new tree vs
 // recorded hashes" to "two live configurations of the same tree",
 // which catches index bugs on any seed instead of only the recorded
@@ -35,16 +35,8 @@ const equivSeeds = 5
 // threshold (many small neighborhoods — the case the index exists for).
 // A row whose name contains "roam" must roam (runRow), and a row in
 // gridRows must take the grid path (TestSpatialIndexEquivalence).
-func equivScenarios() []struct {
-	name       string
-	durationUs float64
-	build      func(cfg Config) func(seed int64) *Network
-} {
-	return []struct {
-		name       string
-		durationUs float64
-		build      func(cfg Config) func(seed int64) *Network
-	}{
+func equivScenarios() []equivRow {
+	return []equivRow{
 		{"single-link", 2e5, func(cfg Config) func(int64) *Network {
 			return SingleLink(cfg, 12, 1000)
 		}},
@@ -181,6 +173,60 @@ func equivScenarios() []struct {
 			return roamingChannels(cfg, 40, 80)
 		}},
 	}
+}
+
+// equivRow is one equivalence row: a floor builder over a caller's
+// Config, run for durationUs.
+type equivRow struct {
+	name       string
+	durationUs float64
+	build      func(cfg Config) func(seed int64) *Network
+}
+
+// builder returns a builder of the row's network at seed under
+// DefaultConfig, with the test oracles o switched on (none: the
+// production network).
+func (sc equivRow) builder(seed int64, o oracles) func() *Network {
+	return func() *Network { return withOracles(sc.build(DefaultConfig())(seed), o) }
+}
+
+// withOracles switches on n's test oracles, the one way a test sets
+// them. n must not be prepared yet: most oracles act at build.
+func withOracles(n *Network, o oracles) *Network {
+	if n.prepared {
+		panic("netsim: withOracles after Prepare")
+	}
+	n.oracle = o
+	return n
+}
+
+// productionRun is what the exact-oracle suites compare against: the
+// row's production Result at one seed, its fingerprint, and how many
+// gain domains its build laid out.
+type productionRun struct {
+	res     Result
+	fp      string
+	domains int
+}
+
+// productionRuns memoizes production, keyed by row name and seed.
+var productionRuns = map[string]productionRun{}
+
+// production runs row sc at seed under DefaultConfig with no oracle
+// (runRowResult), once per test binary: the spatial-index, observation,
+// eager-tracking and gain-domain suites each hold their oracle or
+// observed run against the same production run, so they share it.
+func production(t *testing.T, sc equivRow, seed int64) productionRun {
+	t.Helper()
+	key := fmt.Sprintf("%s/%d", sc.name, seed)
+	if p, ok := productionRuns[key]; ok {
+		return p
+	}
+	n := sc.builder(seed, oracles{})()
+	r := runRowResult(t, sc.name, n, sc.durationUs)
+	p := productionRun{r, fingerprint(r), n.gains.domains()}
+	productionRuns[key] = p
+	return p
 }
 
 // gridRows names the equivScenarios rows with a medium above
@@ -388,18 +434,12 @@ func TestSpatialIndexEquivalence(t *testing.T) {
 		}
 		t.Run(sc.name, func(t *testing.T) {
 			for seed := int64(1); seed <= equivSeeds; seed++ {
-				build := func(disable bool) func() *Network {
-					cfg := DefaultConfig()
-					cfg.disableSpatialIndex = disable
-					return func() *Network { return sc.build(cfg)(seed) }
-				}
-				run := func(disable bool) Result {
-					return runRowResult(t, sc.name, build(disable)(), sc.durationUs)
-				}
-				ri, rb := run(false), run(true)
-				if indexed, brute := fingerprint(ri), fingerprint(rb); indexed != brute {
+				bruteForce := sc.builder(seed, oracles{disableSpatialIndex: true})
+				prod := production(t, sc, seed)
+				ri, rb := prod.res, runRowResult(t, sc.name, bruteForce(), sc.durationUs)
+				if indexed, brute := prod.fp, fingerprint(rb); indexed != brute {
 					t.Fatalf("seed %d: indexed run diverged from the brute-force oracle\n%s\nindexed:\n%s\nbrute:\n%s",
-						seed, explainDivergence(build(false), build(true), sc.durationUs),
+						seed, explainDivergence(sc.builder(seed, oracles{}), bruteForce, sc.durationUs),
 						indexed, brute)
 				}
 				// The grid's superset guarantee as a count: the index
@@ -429,12 +469,13 @@ func TestSpatialIndexEquivalence(t *testing.T) {
 // TestObservationEquivalence pins the probe layer's core contract:
 // attaching a probe and running the sampler must not perturb the
 // simulation. Every preset's fingerprint must be bit-identical between
-// a bare run and one carrying a recording probe plus a telemetry tick.
+// a bare run (the production run) and one carrying a recording probe
+// plus a telemetry tick.
 func TestObservationEquivalence(t *testing.T) {
 	for _, sc := range equivScenarios() {
 		t.Run(sc.name, func(t *testing.T) {
 			for seed := int64(1); seed <= equivSeeds; seed++ {
-				bare := runRow(t, sc.name, sc.build(DefaultConfig())(seed), sc.durationUs)
+				bare := production(t, sc, seed).fp
 				cfg := DefaultConfig()
 				cfg.SampleIntervalUs = sc.durationUs / 64
 				n := sc.build(cfg)(seed)
@@ -460,7 +501,7 @@ func TestObservationEquivalence(t *testing.T) {
 // definition. Production tracks a node only while it has traffic
 // (Node.joinCS / maybeLeaveCS) and derives a late joiner's busy count
 // from the frames already on the air; the oracle
-// (Config.eagerCarrierSense) tracks every node from Prepare on, so every
+// (eagerCarrierSense) tracks every node from Prepare on, so every
 // busy count is built by medium.start's own scan. The two must produce
 // bit-identical Results on every row. Only the EvObssIgnore
 // observations differ: the eager run also reports them for idle nodes.
@@ -468,16 +509,12 @@ func TestEagerTrackingEquivalence(t *testing.T) {
 	for _, sc := range equivScenarios() {
 		t.Run(sc.name, func(t *testing.T) {
 			for seed := int64(1); seed <= equivSeeds; seed++ {
-				build := func(eager bool) func() *Network {
-					cfg := DefaultConfig()
-					cfg.eagerCarrierSense = eager
-					return func() *Network { return sc.build(cfg)(seed) }
-				}
-				lazy := runRow(t, sc.name, build(false)(), sc.durationUs)
-				eager := runRow(t, sc.name, build(true)(), sc.durationUs)
+				eagerly := sc.builder(seed, oracles{eagerCarrierSense: true})
+				lazy := production(t, sc, seed).fp
+				eager := runRow(t, sc.name, eagerly(), sc.durationUs)
 				if lazy != eager {
 					t.Errorf("seed %d: lazy carrier sense diverged from the eager-tracking oracle\n%s",
-						seed, explainDivergence(build(false), build(true), sc.durationUs, EvObssIgnore))
+						seed, explainDivergence(sc.builder(seed, oracles{}), eagerly, sc.durationUs, EvObssIgnore))
 				}
 			}
 		})
@@ -486,7 +523,7 @@ func TestEagerTrackingEquivalence(t *testing.T) {
 
 // TestGainDomainEquivalence pins the gain domains against the layout
 // they replace. Production stores one gain matrix per domain (channels,
-// merged where a flow crosses them); the oracle (Config.oneGainDomain)
+// merged where a flow crosses them); the oracle (oneGainDomain)
 // stores one matrix over every node, as a mobile build does. A partition
 // that splits a pair the run reads would read another pair's gain (or
 // none), so the two must produce bit-identical Results on every
@@ -495,42 +532,38 @@ func TestEagerTrackingEquivalence(t *testing.T) {
 // ignores flows (its pinned station reads gains across channels).
 func TestGainDomainEquivalence(t *testing.T) {
 	split := 0 // production builds with more than one domain
-	check := func(t *testing.T, label string, build func(one bool) *Network, durationUs float64, shards int) {
+	check := func(t *testing.T, label string, prod productionRun, build func(oracles) *Network, durationUs float64, shards int) {
 		t.Helper()
-		var fp [2]string
-		for k, one := range []bool{false, true} {
-			n := build(one)
-			r := n.Run(durationUs)
-			if shards > 0 && r.Shards != shards {
-				t.Fatalf("%s ran %d shards, want %d", label, r.Shards, shards)
-			}
-			if !one && len(n.gainBounds) > 2 {
-				split++
-			}
-			fp[k] = fingerprint(r)
+		if prod.domains > 1 {
+			split++
 		}
-		if fp[0] != fp[1] {
+		one := func() *Network { return build(oracles{oneGainDomain: true}) }
+		r := one().Run(durationUs)
+		for _, res := range []Result{prod.res, r} {
+			if shards > 0 && res.Shards != shards {
+				t.Fatalf("%s ran %d shards, want %d", label, res.Shards, shards)
+			}
+		}
+		if fingerprint(r) != prod.fp {
 			t.Errorf("%s: per-domain gains diverged from the one-domain oracle\n%s",
-				label, explainDivergence(func() *Network { return build(false) }, func() *Network { return build(true) }, durationUs))
+				label, explainDivergence(func() *Network { return build(oracles{}) }, one, durationUs))
 		}
 	}
 	for _, sc := range equivScenarios() {
 		t.Run(sc.name, func(t *testing.T) {
 			for seed := int64(1); seed <= equivSeeds; seed++ {
-				check(t, fmt.Sprintf("seed %d", seed), func(one bool) *Network {
-					cfg := DefaultConfig()
-					cfg.oneGainDomain = one
-					return sc.build(cfg)(seed)
+				check(t, fmt.Sprintf("seed %d", seed), production(t, sc, seed), func(o oracles) *Network {
+					return sc.builder(seed, o)()
 				}, sc.durationUs, 0)
 			}
 		})
 	}
 	for _, row := range compatScenarios() {
 		t.Run(row.name, func(t *testing.T) {
-			check(t, row.name, func(one bool) *Network {
-				n := row.build()
-				n.cfg.oneGainDomain = one
-				return n
+			n := row.build()
+			r := n.Run(row.durationUs)
+			check(t, row.name, productionRun{r, fingerprint(r), n.gains.domains()}, func(o oracles) *Network {
+				return withOracles(row.build(), o)
 			}, row.durationUs, row.shards)
 		})
 	}

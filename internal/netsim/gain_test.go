@@ -14,14 +14,14 @@ import (
 // TestGainStateOracle pins the build's gain state against brute force.
 // A static build lays the gains out as one domain per channel (per
 // bonded component), parks each same-domain shadowing draw in its row
-// until fillGains folds it in, keeps only the scalar minimum over every
+// until the fill folds it in, keeps only the scalar minimum over every
 // pair, and drops the shadowing matrix; a build with mobility is one
 // domain and keeps the full matrix. Every gain the static build stores
 // must equal the mobile build's bit for bit, the scalar must equal a
 // full scan of the retained draws, and re-deriving every pair from the
-// retained draws (refreshGains with every node listed as moved, none
-// having moved) must change nothing. The 320-node case is above
-// fillGains' and refreshGains' 256-node cutover, so under -race it
+// retained draws (a refresh with every node listed as moved, none
+// having moved) must change nothing. The 320-node case is above the
+// fill's and the refresh's 256-node cutover, so under -race it
 // checks that the striped fill workers' in-place read of the parked
 // draw never races another worker's lower-triangle writes, and that
 // the striped refresh workers share no cell.
@@ -59,17 +59,17 @@ func TestGainStateOracle(t *testing.T) {
 			mobile.build()
 
 			nn := len(static.nodes)
-			if got := len(static.gainBounds) - 1; got != tc.domains {
+			if got := static.gains.domains(); got != tc.domains {
 				t.Fatalf("static build has %d gain domains, want %d", got, tc.domains)
 			}
-			if got := len(mobile.gainBounds) - 1; got != 1 {
+			if got := mobile.gains.domains(); got != 1 {
 				t.Fatalf("mobile build has %d gain domains, want 1", got)
 			}
-			if static.shadowDB != nil {
+			if static.gains.shadowDB != nil {
 				t.Fatal("static build retained the shadowing matrix")
 			}
-			if len(mobile.shadowDB) != nn {
-				t.Fatalf("mobile build kept %d shadowing rows, want %d", len(mobile.shadowDB), nn)
+			if len(mobile.gains.shadowDB) != nn {
+				t.Fatalf("mobile build kept %d shadowing rows, want %d", len(mobile.gains.shadowDB), nn)
 			}
 			assertGainLayout(t, static)
 			assertGainLayout(t, mobile)
@@ -78,13 +78,13 @@ func TestGainStateOracle(t *testing.T) {
 					t.Fatalf("%s build: %s", name, d)
 				}
 			}
-			assertOneBackingArray(t, "mobile shadowDB", mobile.shadowDB, nn)
+			assertOneBackingArray(t, "mobile shadowDB", mobile.gains.shadowDB, nn)
 			assertSameGains(t, static, mobile)
 
 			brute := 0.0
-			for i := range mobile.shadowDB {
+			for i := range mobile.gains.shadowDB {
 				for j := i + 1; j < nn; j++ {
-					if sh := mobile.shadowDB[i][j]; sh < brute {
+					if sh := mobile.gains.shadowDB[i][j]; sh < brute {
 						brute = sh
 					}
 				}
@@ -93,26 +93,26 @@ func TestGainStateOracle(t *testing.T) {
 				t.Fatalf("shadowed floor drew no negative shadowing (min %v)", brute)
 			}
 			for name, n := range map[string]*Network{"static": static, "mobile": mobile} {
-				if got := n.minShadowDB(); math.Float64bits(got) != math.Float64bits(brute) {
-					t.Fatalf("%s minShadowDB = %v, brute-force minimum %v", name, got, brute)
+				if got := n.gains.shadowMin; math.Float64bits(got) != math.Float64bits(brute) {
+					t.Fatalf("%s shadowMin = %v, brute-force minimum %v", name, got, brute)
 				}
 			}
 
 			var want int64
-			for d := 0; d < tc.domains; d++ {
-				k := int64(static.gainBounds[d+1] - static.gainBounds[d])
+			for d := range tc.domains {
+				k := int64(len(static.gains.domain(d)))
 				want += k*k*8 + k*24
 			}
-			if got := static.gainBytes(); got != want {
-				t.Fatalf("static gainBytes = %d, want the domains' rows = %d", got, want)
+			if got := static.gains.bytes(); got != want {
+				t.Fatalf("static gain bytes = %d, want the domains' rows = %d", got, want)
 			}
 			perMatrix := int64(nn*nn*8 + nn*24)
-			if got := mobile.gainBytes(); got != 2*perMatrix {
-				t.Fatalf("mobile gainBytes = %d, want the gain and shadowing matrices = %d", got, 2*perMatrix)
+			if got := mobile.gains.bytes(); got != 2*perMatrix {
+				t.Fatalf("mobile gain bytes = %d, want the gain and shadowing matrices = %d", got, 2*perMatrix)
 			}
 
 			want2 := gainMatrix(mobile)
-			mobile.refreshGains(mobile.nodes)
+			mobile.gains.refresh(mobile.nodes)
 			assertBitIdentical(t, "refreshed gains", want2, gainMatrix(mobile))
 			if d := asymmetricGain(mobile); d != "" {
 				t.Fatalf("refreshed gains: %s", d)
@@ -122,11 +122,9 @@ func TestGainStateOracle(t *testing.T) {
 	if got := SingleLink(DefaultConfig(), 10, 500)(1).Run(1e4).GainBytes; got != 2*2*8+2*24 {
 		t.Fatalf("Result.GainBytes = %d for a 2-node static run, want %d", got, 2*2*8+2*24)
 	}
-	if a := testing.AllocsPerRun(5, func() { newGainMatrix(300) }); a != 2 {
-		t.Fatalf("newGainMatrix made %v allocations, want 2 (backing array + row headers)", a)
-	}
 
-	// The two large floors, laid out only (gainBytes reads the layout):
+	// The two large floors, laid out only (the byte count reads the
+	// layout):
 	// the one-channel E27 floor is one 4,100-node domain, and the
 	// 8-channel city floor is 8 domains of 512 nodes.
 	cfg := DefaultConfig()
@@ -140,12 +138,12 @@ func TestGainStateOracle(t *testing.T) {
 		{"e27", LargeFloor(cfg, 100, 40, 10, 1)(1), 1, 134_578_400},
 		{"city", LargeFloor(cfg, 1024, 3, 32, 1, 6, 11, 36, 40, 44, 48, 52)(1), 8, 16_875_520},
 	} {
-		fl.n.gainDomains()
-		if got := len(fl.n.gainBounds) - 1; got != fl.domains {
+		fl.n.gains.layout()
+		if got := fl.n.gains.domains(); got != fl.domains {
 			t.Fatalf("%s floor has %d gain domains, want %d", fl.name, got, fl.domains)
 		}
-		if got := fl.n.gainBytes(); got != fl.bytes {
-			t.Fatalf("%s floor gainBytes = %d, want %d", fl.name, got, fl.bytes)
+		if got := fl.n.gains.bytes(); got != fl.bytes {
+			t.Fatalf("%s floor gain bytes = %d, want %d", fl.name, got, fl.bytes)
 		}
 	}
 }
@@ -224,8 +222,8 @@ func assertOneBackingArray(t *testing.T, name string, m [][]float64, nn int) {
 // gainDomainOf returns each node's gain domain index, by node id.
 func gainDomainOf(n *Network) []int {
 	dom := make([]int, len(n.nodes))
-	for d := 0; d+1 < len(n.gainBounds); d++ {
-		for _, nd := range n.gainMembers[n.gainBounds[d]:n.gainBounds[d+1]] {
+	for d := range n.gains.domains() {
+		for _, nd := range n.gains.domain(d) {
 			dom[nd.id] = d
 		}
 	}
@@ -238,13 +236,11 @@ func gainDomainOf(n *Network) []int {
 // channel, or its bonded component) in one domain.
 func assertGainLayout(t *testing.T, n *Network) {
 	t.Helper()
-	b := n.gainBounds
-	if b[0] != 0 || b[len(b)-1] != len(n.nodes) || len(n.gainMembers) != len(n.nodes) {
-		t.Fatalf("gain bounds %v over %d members for %d nodes", b, len(n.gainMembers), len(n.nodes))
-	}
 	seen := make([]bool, len(n.nodes))
-	for d := 0; d+1 < len(b); d++ {
-		dom := n.gainMembers[b[d]:b[d+1]]
+	members := 0
+	for d := range n.gains.domains() {
+		dom := n.gains.domain(d)
+		members += len(dom)
 		for i, nd := range dom {
 			if seen[nd.id] {
 				t.Fatalf("node %d listed twice", nd.id)
@@ -257,6 +253,9 @@ func assertGainLayout(t *testing.T, n *Network) {
 				t.Fatalf("node %d row has len %d cap %d, want its domain's %d", nd.id, len(nd.gain), cap(nd.gain), len(dom))
 			}
 		}
+	}
+	if members != len(n.nodes) {
+		t.Fatalf("gain domains list %d members for %d nodes", members, len(n.nodes))
 	}
 	key := func(nd *Node) int {
 		if n.bonded {
@@ -342,7 +341,7 @@ const halfSlotDB = -3.0102999566398121
 // it against a threshold New converts to mW once. The two rules can round apart only at an exact
 // tie, and this test proves that no verdict moves. For every floor — each
 // equivalence row and seed, each compat preset and the E27 floor — it
-// recomputes each pair's received power p in dBm as fillGains does,
+// recomputes each pair's received power p in dBm as the fill does,
 // taking the shadowing draws from a twin built with mobility (which
 // keeps them; TestGainStateOracle proves both builds bit-identical),
 // and asserts for every pair in one gain domain (the pairs a run can
@@ -369,7 +368,7 @@ func TestMilliwattRulesMatchDecibelRules(t *testing.T) {
 		twin := fl.build()
 		twin.cfg.RoamIntervalUs = 1e5
 		twin.build()
-		shadow := twin.shadowDB
+		shadow := twin.gains.shadowDB
 		twin = nil // the E27 twin holds 269 MB; free it before the next build
 		n := fl.build()
 		n.build()
@@ -489,16 +488,16 @@ func mismatchedRules(n *Network, shadow [][]float64) string {
 
 // TestMobileRefreshMatchesRecompute pins the roam tick's gain refresh,
 // which moves every node first and then recomputes each readable pair
-// with a moved node once (Network.readable), plus the row of each
+// with a moved node once (gainState.readable), plus the row of each
 // station that then changes medium (refreshRow), against a recompute
 // of every readable cell from the final positions and the shadowing
 // draws. It runs every mobile equivalence row on every seed, and a
-// 272-node floor of walkers above refreshGains' 256-node cutover, whose
+// 272-node floor of walkers above the refresh's 256-node cutover, whose
 // striped workers the race detector then covers. Each run also holds
 // Result.GainRefreshPairs to its closed form: per tick, the readable
 // pairs with a moved node, then the row of each roam that changed
 // medium (runCountingPairs). The runs poison every skipped cell with
-// NaN (Config.poisonSkippedGains), and after each tick both cells of
+// NaN (the poisonSkippedGains oracle), and after each tick both cells of
 // every pair must hold the same bits (asymmetricGain): the interference
 // crossing reads a pair from either side.
 func TestMobileRefreshMatchesRecompute(t *testing.T) {
@@ -523,11 +522,10 @@ func TestMobileRefreshMatchesRecompute(t *testing.T) {
 	rows = append(rows, row{"walker-floor-272", 1e6, walkerFloor})
 	var rowCells, offAirTicks int
 	for _, r := range rows {
-		n := r.build(1)
+		n := withOracles(r.build(1), oracles{poisonSkippedGains: true})
 		if r.name == "walker-floor-272" && len(n.nodes) < 256 {
 			t.Fatalf("%s has %d nodes, below the striped refresh's cutover", r.name, len(n.nodes))
 		}
-		n.cfg.poisonSkippedGains = true
 		c := runCountingPairs(n, r.durationUs)
 		if c.asym != "" {
 			t.Errorf("%s: %s", r.name, c.asym)
@@ -559,33 +557,30 @@ func TestMobileRefreshMatchesRecompute(t *testing.T) {
 	// goroutine and allocates nothing.
 	n := rows[2*equivSeeds-1].build(1)
 	n.build()
-	if a := testing.AllocsPerRun(5, func() { n.refreshGains(n.nodes) }); a != 0 {
-		t.Fatalf("refreshGains on %d nodes made %v allocations, want 0", len(n.nodes), a)
+	if a := testing.AllocsPerRun(5, func() { n.gains.refresh(n.nodes) }); a != 0 {
+		t.Fatalf("a gain refresh on %d nodes made %v allocations, want 0", len(n.nodes), a)
 	}
 }
 
 // TestReadableRefreshMatchesFullRefresh pins the readable-pair refresh
-// against the full one it replaces (Config.fullGainRefresh: every pair
+// against the full one it replaces (the fullGainRefresh oracle: every pair
 // with a moved node, no row recompute on a change of medium). On every
 // equivalence row and seed, every compat preset and the walker floor,
 // the run with every skipped cell poisoned with NaN
-// (Config.poisonSkippedGains) must be bit-identical to the oracle's, and
+// (poisonSkippedGains) must be bit-identical to the oracle's, and
 // under mobility it carries the invariant probe, which fails on any NaN
 // gain read. Static builds never refresh, so their rows hold trivially;
 // the mobile ones are the roaming rows, two of which change medium.
 // roaming-short-tick, whose ticks fall while frames are on the air to
 // roamed-off receivers, runs shortTickSeeds seeds: the refresh's
-// in-flight branches (Network.offAir, refreshRow's off-medium
+// in-flight branches (gainState.offAir, refreshRow's off-medium
 // receivers) are hit on few of them.
 func TestReadableRefreshMatchesFullRefresh(t *testing.T) {
 	check := func(t *testing.T, label string, build func() *Network, durationUs float64) {
 		t.Helper()
 		mk := func(full bool) func() *Network {
 			return func() *Network {
-				n := build()
-				n.cfg.fullGainRefresh = full
-				n.cfg.poisonSkippedGains = !full
-				return n
+				return withOracles(build(), oracles{fullGainRefresh: full, poisonSkippedGains: !full})
 			}
 		}
 		n := mk(false)()
@@ -647,10 +642,10 @@ func TestWorkerCapBoundsGainPasses(t *testing.T) {
 	wantAfter := gainMatrix(def)
 	for _, c := range []struct{ cap, stripes int }{{1, 1}, {3, 3}} {
 		n := build(c.cap)
-		if got := n.stripeWorkers(len(n.gainMembers)); got != c.stripes {
+		if got := n.gains.stripes(len(n.nodes)); got != c.stripes {
 			t.Fatalf("cap %d: the fill runs on %d stripes, want %d", c.cap, got, c.stripes)
 		}
-		if got := len(n.refreshCells); got != c.stripes {
+		if got := len(n.gains.cells); got != c.stripes {
 			t.Fatalf("cap %d: %d refresh scratch lists, want %d", c.cap, got, c.stripes)
 		}
 		assertBitIdentical(t, fmt.Sprintf("cap %d gain after build", c.cap), wantBuild, gainMatrix(n))
@@ -661,13 +656,13 @@ func TestWorkerCapBoundsGainPasses(t *testing.T) {
 		if c.cap != 1 {
 			continue
 		}
-		if a := testing.AllocsPerRun(3, func() { n.refreshGains(n.nodes) }); a != 0 {
-			t.Fatalf("cap 1: refreshGains on %d nodes made %v allocations, want 0", len(n.nodes), a)
+		if a := testing.AllocsPerRun(3, func() { n.gains.refresh(n.nodes) }); a != 0 {
+			t.Fatalf("cap 1: the gain refresh on %d nodes made %v allocations, want 0", len(n.nodes), a)
 		}
 		// A second fill would read the received powers as shadowing
 		// draws, so this runs last, on gains no check reads again.
-		if a := testing.AllocsPerRun(1, n.fillGains); a != 0 {
-			t.Fatalf("cap 1: fillGains on %d nodes made %v allocations, want 0", len(n.nodes), a)
+		if a := testing.AllocsPerRun(1, n.gains.fill); a != 0 {
+			t.Fatalf("cap 1: the gain fill on %d nodes made %v allocations, want 0", len(n.nodes), a)
 		}
 	}
 }
@@ -840,7 +835,7 @@ func staleGain(n *Network) string {
 			if i == j || !readableOn(a, o, med, off) {
 				continue
 			}
-			loss := n.cfg.PathLoss.LossDB(dist(a, o)) + n.shadowDB[i][j]
+			loss := n.cfg.PathLoss.LossDB(dist(a, o)) + n.gains.shadowDB[i][j]
 			want := mwFromDBm(b.TxPowerDBm + b.TxAntennaGain + b.RxAntennaGain - loss)
 			if got := a.gain[o.gi]; math.Float64bits(got) != math.Float64bits(want) {
 				return fmt.Sprintf("gain %d→%d holds %v, the final positions give %v", i, j, got, want)

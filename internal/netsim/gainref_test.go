@@ -38,7 +38,7 @@ func refGainMw(cfg Config, a, o *Node, shadowDB float64) float64 {
 // (shadowing off, so each parked draw is 0). The walker floor (272
 // nodes, 4 dB shadowing, mobile) is checked after its build and after
 // every roam tick, with every skipped cell poisoned with NaN
-// (Config.poisonSkippedGains): a cell with a node that moved since it
+// (the poisonSkippedGains oracle): a cell with a node that moved since it
 // was written is either rewritten at the node's new position or NaN,
 // so every cell that is not NaN must equal the reference at the
 // current positions and the retained draws.
@@ -56,12 +56,12 @@ func TestGainCellsMatchReference(t *testing.T) {
 		t.Run(fl.name, func(t *testing.T) {
 			n := fl.build(1)
 			n.build()
-			if got := len(n.gainBounds) - 1; got != fl.domains {
+			if got := n.gains.domains(); got != fl.domains {
 				t.Fatalf("%d gain domains, want %d", got, fl.domains)
 			}
 			cells := 0
-			for d := 0; d+1 < len(n.gainBounds); d++ {
-				dom := n.gainMembers[n.gainBounds[d]:n.gainBounds[d+1]]
+			for d := range n.gains.domains() {
+				dom := n.gains.domain(d)
 				for _, a := range dom {
 					for _, o := range dom {
 						if o == a {
@@ -79,8 +79,7 @@ func TestGainCellsMatchReference(t *testing.T) {
 		})
 	}
 	t.Run("walker-floor-272", func(t *testing.T) {
-		n := walkerFloor(1)
-		n.cfg.poisonSkippedGains = true
+		n := withOracles(walkerFloor(1), oracles{poisonSkippedGains: true})
 		n.Prepare()
 		check := func(when string) (live int) {
 			for _, a := range n.nodes {
@@ -89,7 +88,7 @@ func TestGainCellsMatchReference(t *testing.T) {
 					if o == a || math.IsNaN(got) {
 						continue
 					}
-					if want := refGainMw(n.cfg, a, o, n.shadowDB[a.id][o.id]); math.Float64bits(got) != math.Float64bits(want) {
+					if want := refGainMw(n.cfg, a, o, n.gains.shadowDB[a.id][o.id]); math.Float64bits(got) != math.Float64bits(want) {
 						t.Fatalf("%s: gain %d→%d holds %v (%#x), the reference gives %v (%#x)",
 							when, a.id, o.id, got, math.Float64bits(got), want, math.Float64bits(want))
 					}

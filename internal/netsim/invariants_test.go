@@ -28,8 +28,8 @@ import (
 // sender and receiver share a gain domain, and so does every other
 // sender on its medium, whose power crosses into its receiver. And it
 // fails on any NaN gain a frame start or a reassociation reads, or any
-// NaN SINR a frame is judged at: under Config.poisonSkippedGains the
-// roam tick writes NaN into every cell it skips (Network.readable), so
+// NaN SINR a frame is judged at: under the poisonSkippedGains oracle the
+// roam tick writes NaN into every cell it skips (gainState.readable), so
 // a NaN read is a read of a cell the tick left stale (nanRead,
 // nanRoam).
 //

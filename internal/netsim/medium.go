@@ -32,7 +32,7 @@ type medium struct {
 	// (Node.ord): the brute-force scans walk it, so start keeps one
 	// carrier-sense loop and one NAV loop over gain indices whether or
 	// not the grid serves the candidates. members is the gain domain's
-	// member slice (Network.domainMembers), which every node of the
+	// member slice (gainState.domainOf), which every node of the
 	// medium shares: members[gi] is the node with gain index gi, so a
 	// scan resolves a candidate to its Node only once its power passes
 	// the threshold.
@@ -45,8 +45,8 @@ type medium struct {
 	bonded bool
 
 	// grid is the spatial index over node positions (spatial.go); nil
-	// when Config.disableSpatialIndex keeps the brute-force scan as the
-	// test oracle. nextOrd numbers membership so indexed candidate sets
+	// when the disableSpatialIndex oracle keeps the brute-force scan to
+	// test against. nextOrd numbers membership so indexed candidate sets
 	// can be replayed in exactly the brute-force iteration order. bufs
 	// is a free stack of sensed lists — a stack, not a single slice,
 	// because start can re-enter itself through a carrier-sense pause
@@ -227,7 +227,7 @@ func (t *transmission) subInterference(mw float64) {
 // in the spatial index.
 func (m *medium) addNode(nd *Node) {
 	if m.members == nil {
-		m.members = m.net.domainMembers(nd)
+		m.members = m.net.gains.domainOf(nd)
 	}
 	if nd.gi >= len(m.members) || m.members[nd.gi] != nd {
 		panic("netsim: a medium's members must share one gain domain")

@@ -156,40 +156,6 @@ type Config struct {
 	// bit-identical to an unsampled one. 0 disables sampling.
 	SampleIntervalUs float64
 
-	// disableSpatialIndex switches medium.start back to the brute-force
-	// O(nodes) scan for carrier sense and NAV adoption instead of the
-	// spatial grid index (spatial.go). The two paths are bit-for-bit
-	// equivalent — the index returns a superset of candidates in
-	// membership order and the exact power predicate re-filters it — so
-	// this exists purely as the test oracle the equivalence suite and
-	// the E27 scale benchmark compare against; only in-package tests
-	// set it.
-	disableSpatialIndex bool
-
-	// eagerCarrierSense puts every node under carrier-sense bookkeeping
-	// at Prepare and never retires one, replacing the lazy join/leave of
-	// csTracked with what it must be equivalent to. Like
-	// disableSpatialIndex it is a test oracle that only in-package tests
-	// set.
-	eagerCarrierSense bool
-
-	// oneGainDomain builds the gain state as one domain over every node,
-	// the mobile layout, even on a static build: the oracle the
-	// per-channel gain domains (Network.gainMembers) must be
-	// bit-identical to. Like disableSpatialIndex it is a test oracle
-	// that only in-package tests set.
-	oneGainDomain bool
-
-	// fullGainRefresh makes a roam tick recompute every pair with a
-	// moved node, readable or not (Network.readable), and a station
-	// that changes medium skip its row recompute (refreshRow): the
-	// refresh the readable-pair rule must be bit-identical to.
-	// poisonSkippedGains writes NaN into every cell the rule skips, so
-	// that any read of one shows. Test oracles, like
-	// disableSpatialIndex.
-	fullGainRefresh    bool
-	poisonSkippedGains bool
-
 	// Shards requests execution on up to this many parallel partitions
 	// (shard.go): Prepare splits the BSSs into causally independent
 	// interaction groups, gives each group its own engine and RNG
@@ -387,9 +353,9 @@ type Node struct {
 	med  *medium
 
 	// gain is the node's row of its gain domain's received-power matrix
-	// (Network.gainMembers): gain[o.gi] is the power, in milliwatts, at
-	// node o when this node transmits, for every o in the same domain.
-	// gi is the node's index in its domain.
+	// (gainState): gain[o.gi] is the power, in milliwatts, at node o
+	// when this node transmits, for every o in the same domain. gi is
+	// the node's index in its domain.
 	gain []float64
 	gi   int
 
@@ -493,6 +459,29 @@ func (p *packet) dest(carrier *Node) *Node {
 	return carrier.bss.AP
 }
 
+// oracles are the brute-force stand-ins the equivalence suites hold the
+// production paths against, each bit-identical to production by
+// contract. They are test switches, not configuration: only the
+// in-package tests set them (withOracles), before the build.
+//
+//   - disableSpatialIndex: carrier sense and NAV adoption scan every
+//     member of the medium instead of the spatial grid's candidates
+//     (spatial.go), a superset the exact power predicate re-filters.
+//   - eagerCarrierSense: every node is under carrier-sense bookkeeping
+//     from Prepare on and never leaves it, in place of the lazy
+//     join/leave of csTracked.
+//   - oneGainDomain: a static build lays its gains out as one domain
+//     over every node, the mobile layout (gainState).
+//   - fullGainRefresh: a roam tick recomputes every pair with a moved
+//     node, readable or not, and a station that changes medium skips
+//     its row recompute (gainState.refresh, refreshRow).
+//   - poisonSkippedGains: the tick writes NaN into every cell the
+//     readable-pair rule skips, so that any read of one shows.
+type oracles struct {
+	disableSpatialIndex, eagerCarrierSense, oneGainDomain bool
+	fullGainRefresh, poisonSkippedGains                   bool
+}
+
 // Network is one simulated deployment. Build it with AddAP / AddStation
 // / Add(FlowSpec), then call Run exactly once. A Network must be driven
 // from a single goroutine; for parallelism build one Network per
@@ -527,63 +516,15 @@ type Network struct {
 	edca   EdcaParams
 	edcaOn bool
 
-	// The gain state is split into gain domains: sets of nodes whose
-	// pairwise received powers a run can read. A static build makes one
-	// domain per channel (per bonded component, keyed by chanRoot) and
-	// merges the domains a flow connects, as the shard planner does: a
-	// station pinned to an AP on another channel sends to a receiver
-	// off its medium, so its rate choice and every concurrent sender's
-	// interference at that AP read gains between the channels (a
-	// STA→STA relay's second hop is sent by the destination's own AP
-	// and reads none; merging it too keeps the rule one line). Carrier
-	// sense, NAV decode and the interference crossing otherwise stay
-	// inside one medium, so no static run reads a gain between
-	// domains. A build with mobility (Config.RoamIntervalUs > 0) is one
-	// domain: the roam scan compares every AP at every station, and a
-	// roamer may change channel.
-	//
-	// gainMembers lists every node, domain by domain and in id order
-	// within a domain; domain d is gainMembers[gainBounds[d]:
-	// gainBounds[d+1]], and a node's index in it is Node.gi. Each node
-	// holds its own row (Node.gain), so every per-frame decision reads
-	// a pair's power in linear units from a node's own row: carrier
-	// sense, the OBSS-PD window and NAV decode (hears, start) read the
-	// sender's, tx.gain[rx.gi], and compare against thresholds New
-	// converts to mW once, so no frame pays a dB↔mW conversion. The
-	// interference crossing in medium.start/finish sums powers for
-	// every concurrent pair from the rows of the new frame's sender and
-	// receiver; the receiver's cell of a pair stands in for the other
-	// sender's, which every write keeps bit-identical. The dBm figure
-	// is a readback (rxPowerDBm) for the two callers off the frame
-	// path, the roam scan and the memoized rate choice. The rows are capacity-capped
-	// views into backing arrays of at most gainBlockBytes (gainRows).
-	//
-	// shadowDB[i][j] is the symmetric per-pair shadowing draw baked into
-	// the gains. Only refreshGains and refreshRow read it after build,
-	// and only a move calls them, so it is kept only when
-	// Config.RoamIntervalUs is positive; a static build leaves it nil.
-	// shadowMin is the most negative draw over every pair, same-domain
-	// or not (0 when there is none), the widening minShadowDB reports
-	// to the index and shard-planning radii.
-	gainMembers []*Node
-	gainBounds  []int
-	shadowDB    [][]float64
-	shadowMin   float64
+	// gains is the pairwise received-power state (gain.go): the gain
+	// domains, their rows, and what a build with mobility keeps to
+	// refresh them.
+	gains gainState
 
-	// movers is the roam scan's reused list of the nodes a tick moved,
-	// in id order (allocated at build, with capacity for every node,
-	// when the build has mobility). offAir is the tick's reused list of
-	// the receivers that roamed off the medium of a frame still on the
-	// air to them (refreshGains). refreshCells holds each refresh
-	// worker's scratch list of the cells a mover's row recomputes
-	// (refreshStripe; refreshRow uses the first), each with room for
-	// every node and allocated at a build with mobility, so a tick
-	// allocates nothing. gainRefreshPairs counts the pairs refreshGains
-	// and refreshRow have recomputed (Result.GainRefreshPairs).
-	movers           []*Node
-	offAir           []airRx
-	refreshCells     [][]gainCell
-	gainRefreshPairs int
+	// oracle holds the test-only switches (oracles) the equivalence
+	// suites run production against; a production Network leaves them
+	// all off.
+	oracle oracles
 
 	noiseFloorDBm float64
 	noiseFloorMw  float64
@@ -669,6 +610,7 @@ func New(cfg Config, seed int64) *Network {
 	cfg.Validate()
 	n := &Network{cfg: cfg, src: rng.New(seed), noiseFloorDBm: cfg.Budget.NoiseFloorDBm()}
 	n.noiseFloorMw = mwFromDBm(n.noiseFloorDBm)
+	n.gains.n = n
 	n.edcaOn = cfg.Edca != nil
 	if n.edcaOn {
 		n.edca = *cfg.Edca
@@ -851,44 +793,7 @@ func (n *Network) build() {
 	if n.bonded {
 		n.chanRoot = bondedComponents(n.bss)
 	}
-	domOf := n.gainDomains()
-	gainRows(n.gainBounds, func(r int, row []float64) { n.gainMembers[r].gain = row })
-	nn := len(n.nodes)
-	mobile := n.cfg.RoamIntervalUs > 0
-	if mobile {
-		n.shadowDB = newGainMatrix(nn)
-		n.movers = make([]*Node, 0, nn)
-		workers := n.stripeWorkers(nn)
-		back := make([]gainCell, workers*nn)
-		n.refreshCells = make([][]gainCell, workers)
-		for w := range n.refreshCells {
-			n.refreshCells[w] = back[w*nn : w*nn : (w+1)*nn]
-		}
-	}
-	// One draw per unordered pair, row-major over the upper triangle,
-	// whether or not the pair shares a domain: the RNG stream and
-	// shadowMin do not depend on the domain layout. A same-domain draw
-	// is parked in the upper cell (ids ascend with gi inside a domain)
-	// until fillGains folds it into the received power; without
-	// shadowing every draw is 0, which the zeroed rows already hold.
-	if sd := n.cfg.PathLoss.ShadowDB; sd > 0 {
-		for i, a := range n.nodes {
-			da := domOf[a.bss.idx]
-			for j := i + 1; j < nn; j++ {
-				sh := n.src.Gaussian(0, sd)
-				if sh < n.shadowMin {
-					n.shadowMin = sh
-				}
-				if b := n.nodes[j]; domOf[b.bss.idx] == da {
-					a.gain[b.gi] = sh
-				}
-				if mobile {
-					n.shadowDB[i][j], n.shadowDB[j][i] = sh, sh
-				}
-			}
-		}
-	}
-	n.fillGains()
+	n.gains.build()
 	// Index query radii depend on the shadowing draws just baked into
 	// the gains: media size their grids from csRangeM, and the shard
 	// planner's interaction radius builds on both.
@@ -913,88 +818,6 @@ func (n *Network) build() {
 	}
 	n.bssBytes = make([]int, len(n.bss))
 	n.built = true
-}
-
-// gainDomains partitions the nodes into gain domains (see
-// Network.gainMembers): union-find over BSS indices, merging BSSs on
-// one channel key (the channel, or its chanRoot when bonded) and BSSs a
-// flow connects, or one domain holding everything under mobility and
-// under the Config.oneGainDomain oracle. It sets gainMembers,
-// gainBounds and every Node.gi, and returns each BSS's domain index,
-// which build needs only while it draws the shadowing. Domains are
-// numbered in the order of their smallest BSS index. No maps, and four
-// slices however many domains there are (two under mobility): builds
-// are frequent in the experiments, and CI gates their allocs/op.
-func (n *Network) gainDomains() (domOf []int) {
-	nb, nn := len(n.bss), len(n.nodes)
-	domOf = make([]int, nb)
-	if n.cfg.RoamIntervalUs > 0 || n.cfg.oneGainDomain {
-		// n.nodes is final once built, and already in id order.
-		n.gainMembers = n.nodes
-		n.gainBounds = []int{0, nn}
-		for i, nd := range n.nodes {
-			nd.gi = i
-		}
-		return domOf
-	}
-	key := func(b *BSS) int {
-		if n.bonded {
-			return n.chanRoot[b.Channel]
-		}
-		return b.Channel
-	}
-	// Merge each BSS into the first BSS on its channel key: until the
-	// flows are merged below, every set's root is its key's first BSS.
-	uf := newUnionFind(make([]int, nb))
-	for i, b := range n.bss {
-		k := key(b)
-		for j := range i {
-			if uf[j] == j && key(n.bss[j]) == k {
-				uf.union(j, i)
-				break
-			}
-		}
-	}
-	for _, f := range n.flows {
-		if f.To != nil {
-			uf.union(f.From.bss.idx, f.To.bss.idx)
-		}
-	}
-	// Number the domains by root (a root is its set's smallest index,
-	// so it is numbered before its members).
-	domains := 0
-	for i := range n.bss {
-		if r := uf.find(i); r == i {
-			domOf[i] = domains
-			domains++
-		} else {
-			domOf[i] = domOf[r]
-		}
-	}
-	// Counting sort, nodes in id order: bounds[d+1] counts domain d's
-	// nodes, then holds its start and serves as its cursor, which leaves
-	// it at the domain's end.
-	bounds := make([]int, domains+1)
-	for _, nd := range n.nodes {
-		bounds[domOf[nd.bss.idx]+1]++
-	}
-	start := 0
-	for d := range domains {
-		bounds[d+1], start = start, start+bounds[d+1]
-	}
-	n.gainMembers = make([]*Node, nn)
-	for _, nd := range n.nodes {
-		d := domOf[nd.bss.idx]
-		n.gainMembers[bounds[d+1]] = nd
-		bounds[d+1]++
-	}
-	for d := range domains {
-		for r := bounds[d]; r < bounds[d+1]; r++ {
-			n.gainMembers[r].gi = r - bounds[d]
-		}
-	}
-	n.gainBounds = bounds
-	return domOf
 }
 
 // bondedComponents groups the deployment's primary channels into
@@ -1028,353 +851,6 @@ func bondedComponents(bss []*BSS) map[int]int {
 		}
 	}
 	return root
-}
-
-// fillGains computes every domain's received powers: each unordered
-// same-domain pair exactly once, with the flat member rows striped
-// across stripeWorkers goroutines (sim.Parallel, one stripe each) —
-// the O(k²) transcendental bill per domain (path-loss log, dB→mW
-// exponential) dominates setup on 1000+ node floors, and the per-pair
-// math is pure, so the fan-out is bit-for-bit deterministic. build
-// has already parked each pair's shadowing draw (in dB) in the upper
-// cell a.gain[b.gi] (a's id below b's), so no randomness crosses a
-// goroutine boundary. The fill overwrites that cell in place with the
-// received power in mW: row a's stripe is the only one that reads or
-// writes a's upper part, and the lower cells b.gain[a.gi] it mirrors
-// into are never read during the fill, so the stripes share no cell.
-// Every cell holds the bits a single n×n matrix would hold for the
-// pair.
-func (n *Network) fillGains() {
-	step := n.stripeWorkers(len(n.gainMembers))
-	if step < 2 {
-		n.fillStripe(0, 1) // inline: a one-stripe fill allocates nothing
-		return
-	}
-	sim.Parallel(step, step, func(w int) { n.fillStripe(w, step) })
-}
-
-// stripeWorkers is how many stripes, one goroutine each, a gain pass
-// striped over parts (fillGains' member rows, refreshGains' movers)
-// runs on: the Network's worker cap (SetWorkers; GOMAXPROCS by
-// default), at most 8 and at most one per part, or 1 below 256 nodes,
-// where the pass is too small to pay for the fan-out. A pass run on
-// one stripe allocates nothing.
-func (n *Network) stripeWorkers(parts int) int {
-	if len(n.nodes) < 256 {
-		return 1
-	}
-	return min(sim.Workers(parts, n.workers), 8)
-}
-
-// fillStripe is one fillGains worker: it fills the flat member rows
-// r ≡ w (mod step). Row r's domain starts gi places before it, so the
-// row's cells above the diagonal pair it with the members after it.
-// Each row runs in two passes: every cell's loss, written over its
-// parked draw, then every cell's received power and its mirror cell.
-func (n *Network) fillStripe(w, step int) {
-	pg := n.newPairGain()
-	for r := w; r < len(n.gainMembers); r += step {
-		a := n.gainMembers[r]
-		i := a.gi
-		others := n.gainMembers[r+1 : r-i+len(a.gain)]
-		cells := a.gain[i+1:]
-		cells = cells[:len(others)] // the same length, stated for bounds-check elimination
-		for j, o := range others {
-			cells[j] = pg.lossDB(a, o, cells[j])
-		}
-		for j, o := range others {
-			mw := pg.mw(cells[j])
-			cells[j], o.gain[i] = mw, mw
-		}
-	}
-}
-
-// pairGain computes one pair's received power in two steps, the one
-// formula fillStripe, refreshStripe and refreshRow share, so a cell
-// holds the same bits whichever wrote it: lossDB, the path loss plus
-// the pair's shadowing draw, then mw, the received power at that loss.
-// The gain passes take each step over a whole row before the next, so
-// the row's independent cells overlap in the pipeline rather than
-// waiting on one pair's chain of Hypot, Log10 and exp. budgetDBm is
-// TxPowerDBm + TxAntennaGain + RxAntennaGain, summed in that order.
-type pairGain struct {
-	curve     channel.LossCurve
-	budgetDBm float64
-}
-
-func (n *Network) newPairGain() pairGain {
-	b := n.cfg.Budget
-	return pairGain{n.cfg.PathLoss.Curve(), b.TxPowerDBm + b.TxAntennaGain + b.RxAntennaGain}
-}
-
-// lossDB is the loss in dB between a and o, given the pair's shadowing
-// draw in dB. Distance and path loss are symmetric, so the order of a
-// and o does not matter.
-func (g *pairGain) lossDB(a, o *Node, shadowDB float64) float64 {
-	return g.curve.LossDB(dist(a, o)) + shadowDB
-}
-
-// mw is the received power in mW at a loss of lossDB.
-func (g *pairGain) mw(lossDB float64) float64 {
-	return mwFromDBm(g.budgetDBm - lossDB)
-}
-
-// gainCell is one cell of a refresh pass: the other node of a's pair,
-// and the pair's shadowing draw, which the first pass overwrites with
-// the pair's loss (pairGain.setRow).
-type gainCell struct {
-	o  *Node
-	db float64
-}
-
-// setRow runs the two gain passes over a's pairs in cells: the loss of
-// each, then the received power, into both cells of the pair.
-func (g *pairGain) setRow(a *Node, cells []gainCell) {
-	for c := range cells {
-		cells[c].db = g.lossDB(a, cells[c].o, cells[c].db)
-	}
-	for _, c := range cells {
-		mw := g.mw(c.db)
-		a.gain[c.o.gi], c.o.gain[a.gi] = mw, mw
-	}
-}
-
-// refreshGains recomputes the gains a roam tick's moves changed that a
-// run can still read: every unordered pair with at least one node in
-// movers that readable admits, exactly once. It runs after the tick has
-// moved every node and before any station reassociates, so each pair
-// is computed at its final positions and judged on the media the nodes
-// held through the tick. A station that then changes medium recomputes
-// its row to the new one (refreshRow), so every cell a run can read
-// holds the bits a recompute of every pair would give it; the other
-// cells keep gains from older positions and are never read (under
-// Config.poisonSkippedGains they hold NaN). movers must be in id
-// order. It needs the shadowing matrix, which only a build with
-// mobility (Config.RoamIntervalUs > 0) keeps; that build is one gain
-// domain, so every node's gi is its id. A pair belongs to its lower-id
-// mover, and the movers are striped like fillGains' rows: a stripe
-// writes only the cells of the pairs its movers own, so no two
-// stripes share a cell, and the per-pair math is pure, so the fan-out
-// is bit-for-bit deterministic.
-func (n *Network) refreshGains(movers []*Node) {
-	if n.shadowDB == nil {
-		panic("netsim: refreshGains needs Config.RoamIntervalUs > 0 (a static build keeps no shadowing matrix to move a node with)")
-	}
-	if len(movers) == 0 {
-		return
-	}
-	for _, sh := range n.shards {
-		clear(sh.modeCache)
-	}
-	n.offAir = n.offAir[:0]
-	for _, m := range n.media {
-		for _, a := range m.active {
-			if a.rx.med != m {
-				n.offAir = append(n.offAir, airRx{a.rx, m})
-			}
-		}
-	}
-	step := min(n.stripeWorkers(len(movers)), len(n.refreshCells))
-	if step < 2 {
-		n.gainRefreshPairs += n.refreshStripe(movers, 0, 1) // inline: allocates nothing
-		return
-	}
-	var pairs [8]int
-	sim.Parallel(step, step, func(w int) { pairs[w] = n.refreshStripe(movers, w, step) })
-	for _, p := range pairs {
-		n.gainRefreshPairs += p
-	}
-}
-
-// airRx is a receiver that roamed off med while a frame on med's air
-// was still addressed to it: new frames on med cross interference into
-// that frame at the receiver (medium.start), so its gains to med's
-// nodes stay readable until the frame ends.
-type airRx struct {
-	rx  *Node
-	med *medium
-}
-
-// readable reports whether a run can read the gain between a and o
-// before the next roam tick, judged on the media the nodes hold while
-// refreshGains runs: carrier sense, NAV decode, the interference
-// crossing, the SINR judgment and the rate choice stay on one medium
-// (an AP's frame to a station that roamed away is judged lost, and its
-// retry goes to the station's new AP), and the roam scan reads every
-// station→AP cell. So a pair is readable when the two share a medium,
-// when one is an AP, or when one is an off-medium receiver of a frame
-// on the other's medium (Network.offAir).
-func (n *Network) readable(a, o *Node) bool {
-	if a.med == o.med || a.ap || o.ap || n.cfg.fullGainRefresh {
-		return true
-	}
-	for _, x := range n.offAir {
-		if x.rx == a && x.med == o.med || x.rx == o && x.med == a.med {
-			return true
-		}
-	}
-	return false
-}
-
-// refreshStripe is one refreshGains worker: it recomputes the readable
-// pairs owned by movers k ≡ w (mod step), a mover's at a time in the
-// two gain passes over the worker's scratch list (Network.refreshCells),
-// and returns how many it computed.
-func (n *Network) refreshStripe(movers []*Node, w, step int) (pairs int) {
-	pg := n.newPairGain()
-	for k := w; k < len(movers); k += step {
-		a := movers[k]
-		shadow := n.shadowDB[a.id]
-		cells := n.refreshCells[w][:0]
-		// movers[:k] are the movers below a in id order: each owns its
-		// pair with a, and the walk over n.nodes meets them in order.
-		lower := movers[:k]
-		for j, o := range n.nodes {
-			if o == a {
-				continue
-			}
-			if len(lower) > 0 && lower[0] == o {
-				lower = lower[1:]
-				continue
-			}
-			if !n.readable(a, o) {
-				if n.cfg.poisonSkippedGains {
-					a.gain[o.gi], o.gain[a.gi] = math.NaN(), math.NaN()
-				}
-				continue
-			}
-			cells = append(cells, gainCell{o, shadow[j]})
-		}
-		pg.setRow(a, cells)
-		pairs += len(cells)
-	}
-	return pairs
-}
-
-// refreshRow recomputes the gains of station nd, which reassociate has
-// just moved to another medium, to every node it can now read that
-// the tick's refresh may have skipped: the nodes of its new medium, and
-// the receivers that roamed off that medium while a frame on its air is
-// still addressed to them. Nothing has moved since the tick, so each
-// cell gets the bits refreshGains would have given it. It runs after
-// the tick's refresh has finished, on the first worker's scratch list.
-func (n *Network) refreshRow(nd *Node) {
-	if n.cfg.fullGainRefresh {
-		return
-	}
-	shadow := n.shadowDB[nd.id]
-	cells := n.refreshCells[0][:0]
-	m := nd.med
-	for _, c := range m.entries {
-		if o := m.members[c.gi]; o != nd {
-			cells = append(cells, gainCell{o, shadow[o.id]})
-		}
-	}
-	for i, a := range m.active {
-		if o := a.rx; o.med != m && !slices.ContainsFunc(m.active[:i], func(b *transmission) bool { return b.rx == o }) {
-			cells = append(cells, gainCell{o, shadow[o.id]})
-		}
-	}
-	pg := n.newPairGain()
-	pg.setRow(nd, cells)
-	n.gainRefreshPairs += len(cells)
-}
-
-// gainBlockBytes caps one backing array of gain rows.
-const gainBlockBytes = 4 << 20
-
-// gainRows allocates the rows of the gain domains whose bounds are
-// given (domain d is flat rows [bounds[d], bounds[d+1]), k rows of k
-// cells for a domain of k) and hands each, zeroed, to set. The rows are
-// capacity-capped views laid end to end into backing arrays of whole
-// rows, each at most gainBlockBytes and shared across domains: a few
-// allocations instead of one per row, and no per-row size-class
-// rounding (allocated alone, a 4,100-cell row of 32,800 B is just over
-// the largest small-object class and rounds up to 40,960 B). The block
-// cap matters when networks are built one after another in a process:
-// a single 134 MB array needs a contiguous free run that the previous
-// network's freed rows no longer provide once any small object lands
-// inside it, and then the heap grows by a whole matrix; 4 MB blocks
-// refill the freed runs. One domain of nn is the nn×nn matrix in
-// blocks of gainBlockBytes/(8·nn) rows.
-func gainRows(bounds []int, set func(r int, row []float64)) {
-	const blockCells = gainBlockBytes / 8
-	var back []float64
-	for d := 0; d+1 < len(bounds); d++ {
-		k := bounds[d+1] - bounds[d]
-		for r := bounds[d]; r < bounds[d+1]; r++ {
-			if len(back) < k {
-				// Size the next block: whole rows from r on while they
-				// fit, and at least one.
-				cells, rr := 0, r
-				for dd := d; dd+1 < len(bounds); dd++ {
-					kk := bounds[dd+1] - bounds[dd]
-					for ; rr < bounds[dd+1] && (cells == 0 || cells+kk <= blockCells); rr++ {
-						cells += kk
-					}
-					if rr < bounds[dd+1] {
-						break
-					}
-				}
-				back = make([]float64, cells)
-			}
-			set(r, back[:k:k])
-			back = back[k:]
-		}
-	}
-}
-
-// newGainMatrix allocates an nn×nn matrix through gainRows, as one
-// domain: the mobile build's shadowing draws, indexed by node id.
-func newGainMatrix(nn int) [][]float64 {
-	m := make([][]float64, nn)
-	gainRows([]int{0, nn}, func(r int, row []float64) { m[r] = row })
-	return m
-}
-
-// gainBytes is the heap the gain state holds after build: per domain
-// of k nodes, k² float64s plus k 24-byte row headers, and the nn×nn
-// shadowing matrix with its row headers when a mobile build keeps it.
-func (n *Network) gainBytes() int64 {
-	var total int64
-	for d := 0; d+1 < len(n.gainBounds); d++ {
-		k := int64(n.gainBounds[d+1] - n.gainBounds[d])
-		total += k*k*8 + k*24
-	}
-	if nn := int64(len(n.shadowDB)); nn > 0 {
-		total += nn*nn*8 + nn*24
-	}
-	return total
-}
-
-// rxPowerMw returns the received power, in milliwatts, at node rx when
-// tx transmits. The two must share a gain domain. Under mobility only
-// the cells Network.readable admits are kept current between roam
-// ticks: two nodes on one medium, a pair with an AP, and a receiver
-// that roamed off the medium of a frame still on the air to it, paired
-// with that medium's nodes. Any other cell may hold a gain from older
-// positions (NaN under Config.poisonSkippedGains).
-func (n *Network) rxPowerMw(tx, rx *Node) float64 { return tx.gain[rx.gi] }
-
-// domainMembers returns the member slice of nd's gain domain,
-// gainMembers[gainBounds[d]:gainBounds[d+1]], in which nd sits at
-// index gi. Under mobility that is every node (n.nodes). A medium keeps
-// it to resolve carrier-sense candidates (gain indices) to Nodes.
-func (n *Network) domainMembers(nd *Node) []*Node {
-	for d := 0; d+1 < len(n.gainBounds); d++ {
-		lo, hi := n.gainBounds[d], n.gainBounds[d+1]
-		if nd.gi < hi-lo && n.gainMembers[lo+nd.gi] == nd {
-			return n.gainMembers[lo:hi:hi]
-		}
-	}
-	panic("netsim: node " + nd.Name + " is in no gain domain")
-}
-
-// rxPowerDBm is the same figure in dBm, read back from the mW matrix
-// with a logarithm: for the roam scan and the memoized rate choice
-// only, never the per-frame path.
-func (n *Network) rxPowerDBm(tx, rx *Node) float64 {
-	return mathx.LinearToDB(n.rxPowerMw(tx, rx))
 }
 
 // linkSNRdB is the interference-free SNR of the tx→rx link.
@@ -1414,7 +890,7 @@ func (n *Network) Prepare() {
 	}
 	n.prepared = true
 	n.build()
-	if n.cfg.eagerCarrierSense {
+	if n.oracle.eagerCarrierSense {
 		for _, nd := range n.nodes {
 			nd.joinCS()
 		}
@@ -1472,11 +948,8 @@ func (n *Network) roamScan() {
 			}
 		}
 	}
-	// Move every node first, then refresh the gains once: nothing
-	// between two moves reads a gain (the grid reads positions only),
-	// so each moved pair is computed once, at its final positions.
+	// Move every node, then refresh the gains of those that moved.
 	dtS := n.cfg.RoamIntervalUs / 1e6
-	movers := n.movers[:0]
 	for _, nd := range n.nodes {
 		moved := false
 		if nd.wp != nil {
@@ -1487,14 +960,13 @@ func (n *Network) roamScan() {
 			moved = true
 		}
 		if moved {
-			movers = append(movers, nd)
+			n.gains.moved(nd)
 			if nd.med.grid != nil {
 				nd.med.grid.update(nd)
 			}
 		}
 	}
-	n.movers = movers
-	n.refreshGains(movers)
+	n.gains.refreshMoved()
 	for _, nd := range n.nodes {
 		if nd.ap || nd.transmitting {
 			// Never tear down an in-flight exchange; the station will
@@ -1562,7 +1034,7 @@ func (nd *Node) joinCS() {
 // will recompute on the next arrival. A frame that was on the air while
 // nodes moved keeps the node's verdict in its latent list.
 func (nd *Node) maybeLeaveCS() {
-	if !nd.csTracked || nd.transmitting || nd.net.cfg.eagerCarrierSense {
+	if !nd.csTracked || nd.transmitting || nd.net.oracle.eagerCarrierSense {
 		return
 	}
 	for ac := range nd.acq {
@@ -1606,7 +1078,7 @@ func (nd *Node) reassociate(b *BSS) {
 		nd.med = next
 		// The tick refreshed only the pairs readable on the old media:
 		// bring the row to the new one up to date before it is read.
-		nd.net.refreshRow(nd)
+		nd.net.gains.refreshRow(nd)
 	}
 	// Judge the new medium's frames at the moved gains. A tracked roamer
 	// defers now; an untracked one leaves its verdict in latent for
@@ -1845,26 +1317,20 @@ type Result struct {
 
 func (n *Network) collect(durationUs float64) Result {
 	res := Result{DurationUs: durationUs, Shards: len(n.lanes),
-		ModeAttempts: n.shards[0].modeAttempts, GainBytes: n.gainBytes(),
-		GainRefreshPairs: n.gainRefreshPairs}
+		ModeAttempts: n.shards[0].modeAttempts, GainBytes: n.gains.bytes(),
+		GainRefreshPairs: n.gains.refreshPairs}
 	if n.cfg.Aggregation != nil {
 		res.AmpduHist = n.shards[0].ampduHist
 	}
-	if len(n.shards) > 1 {
-		// Merge the per-shard histogram maps into fresh ones (the
-		// single-shard path above reuses shard 0's, exactly the map the
-		// pre-shard simulator returned).
-		res.ModeAttempts = make(map[string]int)
-		if n.cfg.Aggregation != nil {
-			res.AmpduHist = make(map[int]int)
+	// The histograms are shard 0's maps, with every other shard's
+	// merged in: Run collects once, so nothing reads shard 0's own
+	// counts after this.
+	for _, sh := range n.shards[1:] {
+		for k, v := range sh.modeAttempts {
+			res.ModeAttempts[k] += v
 		}
-		for _, sh := range n.shards {
-			for k, v := range sh.modeAttempts {
-				res.ModeAttempts[k] += v
-			}
-			for k, v := range sh.ampduHist {
-				res.AmpduHist[k] += v
-			}
+		for k, v := range sh.ampduHist {
+			res.AmpduHist[k] += v
 		}
 	}
 	var attempts, delivered, collisions, noiseLoss [NumACs]int

@@ -93,7 +93,7 @@ func TestRunnerCapBoundsBuild(t *testing.T) {
 		}, 1e5, 0, 2)
 		ScenarioRunner{Workers: c.workers, Parallelism: c.parallelism}.RunAll(jobs)
 		for _, n := range nets {
-			if got := len(n.refreshCells); got != c.stripes {
+			if got := len(n.gains.cells); got != c.stripes {
 				t.Errorf("Workers=%d Parallelism=%d: a job's build sized %d stripes, want %d",
 					c.workers, c.parallelism, got, c.stripes)
 			}

@@ -63,8 +63,9 @@ type shard struct {
 	media []*medium
 
 	// modeCache memoizes per-link rate selection within the shard; link
-	// SNR only changes when a node moves, which clears it (refreshGains;
-	// mobility forces single-shard, so the clear never races).
+	// SNR only changes when a node moves, which clears it
+	// (gainState.refresh; mobility forces single-shard, so the clear
+	// never races).
 	modeCache map[[2]int]linkmodel.Mode
 
 	// Run counters, mirrored from the pre-shard Network fields; collect
@@ -124,7 +125,7 @@ func (sh *shard) mediumFor(ch int) *medium {
 		}
 	}
 	m := &medium{net: n, sh: sh, channel: ch, bonded: n.bonded}
-	if !n.cfg.disableSpatialIndex {
+	if !n.oracle.disableSpatialIndex {
 		// Cell size = carrier-sense range: an energy-detect query visits
 		// at most the 3x3 block around the transmitter's cell. The range
 		// derives from unscaled received power, and bonding's overlap
@@ -218,7 +219,7 @@ func (n *Network) CheckFlowsCoSharded() error {
 
 // SetWorkers caps the goroutines every pass of the Network that fans
 // out may occupy: the gain fill and the roam-tick gain refresh (at
-// most 8 stripes, and one below 256 nodes; see stripeWorkers) and a
+// most 8 stripes, and one below 256 nodes; see gainState.stripes) and a
 // multi-shard Run (at most one per partition). 0 means GOMAXPROCS. Set it
 // before Prepare or Run, which build the gains. Worker count never
 // changes results — only wall-clock — so ScenarioRunner uses this to
@@ -245,11 +246,12 @@ func (n *Network) channelsCouple(ca, cb int) bool {
 // nodes cannot influence each other's MAC state: the max of
 // carrier-sense reach, NAV decode reach, and the farthest distance at
 // which a transmission still arrives above noise −
-// interferenceMarginDB. Like indexRanges, the budget folds in the
-// deployment's most favorable shadowing draw, so no lucky pair reaches
-// across a seam; bonding's fractional overlap only attenuates received
-// power, so the unscaled range stays conservative for partially
-// overlapping channels too. OBSS-PD spatial reuse needs no adjustment
+// interferenceMarginDB. Like indexRanges, it starts from
+// gainState.reachDBm, the budget widened by the deployment's most
+// favorable shadowing draw, so no lucky pair reaches across a seam;
+// bonding's fractional overlap only attenuates received power, so the
+// unscaled range stays conservative for partially overlapping channels
+// too. OBSS-PD spatial reuse needs no adjustment
 // either, in both directions: raising the deferral threshold only
 // SHRINKS the inter-BSS carrier-sense reach (while the interference
 // term at noise − interferenceMarginDB, which dominates this max,
@@ -258,24 +260,9 @@ func (n *Network) channelsCouple(ca, cb int) bool {
 // full-power, legacy-CS figure computed here remains a superset of
 // every range the mechanism can produce.
 func (n *Network) interactRangeM() float64 {
-	b := n.cfg.Budget
-	gainDBm := b.TxPowerDBm + b.TxAntennaGain + b.RxAntennaGain - n.minShadowDB()
-	r := maxDistForLoss(n.cfg.PathLoss, gainDBm-(n.noiseFloorDBm-interferenceMarginDB))
-	if n.csRangeM > r {
-		r = n.csRangeM
-	}
-	if n.navRangeM > r {
-		r = n.navRangeM
-	}
-	return r
+	r := maxDistForLoss(n.cfg.PathLoss, n.gains.reachDBm()-(n.noiseFloorDBm-interferenceMarginDB))
+	return max(r, n.csRangeM, n.navRangeM)
 }
-
-// minShadowDB is the most favorable (most negative) shadowing draw over
-// every node pair, or 0 without shadowing — the widening both the
-// spatial-index radii and the shard-planning radius apply to stay
-// conservative per pair. build tracks it while drawing, so no matrix
-// scan is needed and a static build keeps no shadowing matrix at all.
-func (n *Network) minShadowDB() float64 { return n.shadowMin }
 
 // interactionGroups partitions the BSS set into groups that cannot
 // influence each other: union-find over BSS indices, merging on (a) any
@@ -286,16 +273,16 @@ func (n *Network) minShadowDB() float64 { return n.shadowMin }
 // traffic must stay on one engine, so closed-loop transport feedback
 // never crosses a shard seam; flowMerges counts how many otherwise
 // distinct groups rule (b) collapsed — see ShardPlan.FlowEdgeMerges).
-// Groups come back as sorted BSS index lists, ordered by their
-// smallest member, so the partition is a pure function of the
-// topology.
-func (n *Network) interactionGroups() (out [][]int, flowMerges int) {
+// Groups come back as BSS lists in index order, ordered by their
+// smallest member (unionFind.number), so the partition is a pure
+// function of the topology.
+func (n *Network) interactionGroups() (out [][]*BSS, flowMerges int) {
 	uf := newUnionFind(make([]int, len(n.bss)))
 	// Spectrally coupled channels always share a gain domain, so only
 	// same-domain pairs can couple: walk each domain's member list.
 	r := n.interactRangeM()
-	for d := 0; d+1 < len(n.gainBounds); d++ {
-		dom := n.gainMembers[n.gainBounds[d]:n.gainBounds[d+1]]
+	for d := range n.gains.domains() {
+		dom := n.gains.domain(d)
 		for i, a := range dom {
 			for _, b := range dom[i+1:] {
 				if a.bss == b.bss || !n.channelsCouple(a.bss.Channel, b.bss.Channel) {
@@ -320,19 +307,10 @@ func (n *Network) interactionGroups() (out [][]int, flowMerges int) {
 		}
 		uf.union(f.From.bss.idx, to.idx)
 	}
-	groups := make(map[int][]int)
-	roots := make([]int, 0)
-	for i := range n.bss {
-		rt := uf.find(i)
-		if len(groups[rt]) == 0 {
-			roots = append(roots, rt)
-		}
-		groups[rt] = append(groups[rt], i)
-	}
-	sort.Ints(roots)
-	out = make([][]int, 0, len(roots))
-	for _, rt := range roots {
-		out = append(out, groups[rt])
+	group := make([]int, len(n.bss))
+	out = make([][]*BSS, uf.number(group))
+	for i, g := range group {
+		out[g] = append(out[g], n.bss[i])
 	}
 	return out, flowMerges
 }
@@ -366,18 +344,34 @@ func (u unionFind) union(a, b int) {
 	u[rb] = ra
 }
 
+// number writes each element's set number into set and returns the
+// number of sets. Sets are numbered in the order of their smallest
+// member, which is their root, so a root is numbered before the rest
+// of its set.
+func (u unionFind) number(set []int) (sets int) {
+	for i := range u {
+		if r := u.find(i); r == i {
+			set[i] = sets
+			sets++
+		} else {
+			set[i] = set[r]
+		}
+	}
+	return sets
+}
+
 // balanceGroups orders the interaction groups heaviest first (weight =
 // node count; stable on group index) and assigns each, in that order,
 // to the least-loaded of k lanes, ties toward the lower lane. It
 // returns the order and each ordered group's lane, so both are
 // deterministic. With k equal to the group count, group i of the order
 // runs alone on lane i.
-func balanceGroups(groups [][]int, bssNodes []int, k int) (order, lane []int) {
+func balanceGroups(groups [][]*BSS, bssNodes []int, k int) (order, lane []int) {
 	weight := make([]int, len(groups))
 	order = make([]int, len(groups))
 	for i, grp := range groups {
 		for _, b := range grp {
-			weight[i] += bssNodes[b]
+			weight[i] += bssNodes[b.idx]
 		}
 		order[i] = i
 	}
@@ -400,18 +394,18 @@ func balanceGroups(groups [][]int, bssNodes []int, k int) (order, lane []int) {
 // planShards decides the partition and creates the shards, assigning
 // every node to one. Called from build after the gains and index
 // ranges are final (the planning radius depends on the shadowing
-// draws) and before media are created. The single-engine path —
-// whether requested or fallen back to — runs one shard holding every
-// node with the Network's own rng.Source and attached probe, keeping
-// it bit-identical to the pre-shard simulator. A multi-shard plan
-// makes one shard per interaction group, in balanceGroups' heaviest-
-// first order, and splits each its own child stream in that order (the
-// multi-shard compat goldens pin it); a lane's groups share the lane's
-// probe.
+// draws) and before media are created. It makes one shard per
+// interaction group, in balanceGroups' heaviest-first order; a lane's
+// groups share the lane's probe. A single engine, whether requested or
+// fallen back to, is the one-group case: its group is every BSS, and
+// it keeps the Network's own rng.Source and attached probe, so it is
+// bit-identical to the pre-shard simulator. A multi-shard plan splits
+// each group its own child stream in that order (the multi-shard
+// compat goldens pin it).
 func (n *Network) planShards() {
 	req := max(n.cfg.Shards, 1)
-	plan := ShardPlan{Requested: req, Shards: 1, Groups: 1}
-	var groups [][]int
+	plan := ShardPlan{Requested: req, Shards: 1}
+	groups := [][]*BSS{n.bss}
 	if req > 1 {
 		switch {
 		case n.cfg.RoamIntervalUs > 0:
@@ -422,7 +416,6 @@ func (n *Network) planShards() {
 			plan.Reason = "a single attached Probe cannot observe concurrent shards (use AttachShardProbes)"
 		default:
 			groups, plan.FlowEdgeMerges = n.interactionGroups()
-			plan.Groups = len(groups)
 			if len(groups) < 2 {
 				plan.Reason = "floor is one coupled interaction group"
 			} else {
@@ -430,54 +423,47 @@ func (n *Network) planShards() {
 			}
 		}
 	}
-	if plan.Shards == 1 {
-		sh := newShard(n, 0, 0)
-		sh.src = n.src
-		sh.probe = n.probe
-		if n.probeFactory != nil && n.probe == nil {
-			sh.probe = n.probeFactory(0)
-		}
-		n.shards = []*shard{sh}
-		for _, nd := range n.nodes {
-			nd.sh = sh
-		}
-	} else {
-		probes := make([]Probe, plan.Shards)
-		if n.probeFactory != nil {
-			for l := range probes {
-				probes[l] = n.probeFactory(l)
-			}
-		}
+	plan.Groups = len(groups)
+	k := plan.Shards
+	order, lane := []int{0}, []int{0}
+	if k > 1 {
 		bssNodes := make([]int, len(n.bss))
 		for _, nd := range n.nodes {
 			bssNodes[nd.bss.idx]++
 		}
-		order, lane := balanceGroups(groups, bssNodes, plan.Shards)
-		n.shards = make([]*shard, len(order))
-		byBss := make([]*shard, len(n.bss))
-		for i, g := range order {
-			sh := newShard(n, i, lane[i])
-			sh.src = n.src.Split()
-			sh.probe = probes[lane[i]]
-			n.shards[i] = sh
-			for _, b := range groups[g] {
-				byBss[b] = sh
-			}
-		}
-		for _, nd := range n.nodes {
-			nd.sh = byBss[nd.bss.idx]
+		order, lane = balanceGroups(groups, bssNodes, k)
+	}
+	var probes []Probe
+	if n.probe == nil && n.probeFactory != nil {
+		probes = make([]Probe, k)
+		for l := range probes {
+			probes[l] = n.probeFactory(l)
 		}
 	}
 	// The two per-lane counts share one array: every build pays for it.
-	k := plan.Shards
 	counts := make([]int, 2*k)
 	plan.NodesPerShard, plan.GroupsPerShard = counts[:k:k], counts[k:]
+	n.shards = make([]*shard, len(order))
 	n.lanes = make([][]*sim.Engine, k)
-	for _, sh := range n.shards {
+	for i, g := range order {
+		sh := newShard(n, i, lane[i])
+		sh.src, sh.probe = n.src, n.probe
+		if k > 1 {
+			sh.src = n.src.Split()
+		}
+		if probes != nil {
+			sh.probe = probes[sh.lane]
+		}
+		n.shards[i] = sh
 		plan.GroupsPerShard[sh.lane]++
 		n.lanes[sh.lane] = append(n.lanes[sh.lane], &sh.eng)
+		for _, b := range groups[g] {
+			b.AP.sh = sh
+		}
 	}
+	// A station runs on its BSS's shard, which its AP holds.
 	for _, nd := range n.nodes {
+		nd.sh = nd.bss.AP.sh
 		plan.NodesPerShard[nd.sh.lane]++
 	}
 	n.plan = plan

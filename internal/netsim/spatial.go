@@ -48,8 +48,8 @@ import (
 // visit nodes in exactly the order the brute-force scan over
 // medium.entries would — a requirement for bit-for-bit equivalence, since
 // carrier-sense pauses schedule events and event order is simulation
-// state. Config.disableSpatialIndex keeps the brute-force scan
-// available as the test oracle.
+// state. The disableSpatialIndex oracle (oracles) keeps the
+// brute-force scan available to test against.
 
 // cellKey addresses one grid cell. Positions are unbounded (roaming
 // walks leave any fixed floor), so cells live in a map rather than a
@@ -342,8 +342,7 @@ func (g *spatialGrid) query(x, y, radiusM float64, out []candidate) []candidate 
 // threshold so low that the cap binds just degenerates the grid toward
 // one floor-sized cell, i.e. the brute-force scan.
 func (n *Network) indexRanges() (csM, navM float64) {
-	b := n.cfg.Budget
-	gainDBm := b.TxPowerDBm + b.TxAntennaGain + b.RxAntennaGain - n.minShadowDB()
+	gainDBm := n.gains.reachDBm()
 	csM = maxDistForLoss(n.cfg.PathLoss, gainDBm-n.cfg.CSThresholdDBm)
 	navM = maxDistForLoss(n.cfg.PathLoss, gainDBm-(n.noiseFloorDBm+n.robustMode().SnrReqDB))
 	return csM, navM

@@ -22,7 +22,7 @@ import (
 // on one channel, with shadowing enabled. Every third node is put under
 // carrier-sense tracking, mimicking a floor where a fraction of the
 // associated stations hold traffic. Mobility is on, so the build keeps
-// the shadowing matrix refreshGains needs to teleport nodes.
+// the shadowing matrix a gain refresh needs to teleport nodes.
 func buildRandomFloor(t *testing.T, seed int64, nNodes int, sideM float64) *Network {
 	t.Helper()
 	cfg := DefaultConfig()
@@ -116,7 +116,7 @@ func TestGridCandidatesSupersetOfInRange(t *testing.T) {
 			nd := members[n.Src().Intn(len(members))]
 			nd.X = (n.Src().Float64() - 0.25) * 600
 			nd.Y = (n.Src().Float64() - 0.25) * 600
-			n.refreshGains([]*Node{nd})
+			n.gains.refresh([]*Node{nd})
 			m.grid.update(nd)
 			flip := members[n.Src().Intn(len(members))]
 			if flip.csTracked {
@@ -134,7 +134,7 @@ func TestGridCandidatesSupersetOfInRange(t *testing.T) {
 // and appear in the new one, and both grids must stay query-consistent.
 func TestGridTracksMediumMigration(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.RoamIntervalUs = 100000 // the walker moves (refreshGains)
+	cfg.RoamIntervalUs = 100000 // the walker moves (gainState.refresh)
 	n := New(cfg, 3)
 	b1 := n.AddAP("AP1", 0, 0, 1)
 	b2 := n.AddAP("AP2", 40, 0, 6)
@@ -172,7 +172,7 @@ func TestGridTracksMediumMigration(t *testing.T) {
 		}
 	}
 	st.X = 38
-	n.refreshGains([]*Node{st})
+	n.gains.refresh([]*Node{st})
 	m1.grid.update(st)
 	st.reassociate(b2)
 	if st.med != m2 {
