@@ -211,6 +211,52 @@ func TestE05RangeExtension(t *testing.T) {
 	}
 }
 
+// TestE06LdpcShape: LDPC fails no more often than BCC at any SNR row,
+// and reaches 10% PER at a lower SNR.
+func TestE06LdpcShape(t *testing.T) {
+	tables := E06Ldpc(Quick())
+	for _, row := range tables[0].Rows {
+		if bcc, ldpc := parse(t, row[1]), parse(t, row[2]); ldpc > bcc {
+			t.Errorf("SNR %s dB: LDPC PER %v above BCC PER %v", row[0], ldpc, bcc)
+		}
+	}
+	if gain := parse(t, tables[1].Rows[2][1]); gain <= 0 {
+		t.Errorf("LDPC coding gain %v dB, want above 0", gain)
+	}
+}
+
+// TestE07BeamformingShape: the beamformed 2x2 link fails no more often
+// than open-loop SISO at any SNR row, and reaches 10% PER at a lower SNR.
+func TestE07BeamformingShape(t *testing.T) {
+	tables := E07Beamforming(Quick())
+	for _, row := range tables[0].Rows {
+		if open, bf := parse(t, row[1]), parse(t, row[2]); bf > open {
+			t.Errorf("SNR %s dB: beamformed PER %v above open-loop PER %v", row[0], bf, open)
+		}
+	}
+	if gain := parse(t, tables[1].Rows[2][1]); gain <= 0 {
+		t.Errorf("beamforming gain %v dB, want above 0", gain)
+	}
+}
+
+// TestE13TpcShape: at every distance the 4-antenna array gain lets the
+// beamformed link radiate 6 dB less (to the table's rounding of each
+// cell to 3 significant digits), and that saving pays for the extra
+// chains' DC power only at range: not at 10 m, but at 120 m.
+func TestE13TpcShape(t *testing.T) {
+	tb := E13Tpc(Quick())[0]
+	for _, row := range tb.Rows {
+		if open, bf := parse(t, row[1]), parse(t, row[3]); math.Abs(open-6-bf) > 0.1 {
+			t.Errorf("%s m: beamformed %v dBm, want open-loop %v dBm - 6", row[0], bf, open)
+		}
+	}
+	near, far := tb.Rows[0], tb.Rows[len(tb.Rows)-1]
+	if near[0] != "10" || near[5] != "no" || far[0] != "120" || far[5] != "yes" {
+		t.Errorf("saving reads %q at %s m and %q at %s m, want no at 10 m and yes at 120 m",
+			near[5], near[0], far[5], far[0])
+	}
+}
+
 func TestE10CoopOrdering(t *testing.T) {
 	tb := E10Coop(Quick())[0]
 	// At the highest SNR row: selection <= DF <= direct.

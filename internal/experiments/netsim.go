@@ -37,13 +37,19 @@ func modeAt(rateMbps float64) linkmodel.Mode {
 	panic(fmt.Sprintf("experiments: no legacy mode at %g Mbps", rateMbps))
 }
 
+// runSeeds runs build for durationUs at the n seeds after baseSeed
+// (netsim.SeedSweep) across four runner workers and returns the
+// results in seed order.
+func runSeeds(name string, build func(int64) *netsim.Network, durationUs float64, baseSeed int64, n int) []netsim.Result {
+	return netsim.ScenarioRunner{Workers: 4}.RunAll(netsim.SeedSweep(name, build, durationUs, baseSeed, n))
+}
+
 // hiddenSweep runs netsim.HiddenPair over netsimSeeds seeds and returns
 // the mean aggregate goodput and the mean per-run collision rate. The
 // stations stand 300 m apart, 150 m either side of the AP: out of each
 // other's carrier-sense range, in range of the AP's CTS.
 func hiddenSweep(c netsim.Config, payload int, durationUs float64, baseSeed int64) (mbps, collRate float64) {
-	jobs := netsim.SeedSweep("hidden", netsim.HiddenPair(c, 300, payload), durationUs, baseSeed, netsimSeeds)
-	results := netsim.ScenarioRunner{Workers: 4}.RunAll(jobs)
+	results := runSeeds("hidden", netsim.HiddenPair(c, 300, payload), durationUs, baseSeed, netsimSeeds)
 	for _, r := range results {
 		if r.Attempts > 0 {
 			collRate += float64(r.Collisions) / float64(r.Attempts) / float64(len(results))
@@ -79,8 +85,7 @@ func E22DenseBSS(cfg Config) []report.Table {
 	} {
 		build := netsim.DenseGrid(netsim.DefaultConfig(), row.nBSS, staPerBSS,
 			row.channels, 25, cfg.PayloadBytes+600)
-		jobs := netsim.SeedSweep("dense", build, durationUs, cfg.Seed*1000, netsimSeeds)
-		results := netsim.ScenarioRunner{Workers: 4}.RunAll(jobs)
+		results := runSeeds("dense", build, durationUs, cfg.Seed*1000, netsimSeeds)
 		var jain, collRate float64
 		nFlows := 0
 		for _, r := range results {
@@ -111,8 +116,7 @@ func E23TrafficMix(cfg Config) []report.Table {
 	}
 	for _, dataMbps := range []float64{0.5, 2, 4, 6} {
 		build := netsim.TrafficMix(netsim.DefaultConfig(), 6, 4, 2, dataMbps)
-		jobs := netsim.SeedSweep("mix", build, durationUs, cfg.Seed*2000, netsimSeeds)
-		results := netsim.ScenarioRunner{Workers: 4}.RunAll(jobs)
+		results := runSeeds("mix", build, durationUs, cfg.Seed*2000, netsimSeeds)
 		var vDelay, vJitter, vDrop, dGoodput, dJain, total float64
 		for _, r := range results {
 			var voice, data []netsim.FlowStats
@@ -180,8 +184,7 @@ func E24RtsCtsHidden(cfg Config) []report.Table {
 		Header: []string{"distance m", "goodput Mbps", "mean attempt Mbps", "top mode"},
 	}
 	for _, distM := range []float64{10, 60, 90, 120, 150} {
-		jobs := netsim.SeedSweep("arf", netsim.SingleLink(arfCfg, distM, payload), durationUs, cfg.Seed*4000, netsimSeeds)
-		results := netsim.ScenarioRunner{Workers: 4}.RunAll(jobs)
+		results := runSeeds("arf", netsim.SingleLink(arfCfg, distM, payload), durationUs, cfg.Seed*4000, netsimSeeds)
 		var frames, rateSum float64
 		top, topCount := "", 0
 		counts := map[string]int{}
@@ -226,8 +229,7 @@ func E25EdcaQos(cfg Config) []report.Table {
 	}
 	run := func(c netsim.Config, dataMbps float64, baseSeed int64) (p95Us, drop, dataMbpsOut float64) {
 		build := netsim.TrafficMix(c, 6, 4, 2, dataMbps)
-		jobs := netsim.SeedSweep("edca-mix", build, durationUs, baseSeed, netsimSeeds)
-		results := netsim.ScenarioRunner{Workers: 4}.RunAll(jobs)
+		results := runSeeds("edca-mix", build, durationUs, baseSeed, netsimSeeds)
 		var nVoice int
 		for _, r := range results {
 			for _, f := range r.Flows {
@@ -275,8 +277,7 @@ func E26AmpduEfficiency(cfg Config) []report.Table {
 	}
 	run := func(c netsim.Config, baseSeed int64) (mbps, eff, meanAmpdu float64) {
 		build := netsim.SingleLink(c, 5, payload)
-		jobs := netsim.SeedSweep("ampdu", build, durationUs, baseSeed, netsimSeeds)
-		results := netsim.ScenarioRunner{Workers: 4}.RunAll(jobs)
+		results := runSeeds("ampdu", build, durationUs, baseSeed, netsimSeeds)
 		var frames, bursts float64
 		for _, r := range results {
 			eff += r.Flows[0].MacEfficiency / float64(len(results))
@@ -332,9 +333,8 @@ func E27LargeFloorScale(cfg Config) []report.Table {
 		{25, 5}, {49, 7}, {100, 10}, {144, 12},
 	} {
 		build := netsim.LargeFloor(netCfg, row.nBSS, staPerBSS, row.cols, 1, 6, 11)
-		jobs := netsim.SeedSweep("floor", build, durationUs, cfg.Seed*7000, netsimSeeds)
 		t0 := time.Now()
-		results := netsim.ScenarioRunner{Workers: 4}.RunAll(jobs)
+		results := runSeeds("floor", build, durationUs, cfg.Seed*7000, netsimSeeds)
 		wall := time.Since(t0)
 		// Flows are added BSS-major (staPerBSS consecutive flows per
 		// BSS), so per-BSS goodput is a strided sum over r.Flows.
@@ -349,7 +349,7 @@ func E27LargeFloorScale(cfg Config) []report.Table {
 			}
 		}
 		agg := netsim.MeanAggGoodput(results)
-		wallPerSimS := float64(wall.Milliseconds()) / (durationUs / 1e6) / float64(len(jobs))
+		wallPerSimS := float64(wall.Milliseconds()) / (durationUs / 1e6) / float64(len(results))
 		t.AddRow(row.nBSS, row.nBSS*(1+staPerBSS), agg, agg/float64(row.nBSS),
 			netsim.JainIndex(bssMbps), collRate, wallPerSimS)
 	}
@@ -409,18 +409,16 @@ func E29ClosedLoopQoE(cfg Config) []report.Table {
 	}
 	for _, users := range []int{2, 8, 16} {
 		build := app.ApartmentBlock(netCfg, nBSS, users)
-		jobs := netsim.SeedSweep("apartment", build, durationUs,
+		results := runSeeds("apartment", build, durationUs,
 			cfg.Seed*8000+int64(users)*101, e29Seeds)
-		results := netsim.ScenarioRunner{Workers: 4}.RunAll(jobs)
 		qoe := netsim.MergeQoE(results)
 		// The open-loop reference: the same floor geometry with every
 		// station's downlink saturated — the E22-E27 load model turned
 		// in the apartment preset's traffic direction, so the baseline
 		// is the true capacity ceiling for this layout.
 		baseBuild := saturatedDownlinkFloor(netCfg, nBSS, users)
-		baseJobs := netsim.SeedSweep("saturated", baseBuild, baseDurationUs,
-			cfg.Seed*8500+int64(users)*101, netsimSeeds)
-		base := netsim.MeanAggGoodput(netsim.ScenarioRunner{Workers: 4}.RunAll(baseJobs))
+		base := netsim.MeanAggGoodput(runSeeds("saturated", baseBuild, baseDurationUs,
+			cfg.Seed*8500+int64(users)*101, netsimSeeds))
 		arrivals, qdrops := 0, 0
 		for _, r := range results {
 			qdrops += r.QueueDrops
@@ -472,8 +470,7 @@ func E30HtResults(cfg Config) ([]report.Table, []netsim.Result) {
 				Gen: netsim.Saturated{PayloadBytes: payload}})
 			return n
 		}
-		jobs := netsim.SeedSweep("ht", build, durationUs, baseSeed, netsimSeeds)
-		results := netsim.ScenarioRunner{Workers: 4}.RunAll(jobs)
+		results := runSeeds("ht", build, durationUs, baseSeed, netsimSeeds)
 		all = append(all, results...)
 		counts := map[string]int{}
 		for _, r := range results {
@@ -547,8 +544,7 @@ func E30HtResults(cfg Config) ([]report.Table, []netsim.Result) {
 	} {
 		c := netsim.HtConfig(2, row.widthMHz)
 		build := netsim.DenseGrid(c, nBSS, staPerBSS, row.channels, 20, payload)
-		jobs := netsim.SeedSweep("bond", build, durationUs, cfg.Seed*9500, netsimSeeds)
-		results := netsim.ScenarioRunner{Workers: 4}.RunAll(jobs)
+		results := runSeeds("bond", build, durationUs, cfg.Seed*9500, netsimSeeds)
 		all = append(all, results...)
 		var collRate float64
 		for _, r := range results {
@@ -593,8 +589,7 @@ func E31SpatialReuse(cfg Config) []report.Table {
 		{"-62 dBm", -62},
 	}
 	run := func(name string, build func(int64) *netsim.Network, baseSeed int64) (agg, jain float64, ignores, reuse int) {
-		jobs := netsim.SeedSweep(name, build, durationUs, baseSeed, netsimSeeds)
-		results := netsim.ScenarioRunner{Workers: 4}.RunAll(jobs)
+		results := runSeeds(name, build, durationUs, baseSeed, netsimSeeds)
 		for _, r := range results {
 			jain += netsim.JainIndex(r.BssGoodputMbps) / float64(len(results))
 			ignores += r.ObssIgnores

@@ -9,19 +9,19 @@ import (
 	"repro/internal/linkmodel"
 )
 
-// The spatial-index equivalence harness. The grid in spatial.go is a
-// pure lookup accelerator: it must never change which nodes sense a
-// frame, adopt a NAV, or the order those effects apply in — so every
-// scenario, run with the index on and with the brute-force oracle
-// (disableSpatialIndex), must produce bit-identical Results.
-// This extends PR 4's golden-fingerprint technique from "new tree vs
-// recorded hashes" to "two live configurations of the same tree",
-// which catches index bugs on any seed instead of only the recorded
-// ones. Fingerprints come from compat_test.go and cover every counter,
-// per-AC/per-flow stat, and float in a Result. The same rows hold lazy
-// carrier sense against the eager-tracking oracle
-// (TestEagerTrackingEquivalence) and feed the invariant probe in
-// invariants_test.go.
+// The differential harness. Each optimization in the hot path (the
+// grid index, lazy carrier sense, gain domains, the readable-pair
+// refresh) must never change a run: differential runs one input —
+// an equivalence row at one seed, a compat preset, or the walker
+// floor — once in production, once with every observer attached, and
+// once under each exact test oracle, and every run must produce a
+// bit-identical Result. This extends the compat goldens' fingerprint
+// technique from "new tree vs recorded hashes" to "live configurations
+// of the same tree", which catches bugs on any seed instead of only
+// the recorded ones. Fingerprints come from compat_test.go and cover
+// every counter, per-AC/per-flow stat, and float in a Result. Nine
+// suites report the harness's check families (diffCheck) over every
+// input; the harness runs each input once per test binary.
 
 // equivSeeds is the per-scenario seed fan-out; ≥5 per the harness
 // contract so a single lucky event ordering cannot hide a divergence.
@@ -33,8 +33,8 @@ const equivSeeds = 5
 // roaming with downlink handoff (incremental grid updates and medium
 // migration), and the 3-channel LargeFloor with an OBSS-PD-style CS
 // threshold (many small neighborhoods — the case the index exists for).
-// A row whose name contains "roam" must roam (runRow), and a row in
-// gridRows must take the grid path (TestSpatialIndexEquivalence).
+// A row whose name contains "roam" must roam (differential), and a
+// row in gridRows must take the grid path (TestSpatialIndexEquivalence).
 func equivScenarios() []equivRow {
 	return []equivRow{
 		{"single-link", 2e5, func(cfg Config) func(int64) *Network {
@@ -183,13 +183,6 @@ type equivRow struct {
 	build      func(cfg Config) func(seed int64) *Network
 }
 
-// builder returns a builder of the row's network at seed under
-// DefaultConfig, with the test oracles o switched on (none: the
-// production network).
-func (sc equivRow) builder(seed int64, o oracles) func() *Network {
-	return func() *Network { return withOracles(sc.build(DefaultConfig())(seed), o) }
-}
-
 // withOracles switches on n's test oracles, the one way a test sets
 // them. n must not be prepared yet: most oracles act at build.
 func withOracles(n *Network, o oracles) *Network {
@@ -200,33 +193,287 @@ func withOracles(n *Network, o oracles) *Network {
 	return n
 }
 
-// productionRun is what the exact-oracle suites compare against: the
-// row's production Result at one seed, its fingerprint, and how many
-// gain domains its build laid out.
-type productionRun struct {
-	res     Result
-	fp      string
-	domains int
+// diffInput is one input of the differential harness: a builder of
+// its network with the given test oracles switched on, the virtual
+// time each run lasts, and what its runs must show beyond equality.
+type diffInput struct {
+	name       string
+	durationUs float64
+	build      func(oracles) *Network
+	shards     int  // when positive, the engine count every run must use
+	roams      bool // production must reassociate a station
+	grid       bool // the indexed carrier-sense scan must walk fewer candidates than brute force
 }
 
-// productionRuns memoizes production, keyed by row name and seed.
-var productionRuns = map[string]productionRun{}
+// diffGroup is one subtest of the harness's suites: an equivalence row
+// at each of its seeds, a compat preset, or the walker floor.
+type diffGroup struct {
+	name   string
+	inputs []diffInput
+}
 
-// production runs row sc at seed under DefaultConfig with no oracle
-// (runRowResult), once per test binary: the spatial-index, observation,
-// eager-tracking and gain-domain suites each hold their oracle or
-// observed run against the same production run, so they share it.
-func production(t *testing.T, sc equivRow, seed int64) productionRun {
-	t.Helper()
-	key := fmt.Sprintf("%s/%d", sc.name, seed)
-	if p, ok := productionRuns[key]; ok {
-		return p
+// diffGroups lists every harness input: each equivalence row at each
+// of equivSeeds seeds, each compat preset, and walker-floor-272, the
+// striped refresh's case. roaming-short-tick, whose ticks fall while
+// frames are on the air to roamed-off receivers, runs shortTickSeeds
+// seeds: the refresh's in-flight branches (gainState.offAir,
+// refreshRow's off-medium receivers) are hit on few of them.
+func diffGroups() []diffGroup {
+	var gs []diffGroup
+	for _, sc := range equivScenarios() {
+		g, seeds := diffGroup{name: sc.name}, int64(equivSeeds)
+		if sc.name == "roaming-short-tick" {
+			seeds = shortTickSeeds
+		}
+		for seed := int64(1); seed <= seeds; seed++ {
+			g.inputs = append(g.inputs, diffInput{
+				name:       fmt.Sprintf("%s/seed%d", sc.name, seed),
+				durationUs: sc.durationUs,
+				build: func(o oracles) *Network {
+					return withOracles(sc.build(DefaultConfig())(seed), o)
+				},
+				roams: strings.Contains(sc.name, "roam"),
+				grid:  gridRows[sc.name],
+			})
+		}
+		gs = append(gs, g)
 	}
-	n := sc.builder(seed, oracles{})()
-	r := runRowResult(t, sc.name, n, sc.durationUs)
-	p := productionRun{r, fingerprint(r), n.gains.domains()}
-	productionRuns[key] = p
-	return p
+	for _, row := range compatScenarios() {
+		in := diffInput{name: row.name, durationUs: row.durationUs, shards: row.shards,
+			build: func(o oracles) *Network { return withOracles(row.build(), o) }}
+		gs = append(gs, diffGroup{row.name, []diffInput{in}})
+	}
+	walker := diffInput{name: "walker-floor-272", durationUs: 1e6,
+		build: func(o oracles) *Network { return withOracles(walkerFloor(1), o) }}
+	return append(gs, diffGroup{walker.name, []diffInput{walker}})
+}
+
+// diffCheck names one family of the harness's checks. The test named
+// beside each reports it.
+type diffCheck int
+
+const (
+	spatialCheck      diffCheck = iota // TestSpatialIndexEquivalence
+	observationCheck                   // TestObservationEquivalence
+	eagerCheck                         // TestEagerTrackingEquivalence
+	domainCheck                        // TestGainDomainEquivalence
+	invariantCheck                     // TestCarrierSenseInvariants
+	conservationCheck                  // TestPacketConservation
+	crossingCheck                      // TestCrossingsCounter
+	refreshCheck                       // TestReadableRefreshMatchesFullRefresh
+	recomputeCheck                     // TestMobileRefreshMatchesRecompute
+	numChecks
+)
+
+// diffReport is what the harness found on one input: each check
+// family's first failure ("" where it held), and the figures the
+// suites total over every input.
+type diffReport struct {
+	fail    [numChecks]string
+	domains int       // gain domains of the production build
+	sharded bool      // the observed run used more than one engine
+	counted pairCount // the poisoned run's roam-tick observer, when mobile
+}
+
+// differential runs input in through every exact oracle and both
+// invariant probes, and holds each run to the input's one production
+// run (no oracle, no observer):
+//   - One observed run carries every observer: a recording probe and
+//     a crossing probe per engine (AttachShardProbes keeps the plan)
+//     and, on a single-engine plan, csInvariantProbe and the telemetry
+//     sampler. Probes and the sampler promise not to perturb a run, so
+//     its fingerprint must be production's. The packet books are then
+//     checked on its network.
+//   - One run per exact oracle: disableSpatialIndex, eagerCarrierSense,
+//     and oneGainDomain on a static build; on a mobile build, the
+//     readable-pair refresh with every skipped cell poisoned with NaN
+//     (poisonSkippedGains), carrying csInvariantProbe, which fails on a
+//     NaN read, and the roam-tick pair counter (countPairs), and the
+//     fullGainRefresh oracle. A mobile build is one gain domain and a
+//     static one never refreshes, so each skipped oracle would take
+//     production's own path.
+//
+// A run that diverges is explained by explainDivergence. A row that
+// should roam and does not fails t at once.
+func differential(t *testing.T, in diffInput) diffReport {
+	t.Helper()
+	var rep diffReport
+	fail := func(c diffCheck, format string, args ...any) {
+		if rep.fail[c] == "" {
+			rep.fail[c] = fmt.Sprintf(format, args...)
+		}
+	}
+	run := func(o oracles, prep func(*Network)) (*Network, Result) {
+		n := in.build(o)
+		if prep != nil {
+			prep(n)
+		}
+		r := n.Run(in.durationUs)
+		if in.shards > 0 && r.Shards != in.shards {
+			fail(domainCheck, "the run under %+v used %d shards, want %d", o, r.Shards, in.shards)
+		}
+		return n, r
+	}
+	n, prod := run(oracles{}, nil)
+	fp := fingerprint(prod)
+	if in.roams && prod.Roams == 0 {
+		t.Fatalf("%s: no station roamed — the input no longer exercises reassociation", in.name)
+	}
+	rep.domains = n.gains.domains()
+	// exact runs the input under oracles o and holds the run to
+	// production, naming the first event where their streams part.
+	exact := func(c diffCheck, o oracles, prep func(*Network), ignore ...EventKind) (*Network, Result, bool) {
+		n, r := run(o, prep)
+		if fingerprint(r) == fp {
+			return n, r, true
+		}
+		fail(c, "the run under %+v diverged from production\n%s", o, explainDivergence(
+			func() *Network { return in.build(oracles{}) }, func() *Network { return in.build(o) },
+			in.durationUs, ignore...))
+		return n, r, false
+	}
+
+	var recs []*sliceProbe
+	var crossings []*crossingProbe
+	var inv *csInvariantProbe
+	obs, r := run(oracles{}, func(n *Network) {
+		if n.cfg.Shards <= 1 {
+			n.cfg.SampleIntervalUs = in.durationUs / 64
+			inv = &csInvariantProbe{n: n}
+		}
+		n.AttachShardProbes(func(int) Probe {
+			rec, cross := &sliceProbe{}, &crossingProbe{n: n}
+			recs, crossings = append(recs, rec), append(crossings, cross)
+			if inv != nil {
+				return fanout{rec, cross, inv}
+			}
+			return fanout{rec, cross}
+		})
+	})
+	if got := fingerprint(r); got != fp {
+		fail(observationCheck, "observation perturbed the run\nbare:\n%s\nobserved:\n%s", fp, got)
+	}
+	events, starts, crossed := 0, 0, 0
+	for i, rec := range recs {
+		events += len(rec.events)
+		starts += crossings[i].starts
+		crossed += crossings[i].crossings
+	}
+	if events == 0 {
+		fail(observationCheck, "probe saw no events")
+	}
+	if inv != nil && (r.Samples == nil || r.Samples.Windows() == 0) {
+		fail(observationCheck, "sampler recorded no windows")
+	}
+	if inv != nil && inv.err != nil {
+		fail(invariantCheck, "%v", inv.err)
+	} else if inv != nil && inv.checks == 0 {
+		fail(invariantCheck, "no frame ended")
+	}
+	if d := unconserved(obs, r); d != "" {
+		fail(conservationCheck, "%s", d)
+	}
+	// Each engine has its own crossing probe, so a sharded run checks
+	// the per-shard sums.
+	if r.FrameStarts == 0 {
+		fail(crossingCheck, "no frame started")
+	} else if r.FrameStarts != starts || r.Crossings != crossed {
+		fail(crossingCheck, "Result counts %d frame starts crossing %d frames on the air, the probes %d crossing %d",
+			r.FrameStarts, r.Crossings, starts, crossed)
+	}
+	rep.sharded = r.Shards > 1
+
+	// The grid's superset guarantee as a count: the index only drops
+	// candidates the scan's row test would reject, so hears judges the
+	// same candidates either way, out of no more walked.
+	if _, brute, ok := exact(spatialCheck, oracles{disableSpatialIndex: true}, nil); ok {
+		switch {
+		case prod.CsJudged != brute.CsJudged:
+			fail(spatialCheck, "carrier sense judged %d candidates indexed, %d brute force", prod.CsJudged, brute.CsJudged)
+		case prod.CsCandidates > brute.CsCandidates:
+			fail(spatialCheck, "indexed scan walked %d candidates, more than brute force's %d", prod.CsCandidates, brute.CsCandidates)
+		case in.grid && prod.CsCandidates == brute.CsCandidates:
+			fail(spatialCheck, "indexed scan walked all %d brute-force candidates — the input no longer takes the grid path", brute.CsCandidates)
+		}
+	}
+	// The eager run also reports EvObssIgnore for idle nodes.
+	exact(eagerCheck, oracles{eagerCarrierSense: true}, nil, EvObssIgnore)
+	if n.cfg.RoamIntervalUs == 0 {
+		exact(domainCheck, oracles{oneGainDomain: true}, nil)
+		if prod.GainRefreshPairs != 0 {
+			fail(recomputeCheck, "a static run reports %d refreshed pairs, want 0", prod.GainRefreshPairs)
+		}
+		return rep
+	}
+
+	pn, pr, _ := exact(refreshCheck, oracles{poisonSkippedGains: true}, func(n *Network) {
+		inv = &csInvariantProbe{n: n}
+		countPairs(n, &rep.counted, inv)
+	})
+	if inv.err != nil {
+		fail(refreshCheck, "with skipped cells poisoned: %v", inv.err)
+	}
+	c := &rep.counted
+	switch {
+	case c.asym != "":
+		fail(recomputeCheck, "%s", c.asym)
+	case c.ticks == 0:
+		fail(recomputeCheck, "no roam tick moved a node")
+	case pr.GainRefreshPairs != c.pairs:
+		fail(recomputeCheck, "GainRefreshPairs = %d, the closed form over the observed movers and roams gives %d",
+			pr.GainRefreshPairs, c.pairs)
+	}
+	if d := staleGain(pn); d != "" {
+		fail(recomputeCheck, "%s", d)
+	}
+	// Below the 256-node cutover the refresh runs on the calling
+	// goroutine and allocates nothing.
+	if len(pn.nodes) < 256 {
+		if a := testing.AllocsPerRun(5, func() { pn.gains.refresh(pn.nodes) }); a != 0 {
+			fail(recomputeCheck, "a gain refresh on %d nodes made %v allocations, want 0", len(pn.nodes), a)
+		}
+	}
+	exact(refreshCheck, oracles{fullGainRefresh: true}, nil)
+	return rep
+}
+
+// diffReports memoizes the harness by input name: the nine suites
+// each report one check family of the same runs.
+var diffReports = map[string]diffReport{}
+
+// eachReport runs the harness on every input, once per test binary,
+// one subtest per diffGroup, and fails on check c's findings. It
+// returns every input's report, and whether every group ran (a -run
+// pattern may select a few).
+func eachReport(t *testing.T, c diffCheck) (reps []diffReport, all bool) {
+	groups := diffGroups()
+	ran := 0
+	for _, g := range groups {
+		t.Run(g.name, func(t *testing.T) {
+			ran++
+			for _, in := range g.inputs {
+				rep, ok := diffReports[in.name]
+				if !ok {
+					rep = differential(t, in)
+					diffReports[in.name] = rep
+				}
+				if f := rep.fail[c]; f != "" {
+					t.Errorf("%s: %s", in.name, f)
+				}
+				reps = append(reps, rep)
+			}
+		})
+	}
+	return reps, ran == len(groups)
+}
+
+// fanout hands each event to every probe in turn.
+type fanout []Probe
+
+func (f fanout) OnEvent(ev Event) {
+	for _, p := range f {
+		p.OnEvent(ev)
+	}
 }
 
 // gridRows names the equivScenarios rows with a medium above
@@ -349,25 +596,6 @@ func roamingCrowd(cfg Config, nAPs, walkers int, pitchM, minMps, maxMps float64)
 	}
 }
 
-// runRow runs one equivalence-row network and returns its fingerprint.
-// A row named for roaming must actually roam: one that stops
-// reassociating no longer pins the handoff path against its oracle.
-func runRow(t *testing.T, name string, n *Network, durationUs float64) string {
-	t.Helper()
-	return fingerprint(runRowResult(t, name, n, durationUs))
-}
-
-// runRowResult is runRow's run and roam check, returning the Result
-// itself for the assertions a fingerprint leaves out.
-func runRowResult(t *testing.T, name string, n *Network, durationUs float64) Result {
-	t.Helper()
-	r := n.Run(durationUs)
-	if strings.Contains(name, "roam") && r.Roams == 0 {
-		t.Fatalf("%s: no station roamed — the row no longer exercises reassociation", name)
-	}
-	return r
-}
-
 // sliceProbe records every event into a growing slice. It lives here
 // rather than using trace.Tracer because the trace package imports
 // netsim — the in-package tests need their own recorder.
@@ -426,75 +654,30 @@ func explainDivergence(buildA, buildB func() *Network, durationUs float64, ignor
 		i, at(pa.events, i), at(pb.events, i))
 }
 
+// TestSpatialIndexEquivalence: every input is bit-identical with the
+// grid index on and with the brute-force oracle (disableSpatialIndex),
+// carrier sense judges the same candidates either way out of no more
+// walked, and strictly fewer on the gridRows rows.
 func TestSpatialIndexEquivalence(t *testing.T) {
 	marked := 0
 	for _, sc := range equivScenarios() {
 		if gridRows[sc.name] {
 			marked++
 		}
-		t.Run(sc.name, func(t *testing.T) {
-			for seed := int64(1); seed <= equivSeeds; seed++ {
-				bruteForce := sc.builder(seed, oracles{disableSpatialIndex: true})
-				prod := production(t, sc, seed)
-				ri, rb := prod.res, runRowResult(t, sc.name, bruteForce(), sc.durationUs)
-				if indexed, brute := prod.fp, fingerprint(rb); indexed != brute {
-					t.Fatalf("seed %d: indexed run diverged from the brute-force oracle\n%s\nindexed:\n%s\nbrute:\n%s",
-						seed, explainDivergence(sc.builder(seed, oracles{}), bruteForce, sc.durationUs),
-						indexed, brute)
-				}
-				// The grid's superset guarantee as a count: the index
-				// only drops candidates the scan's row test would
-				// reject, so hears judges the same candidates either
-				// way, out of no more walked.
-				if ri.CsJudged != rb.CsJudged {
-					t.Fatalf("seed %d: carrier sense judged %d candidates indexed, %d brute force",
-						seed, ri.CsJudged, rb.CsJudged)
-				}
-				if ri.CsCandidates > rb.CsCandidates {
-					t.Fatalf("seed %d: indexed scan walked %d candidates, more than brute force's %d",
-						seed, ri.CsCandidates, rb.CsCandidates)
-				}
-				if gridRows[sc.name] && ri.CsCandidates == rb.CsCandidates {
-					t.Fatalf("seed %d: indexed scan walked all %d brute-force candidates — the row no longer takes the grid path",
-						seed, rb.CsCandidates)
-				}
-			}
-		})
 	}
 	if marked != len(gridRows) {
 		t.Fatalf("%d of the %d gridRows name an equivalence row", marked, len(gridRows))
 	}
+	eachReport(t, spatialCheck)
 }
 
 // TestObservationEquivalence pins the probe layer's core contract:
-// attaching a probe and running the sampler must not perturb the
-// simulation. Every preset's fingerprint must be bit-identical between
-// a bare run (the production run) and one carrying a recording probe
-// plus a telemetry tick.
+// attaching probes and running the sampler must not perturb the
+// simulation. Every input's observed run is bit-identical to its
+// production run, its probes saw events, and its sampler, on a
+// single-engine plan, recorded windows.
 func TestObservationEquivalence(t *testing.T) {
-	for _, sc := range equivScenarios() {
-		t.Run(sc.name, func(t *testing.T) {
-			for seed := int64(1); seed <= equivSeeds; seed++ {
-				bare := production(t, sc, seed).fp
-				cfg := DefaultConfig()
-				cfg.SampleIntervalUs = sc.durationUs / 64
-				n := sc.build(cfg)(seed)
-				probe := &sliceProbe{}
-				n.AttachProbe(probe)
-				r := n.Run(sc.durationUs)
-				if observed := fingerprint(r); observed != bare {
-					t.Fatalf("seed %d: observation perturbed the run\nbare:\n%s\nobserved:\n%s",
-						seed, bare, observed)
-				}
-				if len(probe.events) == 0 {
-					t.Fatalf("seed %d: probe saw no events", seed)
-				}
-				if r.Samples == nil || r.Samples.Windows() == 0 {
-					t.Fatalf("seed %d: sampler recorded no windows", seed)
-				}
-			}
-		})
-	}
+	eachReport(t, observationCheck)
 }
 
 // TestEagerTrackingEquivalence pins lazy carrier sense against its
@@ -503,22 +686,9 @@ func TestObservationEquivalence(t *testing.T) {
 // from the frames already on the air; the oracle
 // (eagerCarrierSense) tracks every node from Prepare on, so every
 // busy count is built by medium.start's own scan. The two must produce
-// bit-identical Results on every row. Only the EvObssIgnore
-// observations differ: the eager run also reports them for idle nodes.
+// bit-identical Results on every input.
 func TestEagerTrackingEquivalence(t *testing.T) {
-	for _, sc := range equivScenarios() {
-		t.Run(sc.name, func(t *testing.T) {
-			for seed := int64(1); seed <= equivSeeds; seed++ {
-				eagerly := sc.builder(seed, oracles{eagerCarrierSense: true})
-				lazy := production(t, sc, seed).fp
-				eager := runRow(t, sc.name, eagerly(), sc.durationUs)
-				if lazy != eager {
-					t.Errorf("seed %d: lazy carrier sense diverged from the eager-tracking oracle\n%s",
-						seed, explainDivergence(sc.builder(seed, oracles{}), eagerly, sc.durationUs, EvObssIgnore))
-				}
-			}
-		})
-	}
+	eachReport(t, eagerCheck)
 }
 
 // TestGainDomainEquivalence pins the gain domains against the layout
@@ -526,48 +696,13 @@ func TestEagerTrackingEquivalence(t *testing.T) {
 // merged where a flow crosses them); the oracle (oneGainDomain)
 // stores one matrix over every node, as a mobile build does. A partition
 // that splits a pair the run reads would read another pair's gain (or
-// none), so the two must produce bit-identical Results on every
-// equivalence row and seed and every compat preset, sharded and bonded
-// included. The cross-channel-flows row fails when the partition
-// ignores flows (its pinned station reads gains across channels).
+// none), so the two must produce bit-identical Results on every static
+// input, the sharded compat presets at their engine counts. The
+// cross-channel-flows row fails when the partition ignores flows (its
+// pinned station reads gains across channels).
 func TestGainDomainEquivalence(t *testing.T) {
-	split := 0 // production builds with more than one domain
-	check := func(t *testing.T, label string, prod productionRun, build func(oracles) *Network, durationUs float64, shards int) {
-		t.Helper()
-		if prod.domains > 1 {
-			split++
-		}
-		one := func() *Network { return build(oracles{oneGainDomain: true}) }
-		r := one().Run(durationUs)
-		for _, res := range []Result{prod.res, r} {
-			if shards > 0 && res.Shards != shards {
-				t.Fatalf("%s ran %d shards, want %d", label, res.Shards, shards)
-			}
-		}
-		if fingerprint(r) != prod.fp {
-			t.Errorf("%s: per-domain gains diverged from the one-domain oracle\n%s",
-				label, explainDivergence(func() *Network { return build(oracles{}) }, one, durationUs))
-		}
-	}
-	for _, sc := range equivScenarios() {
-		t.Run(sc.name, func(t *testing.T) {
-			for seed := int64(1); seed <= equivSeeds; seed++ {
-				check(t, fmt.Sprintf("seed %d", seed), production(t, sc, seed), func(o oracles) *Network {
-					return sc.builder(seed, o)()
-				}, sc.durationUs, 0)
-			}
-		})
-	}
-	for _, row := range compatScenarios() {
-		t.Run(row.name, func(t *testing.T) {
-			n := row.build()
-			r := n.Run(row.durationUs)
-			check(t, row.name, productionRun{r, fingerprint(r), n.gains.domains()}, func(o oracles) *Network {
-				return withOracles(row.build(), o)
-			}, row.durationUs, row.shards)
-		})
-	}
-	if split == 0 {
+	reps, all := eachReport(t, domainCheck)
+	if all && !slices.ContainsFunc(reps, func(r diffReport) bool { return r.domains > 1 }) {
 		t.Fatal("no production build split into more than one gain domain")
 	}
 }

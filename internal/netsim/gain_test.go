@@ -340,7 +340,7 @@ const halfSlotDB = -3.0102999566398121
 // domain is the only gain state, and each per-frame decision compares
 // it against a threshold New converts to mW once. The two rules can round apart only at an exact
 // tie, and this test proves that no verdict moves. For every floor — each
-// equivalence row and seed, each compat preset and the E27 floor — it
+// harness input (diffGroups) and the E27 floor — it
 // recomputes each pair's received power p in dBm as the fill does,
 // taking the shadowing draws from a twin built with mobility (which
 // keeps them; TestGainStateOracle proves both builds bit-identical),
@@ -356,21 +356,24 @@ const halfSlotDB = -3.0102999566398121
 //     the station's domain (all of them under mobility, the only
 //     build that roams).
 func TestMilliwattRulesMatchDecibelRules(t *testing.T) {
-	floors := everyPreset()
+	var floors []diffInput
+	for _, g := range diffGroups() {
+		floors = append(floors, g.inputs...)
+	}
 	if !testing.Short() {
-		floors = append(floors, compatRow{name: "e27-large-floor", build: func() *Network {
+		floors = append(floors, diffInput{name: "e27-large-floor", build: func(o oracles) *Network {
 			cfg := DefaultConfig()
 			cfg.CSThresholdDBm = -62
-			return LargeFloor(cfg, 100, 40, 10, 1)(1) // 4,100 nodes
+			return withOracles(LargeFloor(cfg, 100, 40, 10, 1)(1), o) // 4,100 nodes
 		}})
 	}
 	for _, fl := range floors {
-		twin := fl.build()
+		twin := fl.build(oracles{})
 		twin.cfg.RoamIntervalUs = 1e5
 		twin.build()
 		shadow := twin.gains.shadowDB
 		twin = nil // the E27 twin holds 269 MB; free it before the next build
-		n := fl.build()
+		n := fl.build(oracles{})
 		n.build()
 		if d := mismatchedRules(n, shadow); d != "" {
 			t.Errorf("%s: %s", fl.name, d)
@@ -491,130 +494,47 @@ func mismatchedRules(n *Network, shadow [][]float64) string {
 // with a moved node once (gainState.readable), plus the row of each
 // station that then changes medium (refreshRow), against a recompute
 // of every readable cell from the final positions and the shadowing
-// draws. It runs every mobile equivalence row on every seed, and a
-// 272-node floor of walkers above the refresh's 256-node cutover, whose
-// striped workers the race detector then covers. Each run also holds
-// Result.GainRefreshPairs to its closed form: per tick, the readable
-// pairs with a moved node, then the row of each roam that changed
-// medium (runCountingPairs). The runs poison every skipped cell with
-// NaN (the poisonSkippedGains oracle), and after each tick both cells of
-// every pair must hold the same bits (asymmetricGain): the interference
-// crossing reads a pair from either side.
+// draws (staleGain), on the poisoned run of every mobile input: the
+// six roaming rows, the two mobile compat presets and the 272-node
+// walker floor, whose striped refresh the race detector then covers.
+// That run's Result.GainRefreshPairs must equal its closed form, both
+// cells of every pair must hold the same bits after each tick
+// (countPairs), and below the 256-node cutover a refresh allocates
+// nothing. A static run reports no refreshed pairs.
 func TestMobileRefreshMatchesRecompute(t *testing.T) {
-	type row struct {
-		name       string
-		durationUs float64
-		build      func(seed int64) *Network
-	}
-	var rows []row
+	rows := 0
 	for _, sc := range equivScenarios() {
-		if !strings.HasPrefix(sc.name, "roaming-") {
-			continue
-		}
-		for seed := int64(1); seed <= equivSeeds; seed++ {
-			rows = append(rows, row{fmt.Sprintf("%s/seed%d", sc.name, seed), sc.durationUs,
-				func(int64) *Network { return sc.build(DefaultConfig())(seed) }})
+		if strings.HasPrefix(sc.name, "roaming-") {
+			rows++
 		}
 	}
-	if len(rows) != 6*equivSeeds {
-		t.Fatalf("%d mobile equivalence runs, want the six roaming rows × %d seeds", len(rows), equivSeeds)
+	if rows != 6 {
+		t.Fatalf("%d roaming equivalence rows, want six", rows)
 	}
-	rows = append(rows, row{"walker-floor-272", 1e6, walkerFloor})
+	reps, all := eachReport(t, recomputeCheck)
 	var rowCells, offAirTicks int
-	for _, r := range rows {
-		n := withOracles(r.build(1), oracles{poisonSkippedGains: true})
-		if r.name == "walker-floor-272" && len(n.nodes) < 256 {
-			t.Fatalf("%s has %d nodes, below the striped refresh's cutover", r.name, len(n.nodes))
-		}
-		c := runCountingPairs(n, r.durationUs)
-		if c.asym != "" {
-			t.Errorf("%s: %s", r.name, c.asym)
-		}
-		t.Logf("%s: %d ticks moved nodes, %d pairs refreshed (%d in roamers' rows), %d roams",
-			r.name, c.ticks, c.pairs, c.rowCells, c.res.Roams)
-		if c.ticks == 0 {
-			t.Fatalf("%s: no roam tick moved a node", r.name)
-		}
-		if c.res.GainRefreshPairs != c.pairs {
-			t.Errorf("%s: GainRefreshPairs = %d, the closed form over the observed movers and roams gives %d",
-				r.name, c.res.GainRefreshPairs, c.pairs)
-		}
-		if d := staleGain(n); d != "" {
-			t.Errorf("%s: %s", r.name, d)
-		}
-		rowCells += c.rowCells
-		offAirTicks += c.offAirTicks
+	for _, r := range reps {
+		rowCells += r.counted.rowCells
+		offAirTicks += r.counted.offAirTicks
 	}
 	// The cases the rule adds to same-medium and AP pairs must occur.
-	if rowCells == 0 || offAirTicks == 0 {
+	if all && (rowCells == 0 || offAirTicks == 0) {
 		t.Fatalf("over every run, %d cells in roamers' rows and %d ticks with a receiver off its frame's medium; want both positive",
 			rowCells, offAirTicks)
-	}
-	if got := SingleLink(DefaultConfig(), 10, 500)(1).Run(1e5).GainRefreshPairs; got != 0 {
-		t.Fatalf("a static run reports %d refreshed pairs, want 0", got)
-	}
-	// Below the 256-node cutover the refresh runs on the calling
-	// goroutine and allocates nothing.
-	n := rows[2*equivSeeds-1].build(1)
-	n.build()
-	if a := testing.AllocsPerRun(5, func() { n.gains.refresh(n.nodes) }); a != 0 {
-		t.Fatalf("a gain refresh on %d nodes made %v allocations, want 0", len(n.nodes), a)
 	}
 }
 
 // TestReadableRefreshMatchesFullRefresh pins the readable-pair refresh
-// against the full one it replaces (the fullGainRefresh oracle: every pair
-// with a moved node, no row recompute on a change of medium). On every
-// equivalence row and seed, every compat preset and the walker floor,
-// the run with every skipped cell poisoned with NaN
-// (poisonSkippedGains) must be bit-identical to the oracle's, and
-// under mobility it carries the invariant probe, which fails on any NaN
-// gain read. Static builds never refresh, so their rows hold trivially;
-// the mobile ones are the roaming rows, two of which change medium.
-// roaming-short-tick, whose ticks fall while frames are on the air to
-// roamed-off receivers, runs shortTickSeeds seeds: the refresh's
-// in-flight branches (gainState.offAir, refreshRow's off-medium
-// receivers) are hit on few of them.
+// against the full one it replaces (the fullGainRefresh oracle: every
+// pair with a moved node, no row recompute on a change of medium). On
+// every mobile input, the run with every skipped cell poisoned with NaN
+// (poisonSkippedGains) and the oracle's run are both bit-identical to
+// production, and the poisoned run carries the invariant probe, which
+// fails on any NaN gain read. Static builds never refresh; the mobile
+// inputs are the roaming rows, two of which change medium, the mobile
+// compat presets and the walker floor.
 func TestReadableRefreshMatchesFullRefresh(t *testing.T) {
-	check := func(t *testing.T, label string, build func() *Network, durationUs float64) {
-		t.Helper()
-		mk := func(full bool) func() *Network {
-			return func() *Network {
-				return withOracles(build(), oracles{fullGainRefresh: full, poisonSkippedGains: !full})
-			}
-		}
-		n := mk(false)()
-		var p *csInvariantProbe
-		if n.cfg.RoamIntervalUs > 0 {
-			p = &csInvariantProbe{n: n}
-			n.AttachProbe(p)
-		}
-		rule := fingerprint(n.Run(durationUs))
-		if p != nil && p.err != nil {
-			t.Fatalf("%s: %v", label, p.err)
-		}
-		if full := fingerprint(mk(true)().Run(durationUs)); rule != full {
-			t.Fatalf("%s: the readable-pair refresh diverged from the full refresh\n%s",
-				label, explainDivergence(mk(false), mk(true), durationUs))
-		}
-	}
-	for _, sc := range equivScenarios() {
-		t.Run(sc.name, func(t *testing.T) {
-			seeds := int64(equivSeeds)
-			if sc.name == "roaming-short-tick" {
-				seeds = shortTickSeeds
-			}
-			for seed := int64(1); seed <= seeds; seed++ {
-				check(t, fmt.Sprintf("seed %d", seed), func() *Network { return sc.build(DefaultConfig())(seed) }, sc.durationUs)
-			}
-		})
-	}
-	for _, row := range compatScenarios() {
-		t.Run(row.name, func(t *testing.T) { check(t, row.name, row.build, row.durationUs) })
-	}
-	t.Run("walker-floor-272", func(t *testing.T) {
-		check(t, "walker-floor-272", func() *Network { return walkerFloor(1) }, 1e6)
-	})
+	eachReport(t, refreshCheck)
 }
 
 // TestWorkerCapBoundsGainPasses: the Network's one worker cap
@@ -667,8 +587,8 @@ func TestWorkerCapBoundsGainPasses(t *testing.T) {
 	}
 }
 
-// shortTickSeeds is how many seeds TestReadableRefreshMatchesFullRefresh
-// runs roaming-short-tick on, past equivSeeds.
+// shortTickSeeds is how many seeds the harness runs roaming-short-tick
+// on, past equivSeeds (equivRow.inputs).
 const shortTickSeeds = 10
 
 // walkerFloor is 16 APs 30 m apart in a 4×4 grid on 1/6/11, each with
@@ -697,19 +617,18 @@ func walkerFloor(seed int64) *Network {
 	return n
 }
 
-// pairCount is what runCountingPairs observed: the run's Result, the
-// closed-form pair count, the ticks that moved a node, the cells of
-// roamers' rows within the count, the ticks that found a receiver off
-// the medium of a frame on the air to it, and the first pair whose two
-// cells differed after a tick ("" when none).
+// pairCount is what countPairs observed: the closed-form pair count,
+// the ticks that moved a node, the cells of roamers' rows within the
+// count, the ticks that found a receiver off the medium of a frame on
+// the air to it, and the first pair whose two cells differed after a
+// tick ("" when none).
 type pairCount struct {
-	res                                 Result
 	pairs, ticks, rowCells, offAirTicks int
 	asym                                string
 }
 
-// runCountingPairs runs n for durationUs with an observer at every
-// roam tick, right after the roam scan (scheduled later for the same
+// countPairs prepares n and arms an observer at every roam tick of the
+// run that follows, right after the roam scan (scheduled later for the same
 // instant, it runs after it), which counts the pairs the tick
 // recomputed from what it can see: the nodes whose position changed,
 // the media they held before the tick (media change only at ticks),
@@ -719,7 +638,8 @@ type pairCount struct {
 // medium the roamer's row: the other nodes of the new medium and the
 // distinct receivers off it of frames on its air. The observer also
 // checks every pair's two cells for the same bits (asymmetricGain).
-func runCountingPairs(n *Network, durationUs float64) (c pairCount) {
+// It adds what it sees to c, and attaches p beside its own recorder.
+func countPairs(n *Network, c *pairCount, p Probe) {
 	n.Prepare()
 	nn := len(n.nodes)
 	pos := make([][2]float64, nn)
@@ -728,7 +648,7 @@ func runCountingPairs(n *Network, durationUs float64) (c pairCount) {
 		pos[i], med[i] = [2]float64{nd.X, nd.Y}, nd.med
 	}
 	roams := &sliceProbe{}
-	n.AttachProbe(roams)
+	n.AttachProbe(fanout{roams, p})
 	moved := make([]bool, nn)
 	eng := &n.shards[0].eng
 	var observe func()
@@ -765,16 +685,19 @@ func runCountingPairs(n *Network, durationUs float64) (c pairCount) {
 				continue
 			}
 			med[st.id] = to
+			cells := 0
 			for _, o := range n.nodes {
 				if o != st && med[o.id] == to {
-					c.rowCells++
+					cells++
 				}
 			}
 			for _, x := range offAirOn(n, med) {
 				if x.med == to {
-					c.rowCells++
+					cells++
 				}
 			}
+			c.rowCells += cells
+			c.pairs += cells
 		}
 		roams.events = roams.events[:0]
 		if d := asymmetricGain(n); d != "" && c.asym == "" {
@@ -783,9 +706,6 @@ func runCountingPairs(n *Network, durationUs float64) (c pairCount) {
 		eng.Schedule(n.cfg.RoamIntervalUs, observe)
 	}
 	eng.Schedule(n.cfg.RoamIntervalUs, observe)
-	c.res = n.Run(durationUs)
-	c.pairs += c.rowCells
-	return c
 }
 
 // offAirOn lists, once each, the receivers of frames on the air that

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -222,71 +223,48 @@ func (p *csInvariantProbe) check(ev Event) error {
 	return nil
 }
 
-// TestCarrierSenseInvariants runs the invariant probe over every
-// equivalence row and seed.
+// TestCarrierSenseInvariants: csInvariantProbe rides every input's
+// observed run on a single-engine plan, finds no fault and checks at
+// least one frame end.
 func TestCarrierSenseInvariants(t *testing.T) {
-	for _, sc := range equivScenarios() {
-		t.Run(sc.name, func(t *testing.T) {
-			for seed := int64(1); seed <= equivSeeds; seed++ {
-				n := sc.build(DefaultConfig())(seed)
-				p := &csInvariantProbe{n: n}
-				n.AttachProbe(p)
-				n.Run(sc.durationUs)
-				if p.err != nil {
-					t.Errorf("seed %d: %v", seed, p.err)
-				} else if p.checks == 0 {
-					t.Errorf("seed %d: no frame ended", seed)
-				}
-			}
-		})
-	}
+	eachReport(t, invariantCheck)
 }
 
 // TestPacketConservation: no packet is created or lost outside the
-// books. For every flow of every equivalence row and seed and every
-// compat preset, the arrivals the Result reports equal its deliveries,
-// queue drops and retry drops plus the packets still held at the
-// horizon — queued at any hop, or out of the queue in an A-MPDU burst
-// on the air (launch takes a burst's MPDUs out; a lone MPDU stays at
-// the head of its queue while it airs).
+// books, on every input's observed run (unconserved).
 func TestPacketConservation(t *testing.T) {
-	for _, rw := range everyPreset() {
-		n := rw.build()
-		r := n.Run(rw.durationUs)
-		held := make(map[*Flow]int)
-		for _, nd := range n.nodes {
-			for ac := range nd.acq {
-				for _, p := range nd.acq[ac].queue {
-					held[p.flow]++
-				}
-			}
-			if nd.curPkt != nil && nd.ex.ampdu {
-				for _, p := range nd.ex.mpdus {
-					held[p.flow]++
-				}
-			}
-		}
-		for i, f := range n.flows {
-			s := r.Flows[i]
-			if out := s.Delivered + s.QueueDrops + s.RetryDrops + held[f]; s.Arrivals != out {
-				t.Errorf("%s: flow %s: %d arrivals, but %d delivered + %d queue drops + %d retry drops + %d held at the horizon = %d",
-					rw.name, s.Label, s.Arrivals, s.Delivered, s.QueueDrops, s.RetryDrops, held[f], out)
-			}
-		}
-	}
+	eachReport(t, conservationCheck)
 }
 
-// everyPreset lists each equivalence row at each seed, then each compat
-// preset, as a network builder with its run length.
-func everyPreset() []compatRow {
-	var rows []compatRow
-	for _, sc := range equivScenarios() {
-		for seed := int64(1); seed <= equivSeeds; seed++ {
-			rows = append(rows, compatRow{fmt.Sprintf("%s/seed%d", sc.name, seed), sc.durationUs, 0,
-				func() *Network { return sc.build(DefaultConfig())(seed) }})
+// unconserved checks the packet books of n after the run that returned
+// r. For every flow, the arrivals must equal its deliveries, queue
+// drops and retry drops plus the packets still held at the horizon —
+// queued at any hop, or out of the queue in an A-MPDU burst on the air
+// (launch takes a burst's MPDUs out; a lone MPDU stays at the head of
+// its queue while it airs). It describes the first flow whose books do
+// not balance ("" when all do).
+func unconserved(n *Network, r Result) string {
+	held := make(map[*Flow]int)
+	for _, nd := range n.nodes {
+		for ac := range nd.acq {
+			for _, p := range nd.acq[ac].queue {
+				held[p.flow]++
+			}
+		}
+		if nd.curPkt != nil && nd.ex.ampdu {
+			for _, p := range nd.ex.mpdus {
+				held[p.flow]++
+			}
 		}
 	}
-	return append(rows, compatScenarios()...)
+	for i, f := range n.flows {
+		s := r.Flows[i]
+		if out := s.Delivered + s.QueueDrops + s.RetryDrops + held[f]; s.Arrivals != out {
+			return fmt.Sprintf("flow %s: %d arrivals, but %d delivered + %d queue drops + %d retry drops + %d held at the horizon = %d",
+				s.Label, s.Arrivals, s.Delivered, s.QueueDrops, s.RetryDrops, held[f], out)
+		}
+	}
+	return ""
 }
 
 // crossingProbe counts frame starts and, at each, the frames already
@@ -305,37 +283,12 @@ func (p *crossingProbe) OnEvent(ev Event) {
 }
 
 // TestCrossingsCounter pins Result.FrameStarts and Result.Crossings
-// against crossingProbe on every equivalence row and seed and every
-// compat preset. Each shard gets its own probe (AttachShardProbes
-// keeps the plan), so the sharded presets check the per-shard sums.
+// against the crossingProbe each engine of every input's observed run
+// carries (AttachShardProbes keeps the plan), so the sharded presets
+// check the per-shard sums; at least one input must run sharded.
 func TestCrossingsCounter(t *testing.T) {
-	sharded := 0
-	for _, rw := range everyPreset() {
-		n := rw.build()
-		var probes []*crossingProbe
-		n.AttachShardProbes(func(int) Probe {
-			p := &crossingProbe{n: n}
-			probes = append(probes, p)
-			return p
-		})
-		r := n.Run(rw.durationUs)
-		if r.Shards > 1 {
-			sharded++
-		}
-		var starts, crossings int
-		for _, p := range probes {
-			starts += p.starts
-			crossings += p.crossings
-		}
-		if r.FrameStarts == 0 {
-			t.Errorf("%s: no frame started", rw.name)
-		}
-		if r.FrameStarts != starts || r.Crossings != crossings {
-			t.Errorf("%s: Result counts %d frame starts crossing %d frames on the air, the probe %d crossing %d",
-				rw.name, r.FrameStarts, r.Crossings, starts, crossings)
-		}
-	}
-	if sharded == 0 {
-		t.Fatal("no preset ran on more than one shard")
+	reps, all := eachReport(t, crossingCheck)
+	if all && !slices.ContainsFunc(reps, func(r diffReport) bool { return r.sharded }) {
+		t.Fatal("no input ran on more than one shard")
 	}
 }

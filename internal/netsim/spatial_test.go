@@ -340,34 +340,24 @@ func gridWalkers(seed int64) *Network {
 }
 
 // TestGridNeighborLinks holds the grid's cell links (gridCell.nbrs,
-// Node.gc) to the cell map after every roam tick, on the mobile
-// equivalence rows, walker-floor-272, and gridWalkers, whose walkers
+// Node.gc) to the cell map after every roam tick, on the roaming rows
+// and walker-floor-272 (diffGroups), and gridWalkers, whose walkers
 // leave the floor: an emptied cell must be unlinked from its
 // neighbours, or their lists would keep it (and its node lists) alive.
 // Every built hood must also match its block's tracked nodes entry for
 // entry (hoodFault), so a tracking change that misses a cached hood, or
 // a move that leaves one stale, fails it.
 func TestGridNeighborLinks(t *testing.T) {
-	type row struct {
-		name       string
-		durationUs float64
-		build      func() *Network
-	}
-	var rows []row
-	for _, sc := range equivScenarios() {
-		if !strings.HasPrefix(sc.name, "roaming-") {
-			continue
-		}
-		for seed := int64(1); seed <= equivSeeds; seed++ {
-			rows = append(rows, row{fmt.Sprintf("%s/seed%d", sc.name, seed), sc.durationUs,
-				func() *Network { return sc.build(DefaultConfig())(seed) }})
+	var rows []diffInput
+	for _, g := range diffGroups() {
+		if strings.HasPrefix(g.name, "roaming-") || g.name == "walker-floor-272" {
+			rows = append(rows, g.inputs...)
 		}
 	}
-	rows = append(rows,
-		row{"walker-floor-272", 1e6, func() *Network { return walkerFloor(1) }},
-		row{"grid-walkers", 1e6, func() *Network { return gridWalkers(1) }})
+	rows = append(rows, diffInput{name: "grid-walkers", durationUs: 1e6,
+		build: func(o oracles) *Network { return withOracles(gridWalkers(1), o) }})
 	for _, r := range rows {
-		n := r.build()
+		n := r.build(oracles{})
 		n.Prepare()
 		if n.media[0].grid == nil {
 			t.Fatalf("%s: spatial index not built", r.name)
