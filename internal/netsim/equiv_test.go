@@ -19,7 +19,7 @@ import (
 // technique from "new tree vs recorded hashes" to "live configurations
 // of the same tree", which catches bugs on any seed instead of only
 // the recorded ones. Fingerprints come from compat_test.go and cover
-// every counter, per-AC/per-flow stat, and float in a Result. Nine
+// every counter, per-AC/per-flow stat, and float in a Result. Ten
 // suites report the harness's check families (diffCheck) over every
 // input; the harness runs each input once per test binary.
 
@@ -262,6 +262,7 @@ const (
 	crossingCheck                      // TestCrossingsCounter
 	refreshCheck                       // TestReadableRefreshMatchesFullRefresh
 	recomputeCheck                     // TestMobileRefreshMatchesRecompute
+	gridCheck                          // TestGridNeighborLinks
 	numChecks
 )
 
@@ -278,20 +279,22 @@ type diffReport struct {
 // differential runs input in through every exact oracle and both
 // invariant probes, and holds each run to the input's one production
 // run (no oracle, no observer):
-//   - One observed run carries every observer: a recording probe and
-//     a crossing probe per engine (AttachShardProbes keeps the plan)
-//     and, on a single-engine plan, csInvariantProbe and the telemetry
-//     sampler. Probes and the sampler promise not to perturb a run, so
-//     its fingerprint must be production's. The packet books are then
+//   - One observed run carries every observer: the telemetry sampler,
+//     a counting crossing probe per partition (AttachShardProbes) and,
+//     on a single-engine plan, csInvariantProbe, whose check walks
+//     every medium and node. Neither the probes nor the sampler change
+//     the plan, and they promise not to perturb a run, so its
+//     fingerprint must be production's and its series must keep the
+//     sampler's contract (sampleFault). The packet books are then
 //     checked on its network.
 //   - One run per exact oracle: disableSpatialIndex, eagerCarrierSense,
 //     and oneGainDomain on a static build; on a mobile build, the
 //     readable-pair refresh with every skipped cell poisoned with NaN
 //     (poisonSkippedGains), carrying csInvariantProbe, which fails on a
-//     NaN read, and the roam-tick pair counter (countPairs), and the
-//     fullGainRefresh oracle. A mobile build is one gain domain and a
-//     static one never refreshes, so each skipped oracle would take
-//     production's own path.
+//     NaN read, the roam-tick pair counter (countPairs) and the grid
+//     link check (watchGrid), and the fullGainRefresh oracle. A mobile
+//     build is one gain domain and a static one never refreshes, so
+//     each skipped oracle would take production's own path.
 //
 // A run that diverges is explained by explainDivergence. A row that
 // should roam and does not fails t at once.
@@ -333,37 +336,36 @@ func differential(t *testing.T, in diffInput) diffReport {
 		return n, r, false
 	}
 
-	var recs []*sliceProbe
 	var crossings []*crossingProbe
 	var inv *csInvariantProbe
 	obs, r := run(oracles{}, func(n *Network) {
+		n.cfg.SampleIntervalUs = in.durationUs / 64
 		if n.cfg.Shards <= 1 {
-			n.cfg.SampleIntervalUs = in.durationUs / 64
 			inv = &csInvariantProbe{n: n}
 		}
 		n.AttachShardProbes(func(int) Probe {
-			rec, cross := &sliceProbe{}, &crossingProbe{n: n}
-			recs, crossings = append(recs, rec), append(crossings, cross)
+			cross := &crossingProbe{n: n}
+			crossings = append(crossings, cross)
 			if inv != nil {
-				return fanout{rec, cross, inv}
+				return fanout{cross, inv}
 			}
-			return fanout{rec, cross}
+			return cross
 		})
 	})
 	if got := fingerprint(r); got != fp {
 		fail(observationCheck, "observation perturbed the run\nbare:\n%s\nobserved:\n%s", fp, got)
 	}
 	events, starts, crossed := 0, 0, 0
-	for i, rec := range recs {
-		events += len(rec.events)
-		starts += crossings[i].starts
-		crossed += crossings[i].crossings
+	for _, c := range crossings {
+		events += c.events
+		starts += c.starts
+		crossed += c.crossings
 	}
 	if events == 0 {
 		fail(observationCheck, "probe saw no events")
 	}
-	if inv != nil && (r.Samples == nil || r.Samples.Windows() == 0) {
-		fail(observationCheck, "sampler recorded no windows")
+	if d := sampleFault(r); d != "" {
+		fail(observationCheck, "%s", d)
 	}
 	if inv != nil && inv.err != nil {
 		fail(invariantCheck, "%v", inv.err)
@@ -406,12 +408,19 @@ func differential(t *testing.T, in diffInput) diffReport {
 		return rep
 	}
 
+	var grid *gridWatch
 	pn, pr, _ := exact(refreshCheck, oracles{poisonSkippedGains: true}, func(n *Network) {
 		inv = &csInvariantProbe{n: n}
 		countPairs(n, &rep.counted, inv)
+		grid = watchGrid(n)
 	})
 	if inv.err != nil {
 		fail(refreshCheck, "with skipped cells poisoned: %v", inv.err)
+	}
+	if grid.fault != "" {
+		fail(gridCheck, "%s", grid.fault)
+	} else if grid.ticks == 0 {
+		fail(gridCheck, "no roam tick observed")
 	}
 	c := &rep.counted
 	switch {
@@ -437,7 +446,7 @@ func differential(t *testing.T, in diffInput) diffReport {
 	return rep
 }
 
-// diffReports memoizes the harness by input name: the nine suites
+// diffReports memoizes the harness by input name: the ten suites
 // each report one check family of the same runs.
 var diffReports = map[string]diffReport{}
 
@@ -674,8 +683,8 @@ func TestSpatialIndexEquivalence(t *testing.T) {
 // TestObservationEquivalence pins the probe layer's core contract:
 // attaching probes and running the sampler must not perturb the
 // simulation. Every input's observed run is bit-identical to its
-// production run, its probes saw events, and its sampler, on a
-// single-engine plan, recorded windows.
+// production run, its probes saw events, and its sampler, on every
+// plan, recorded windows that integrate to the run's aggregates.
 func TestObservationEquivalence(t *testing.T) {
 	eachReport(t, observationCheck)
 }

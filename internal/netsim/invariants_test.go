@@ -267,15 +267,17 @@ func unconserved(n *Network, r Result) string {
 	return ""
 }
 
-// crossingProbe counts frame starts and, at each, the frames already
-// on the air of the sender's medium: the new frame is the last entry of
-// that medium's active list, so the start crossed every other entry.
+// crossingProbe counts the events it sees, the frame starts among
+// them and, at each start, the frames already on the air of the
+// sender's medium: the new frame is the last entry of that medium's
+// active list, so the start crossed every other entry.
 type crossingProbe struct {
-	n                 *Network
-	starts, crossings int
+	n                         *Network
+	events, starts, crossings int
 }
 
 func (p *crossingProbe) OnEvent(ev Event) {
+	p.events++
 	if ev.Kind == EvTxStart {
 		p.starts++
 		p.crossings += len(p.n.nodes[ev.Node].med.active) - 1

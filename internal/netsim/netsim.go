@@ -149,11 +149,13 @@ type Config struct {
 	RoamHysteresisDB float64
 
 	// SampleIntervalUs, when positive, attaches a time-series sampler
-	// that snapshots telemetry every tick — per-AC/per-BSS goodput,
-	// queue depths, medium busy/collision airtime fractions, NAV
-	// occupancy — into the columnar SampleSeries on Result.Samples. The
-	// tick only reads state and reschedules itself, so a sampled run is
-	// bit-identical to an unsampled one. 0 disables sampling.
+	// that snapshots telemetry every tick — per-AC goodput, queue
+	// depths and airtime, medium busy/collision airtime fractions, NAV
+	// occupancy — into the columnar SampleSeries on Result.Samples.
+	// Each shard samples its own BSSs on its own engine, and collect
+	// merges the shards' windows. The tick only reads state and
+	// reschedules itself, so a sampled run is bit-identical to an
+	// unsampled one and keeps its shard plan. 0 disables sampling.
 	SampleIntervalUs float64
 
 	// Shards requests execution on up to this many parallel partitions
@@ -164,12 +166,12 @@ type Config struct {
 	// horizon with no synchronization between them. 0 and 1 mean the
 	// classic single engine, bit-identical to every earlier release.
 	// Requests the floor cannot honor — fewer interaction groups than
-	// shards, mobility, sampling, or a plain attached Probe — clamp or
-	// fall back to fewer shards (see Network.Plan for what happened and
-	// why). Every value that runs more than one partition gives the
-	// same result bit for bit, since a group draws from its own stream
-	// wherever it runs; it matches the single engine, which draws from
-	// the un-split stream, only statistically.
+	// shards, or mobility — clamp or fall back to fewer shards (see
+	// Network.Plan for what happened and why); probes and the sampler
+	// never change the plan. Every value that runs more than one
+	// partition gives the same result bit for bit, since a group draws
+	// from its own stream wherever it runs; it matches the single
+	// engine, which draws from the un-split stream, only statistically.
 	Shards int
 
 	// Channels, when positive, is the number of 20 MHz channels the
@@ -328,8 +330,8 @@ type BSS struct {
 	AP      *Node
 	Channel int
 
-	// idx is the BSS's position in Network.bss — the row index of its
-	// per-BSS telemetry columns (SampleSeries.BssGoodputMbps).
+	// idx is the BSS's position in Network.bss — its index in
+	// Result.BssGoodputMbps.
 	idx int
 
 	// color is the BSS color carried in every frame header when OBSS-PD
@@ -494,8 +496,8 @@ type Network struct {
 	flows []*Flow
 
 	// media is the union of every shard's media, in creation order —
-	// read-only aggregate views (collect, the sampler) walk it; the MAC
-	// hot paths go through the owning shard's list.
+	// read-only aggregate views (collect) walk it; the MAC hot paths
+	// and each shard's sampler go through the owning shard's list.
 	media []*medium
 
 	// shards are the per-group execution units build creates
@@ -580,17 +582,16 @@ type Network struct {
 	// probe, when attached via AttachProbe, receives one Event per
 	// instrumented point in the MAC/medium hot paths (probe.go); the
 	// hot emission sites guard on the owning shard's copy so a
-	// probe-less run pays one nil-check. probeFactory is the sharded
-	// alternative (AttachShardProbes): one probe per partition, each
-	// seeing only the streams of the groups that partition runs.
+	// probe-less run pays one nil-check, and Run drives the lanes in
+	// turn while it is set. probeFactory is the concurrent alternative
+	// (AttachShardProbes): one probe per partition, each seeing only the
+	// streams of the groups that partition runs.
 	probe        Probe
 	probeFactory func(shard int) Probe
 
-	// sampler drives the Config.SampleIntervalUs telemetry tick;
-	// bssBytes is the cumulative per-BSS delivered-byte counter its
-	// goodput columns difference per window (indexed by BSS, so shards
-	// write disjoint entries).
-	sampler  *sampler
+	// bssBytes is the cumulative per-BSS delivered-byte counter behind
+	// Result.BssGoodputMbps (indexed by BSS, so shards write disjoint
+	// entries).
 	bssBytes []int
 
 	// qoeSources are the per-user QoE reporters registered via AddQoE;
@@ -904,8 +905,10 @@ func (n *Network) Prepare() {
 		n.shards[0].eng.Schedule(n.cfg.RoamIntervalUs, n.roamScan)
 	}
 	if n.cfg.SampleIntervalUs > 0 {
-		n.sampler = newSampler(n)
-		n.sampler.arm()
+		for _, sh := range n.shards {
+			sh.sampler = newSampler(sh)
+			sh.sampler.arm()
+		}
 	}
 }
 
@@ -920,7 +923,13 @@ func (n *Network) Run(durationUs float64) Result {
 	if !n.prepared {
 		n.Prepare()
 	}
-	sim.RunAll(n.lanes, durationUs, n.workers)
+	workers := n.workers
+	if n.probe != nil {
+		// One plain probe sees every lane, so the lanes run in turn and
+		// it is never called concurrently.
+		workers = 1
+	}
+	sim.RunAll(n.lanes, durationUs, workers)
 	return n.collect(durationUs)
 }
 
@@ -1413,8 +1422,8 @@ func (n *Network) collect(durationUs float64) Result {
 			res.AirtimeFrac = frac
 		}
 	}
-	if n.sampler != nil {
-		res.Samples = n.sampler.finish(durationUs)
+	if n.cfg.SampleIntervalUs > 0 {
+		res.Samples = n.samples(durationUs)
 	}
 	if len(n.qoeSources) > 0 {
 		res.QoE = &QoEStats{}

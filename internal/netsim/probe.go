@@ -35,11 +35,14 @@ type Probe interface {
 }
 
 // AttachProbe points the network's event stream at p (nil detaches).
-// Attach before Prepare/Run to see the initial queue fills; attaching
-// mid-run is allowed and takes effect at the next event. A single
-// probe cannot observe concurrent shards, so a network with a plain
-// probe attached before Prepare plans itself onto one engine (see
-// planShards); to trace a sharded run, use AttachShardProbes.
+// Attach before Prepare/Run to see the initial queue fills; on a
+// single engine attaching mid-run is allowed and takes effect at the
+// next event, while on a sharded plan p must be attached before Run.
+// The probe does not change the plan: Run drives every partition on
+// one goroutine while a plain probe is attached, so p is never called
+// concurrently and sees the interaction groups one after another, each
+// in time order from the start of the run. The result is the unprobed
+// run's. To observe the partitions concurrently, use AttachShardProbes.
 func (n *Network) AttachProbe(p Probe) {
 	n.probe = p
 	for _, sh := range n.shards {
@@ -54,8 +57,8 @@ func (n *Network) AttachProbe(p Probe) {
 // locking as long as the probes don't share state. A partition runs
 // its interaction groups one after another, so its probe sees each
 // group's events in time order, then the next group's from the start
-// of the run. Unlike AttachProbe, this does not force single-engine
-// planning. Call before Prepare.
+// of the run. Unlike AttachProbe, the partitions still run
+// concurrently. Call before Prepare.
 func (n *Network) AttachShardProbes(f func(shard int) Probe) {
 	if n.prepared {
 		panic("netsim: AttachShardProbes must be called before Prepare")

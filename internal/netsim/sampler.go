@@ -1,15 +1,19 @@
 package netsim
 
 // The time-series sampler. With Config.SampleIntervalUs set, Prepare
-// arms a periodic tick that snapshots telemetry into a columnar
-// SampleSeries: cumulative counters are differenced into per-window
-// deltas (goodput, airtime), instantaneous state is read at the tick
-// (queue depths, NAV occupancy). The tick is observational by design —
-// it reads counters, never draws randomness, never touches MAC state,
-// and the one event it schedules is its own successor, which shifts
-// every engine sequence number uniformly and therefore preserves the
-// relative order of all simulation events. A sampled run is
-// bit-identical to an unsampled one; the equivalence suite pins that.
+// gives every shard a sampler whose tick runs on that shard's engine
+// and snapshots only that shard's telemetry — its counters, its media
+// and the nodes on them — into a columnar series: cumulative counters
+// are differenced into per-window deltas (goodput, airtime),
+// instantaneous state is read at the tick (queue depths, NAV
+// occupancy). Every shard ticks at the same virtual times, so collect
+// merges the shards' series window by window (Network.samples). The
+// tick is observational by design — it reads counters, never draws
+// randomness, never touches MAC state, and the one event it schedules
+// is its own successor, which shifts every sequence number of its
+// engine uniformly and therefore preserves the relative order of all
+// simulation events. A sampled run is bit-identical to an unsampled
+// one, on any shard plan; the equivalence suite pins that.
 
 // SampleSeries is the columnar (struct-of-slices) time series attached
 // to Result.Samples. Every column has one entry per window; window i
@@ -43,115 +47,127 @@ type SampleSeries struct {
 	// NavFrac is the fraction of nodes whose NAV was set (virtual
 	// carrier sense deferring) at the window's end.
 	NavFrac []float64
-
-	// BssGoodputMbps[b] is BSS b's delivered goodput per window, indexed
-	// as Network.bss / the scenario's AddAP order.
-	BssGoodputMbps [][]float64
 }
 
 // Windows is the number of recorded windows.
 func (s *SampleSeries) Windows() int { return len(s.TimeUs) }
 
-// sampler drives the tick and holds the previous-tick cumulative
-// snapshots the delta columns are differenced from.
+// sampler drives one shard's tick and holds the previous-tick
+// cumulative snapshots the delta columns are differenced from. navSet
+// counts, per window, the shard's nodes whose NAV was set; samples
+// turns the merged counts into NavFrac.
 type sampler struct {
-	net        *Network
+	sh         *shard
 	intervalUs float64
 	lastUs     float64
 
 	prevAcBytes   [NumACs]int
 	prevAcAirUs   [NumACs]float64
-	prevBssBytes  []int
-	prevBusyUs    []float64 // per medium
-	prevOverlapUs []float64 // per medium
+	prevBusyUs    []float64 // per shard medium
+	prevOverlapUs []float64 // per shard medium
 
-	series *SampleSeries
+	navSet []int
+	series SampleSeries
 }
 
-// newSampler snapshots the (all-zero) baseline against a built network.
-// Prepare calls it after build, so the media and BSS lists are final.
-func newSampler(n *Network) *sampler {
-	s := &sampler{net: n, intervalUs: n.cfg.SampleIntervalUs,
-		series: &SampleSeries{IntervalUs: n.cfg.SampleIntervalUs}}
-	s.prevBssBytes = make([]int, len(n.bss))
-	s.prevBusyUs = make([]float64, len(n.media))
-	s.prevOverlapUs = make([]float64, len(n.media))
-	s.series.BssGoodputMbps = make([][]float64, len(n.bss))
-	return s
+// newSampler snapshots the (all-zero) baseline against a built shard.
+// Prepare calls it after build, so the shard's media are final.
+func newSampler(sh *shard) *sampler {
+	iv := sh.net.cfg.SampleIntervalUs
+	return &sampler{sh: sh, intervalUs: iv, series: SampleSeries{IntervalUs: iv},
+		prevBusyUs:    make([]float64, len(sh.media)),
+		prevOverlapUs: make([]float64, len(sh.media))}
 }
 
-// arm schedules the first tick. The sampler reads cross-shard state, so
-// planShards forces a sampled network onto a single engine — shard 0
-// therefore holds every counter the tick reads.
-func (s *sampler) arm() { s.net.shards[0].eng.Schedule(s.intervalUs, s.tick) }
+// arm schedules the next tick on the shard's engine.
+func (s *sampler) arm() { s.sh.eng.Schedule(s.intervalUs, s.tick) }
 
 // tick closes the window ending now and re-arms.
 func (s *sampler) tick() {
-	s.record(s.net.shards[0].eng.Now())
+	s.record(s.sh.eng.Now())
 	s.arm()
 }
 
-// record appends one window ending at nowUs to every column.
+// record appends one window ending at nowUs to every column. Every
+// node sits on exactly one medium, so the shard's nodes are its media's
+// members.
 func (s *sampler) record(nowUs float64) {
-	n := s.net
+	sh := s.sh
 	width := nowUs - s.lastUs
 	if width <= 0 {
 		return
 	}
 	s.lastUs = nowUs
-	ser := s.series
+	ser := &s.series
 	ser.TimeUs = append(ser.TimeUs, nowUs)
 
 	var depth [NumACs]int
 	navSet := 0
-	for _, nd := range n.nodes {
-		for ac := range nd.acq {
-			depth[ac] += len(nd.acq[ac].queue)
+	busyFrac, collFrac := 0.0, 0.0
+	for i, m := range sh.media {
+		for _, c := range m.entries {
+			nd := m.members[c.gi]
+			for ac := range nd.acq {
+				depth[ac] += len(nd.acq[ac].queue)
+			}
+			if nd.navUntilUs > nowUs {
+				navSet++
+			}
 		}
-		if nd.navUntilUs > nowUs {
-			navSet++
-		}
+		busy := m.busyUsAt(nowUs)
+		busyFrac = max(busyFrac, (busy-s.prevBusyUs[i])/width)
+		s.prevBusyUs[i] = busy
+		overlap := m.overlapUsAt(nowUs)
+		collFrac = max(collFrac, (overlap-s.prevOverlapUs[i])/width)
+		s.prevOverlapUs[i] = overlap
 	}
 	for ac := 0; ac < int(NumACs); ac++ {
-		bytes := n.shards[0].acBytesDelivered[ac]
+		bytes := sh.acBytesDelivered[ac]
 		ser.AcGoodputMbps[ac] = append(ser.AcGoodputMbps[ac],
 			float64(8*(bytes-s.prevAcBytes[ac]))/width)
 		s.prevAcBytes[ac] = bytes
 		ser.AcQueueDepth[ac] = append(ser.AcQueueDepth[ac], depth[ac])
-		air := n.shards[0].acAirtimeUs[ac]
+		air := sh.acAirtimeUs[ac]
 		ser.AcAirtimeUs[ac] = append(ser.AcAirtimeUs[ac], air-s.prevAcAirUs[ac])
 		s.prevAcAirUs[ac] = air
 	}
-	ser.NavFrac = append(ser.NavFrac, float64(navSet)/float64(len(n.nodes)))
-
-	busyFrac, collFrac := 0.0, 0.0
-	for i, m := range n.media {
-		busy := m.busyUsAt(nowUs)
-		if f := (busy - s.prevBusyUs[i]) / width; f > busyFrac {
-			busyFrac = f
-		}
-		s.prevBusyUs[i] = busy
-		overlap := m.overlapUsAt(nowUs)
-		if f := (overlap - s.prevOverlapUs[i]) / width; f > collFrac {
-			collFrac = f
-		}
-		s.prevOverlapUs[i] = overlap
-	}
+	s.navSet = append(s.navSet, navSet)
 	ser.BusyFrac = append(ser.BusyFrac, busyFrac)
 	ser.CollisionFrac = append(ser.CollisionFrac, collFrac)
-
-	for b := range n.bss {
-		bytes := n.bssBytes[b]
-		ser.BssGoodputMbps[b] = append(ser.BssGoodputMbps[b],
-			float64(8*(bytes-s.prevBssBytes[b]))/width)
-		s.prevBssBytes[b] = bytes
-	}
 }
 
-// finish flushes the partial window between the last tick and the run's
-// end (collect calls it), so the delta columns telescope to exactly the
-// run aggregates, and returns the series.
-func (s *sampler) finish(durationUs float64) *SampleSeries {
-	s.record(durationUs)
-	return s.series
+// samples flushes every shard's partial window between its last tick
+// and the run's end, so the delta columns telescope to exactly the run
+// aggregates, and merges the shards' series window by window, in shard
+// order: goodput, queue depth, airtime and NAV counts add up, and the
+// busy and collision fractions take the max across shards, as they do
+// across media. Every shard ticks at the same times, so their windows
+// line up; a single shard's series passes through unchanged. collect
+// calls it once.
+func (n *Network) samples(durationUs float64) *SampleSeries {
+	var out *SampleSeries
+	var nav []int
+	for _, sh := range n.shards {
+		s := sh.sampler
+		s.record(durationUs)
+		if out == nil {
+			out, nav = &s.series, s.navSet
+			continue
+		}
+		for i := range out.TimeUs {
+			for ac := 0; ac < int(NumACs); ac++ {
+				out.AcGoodputMbps[ac][i] += s.series.AcGoodputMbps[ac][i]
+				out.AcQueueDepth[ac][i] += s.series.AcQueueDepth[ac][i]
+				out.AcAirtimeUs[ac][i] += s.series.AcAirtimeUs[ac][i]
+			}
+			out.BusyFrac[i] = max(out.BusyFrac[i], s.series.BusyFrac[i])
+			out.CollisionFrac[i] = max(out.CollisionFrac[i], s.series.CollisionFrac[i])
+			nav[i] += s.navSet[i]
+		}
+	}
+	out.NavFrac = make([]float64, len(nav))
+	for i, k := range nav {
+		out.NavFrac[i] = float64(k) / float64(len(n.nodes))
+	}
+	return out
 }

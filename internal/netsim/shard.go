@@ -27,9 +27,12 @@ import (
 // one shard. Config.Shards counts partitions (lanes): balanceGroups
 // assigns whole groups to them, and each lane's goroutine runs its
 // groups' engines back to back, heaviest group first, each straight to
-// the horizon with no synchronization. Mobility, the sampler and a
-// single attached Probe read state across the floor, so they force one
-// engine (planShards).
+// the horizon with no synchronization. Only mobility, whose roam scan
+// reads and moves state across the floor, forces one engine
+// (planShards). Observers never change the plan: each shard carries
+// its own telemetry sampler (sampler.go), and a plain Probe attached
+// with AttachProbe sees the lanes one after another, since Run then
+// drives them all on one goroutine.
 //
 // Determinism: each group's event order is a function of its own
 // engine and RNG stream only, and the streams are split one per group
@@ -57,10 +60,11 @@ type shard struct {
 	idx  int
 	lane int
 
-	eng   sim.Engine
-	src   *rng.Source
-	probe Probe
-	media []*medium
+	eng     sim.Engine
+	src     *rng.Source
+	probe   Probe
+	media   []*medium
+	sampler *sampler // nil unless Config.SampleIntervalUs is set
 
 	// modeCache memoizes per-link rate selection within the shard; link
 	// SNR only changes when a node moves, which clears it
@@ -395,32 +399,27 @@ func balanceGroups(groups [][]*BSS, bssNodes []int, k int) (order, lane []int) {
 // every node to one. Called from build after the gains and index
 // ranges are final (the planning radius depends on the shadowing
 // draws) and before media are created. It makes one shard per
-// interaction group, in balanceGroups' heaviest-first order; a lane's
-// groups share the lane's probe. A single engine, whether requested or
-// fallen back to, is the one-group case: its group is every BSS, and
-// it keeps the Network's own rng.Source and attached probe, so it is
-// bit-identical to the pre-shard simulator. A multi-shard plan splits
-// each group its own child stream in that order (the multi-shard
-// compat goldens pin it).
+// interaction group, in balanceGroups' heaviest-first order. Only
+// mobility and a floor that forms one coupled group fall back to one
+// engine; the plan never depends on who observes the run. Every shard
+// gets the plain probe attached with AttachProbe, if any, and
+// otherwise its lane's AttachShardProbes probe. A single engine,
+// whether requested or fallen back to, is the one-group case: its
+// group is every BSS, and it keeps the Network's own rng.Source, so it
+// is bit-identical to the pre-shard simulator. A multi-shard plan
+// splits each group its own child stream in that order (the
+// multi-shard compat goldens pin it).
 func (n *Network) planShards() {
 	req := max(n.cfg.Shards, 1)
 	plan := ShardPlan{Requested: req, Shards: 1}
 	groups := [][]*BSS{n.bss}
 	if req > 1 {
-		switch {
-		case n.cfg.RoamIntervalUs > 0:
+		if n.cfg.RoamIntervalUs > 0 {
 			plan.Reason = "mobility couples every shard (roam scans read and move global state)"
-		case n.cfg.SampleIntervalUs > 0:
-			plan.Reason = "the telemetry sampler reads cross-shard state each tick"
-		case n.probe != nil:
-			plan.Reason = "a single attached Probe cannot observe concurrent shards (use AttachShardProbes)"
-		default:
-			groups, plan.FlowEdgeMerges = n.interactionGroups()
-			if len(groups) < 2 {
-				plan.Reason = "floor is one coupled interaction group"
-			} else {
-				plan.Shards = min(req, len(groups))
-			}
+		} else if groups, plan.FlowEdgeMerges = n.interactionGroups(); len(groups) < 2 {
+			plan.Reason = "floor is one coupled interaction group"
+		} else {
+			plan.Shards = min(req, len(groups))
 		}
 	}
 	plan.Groups = len(groups)

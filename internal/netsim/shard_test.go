@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -107,6 +108,8 @@ func assertFlowsCoSharded(t *testing.T, n *Network) {
 
 // TestShardPlanFallbacks: floors and configurations that cannot split
 // must fall back to one engine with a recorded reason — never an error.
+// Observers are not among them: a sampled run and a run carrying a
+// plain Probe keep the bare run's plan and give its result.
 func TestShardPlanFallbacks(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -131,19 +134,6 @@ func TestShardPlanFallbacks(t *testing.T) {
 			cfg.RoamIntervalUs = 1e5
 			return RoamingWalk(cfg, 120, 20)(3)
 		}, "mobility couples every shard (roam scans read and move global state)"},
-		{"sampler", func() *Network {
-			cfg := DefaultConfig()
-			cfg.Shards = 4
-			cfg.SampleIntervalUs = 1e4
-			return LargeFloor(cfg, 36, 2, 6, 1, 6, 11)(3)
-		}, "the telemetry sampler reads cross-shard state each tick"},
-		{"plain-probe", func() *Network {
-			cfg := DefaultConfig()
-			cfg.Shards = 4
-			n := LargeFloor(cfg, 36, 2, 6, 1, 6, 11)(3)
-			n.AttachProbe(&sliceProbe{})
-			return n
-		}, "a single attached Probe cannot observe concurrent shards (use AttachShardProbes)"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -158,6 +148,43 @@ func TestShardPlanFallbacks(t *testing.T) {
 			}
 			if plan.Reason != tc.want {
 				t.Fatalf("fallback reason %q, want %q", plan.Reason, tc.want)
+			}
+		})
+	}
+
+	// The 1/6/11 floor splits into one group per channel.
+	const durationUs = 2e5
+	floor := func(sampleUs float64) *Network {
+		cfg := DefaultConfig()
+		cfg.Shards = 4
+		cfg.SampleIntervalUs = sampleUs
+		return LargeFloor(cfg, 36, 2, 6, 1, 6, 11)(3)
+	}
+	bare := floor(0).Run(durationUs)
+	sampled, probed := floor(1e4), floor(0)
+	probe := &crossingProbe{n: probed}
+	probed.AttachProbe(probe)
+	for _, tc := range []struct {
+		name string
+		n    *Network
+	}{{"sampler", sampled}, {"plain-probe", probed}} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := tc.n.Run(durationUs)
+			if p := r.Plan; p.Requested != 4 || p.Shards != 3 || p.Groups != 3 || p.Reason != "" {
+				t.Fatalf("observed plan %+v, want 3 shards of 3 groups and no fallback", p)
+			}
+			if got, want := fingerprint(r), fingerprint(bare); got != want {
+				t.Fatalf("observed run diverged from the bare one\nbare:\n%s\nobserved:\n%s", want, got)
+			}
+			if tc.n != probed {
+				return
+			}
+			if probe.starts != r.FrameStarts {
+				t.Fatalf("the probe saw %d of the run's %d frame starts", probe.starts, r.FrameStarts)
+			}
+			if !slices.Equal(r.ShardStats, bare.ShardStats) || !slices.Equal(r.FramePools, bare.FramePools) {
+				t.Fatalf("probed run's shard stats %+v and frame pools %+v, bare %+v and %+v",
+					r.ShardStats, r.FramePools, bare.ShardStats, bare.FramePools)
 			}
 		})
 	}

@@ -340,69 +340,81 @@ func gridWalkers(seed int64) *Network {
 }
 
 // TestGridNeighborLinks holds the grid's cell links (gridCell.nbrs,
-// Node.gc) to the cell map after every roam tick, on the roaming rows
-// and walker-floor-272 (diffGroups), and gridWalkers, whose walkers
-// leave the floor: an emptied cell must be unlinked from its
-// neighbours, or their lists would keep it (and its node lists) alive.
-// Every built hood must also match its block's tracked nodes entry for
-// entry (hoodFault), so a tracking change that misses a cached hood, or
-// a move that leaves one stale, fails it.
+// Node.gc) to the cell map after every roam tick: on every mobile
+// harness input, through the watchGrid observer on its poisoned run,
+// and on gridWalkers, whose walkers leave the floor: an emptied cell
+// must be unlinked from its neighbours, or their lists would keep it
+// (and its node lists) alive. Every built hood must also match its
+// block's tracked nodes entry for entry (hoodFault), so a tracking
+// change that misses a cached hood, or a move that leaves one stale,
+// fails it.
 func TestGridNeighborLinks(t *testing.T) {
-	var rows []diffInput
-	for _, g := range diffGroups() {
-		if strings.HasPrefix(g.name, "roaming-") || g.name == "walker-floor-272" {
-			rows = append(rows, g.inputs...)
+	eachReport(t, gridCheck)
+	n := gridWalkers(1)
+	n.Prepare()
+	w := watchGrid(n)
+	if w.fault != "" {
+		t.Fatalf("grid-walkers: %s", w.fault)
+	}
+	floorCells := len(n.media[0].grid.cells)
+	n.Run(1e6)
+	if w.fault != "" {
+		t.Fatalf("grid-walkers: %s", w.fault)
+	}
+	if w.ticks == 0 {
+		t.Fatal("grid-walkers: no roam tick observed")
+	}
+	// The walkers must really have crossed cells and left the floor,
+	// and the cells behind them must be gone.
+	g := n.media[0].grid
+	for _, nd := range n.nodes {
+		if strings.HasPrefix(nd.Name, "walker") {
+			if c, k := nd.gc.key, g.keyFor(0, 0); max(abs(c.ix-k.ix), abs(c.iy-k.iy)) < 5 {
+				t.Fatalf("%s ended in cell %v, under 5 cells from the floor's %v", nd.Name, c, k)
+			}
 		}
 	}
-	rows = append(rows, diffInput{name: "grid-walkers", durationUs: 1e6,
-		build: func(o oracles) *Network { return withOracles(gridWalkers(1), o) }})
-	for _, r := range rows {
-		n := r.build(oracles{})
-		n.Prepare()
-		if n.media[0].grid == nil {
-			t.Fatalf("%s: spatial index not built", r.name)
+	if len(g.cells) > floorCells+4 {
+		t.Fatalf("grid-walkers: %d live cells at the end, want the floor's %d plus one per walker",
+			len(g.cells), floorCells)
+	}
+}
+
+// gridWatch is what watchGrid observed: the roam ticks, and the first
+// grid fault ("" when none): a network with no spatial index, or a
+// fault after a tick.
+type gridWatch struct {
+	ticks int
+	fault string
+}
+
+// watchGrid arms an observer on prepared n right after every roam tick
+// of the run that follows (scheduled later for the same instant, it
+// runs after the scan) that checks the grid's cell links
+// (gridLinkFault) and hoods (hoodFault). Both skip media without a
+// grid, so a network on which no medium built one is a fault up front:
+// every input the check runs on must take the grid path.
+func watchGrid(n *Network) *gridWatch {
+	w := &gridWatch{}
+	if !slices.ContainsFunc(n.media, func(m *medium) bool { return m.grid != nil }) {
+		w.fault = "spatial index not built"
+		return w
+	}
+	eng := &n.shards[0].eng
+	var observe func()
+	observe = func() {
+		w.ticks++
+		d := gridLinkFault(n)
+		if d == "" {
+			d = hoodFault(n)
 		}
-		floorCells := len(n.media[0].grid.cells)
-		eng := &n.shards[0].eng
-		ticks, fault := 0, ""
-		var observe func()
-		observe = func() {
-			ticks++
-			d := gridLinkFault(n)
-			if d == "" {
-				d = hoodFault(n)
-			}
-			if d != "" && fault == "" {
-				fault = fmt.Sprintf("after the tick at t=%v: %s", eng.Now(), d)
-			}
-			eng.Schedule(n.cfg.RoamIntervalUs, observe)
+		if d != "" && w.fault == "" {
+			w.fault = fmt.Sprintf("after the tick at t=%v: %s", eng.Now(), d)
 		}
 		eng.Schedule(n.cfg.RoamIntervalUs, observe)
-		n.Run(r.durationUs)
-		if fault != "" {
-			t.Fatalf("%s: %s", r.name, fault)
-		}
-		if ticks == 0 {
-			t.Fatalf("%s: no roam tick observed", r.name)
-		}
-		if r.name != "grid-walkers" {
-			continue
-		}
-		// The walkers must really have crossed cells and left the
-		// floor, and the cells behind them must be gone.
-		g := n.media[0].grid
-		for _, nd := range n.nodes {
-			if strings.HasPrefix(nd.Name, "walker") {
-				if c, k := nd.gc.key, g.keyFor(0, 0); max(abs(c.ix-k.ix), abs(c.iy-k.iy)) < 5 {
-					t.Fatalf("%s ended in cell %v, under 5 cells from the floor's %v", nd.Name, c, k)
-				}
-			}
-		}
-		if len(g.cells) > floorCells+4 {
-			t.Fatalf("grid-walkers: %d live cells at the end, want the floor's %d plus one per walker",
-				len(g.cells), floorCells)
-		}
 	}
+	eng.Schedule(n.cfg.RoamIntervalUs, observe)
+	return w
 }
 
 // TestHoodRebuildAllocatesOnce pins a hood rebuild at one allocation:

@@ -48,7 +48,10 @@ func WithWindow(startUs, endUs float64) Option {
 // filters. Recording an event is a filter check plus a struct copy into
 // the ring — no allocation once the ring is grown — so a Tracer can ride
 // the hot loop. Not safe for concurrent use; attach one Tracer per
-// Network (the ScenarioRunner builds one Network per job).
+// Network (the ScenarioRunner builds one Network per job). On a
+// sharded plan the Tracer sees the interaction groups one after
+// another (Network.AttachProbe), so once the ring wraps it holds the
+// tail of the last groups to run, not the last moments of the run.
 type Tracer struct {
 	capacity int
 	ring     []netsim.Event
