@@ -69,11 +69,15 @@ func BenchmarkE21Coexistence(b *testing.B)    { benchExperiment(b, "E21") }
 // workCounters sums the deterministic engine work counters of the runs
 // a benchmark makes, and reports them per op beside ns/op: the frames
 // put on the air, the interference crossings their starts walked, the
-// carrier-sense candidates their scans walked and judged, and the gain
-// pairs roam ticks refreshed (only when nonzero). The simulation is
+// carrier-sense candidates their scans walked and judged, the gain
+// pairs roam ticks refreshed (only when nonzero) and the bytes the
+// builds' gain state held (Result.GainBytes). The simulation is
 // seeded, so at a fixed -benchtime=Nx they repeat exactly on any
 // machine, and cmd/benchjson gates them exactly against the baseline.
-type workCounters struct{ starts, crossings, csCandidates, csJudged, refreshPairs int }
+type workCounters struct {
+	starts, crossings, csCandidates, csJudged, refreshPairs int
+	gainBytes                                               int64
+}
 
 func (c *workCounters) add(r netsim.Result) {
 	c.starts += r.FrameStarts
@@ -81,6 +85,7 @@ func (c *workCounters) add(r netsim.Result) {
 	c.csCandidates += r.CsCandidates
 	c.csJudged += r.CsJudged
 	c.refreshPairs += r.GainRefreshPairs
+	c.gainBytes += r.GainBytes
 }
 
 func (c *workCounters) report(b *testing.B) {
@@ -92,6 +97,7 @@ func (c *workCounters) report(b *testing.B) {
 	if c.refreshPairs > 0 {
 		b.ReportMetric(per(c.refreshPairs), "gain-refresh-pairs/op")
 	}
+	b.ReportMetric(float64(c.gainBytes)/float64(b.N), "gain-bytes/op")
 }
 
 // E22-E26 exercise the packet-level netsim hot path: the discrete-event
@@ -311,6 +317,39 @@ func BenchmarkE29ClosedLoop(b *testing.B) {
 		}
 		if r.QoE == nil || r.QoE.Users != 72 {
 			b.Fatal("QoE block missing or wrong user count")
+		}
+		work.add(r)
+	}
+	work.report(b)
+}
+
+// BenchmarkStadiumIngress puts the mobile floor under CI's gates:
+// perfbench's stadium-ht shape, app.StadiumIngress with 16 BSSs × 16
+// users under two-stream 40 MHz HT (Minstrel, A-MPDU) and EDCA, for 2 s
+// of virtual time. The crowd walks random waypoints, so each 500 ms
+// roam tick moves stations and refreshes the gains the run can read:
+// gain-refresh-pairs/op counts that work, and gain-bytes/op holds the
+// mobile build to one n×n matrix. Setup (gain matrix via Prepare) is
+// excluded as in E27/E28.
+func BenchmarkStadiumIngress(b *testing.B) {
+	cfg := netsim.HtConfig(2, 40)
+	edca := netsim.DefaultEdca(cfg.Dcf, cfg.QueueLimit)
+	cfg.Edca = &edca
+	build := app.StadiumIngress(cfg, 16, 16)
+	var work workCounters
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		n := build(int64(i + 1))
+		n.Prepare()
+		b.StartTimer()
+		r := n.Run(2e6)
+		if r.Delivered == 0 {
+			b.Fatal("floor delivered nothing")
+		}
+		if r.GainRefreshPairs == 0 {
+			b.Fatal("no roam tick refreshed a gain")
 		}
 		work.add(r)
 	}

@@ -13,9 +13,9 @@
 //	  "ns_per_op": 123456, "bytes_per_op": 789, "allocs_per_op": 12}, ...]}
 //
 // Every other column a benchmark reports with b.ReportMetric (the
-// engine work counters of E27–E31: frame-starts/op, crossings/op,
-// gain-refresh-pairs/op) goes into the entry's "metrics" object, keyed
-// by its unit.
+// engine work counters of E27–E31 and StadiumIngress: frame-starts/op,
+// crossings/op, gain-refresh-pairs/op, gain-bytes/op, ...) goes into
+// the entry's "metrics" object, keyed by its unit.
 //
 // With -baseline, every benchmark present in both runs is compared by
 // ns/op (names matched with the -GOMAXPROCS suffix stripped, so runs

@@ -266,8 +266,8 @@ func resolve(args []string) (*options, error) {
 		return nil, fmt.Errorf("-workers must be at least 1, got %d", o.workers)
 	case *dataMbps <= 0 && o.scenario == "mix":
 		return nil, fmt.Errorf("-data-mbps must be positive for the mix scenario, got %v", *dataMbps)
-	case *sampleUs < 0 || math.IsNaN(*sampleUs) || math.IsInf(*sampleUs, 0):
-		return nil, fmt.Errorf("-sample-us must be a non-negative finite number, got %v", *sampleUs)
+	case *sampleUs != 0 && !(*sampleUs >= netsim.MinIntervalUs && !math.IsInf(*sampleUs, 0)):
+		return nil, fmt.Errorf("-sample-us must be 0 or a finite number of at least %v, got %v", netsim.MinIntervalUs, *sampleUs)
 	}
 	for _, c := range strings.Split(*channelList, ",") {
 		ch, err := strconv.Atoi(strings.TrimSpace(c))

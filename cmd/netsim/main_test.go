@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -157,7 +158,28 @@ func TestUsageLinesResolve(t *testing.T) {
 // user typed, not the scenario JSON key behind it.
 func TestResolveErrors(t *testing.T) {
 	t.Chdir("../..")
+	// A one-station file with the given config keys and traffic: the
+	// timer periods below a microsecond that stopped the clock.
+	dir := t.TempDir()
+	file := func(name, config, traffic string) string {
+		path := filepath.Join(dir, name+".json")
+		doc := fmt.Sprintf(`{"duration_s": 0.001, "config": {%s},
+			"aps": [{"name": "AP", "x": 0, "y": 0, "channel": 1}],
+			"stations": [{"name": "sta", "ap": "AP", "x": 5, "y": 0}],
+			"flows": [{"from": "sta", "traffic": {%s}}]}`, config, traffic)
+		if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	roam := file("roam", `"roam_interval_us": 1e-300`, `"type": "saturated", "payload_bytes": 100`)
+	cbr := file("cbr", "", `"type": "cbr", "payload_bytes": 100, "interval_us": 1e-300`)
+	poisson := file("poisson", "", `"type": "poisson", "payload_bytes": 100, "pkt_per_sec": 1e300`)
 	for args, want := range map[string]string{
+		"-scenario single -duration 0.001 -sample-us 1e-300": "-sample-us must be 0 or a finite number of at least 1",
+		"-config " + roam:      "-config: " + roam + ": scenario: config.roam_interval_us: must be finite and at least 1 us",
+		"-config " + cbr:       "-config: " + cbr + ": scenario: flows[0].traffic.interval_us: must be finite and at least 1 us",
+		"-config " + poisson:   "-config: " + poisson + ": scenario: flows[0].traffic.pkt_per_sec: must be at most 1e+06",
 		"-rts -1":              "-rts: must not be negative",
 		"-shards -1":           "-shards: must not be negative",
 		"-ampdu -1":            "-ampdu: must not be negative",

@@ -14,7 +14,6 @@ type PathLossModel struct {
 	FreqHz      float64 // carrier frequency
 	BreakpointM float64 // breakpoint distance in metres (TGn model D: 10 m; B: 5 m)
 	ExponentFar float64 // path-loss exponent beyond the breakpoint
-	ShadowDB    float64 // log-normal shadowing standard deviation, 0 to disable
 }
 
 // Model24GHz returns the model for the 2.4 GHz ISM band (802.11/b/g/n)

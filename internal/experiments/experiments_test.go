@@ -257,6 +257,52 @@ func TestE13TpcShape(t *testing.T) {
 	}
 }
 
+// TestE08MeshCoverageShape: adding mesh points never shrinks the served
+// area, and the nine-point mesh serves at least 1.8x the single AP's.
+func TestE08MeshCoverageShape(t *testing.T) {
+	tb := E08MeshCoverage(Quick())[0]
+	prev := 0.0
+	for _, row := range tb.Rows {
+		served := parse(t, row[1])
+		if served < prev {
+			t.Errorf("%s mesh points serve %v, below the %v of fewer points", row[0], served, prev)
+		}
+		prev = served
+	}
+	first, last := tb.Rows[0], tb.Rows[len(tb.Rows)-1]
+	if first[0] != "1" || last[0] != "9" {
+		t.Fatalf("rows run from %s to %s mesh points, want 1 to 9", first[0], last[0])
+	}
+	if single, mesh := parse(t, first[1]), parse(t, last[1]); mesh < 1.8*single {
+		t.Errorf("9 mesh points serve %v, want at least 1.8x the single AP's %v", mesh, single)
+	}
+}
+
+// TestE09MeshRoutingShape: on every span the airtime route carries at
+// least the hop-count route's throughput and the table says so; on the
+// longest span it takes more, shorter hops and carries strictly more.
+func TestE09MeshRoutingShape(t *testing.T) {
+	tb := E09MeshRouting(Quick())[0]
+	for _, row := range tb.Rows {
+		if hop, air := parse(t, row[2]), parse(t, row[4]); air < hop {
+			t.Errorf("%s m: airtime route %v Mbps below hop-count route %v Mbps", row[0], air, hop)
+		}
+		if row[6] != "yes" {
+			t.Errorf("%s m: airtime wins reads %q, want yes", row[0], row[6])
+		}
+	}
+	far := tb.Rows[len(tb.Rows)-1]
+	if far[0] != "220" {
+		t.Fatalf("last span is %s m, want 220", far[0])
+	}
+	if hopHops, airHops := parse(t, far[3]), parse(t, far[5]); airHops <= hopHops {
+		t.Errorf("220 m: airtime route takes %v hops, want more than hop-count's %v", airHops, hopHops)
+	}
+	if hop, air := parse(t, far[2]), parse(t, far[4]); air <= hop {
+		t.Errorf("220 m: airtime route %v Mbps, want strictly above hop-count's %v Mbps", air, hop)
+	}
+}
+
 func TestE10CoopOrdering(t *testing.T) {
 	tb := E10Coop(Quick())[0]
 	// At the highest SNR row: selection <= DF <= direct.

@@ -310,6 +310,18 @@ func TestScenarioAndConfigGuards(t *testing.T) {
 				cfg.Edca[AC_VI].CWMax = cfg.Edca[AC_VI].CWMin - 1
 				New(cfg, 1)
 			}},
+		{"config roam tick below a microsecond", "Config.RoamIntervalUs",
+			func() {
+				cfg := DefaultConfig()
+				cfg.RoamIntervalUs = 1e-300
+				New(cfg, 1)
+			}},
+		{"config sample tick below a microsecond", "Config.SampleIntervalUs",
+			func() {
+				cfg := DefaultConfig()
+				cfg.SampleIntervalUs = 1e-300
+				New(cfg, 1)
+			}},
 		{"config zero edca queue", "QueueLimit",
 			func() {
 				cfg := edcaConfig()

@@ -37,12 +37,6 @@ import (
 // every write keeps: the interference crossing reads a pair from the
 // row of either end (medium.start).
 //
-// shadowDB[i][j] is the symmetric per-pair shadowing draw, kept only
-// under mobility, the one case that reads it after build (refresh,
-// refreshRow). shadowMin is the most negative draw over every pair,
-// same-domain or not (0 when there is none), the widening reachDBm
-// applies to the index and shard-planning radii.
-//
 // movers, offAir and cells are a roam tick's reused scratch (moved,
 // refresh, refreshStripe, refreshRow), allocated at a build with
 // mobility with room for every node, so a tick allocates nothing.
@@ -51,10 +45,8 @@ import (
 type gainState struct {
 	n *Network
 
-	members   []*Node
-	bounds    []int
-	shadowDB  [][]float64
-	shadowMin float64
+	members []*Node
+	bounds  []int
 
 	movers       []*Node
 	offAir       []airRx
@@ -62,46 +54,17 @@ type gainState struct {
 	refreshPairs int
 }
 
-// build lays out the gain domains and fills their received-power rows,
-// drawing the shadowing from the Network's stream.
+// build lays out the gain domains and fills their received-power rows.
 func (g *gainState) build() {
-	n := g.n
-	domOf := g.layout()
+	g.layout()
 	gainRows(g.bounds, func(r int, row []float64) { g.members[r].gain = row })
-	nn := len(n.nodes)
-	mobile := n.cfg.RoamIntervalUs > 0
-	if mobile {
-		g.shadowDB = make([][]float64, nn)
-		gainRows([]int{0, nn}, func(r int, row []float64) { g.shadowDB[r] = row })
+	if nn := len(g.n.nodes); g.n.cfg.RoamIntervalUs > 0 {
 		g.movers = make([]*Node, 0, nn)
 		workers := g.stripes(nn)
 		back := make([]gainCell, workers*nn)
 		g.cells = make([][]gainCell, workers)
 		for w := range g.cells {
 			g.cells[w] = back[w*nn : w*nn : (w+1)*nn]
-		}
-	}
-	// One draw per unordered pair, row-major over the upper triangle,
-	// whether or not the pair shares a domain: the RNG stream and
-	// shadowMin do not depend on the domain layout. A same-domain draw
-	// is parked in the upper cell (ids ascend with gi inside a domain)
-	// until fill folds it into the received power; without shadowing
-	// every draw is 0, which the zeroed rows already hold.
-	if sd := n.cfg.PathLoss.ShadowDB; sd > 0 {
-		for i, a := range n.nodes {
-			da := domOf[a.bss.idx]
-			for j := i + 1; j < nn; j++ {
-				sh := n.src.Gaussian(0, sd)
-				if sh < g.shadowMin {
-					g.shadowMin = sh
-				}
-				if b := n.nodes[j]; domOf[b.bss.idx] == da {
-					a.gain[b.gi] = sh
-				}
-				if mobile {
-					g.shadowDB[i][j], g.shadowDB[j][i] = sh, sh
-				}
-			}
 		}
 	}
 	g.fill()
@@ -111,15 +74,13 @@ func (g *gainState) build() {
 // indices, merging BSSs on one channel key (the channel, or its
 // chanRoot when bonded) and BSSs a flow connects, or one domain holding
 // everything under mobility and under the oneGainDomain oracle. It sets
-// members, bounds and every Node.gi, and returns each BSS's domain
-// index, which build needs only while it draws the shadowing. Domains
-// are numbered in the order of their smallest BSS index. No maps, and
-// four slices however many domains there are (two under mobility):
-// builds are frequent in the experiments, and CI gates their allocs/op.
-func (g *gainState) layout() (domOf []int) {
+// members, bounds and every Node.gi. Domains are numbered in the order
+// of their smallest BSS index. No maps, and four slices however many
+// domains there are (one under mobility): builds are frequent in the
+// experiments, and CI gates their allocs/op.
+func (g *gainState) layout() {
 	n := g.n
 	nb, nn := len(n.bss), len(n.nodes)
-	domOf = make([]int, nb)
 	if n.cfg.RoamIntervalUs > 0 || n.oracle.oneGainDomain {
 		// n.nodes is final once built, and already in id order.
 		g.members = n.nodes
@@ -127,8 +88,9 @@ func (g *gainState) layout() (domOf []int) {
 		for i, nd := range n.nodes {
 			nd.gi = i
 		}
-		return domOf
+		return
 	}
+	domOf := make([]int, nb)
 	key := func(b *BSS) int {
 		if n.bonded {
 			return n.chanRoot[b.Channel]
@@ -176,7 +138,6 @@ func (g *gainState) layout() (domOf []int) {
 		}
 	}
 	g.bounds = bounds
-	return domOf
 }
 
 // domains is the number of gain domains.
@@ -201,24 +162,14 @@ func (g *gainState) domainOf(nd *Node) []*Node {
 	panic("netsim: node " + nd.Name + " is in no gain domain")
 }
 
-// reachDBm is the strongest received power any pair can see at 0 dB of
-// path loss: the link budget widened by the most favorable shadowing
-// draw (0 without shadowing). The spatial-index and shard-planning
-// radii start from it, so no lucky pair reaches past them.
-func (g *gainState) reachDBm() float64 {
-	return g.n.cfg.Budget.BudgetDBm() - g.shadowMin
-}
-
 // fill computes every domain's received powers, each unordered
 // same-domain pair once, with the flat member rows striped across
 // goroutines (sim.Parallel): the O(k²) path-loss logs and dB→mW
-// exponentials dominate setup on 1000+ node floors. build has parked
-// each pair's shadowing draw in the upper cell a.gain[b.gi] (a's id
-// below b's), so no randomness crosses a goroutine, and the fill
-// overwrites it in place: only row a's stripe touches a's upper part,
-// and the lower cells it mirrors into are never read during the fill.
-// The per-pair math is pure, so the cells hold the bits a single n×n
-// matrix would, however many stripes run.
+// exponentials dominate setup on 1000+ node floors. Row a's stripe
+// writes a's upper cells a.gain[b.gi] (a's id below b's) and mirrors
+// each into b's lower cell, so every cell has one writer. The per-pair
+// math is pure, so the cells hold the bits a single n×n matrix would,
+// however many stripes run.
 func (g *gainState) fill() {
 	step := g.stripes(len(g.members))
 	if step < 2 {
@@ -244,8 +195,8 @@ func (g *gainState) stripes(parts int) int {
 // fillStripe is one fill worker: it fills the flat member rows r ≡ w
 // (mod step). Row r's domain starts gi places before it, so the row's
 // cells above the diagonal pair it with the members after it. Each row
-// runs in two passes: every cell's loss, written over its parked draw,
-// then every cell's received power and its mirror cell.
+// runs in two passes: every cell's loss, then every cell's received
+// power and its mirror cell.
 func (g *gainState) fillStripe(w, step int) {
 	pg := g.newPairGain()
 	for r := w; r < len(g.members); r += step {
@@ -255,7 +206,7 @@ func (g *gainState) fillStripe(w, step int) {
 		cells := a.gain[i+1:]
 		cells = cells[:len(others)] // the same length, stated for bounds-check elimination
 		for j, o := range others {
-			cells[j] = pg.lossDB(a, o, cells[j])
+			cells[j] = pg.lossDB(a, o)
 		}
 		for j, o := range others {
 			mw := pg.mw(cells[j])
@@ -266,8 +217,8 @@ func (g *gainState) fillStripe(w, step int) {
 
 // pairGain computes one pair's received power in two steps, the one
 // formula fillStripe, refreshStripe and refreshRow share, so a cell
-// holds the same bits whichever wrote it: lossDB, the path loss plus
-// the pair's shadowing draw, then mw, the received power at that loss.
+// holds the same bits whichever wrote it: lossDB, the median path loss,
+// then mw, the received power at that loss.
 // The gain passes take each step over a whole row before the next, so
 // the row's independent cells overlap in the pipeline rather than
 // waiting on one pair's chain of Hypot, Log10 and exp. budgetDBm is the
@@ -282,11 +233,10 @@ func (g *gainState) newPairGain() pairGain {
 	return pairGain{cfg.PathLoss.Curve(), cfg.Budget.BudgetDBm()}
 }
 
-// lossDB is the loss in dB between a and o, given the pair's shadowing
-// draw in dB. Distance and path loss are symmetric, so the order of a
-// and o does not matter.
-func (pg *pairGain) lossDB(a, o *Node, shadowDB float64) float64 {
-	return pg.curve.LossDB(dist(a, o)) + shadowDB
+// lossDB is the path loss in dB between a and o. Distance and path loss
+// are symmetric, so the order of a and o does not matter.
+func (pg *pairGain) lossDB(a, o *Node) float64 {
+	return pg.curve.LossDB(dist(a, o))
 }
 
 // mw is the received power in mW at a loss of lossDB.
@@ -295,8 +245,7 @@ func (pg *pairGain) mw(lossDB float64) float64 {
 }
 
 // gainCell is one cell of a refresh pass: the other node of a's pair,
-// and the pair's shadowing draw, which the first pass overwrites with
-// the pair's loss (pairGain.setRow).
+// and the pair's loss, which the first pass writes (pairGain.setRow).
 type gainCell struct {
 	o  *Node
 	db float64
@@ -306,7 +255,7 @@ type gainCell struct {
 // each, then the received power, into both cells of the pair.
 func (pg *pairGain) setRow(a *Node, cells []gainCell) {
 	for c := range cells {
-		cells[c].db = pg.lossDB(a, cells[c].o, cells[c].db)
+		cells[c].db = pg.lossDB(a, cells[c].o)
 	}
 	for _, c := range cells {
 		mw := pg.mw(c.db)
@@ -335,12 +284,12 @@ func (g *gainState) refreshMoved() {
 // (refreshRow). Every cell a run can read thus holds the bits a full
 // recompute would give it; the others keep older gains and are never
 // read (NaN under the poisonSkippedGains oracle). Only a mobile build
-// keeps the shadowing matrix this needs, and it is one domain, so a
-// node's gi is its id. A pair belongs to its lower-id mover, and the
-// movers are striped like fill's rows, so no two stripes share a cell.
+// keeps the scratch this needs, and it is one domain, so every pair has
+// its cells. A pair belongs to its lower-id mover, and the movers are
+// striped like fill's rows, so no two stripes share a cell.
 func (g *gainState) refresh(movers []*Node) {
-	if g.shadowDB == nil {
-		panic("netsim: a gain refresh needs Config.RoamIntervalUs > 0 (a static build keeps no shadowing matrix to move a node with)")
+	if g.cells == nil {
+		panic("netsim: a gain refresh needs Config.RoamIntervalUs > 0 (a static build splits its gains by channel and keeps no refresh scratch)")
 	}
 	if len(movers) == 0 {
 		return
@@ -407,12 +356,11 @@ func (g *gainState) refreshStripe(movers []*Node, w, step int) (pairs int) {
 	poison := g.n.oracle.poisonSkippedGains
 	for k := w; k < len(movers); k += step {
 		a := movers[k]
-		shadow := g.shadowDB[a.id]
 		cells := g.cells[w][:0]
 		// movers[:k] are the movers below a in id order: each owns its
 		// pair with a, and the walk over the nodes meets them in order.
 		lower := movers[:k]
-		for j, o := range g.n.nodes {
+		for _, o := range g.n.nodes {
 			if o == a {
 				continue
 			}
@@ -426,7 +374,7 @@ func (g *gainState) refreshStripe(movers []*Node, w, step int) (pairs int) {
 				}
 				continue
 			}
-			cells = append(cells, gainCell{o, shadow[j]})
+			cells = append(cells, gainCell{o: o})
 		}
 		pg.setRow(a, cells)
 		pairs += len(cells)
@@ -445,17 +393,16 @@ func (g *gainState) refreshRow(nd *Node) {
 	if g.n.oracle.fullGainRefresh {
 		return
 	}
-	shadow := g.shadowDB[nd.id]
 	cells := g.cells[0][:0]
 	m := nd.med
 	for _, c := range m.entries {
 		if o := m.members[c.gi]; o != nd {
-			cells = append(cells, gainCell{o, shadow[o.id]})
+			cells = append(cells, gainCell{o: o})
 		}
 	}
 	for i, a := range m.active {
 		if o := a.rx; o.med != m && !slices.ContainsFunc(m.active[:i], func(b *transmission) bool { return b.rx == o }) {
-			cells = append(cells, gainCell{o, shadow[o.id]})
+			cells = append(cells, gainCell{o: o})
 		}
 	}
 	pg := g.newPairGain()
@@ -479,8 +426,7 @@ const gainBlockBytes = 4 << 20
 // network's freed rows no longer provide once any small object lands
 // inside it, and then the heap grows by a whole matrix; 4 MB blocks
 // refill the freed runs. One domain of nn is the nn×nn matrix in
-// blocks of gainBlockBytes/(8·nn) rows: the mobile build's shadowing
-// draws are laid out that way too.
+// blocks of gainBlockBytes/(8·nn) rows.
 func gainRows(bounds []int, set func(r int, row []float64)) {
 	const blockCells = gainBlockBytes / 8
 	var back []float64
@@ -509,16 +455,12 @@ func gainRows(bounds []int, set func(r int, row []float64)) {
 }
 
 // bytes is the heap the gain state holds after build: per domain of k
-// nodes, k² float64s plus k 24-byte row headers, and the nn×nn
-// shadowing matrix with its row headers when a mobile build keeps it.
+// nodes, k² float64s plus k 24-byte row headers.
 func (g *gainState) bytes() int64 {
 	var total int64
 	for d := range g.domains() {
 		k := int64(len(g.domain(d)))
 		total += k*k*8 + k*24
-	}
-	if nn := int64(len(g.shadowDB)); nn > 0 {
-		total += nn*nn*8 + nn*24
 	}
 	return total
 }

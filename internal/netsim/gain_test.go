@@ -13,25 +13,20 @@ import (
 
 // TestGainStateOracle pins the build's gain state against brute force.
 // A static build lays the gains out as one domain per channel (per
-// bonded component), parks each same-domain shadowing draw in its row
-// until the fill folds it in, keeps only the scalar minimum over every
-// pair, and drops the shadowing matrix; a build with mobility is one
-// domain and keeps the full matrix. Every gain the static build stores
-// must equal the mobile build's bit for bit, the scalar must equal a
-// full scan of the retained draws, and re-deriving every pair from the
-// retained draws (a refresh with every node listed as moved, none
-// having moved) must change nothing. The 320-node case is above the
-// fill's and the refresh's 256-node cutover, so under -race it
-// checks that the striped fill workers' in-place read of the parked
-// draw never races another worker's lower-triangle writes, and that
-// the striped refresh workers share no cell.
+// bonded component); a build with mobility is one domain, one n×n
+// matrix. Every gain the static build stores must equal the mobile
+// build's bit for bit, each build's byte count must be its domains'
+// rows, and re-deriving every pair from the positions (a refresh with
+// every node listed as moved, none having moved) must change nothing.
+// The 320-node case is above the fill's and the refresh's 256-node
+// cutover, so under -race it checks that the striped fill workers'
+// upper-cell writes never race another worker's lower-triangle
+// mirrors, and that the striped refresh workers share no cell. (The
+// case names record the shadowing the floors were once built with;
+// the geometry is unchanged.)
 func TestGainStateOracle(t *testing.T) {
-	shadowed := DefaultConfig()
-	shadowed.PathLoss.ShadowDB = 6
 	bonded := HtConfig(2, 40)
-	bonded.PathLoss.ShadowDB = 4
 	obss := DefaultConfig()
-	obss.PathLoss.ShadowDB = 4
 	obss.ObssPdThresholdDBm = -72
 	cases := []struct {
 		name    string
@@ -39,7 +34,7 @@ func TestGainStateOracle(t *testing.T) {
 		domains int
 		floor   func(cfg Config) func(seed int64) *Network
 	}{
-		{"large-floor-shadowed", shadowed, 3, func(cfg Config) func(int64) *Network {
+		{"large-floor-shadowed", DefaultConfig(), 3, func(cfg Config) func(int64) *Network {
 			return LargeFloor(cfg, 16, 19, 4, 1, 6, 11) // 320 nodes
 		}},
 		{"bonded-40mhz", bonded, 3, func(cfg Config) func(int64) *Network {
@@ -65,12 +60,6 @@ func TestGainStateOracle(t *testing.T) {
 			if got := mobile.gains.domains(); got != 1 {
 				t.Fatalf("mobile build has %d gain domains, want 1", got)
 			}
-			if static.gains.shadowDB != nil {
-				t.Fatal("static build retained the shadowing matrix")
-			}
-			if len(mobile.gains.shadowDB) != nn {
-				t.Fatalf("mobile build kept %d shadowing rows, want %d", len(mobile.gains.shadowDB), nn)
-			}
 			assertGainLayout(t, static)
 			assertGainLayout(t, mobile)
 			for name, n := range map[string]*Network{"static": static, "mobile": mobile} {
@@ -78,25 +67,7 @@ func TestGainStateOracle(t *testing.T) {
 					t.Fatalf("%s build: %s", name, d)
 				}
 			}
-			assertOneBackingArray(t, "mobile shadowDB", mobile.gains.shadowDB, nn)
 			assertSameGains(t, static, mobile)
-
-			brute := 0.0
-			for i := range mobile.gains.shadowDB {
-				for j := i + 1; j < nn; j++ {
-					if sh := mobile.gains.shadowDB[i][j]; sh < brute {
-						brute = sh
-					}
-				}
-			}
-			if brute >= 0 {
-				t.Fatalf("shadowed floor drew no negative shadowing (min %v)", brute)
-			}
-			for name, n := range map[string]*Network{"static": static, "mobile": mobile} {
-				if got := n.gains.shadowMin; math.Float64bits(got) != math.Float64bits(brute) {
-					t.Fatalf("%s shadowMin = %v, brute-force minimum %v", name, got, brute)
-				}
-			}
 
 			var want int64
 			for d := range tc.domains {
@@ -106,9 +77,8 @@ func TestGainStateOracle(t *testing.T) {
 			if got := static.gains.bytes(); got != want {
 				t.Fatalf("static gain bytes = %d, want the domains' rows = %d", got, want)
 			}
-			perMatrix := int64(nn*nn*8 + nn*24)
-			if got := mobile.gains.bytes(); got != 2*perMatrix {
-				t.Fatalf("mobile gain bytes = %d, want the gain and shadowing matrices = %d", got, 2*perMatrix)
+			if got, want := mobile.gains.bytes(), int64(nn*nn*8+nn*24); got != want {
+				t.Fatalf("mobile gain bytes = %d, want one n×n matrix = %d", got, want)
 			}
 
 			want2 := gainMatrix(mobile)
@@ -201,21 +171,6 @@ func TestGainMatrixBlocks(t *testing.T) {
 				t.Fatalf("gainRows made %v allocations, want one per block = %d", a, tc.blocks)
 			}
 		})
-	}
-}
-
-// assertOneBackingArray checks that m holds rows of length and capacity
-// nn laid end to end in one array.
-func assertOneBackingArray(t *testing.T, name string, m [][]float64, nn int) {
-	t.Helper()
-	base := uintptr(unsafe.Pointer(&m[0][0]))
-	for i, row := range m {
-		if len(row) != nn || cap(row) != nn {
-			t.Fatalf("%s row %d has len %d cap %d, want %d", name, i, len(row), cap(row), nn)
-		}
-		if off := uintptr(unsafe.Pointer(&row[0])) - base; off != uintptr(i*nn*8) {
-			t.Fatalf("%s row %d sits %d bytes past row 0, want %d", name, i, off, i*nn*8)
-		}
 	}
 }
 
@@ -341,10 +296,8 @@ const halfSlotDB = -3.0102999566398121
 // it against a threshold New converts to mW once. The two rules can round apart only at an exact
 // tie, and this test proves that no verdict moves. For every floor — each
 // harness input (diffGroups) and the E27 floor — it
-// recomputes each pair's received power p in dBm as the fill does,
-// taking the shadowing draws from a twin built with mobility (which
-// keeps them; TestGainStateOracle proves both builds bit-identical),
-// and asserts for every pair in one gain domain (the pairs a run can
+// recomputes each pair's received power p in dBm as the fill does and
+// asserts for every pair in one gain domain (the pairs a run can
 // read):
 //   - both cells of the pair hold mwFromDBm(p) bit for bit;
 //   - the mW and dB rules agree on the carrier-sense threshold and the
@@ -368,28 +321,23 @@ func TestMilliwattRulesMatchDecibelRules(t *testing.T) {
 		}})
 	}
 	for _, fl := range floors {
-		twin := fl.build(oracles{})
-		twin.cfg.RoamIntervalUs = 1e5
-		twin.build()
-		shadow := twin.gains.shadowDB
-		twin = nil // the E27 twin holds 269 MB; free it before the next build
 		n := fl.build(oracles{})
 		n.build()
-		if d := mismatchedRules(n, shadow); d != "" {
+		if d := mismatchedRules(n); d != "" {
 			t.Errorf("%s: %s", fl.name, d)
 		}
 	}
 }
 
-// mismatchedRules checks every pair of the built network n, given the
-// floor's shadowing draws, and describes the first pair whose stored
-// power or any rule verdict differs between mW and dB ("" when none).
-func mismatchedRules(n *Network, shadow [][]float64) string {
+// mismatchedRules checks every pair of the built network n and
+// describes the first pair whose stored power or any rule verdict
+// differs between mW and dB ("" when none).
+func mismatchedRules(n *Network) string {
 	cfg, b := n.cfg, n.cfg.Budget
 	nodes := n.nodes
 	pDBm := func(i, j int) float64 {
 		i, j = min(i, j), max(i, j)
-		loss := cfg.PathLoss.LossDB(dist(nodes[i], nodes[j])) + shadow[i][j]
+		loss := cfg.PathLoss.LossDB(dist(nodes[i], nodes[j]))
 		return b.TxPowerDBm + b.TxAntennaGain + b.RxAntennaGain - loss
 	}
 	type scale struct{ db, mw float64 }
@@ -450,7 +398,7 @@ func mismatchedRules(n *Network, shadow [][]float64) string {
 	// scan settles on must be the same on the readback as on p. A
 	// candidate pair's order alone may flip — two far APs a few ulps
 	// apart in dBm can read back equal — but only the winner acts.
-	hyst := cfg.RoamHysteresisDB
+	hyst := roamHysteresisDB
 	scan := func(pw []float64, cur int) int {
 		best, bestP := cur, pw[cur]
 		for k, pk := range pw {
@@ -493,10 +441,10 @@ func mismatchedRules(n *Network, shadow [][]float64) string {
 // which moves every node first and then recomputes each readable pair
 // with a moved node once (gainState.readable), plus the row of each
 // station that then changes medium (refreshRow), against a recompute
-// of every readable cell from the final positions and the shadowing
-// draws (staleGain), on the poisoned run of every mobile input: the
-// six roaming rows, the two mobile compat presets and the 272-node
-// walker floor, whose striped refresh the race detector then covers.
+// of every readable cell from the final positions (staleGain), on the
+// poisoned run of every mobile input: the six roaming rows, the two
+// mobile compat presets and the 272-node walker floor, whose striped
+// refresh the race detector then covers.
 // That run's Result.GainRefreshPairs must equal its closed form, both
 // cells of every pair must hold the same bits after each tick
 // (countPairs), and below the 256-node cutover a refresh allocates
@@ -579,8 +527,6 @@ func TestWorkerCapBoundsGainPasses(t *testing.T) {
 		if a := testing.AllocsPerRun(3, func() { n.gains.refresh(n.nodes) }); a != 0 {
 			t.Fatalf("cap 1: the gain refresh on %d nodes made %v allocations, want 0", len(n.nodes), a)
 		}
-		// A second fill would read the received powers as shadowing
-		// draws, so this runs last, on gains no check reads again.
 		if a := testing.AllocsPerRun(1, n.gains.fill); a != 0 {
 			t.Fatalf("cap 1: the gain fill on %d nodes made %v allocations, want 0", len(n.nodes), a)
 		}
@@ -597,7 +543,6 @@ const shortTickSeeds = 10
 // light Poisson uplink per BSS keeps the run cheap.
 func walkerFloor(seed int64) *Network {
 	cfg := DefaultConfig()
-	cfg.PathLoss.ShadowDB = 4
 	cfg.RoamIntervalUs = 100000
 	n := New(cfg, seed)
 	chans := []int{1, 6, 11}
@@ -740,8 +685,7 @@ func readableOn(a, o *Node, med []*medium, off []airRx) bool {
 
 // staleGain recomputes every readable cell of a mobile network's gain
 // rows (readableOn, on the nodes' media and the frames now on the
-// air) from the nodes' current positions and the shadowing draws, and
-// describes the first cell that differs in any bit ("" when none). The
+// air) from the nodes' current positions, and describes the first cell that differs in any bit ("" when none). The
 // other cells hold gains from older positions, which no read reaches.
 func staleGain(n *Network) string {
 	b := n.cfg.Budget
@@ -755,7 +699,7 @@ func staleGain(n *Network) string {
 			if i == j || !readableOn(a, o, med, off) {
 				continue
 			}
-			loss := n.cfg.PathLoss.LossDB(dist(a, o)) + n.gains.shadowDB[i][j]
+			loss := n.cfg.PathLoss.LossDB(dist(a, o))
 			want := mwFromDBm(b.TxPowerDBm + b.TxAntennaGain + b.RxAntennaGain - loss)
 			if got := a.gain[o.gi]; math.Float64bits(got) != math.Float64bits(want) {
 				return fmt.Sprintf("gain %d→%d holds %v, the final positions give %v", i, j, got, want)

@@ -9,10 +9,9 @@ import (
 // refGainMw is the received power of a pair as the gain rows held it
 // before the kernel ports and the row passes: one scalar formula on
 // the math package — the distance by math.Hypot, the TGn breakpoint
-// loss by math.Log10 (channel.LossCurve's steps, in its order), the
-// shadowing draw added to the loss, and the dBm figure converted by
-// math.Pow(10, ·/10).
-func refGainMw(cfg Config, a, o *Node, shadowDB float64) float64 {
+// loss by math.Log10 (channel.LossCurve's steps, in its order), and the
+// dBm figure converted by math.Pow(10, ·/10).
+func refGainMw(cfg Config, a, o *Node) float64 {
 	pl := cfg.PathLoss
 	lambda := 299792458.0 / pl.FreqHz
 	d := math.Hypot(a.X-o.X, a.Y-o.Y)
@@ -26,7 +25,6 @@ func refGainMw(cfg Config, a, o *Node, shadowDB float64) float64 {
 		bp := 20 * math.Log10(4*math.Pi*pl.BreakpointM/lambda)
 		loss = bp + 10*pl.ExponentFar*math.Log10(d/pl.BreakpointM)
 	}
-	loss += shadowDB
 	b := cfg.Budget
 	return math.Pow(10, (b.TxPowerDBm+b.TxAntennaGain+b.RxAntennaGain-loss)/10)
 }
@@ -34,14 +32,13 @@ func refGainMw(cfg Config, a, o *Node, shadowDB float64) float64 {
 // TestGainCellsMatchReference holds every gain cell the fill and the
 // roam-tick refresh write to refGainMw bit for bit. The two large
 // static floors are built whole: every same-domain cell of the
-// 4,100-node one-channel E27 floor and of the 8-domain city floor
-// (shadowing off, so each parked draw is 0). The walker floor (272
-// nodes, 4 dB shadowing, mobile) is checked after its build and after
+// 4,100-node one-channel E27 floor and of the 8-domain city floor. The
+// walker floor (272 nodes, mobile) is checked after its build and after
 // every roam tick, with every skipped cell poisoned with NaN
 // (the poisonSkippedGains oracle): a cell with a node that moved since it
 // was written is either rewritten at the node's new position or NaN,
 // so every cell that is not NaN must equal the reference at the
-// current positions and the retained draws.
+// current positions.
 func TestGainCellsMatchReference(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.CSThresholdDBm = -62
@@ -67,7 +64,7 @@ func TestGainCellsMatchReference(t *testing.T) {
 						if o == a {
 							continue
 						}
-						if got, want := a.gain[o.gi], refGainMw(n.cfg, a, o, 0); math.Float64bits(got) != math.Float64bits(want) {
+						if got, want := a.gain[o.gi], refGainMw(n.cfg, a, o); math.Float64bits(got) != math.Float64bits(want) {
 							t.Fatalf("gain %d→%d holds %v (%#x), the reference gives %v (%#x)",
 								a.id, o.id, got, math.Float64bits(got), want, math.Float64bits(want))
 						}
@@ -88,7 +85,7 @@ func TestGainCellsMatchReference(t *testing.T) {
 					if o == a || math.IsNaN(got) {
 						continue
 					}
-					if want := refGainMw(n.cfg, a, o, n.gains.shadowDB[a.id][o.id]); math.Float64bits(got) != math.Float64bits(want) {
+					if want := refGainMw(n.cfg, a, o); math.Float64bits(got) != math.Float64bits(want) {
 						t.Fatalf("%s: gain %d→%d holds %v (%#x), the reference gives %v (%#x)",
 							when, a.id, o.id, got, math.Float64bits(got), want, math.Float64bits(want))
 					}

@@ -97,11 +97,6 @@ type Config struct {
 	// reach.
 	RtsThresholdBytes int
 
-	// RtsUs / CtsUs are the on-air durations of the RTS and CTS control
-	// frames after the PLCP preamble (they ride the most robust mode in
-	// the rate table).
-	RtsUs, CtsUs float64
-
 	// RateControl names the per-destination rate-adaptation scheme:
 	//
 	//   "" or "fixed"  association-time median-SNR mode selection;
@@ -144,9 +139,9 @@ type Config struct {
 
 	// RoamIntervalUs, when positive, schedules a periodic scan on which
 	// mobile nodes move and stations reassociate to the strongest AP if
-	// it beats the current one by RoamHysteresisDB.
-	RoamIntervalUs   float64
-	RoamHysteresisDB float64
+	// it beats the current one by 3 dB (roamHysteresisDB). A positive
+	// interval must be at least MinIntervalUs.
+	RoamIntervalUs float64
 
 	// SampleIntervalUs, when positive, attaches a time-series sampler
 	// that snapshots telemetry every tick — per-AC goodput, queue
@@ -155,7 +150,8 @@ type Config struct {
 	// Each shard samples its own BSSs on its own engine, and collect
 	// merges the shards' windows. The tick only reads state and
 	// reschedules itself, so a sampled run is bit-identical to an
-	// unsampled one and keeps its shard plan. 0 disables sampling.
+	// unsampled one and keeps its shard plan. 0 disables sampling; a
+	// positive interval must be at least MinIntervalUs.
 	SampleIntervalUs float64
 
 	// Shards requests execution on up to this many parallel partitions
@@ -235,17 +231,35 @@ func DefaultAggregation() AggConfig {
 // 802.11e access categories).
 func DefaultConfig() Config {
 	return Config{
-		Dcf:              mac.Dot11agDcf(),
-		Modes:            linkmodel.OfdmModes(),
-		PathLoss:         channel.Model24GHz(),
-		Budget:           channel.DefaultLinkBudget(20e6),
-		CSThresholdDBm:   -82,
-		QueueLimit:       64,
-		RtsUs:            28,
-		CtsUs:            28,
-		RoamHysteresisDB: 3,
+		Dcf:            mac.Dot11agDcf(),
+		Modes:          linkmodel.OfdmModes(),
+		PathLoss:       channel.Model24GHz(),
+		Budget:         channel.DefaultLinkBudget(20e6),
+		CSThresholdDBm: -82,
+		QueueLimit:     64,
 	}
 }
+
+// rtsUs and ctsUs are the on-air durations of the RTS and CTS control
+// frames after the PLCP preamble (they ride the most robust mode in the
+// rate table). roamHysteresisDB is the margin by which another AP must
+// beat a station's current one before the roam scan moves it.
+const (
+	rtsUs            = 28.0
+	ctsUs            = 28.0
+	roamHysteresisDB = 3.0
+)
+
+// MinIntervalUs is the shortest period a timer may take: a roam tick, a
+// sampler window, a CBR or OnOff packet spacing (and so a Poisson rate
+// of at most 1e6/MinIntervalUs packets a second). The virtual clock is
+// a float64 of microseconds, so a much shorter period stops advancing
+// it once the clock's spacing outgrows the period, and Run never ends.
+const MinIntervalUs = 1.0
+
+// MaxPktPerSec is the highest Poisson rate, one packet per
+// MinIntervalUs on average.
+const MaxPktPerSec = 1e6 / MinIntervalUs
 
 // Validate panics with a clear message when the configuration cannot
 // drive a simulation — an empty rate table, non-positive MAC timing, or
@@ -266,15 +280,11 @@ func (c Config) Validate() {
 	if c.QueueLimit <= 0 {
 		panic(fmt.Sprintf("netsim: Config.QueueLimit must be positive, got %d", c.QueueLimit))
 	}
-	if c.RtsThresholdBytes > 0 {
-		checkPositive("Config", "RtsUs", c.RtsUs)
-		checkPositive("Config", "CtsUs", c.CtsUs)
+	if v := c.RoamIntervalUs; v != 0 && !(v >= MinIntervalUs) {
+		panic(fmt.Sprintf("netsim: Config.RoamIntervalUs must be 0 or at least %v, got %v", MinIntervalUs, v))
 	}
-	if c.RoamIntervalUs < 0 || math.IsNaN(c.RoamIntervalUs) {
-		panic(fmt.Sprintf("netsim: Config.RoamIntervalUs must not be negative, got %v", c.RoamIntervalUs))
-	}
-	if c.SampleIntervalUs < 0 || math.IsNaN(c.SampleIntervalUs) || math.IsInf(c.SampleIntervalUs, 0) {
-		panic(fmt.Sprintf("netsim: Config.SampleIntervalUs must be a non-negative finite number, got %v", c.SampleIntervalUs))
+	if v := c.SampleIntervalUs; v != 0 && !(v >= MinIntervalUs && !math.IsInf(v, 0)) {
+		panic(fmt.Sprintf("netsim: Config.SampleIntervalUs must be 0 or a finite number of at least %v, got %v", MinIntervalUs, v))
 	}
 	if c.Shards < 0 {
 		panic(fmt.Sprintf("netsim: Config.Shards must not be negative, got %d", c.Shards))
@@ -601,8 +611,8 @@ type Network struct {
 	qoeSources []func() UserQoE
 }
 
-// New returns an empty network. All randomness (shadowing, backoff,
-// traffic, PER draws) comes from a single rng.Source seeded here, so a
+// New returns an empty network. All randomness (backoff, traffic,
+// mobility, PER draws) comes from a single rng.Source seeded here, so a
 // fixed seed reproduces the run exactly.
 func New(cfg Config, seed int64) *Network {
 	if cfg.QueueLimit <= 0 {
@@ -795,9 +805,8 @@ func (n *Network) build() {
 		n.chanRoot = bondedComponents(n.bss)
 	}
 	n.gains.build()
-	// Index query radii depend on the shadowing draws just baked into
-	// the gains: media size their grids from csRangeM, and the shard
-	// planner's interaction radius builds on both.
+	// Media size their grids from csRangeM, and the shard planner's
+	// interaction radius builds on both index radii.
 	n.csRangeM, n.navRangeM = n.indexRanges()
 	n.planShards()
 	// One medium per distinct (shard, channel), in global
@@ -873,8 +882,8 @@ func (n *Network) ampduAirUs(m linkmodel.Mode, totalBytes int) float64 {
 }
 
 // rtsAirUs / ctsAirUs are the on-air durations of the control frames.
-func (n *Network) rtsAirUs() float64 { return n.cfg.Dcf.PlcpUs + n.cfg.RtsUs }
-func (n *Network) ctsAirUs() float64 { return n.cfg.Dcf.PlcpUs + n.cfg.CtsUs }
+func (n *Network) rtsAirUs() float64 { return n.cfg.Dcf.PlcpUs + rtsUs }
+func (n *Network) ctsAirUs() float64 { return n.cfg.Dcf.PlcpUs + ctsUs }
 
 // Prepare freezes the topology (gain rows, media, spatial index) and
 // seeds the traffic processes without advancing virtual time. Run calls
@@ -988,7 +997,7 @@ func (n *Network) roamScan() {
 		curP := n.rxPowerDBm(best.AP, nd)
 		bestP := curP
 		for _, b := range n.bss {
-			if p := n.rxPowerDBm(b.AP, nd); p > curP+n.cfg.RoamHysteresisDB && p > bestP {
+			if p := n.rxPowerDBm(b.AP, nd); p > curP+roamHysteresisDB && p > bestP {
 				best, bestP = b, p
 			}
 		}
@@ -1282,8 +1291,8 @@ type Result struct {
 
 	// GainBytes is the heap held by the pairwise gain state after
 	// build: for each gain domain of k nodes, k² float64 received
-	// powers plus k 24-byte row headers (k²·8 + k·24 bytes), plus
-	// n²·8 + n·24 for the shadowing matrix when mobility keeps it.
+	// powers plus k 24-byte row headers (k²·8 + k·24 bytes). A build
+	// with mobility is one domain of every node, so one n×n matrix.
 	GainBytes int64
 
 	// GainRefreshPairs counts the node pairs whose received power the

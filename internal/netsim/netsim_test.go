@@ -329,10 +329,13 @@ func TestTrafficGenValidation(t *testing.T) {
 	}{
 		{"cbr zero interval", CBR{PayloadBytes: 100, IntervalUs: 0}},
 		{"cbr negative interval", CBR{PayloadBytes: 100, IntervalUs: -5}},
+		{"cbr interval below a microsecond", CBR{PayloadBytes: 100, IntervalUs: 1e-300}},
 		{"cbr zero payload", CBR{PayloadBytes: 0, IntervalUs: 1000}},
 		{"poisson zero rate", Poisson{PayloadBytes: 100, PktPerSec: 0}},
 		{"poisson nan rate", Poisson{PayloadBytes: 100, PktPerSec: math.NaN()}},
+		{"poisson rate above a packet a microsecond", Poisson{PayloadBytes: 100, PktPerSec: 1e300}},
 		{"onoff zero spacing", &OnOff{PayloadBytes: 100, IntervalUs: 0, OnMeanUs: 1, OffMeanUs: 1}},
+		{"onoff spacing below a microsecond", &OnOff{PayloadBytes: 100, IntervalUs: 1e-300, OnMeanUs: 1, OffMeanUs: 1}},
 		{"saturated zero payload", Saturated{PayloadBytes: 0}},
 	}
 	for _, tc := range cases {

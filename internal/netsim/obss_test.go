@@ -8,13 +8,11 @@ import (
 
 // obssPairNet builds two co-channel downlink BSSs whose APs hear each
 // other at ~-80 dBm — above the -82 dBm energy detect but inside the
-// OBSS-PD window — with shadowing disabled so the geometry, not a
-// draw, decides who defers. Stations sit 1 m from their AP, leaving a
+// OBSS-PD window. Stations sit 1 m from their AP, leaving a
 // reusing cell ~35 dB of SINR against the far interferer even after
 // the -20 dB TX-power backoff.
 func obssPairNet(obssPdDBm float64, seed int64) *Network {
 	cfg := DefaultConfig()
-	cfg.PathLoss.ShadowDB = 0
 	cfg.ObssPdThresholdDBm = obssPdDBm
 	n := New(cfg, seed)
 	for i, x := range []float64{0, 100} {
@@ -71,7 +69,6 @@ func TestObssPdReuseUnlocksParallelTalk(t *testing.T) {
 func TestObssPdBackoffScalesWithThreshold(t *testing.T) {
 	build := func(obssPdDBm float64) *Network {
 		cfg := DefaultConfig()
-		cfg.PathLoss.ShadowDB = 0
 		cfg.ObssPdThresholdDBm = obssPdDBm
 		n := New(cfg, 9)
 		a := n.AddAP("A", 0, 0, 1)

@@ -232,6 +232,15 @@ func nonNegative(path string, v float64) error {
 	return nil
 }
 
+// interval checks a timer period: finite and at least
+// netsim.MinIntervalUs. A shorter period would stop the virtual clock.
+func interval(path string, v float64) error {
+	if math.IsNaN(v) || math.IsInf(v, 0) || v < netsim.MinIntervalUs {
+		return errf(path, "must be finite and at least %v us, got %v", netsim.MinIntervalUs, v)
+	}
+	return nil
+}
+
 // parseAC maps the JSON access-category name; "" defaults to AC_BE.
 func parseAC(name string) (netsim.AC, error) {
 	switch name {
@@ -411,12 +420,18 @@ func (tr Traffic) validate(path string) error {
 		if err := positive(path+".payload_bytes", float64(tr.PayloadBytes)); err != nil {
 			return err
 		}
-		return positive(path+".interval_us", tr.IntervalUs)
+		return interval(path+".interval_us", tr.IntervalUs)
 	case "poisson":
 		if err := positive(path+".payload_bytes", float64(tr.PayloadBytes)); err != nil {
 			return err
 		}
-		return positive(path+".pkt_per_sec", tr.PktPerSec)
+		if err := positive(path+".pkt_per_sec", tr.PktPerSec); err != nil {
+			return err
+		}
+		if tr.PktPerSec > netsim.MaxPktPerSec {
+			return errf(path+".pkt_per_sec", "must be at most %v, got %v", netsim.MaxPktPerSec, tr.PktPerSec)
+		}
+		return nil
 	case "pull":
 		return positive(path+".segment_bytes", float64(tr.SegmentBytes))
 	case "":
@@ -481,8 +496,8 @@ func (c *Overrides) Validate() error {
 	if c.Shards != nil && *c.Shards < 0 {
 		return errf("config.shards", "must not be negative, got %d", *c.Shards)
 	}
-	if c.RoamIntervalUs != nil {
-		if err := nonNegative("config.roam_interval_us", *c.RoamIntervalUs); err != nil {
+	if c.RoamIntervalUs != nil && *c.RoamIntervalUs != 0 {
+		if err := interval("config.roam_interval_us", *c.RoamIntervalUs); err != nil {
 			return err
 		}
 	}

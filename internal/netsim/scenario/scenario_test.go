@@ -141,6 +141,9 @@ func TestValidationErrors(t *testing.T) {
 		{"bad ac", func(f *File) { f.Flows[0].AC = "AC_XX" }, "flows[0].ac"},
 		{"bad gen", func(f *File) { f.Flows[0].Traffic.Type = "warp" }, "flows[0].traffic.type"},
 		{"cbr interval", func(f *File) { f.Flows[1].Traffic.IntervalUs = 0 }, "flows[1].traffic.interval_us"},
+		{"cbr interval below a microsecond", func(f *File) { f.Flows[1].Traffic.IntervalUs = 1e-300 }, "flows[1].traffic.interval_us"},
+		{"poisson rate above a packet a microsecond", func(f *File) { f.Flows[2].Traffic.PktPerSec = 1e300 }, "flows[2].traffic.pkt_per_sec"},
+		{"roam tick below a microsecond", func(f *File) { *f.Config.RoamIntervalUs = 1e-300 }, "config.roam_interval_us"},
 		{"transport on open loop", func(f *File) { f.Flows[0].Transport = &Transport{} }, "flows[0].traffic.type"},
 		{"pull undriven", func(f *File) { f.Flows[3].Transport, f.Flows[3].App = nil, nil }, "flows[3].traffic.type"},
 		{"cwnd order", func(f *File) { f.Flows[3].Transport.InitCwnd = 64 }, "flows[3].transport.init_cwnd"},

@@ -250,9 +250,8 @@ func (n *Network) channelsCouple(ca, cb int) bool {
 // nodes cannot influence each other's MAC state: the max of
 // carrier-sense reach, NAV decode reach, and the farthest distance at
 // which a transmission still arrives above noise −
-// interferenceMarginDB. Like indexRanges, it starts from
-// gainState.reachDBm, the budget widened by the deployment's most
-// favorable shadowing draw, so no lucky pair reaches across a seam;
+// interferenceMarginDB. Like indexRanges, it starts from the link
+// budget and inverts the path-loss curve the gains are computed from;
 // bonding's fractional overlap only attenuates received power, so the
 // unscaled range stays conservative for partially overlapping channels
 // too. OBSS-PD spatial reuse needs no adjustment
@@ -264,7 +263,7 @@ func (n *Network) channelsCouple(ca, cb int) bool {
 // full-power, legacy-CS figure computed here remains a superset of
 // every range the mechanism can produce.
 func (n *Network) interactRangeM() float64 {
-	r := maxDistForLoss(n.cfg.PathLoss, n.gains.reachDBm()-(n.noiseFloorDBm-interferenceMarginDB))
+	r := maxDistForLoss(n.cfg.PathLoss, n.cfg.Budget.BudgetDBm()-(n.noiseFloorDBm-interferenceMarginDB))
 	return max(r, n.csRangeM, n.navRangeM)
 }
 
@@ -397,8 +396,8 @@ func balanceGroups(groups [][]*BSS, bssNodes []int, k int) (order, lane []int) {
 
 // planShards decides the partition and creates the shards, assigning
 // every node to one. Called from build after the gains and index
-// ranges are final (the planning radius depends on the shadowing
-// draws) and before media are created. It makes one shard per
+// ranges are final (the planning radius builds on the index ranges)
+// and before media are created. It makes one shard per
 // interaction group, in balanceGroups' heaviest-first order. Only
 // mobility and a floor that forms one coupled group fall back to one
 // engine; the plan never depends on who observes the run. Every shard

@@ -41,10 +41,9 @@ import (
 // conservative Chebyshev bound), and the caller re-applies the exact
 // power/SNR predicate it always used — so the index can never change
 // which nodes sense a frame, only how many are inspected. The radii in
-// Network.indexRanges fold in the most favorable shadowing draw of the
-// whole deployment, keeping the superset guarantee even when a lucky
-// pair reaches beyond the median range. Candidates are returned sorted
-// by medium-membership order (Node.ord), which makes the indexed scan
+// Network.indexRanges invert the same path-loss curve the gains are
+// computed from, so no pair reaches past them. Candidates are returned
+// sorted by medium-membership order (Node.ord), which makes the indexed scan
 // visit nodes in exactly the order the brute-force scan over
 // medium.entries would — a requirement for bit-for-bit equivalence, since
 // carrier-sense pauses schedule events and event order is simulation
@@ -336,13 +335,12 @@ func (g *spatialGrid) query(x, y, radiusM float64, out []candidate) []candidate 
 //     requirement can still be met — the decode range that NAV adoption
 //     reaches, which extends below the energy-detect threshold.
 //
-// Both radii widen by the most favorable (most negative) shadowing draw
-// over every node pair, so per-pair shadowing can never push a sensing
-// node outside the queried cells. Ranges are clamped to [1 m, 1e7 m]; a
-// threshold so low that the cap binds just degenerates the grid toward
-// one floor-sized cell, i.e. the brute-force scan.
+// Both start from the link budget, the received power at 0 dB of path
+// loss. Ranges are clamped to [1 m, 1e7 m]; a threshold so low that the
+// cap binds just degenerates the grid toward one floor-sized cell, i.e.
+// the brute-force scan.
 func (n *Network) indexRanges() (csM, navM float64) {
-	gainDBm := n.gains.reachDBm()
+	gainDBm := n.cfg.Budget.BudgetDBm()
 	csM = maxDistForLoss(n.cfg.PathLoss, gainDBm-n.cfg.CSThresholdDBm)
 	navM = maxDistForLoss(n.cfg.PathLoss, gainDBm-(n.noiseFloorDBm+n.robustMode().SnrReqDB))
 	return csM, navM

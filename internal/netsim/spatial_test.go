@@ -10,23 +10,21 @@ import (
 // Property test for the grid index: whatever the node layout and
 // however nodes move, a candidate query must return a SUPERSET of the
 // nodes the brute-force scan would accept — dropping one sensing node
-// breaks carrier sense silently. Shadowing is on, so the test also
-// exercises the radius padding for lucky per-pair draws, and candidates
-// must come back in membership order (the equivalence suite's bit-for-
-// bit guarantee rests on it). Carrier-sense candidates cover the
+// breaks carrier sense silently. Candidates must come back in
+// membership order (the equivalence suite's bit-for-bit guarantee
+// rests on it). Carrier-sense candidates cover the
 // csTracked subset (idle stations carry no carrier-sense state — see
 // Node.joinCS); NAV candidates must cover every decoder, tracked or
 // not.
 
 // buildRandomFloor places nNodes uniformly on a side x side floor, all
-// on one channel, with shadowing enabled. Every third node is put under
-// carrier-sense tracking, mimicking a floor where a fraction of the
-// associated stations hold traffic. Mobility is on, so the build keeps
-// the shadowing matrix a gain refresh needs to teleport nodes.
+// on one channel. Every third node is put under carrier-sense tracking,
+// mimicking a floor where a fraction of the associated stations hold
+// traffic. Mobility is on, so the build keeps the one-domain matrix and
+// the scratch a gain refresh needs to teleport nodes.
 func buildRandomFloor(t *testing.T, seed int64, nNodes int, sideM float64) *Network {
 	t.Helper()
 	cfg := DefaultConfig()
-	cfg.PathLoss.ShadowDB = 6
 	cfg.RoamIntervalUs = 100000
 	n := New(cfg, seed)
 	b := n.AddAP("AP0", 0, 0, 1)

@@ -23,9 +23,10 @@ type TrafficGen interface {
 	// nextGapUs draws the inter-arrival gap after each packet.
 	nextGapUs(src *rng.Source) float64
 	// validate panics when the generator's parameters cannot produce a
-	// sane arrival process — a zero CBR interval schedules an unbounded
-	// same-instant arrival storm, a zero Poisson rate yields Inf/NaN
-	// gaps. Flow.start calls it before the first arrival is drawn.
+	// sane arrival process — a CBR interval below MinIntervalUs stops
+	// the clock in a same-instant arrival storm, a zero Poisson rate
+	// yields Inf/NaN gaps. Flow.start calls it before the first arrival
+	// is drawn.
 	validate()
 }
 
@@ -33,6 +34,14 @@ type TrafficGen interface {
 func checkPositive(gen, field string, v float64) {
 	if math.IsNaN(v) || math.IsInf(v, 0) || v <= 0 {
 		panic(fmt.Sprintf("netsim: %s.%s must be positive and finite, got %v", gen, field, v))
+	}
+}
+
+// checkInterval panics unless v is a finite timer period of at least
+// MinIntervalUs.
+func checkInterval(gen, field string, v float64) {
+	if math.IsNaN(v) || math.IsInf(v, 0) || v < MinIntervalUs {
+		panic(fmt.Sprintf("netsim: %s.%s must be finite and at least %v us, got %v", gen, field, MinIntervalUs, v))
 	}
 }
 
@@ -68,6 +77,9 @@ func (p Poisson) nextGapUs(src *rng.Source) float64 {
 func (p Poisson) validate() {
 	checkPositive("Poisson", "PayloadBytes", float64(p.PayloadBytes))
 	checkPositive("Poisson", "PktPerSec", p.PktPerSec)
+	if p.PktPerSec > MaxPktPerSec {
+		panic(fmt.Sprintf("netsim: Poisson.PktPerSec must be at most %v, got %v", MaxPktPerSec, p.PktPerSec))
+	}
 }
 
 // CBR emits fixed-size packets on a fixed interval, with a random
@@ -84,7 +96,7 @@ func (c CBR) firstGapUs(src *rng.Source) float64 { return src.Float64() * c.Inte
 func (c CBR) nextGapUs(*rng.Source) float64      { return c.IntervalUs }
 func (c CBR) validate() {
 	checkPositive("CBR", "PayloadBytes", float64(c.PayloadBytes))
-	checkPositive("CBR", "IntervalUs", c.IntervalUs)
+	checkInterval("CBR", "IntervalUs", c.IntervalUs)
 }
 
 // OnOff is a bursty source: CBR arrivals during exponential on-periods
@@ -109,7 +121,7 @@ func (o *OnOff) firstGapUs(src *rng.Source) float64 {
 }
 func (o *OnOff) validate() {
 	checkPositive("OnOff", "PayloadBytes", float64(o.PayloadBytes))
-	checkPositive("OnOff", "IntervalUs", o.IntervalUs)
+	checkInterval("OnOff", "IntervalUs", o.IntervalUs)
 	checkPositive("OnOff", "OnMeanUs", o.OnMeanUs)
 	checkPositive("OnOff", "OffMeanUs", o.OffMeanUs)
 }

@@ -94,6 +94,7 @@ var reachableAllowlist = map[string]string{
 	"netsim/trace.WithWindow":            "TestTracerFilters: the time-window filter under test",
 	"ofdm.Grid.PerfectChannelEstimate":   "TestLTFChannelEstimation: the genie reference for EstimateChannel",
 	"phy.SNRForPER":                      "the calibration tests read each PHY's PER threshold with it",
+	"rng.Source.Gaussian":                "TestViterbiSoftBeatsHard and TestLDPCDecodeCorrectsNoise: the real-valued AWGN their decoders run over",
 	"rng.Source.Rayleigh":                "TestRayleighMatchesComplexMagnitude: the reference distribution for ComplexGaussian",
 	"sim.Engine.Pending":                 "TestCancel and the other sim tests observe the event heap with it",
 }
