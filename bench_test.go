@@ -70,13 +70,14 @@ func BenchmarkE21Coexistence(b *testing.B)    { benchExperiment(b, "E21") }
 // a benchmark makes, and reports them per op beside ns/op: the frames
 // put on the air, the interference crossings their starts walked, the
 // carrier-sense candidates their scans walked and judged, the gain
-// pairs roam ticks refreshed (only when nonzero) and the bytes the
-// builds' gain state held (Result.GainBytes). The simulation is
+// pairs the builds computed (Result.GainFillPairs), the gain pairs roam
+// ticks refreshed (only when nonzero) and the bytes the builds' gain
+// state held (Result.GainBytes). The simulation is
 // seeded, so at a fixed -benchtime=Nx they repeat exactly on any
 // machine, and cmd/benchjson gates them exactly against the baseline.
 type workCounters struct {
-	starts, crossings, csCandidates, csJudged, refreshPairs int
-	gainBytes                                               int64
+	starts, crossings, csCandidates, csJudged, fillPairs, refreshPairs int
+	gainBytes                                                          int64
 }
 
 func (c *workCounters) add(r netsim.Result) {
@@ -84,6 +85,7 @@ func (c *workCounters) add(r netsim.Result) {
 	c.crossings += r.Crossings
 	c.csCandidates += r.CsCandidates
 	c.csJudged += r.CsJudged
+	c.fillPairs += r.GainFillPairs
 	c.refreshPairs += r.GainRefreshPairs
 	c.gainBytes += r.GainBytes
 }
@@ -94,6 +96,7 @@ func (c *workCounters) report(b *testing.B) {
 	b.ReportMetric(per(c.crossings), "crossings/op")
 	b.ReportMetric(per(c.csCandidates), "cs-candidates/op")
 	b.ReportMetric(per(c.csJudged), "cs-judged/op")
+	b.ReportMetric(per(c.fillPairs), "gain-fill-pairs/op")
 	if c.refreshPairs > 0 {
 		b.ReportMetric(per(c.refreshPairs), "gain-refresh-pairs/op")
 	}

@@ -539,8 +539,8 @@ func main() {
 		}
 		if o.shardStats {
 			r := results[0]
-			fmt.Fprintf(os.Stderr, "gain state: %d bytes (%.1f MB), %d pairs refreshed by roam ticks and channel changes\n",
-				r.GainBytes, float64(r.GainBytes)/1e6, r.GainRefreshPairs)
+			fmt.Fprintf(os.Stderr, "gain state: %d bytes (%.1f MB), %d pairs computed by the build, %d pairs refreshed by roam ticks and channel changes\n",
+				r.GainBytes, float64(r.GainBytes)/1e6, r.GainFillPairs, r.GainRefreshPairs)
 			fmt.Fprintf(os.Stderr, "interference crossings: %d over %d frame starts (%.1f per start)\n",
 				r.Crossings, r.FrameStarts, float64(r.Crossings)/float64(max(r.FrameStarts, 1)))
 			fmt.Fprintf(os.Stderr, "carrier sense: %d candidates, %d judged (%.1f%% of candidates)\n",

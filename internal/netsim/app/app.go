@@ -33,7 +33,7 @@ func checkPositive(model, field string, v float64) {
 // WebConfig parameterizes one web user.
 type WebConfig struct {
 	// PageBytes is the mean page size; each load draws uniformly in
-	// [0.5, 1.5] of it.
+	// [0.5, 1.5] of it, and requests at least 1 byte.
 	PageBytes int
 
 	// ThinkMeanUs is the exponential dwell between a page finishing
@@ -76,7 +76,9 @@ func NewWebUser(conn *transport.Conn, cfg WebConfig, src *rng.Source) *WebUser {
 // the next request a think time later.
 func (u *WebUser) request() {
 	start := u.conn.NowUs()
-	size := int(float64(u.cfg.PageBytes) * (0.5 + u.src.Float64()))
+	// A 1-byte mean draws below 1 byte half the time; a transport send
+	// must carry at least one.
+	size := max(1, int(float64(u.cfg.PageBytes)*(0.5+u.src.Float64())))
 	u.conn.Send(size, func(now float64) {
 		u.pltUs = append(u.pltUs, now-start)
 		u.conn.Schedule(u.src.Exponential(u.cfg.ThinkMeanUs), u.request)

@@ -37,6 +37,19 @@ func TestWebUserRecordsPageLoads(t *testing.T) {
 	}
 }
 
+// TestWebUserOneBytePages: a 1-byte mean page draws a request below 1
+// byte on about half its loads; each must still send 1 byte, not panic
+// in transport.Conn.Send, and load.
+func TestWebUserOneBytePages(t *testing.T) {
+	n, c := oneUserNet(1)
+	u := NewWebUser(c, WebConfig{PageBytes: 1, ThinkMeanUs: 1}, n.Src().Split())
+	n.AddQoE(u.QoE)
+	res := n.Run(2e4)
+	if res.QoE == nil || res.QoE.PageLoads < 10 {
+		t.Fatalf("%+v page loads of 1-byte pages in 20 ms, want at least 10", res.QoE)
+	}
+}
+
 // TestVideoUserCleanLink: an unconstrained stream starts quickly and
 // never rebuffers.
 func TestVideoUserCleanLink(t *testing.T) {

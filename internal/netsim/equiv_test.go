@@ -10,8 +10,8 @@ import (
 )
 
 // The differential harness. Each optimization in the hot path (the
-// grid index, lazy carrier sense, gain domains, the readable-pair
-// refresh) must never change a run: differential runs one input —
+// grid index, lazy carrier sense, gain domains, the static fill's
+// reach, the readable-pair refresh) must never change a run: differential runs one input —
 // an equivalence row at one seed, a compat preset, or the walker
 // floor — once in production, once with every observer attached, and
 // once under each exact test oracle, and every run must produce a
@@ -19,7 +19,7 @@ import (
 // technique from "new tree vs recorded hashes" to "live configurations
 // of the same tree", which catches bugs on any seed instead of only
 // the recorded ones. Fingerprints come from compat_test.go and cover
-// every counter, per-AC/per-flow stat, and float in a Result. Ten
+// every counter, per-AC/per-flow stat, and float in a Result. Eleven
 // suites report the harness's check families (diffCheck) over every
 // input; the harness runs each input once per test binary.
 
@@ -105,6 +105,16 @@ func equivScenarios() []equivRow {
 		{"large-floor-rts", 3e4, func(cfg Config) func(int64) *Network {
 			cfg.CSThresholdDBm = -62
 			return LargeFloor(rtsEvery(cfg), 36, 2, 6, 1)
+		}},
+		// The same 108-node medium with a station at each AP on a
+		// saturated downlink and the other on a saturated uplink. At
+		// -62 dBm the carrier-sense reach is about 31 m, so a static
+		// fill skips most pairs of two stations, but not those of a
+		// downlink's receiver, whose frames cross the interference of
+		// uplink senders across the floor.
+		{"large-floor-downlink", 3e4, func(cfg Config) func(int64) *Network {
+			cfg.CSThresholdDBm = -62
+			return downlinkFloor(cfg)
 		}},
 		// RTS under OBSS-PD coloring at the default -82 dBm energy
 		// detect: the indexed CS and NAV scans apply the color-aware
@@ -263,6 +273,7 @@ const (
 	refreshCheck                       // TestReadableRefreshMatchesFullRefresh
 	recomputeCheck                     // TestMobileRefreshMatchesRecompute
 	gridCheck                          // TestGridNeighborLinks
+	skipCheck                          // TestStaticFillSkipsOnlyQuietPairs
 	numChecks
 )
 
@@ -274,6 +285,7 @@ type diffReport struct {
 	domains int       // gain domains of the production build
 	sharded bool      // the observed run used more than one engine
 	counted pairCount // the poisoned run's roam-tick observer, when mobile
+	skipped int       // same-domain pairs the production build's fill skipped
 }
 
 // differential runs input in through every exact oracle and both
@@ -288,7 +300,10 @@ type diffReport struct {
 //     sampler's contract (sampleFault). The packet books are then
 //     checked on its network.
 //   - One run per exact oracle: disableSpatialIndex, eagerCarrierSense,
-//     and oneGainDomain on a static build; on a mobile build, the
+//     and on a static build oneGainDomain, whose one domain computes
+//     every pair, and the fill with every skipped cell poisoned with
+//     the loudest power every threshold test calls quiet
+//     (poisonSkippedGains); on a mobile build, the
 //     readable-pair refresh with every skipped cell poisoned with NaN
 //     (poisonSkippedGains), carrying csInvariantProbe, which fails on a
 //     NaN read, the roam-tick pair counter (countPairs) and the grid
@@ -402,6 +417,8 @@ func differential(t *testing.T, in diffInput) diffReport {
 	exact(eagerCheck, oracles{eagerCarrierSense: true}, nil, EvObssIgnore)
 	if n.cfg.RoamIntervalUs == 0 {
 		exact(domainCheck, oracles{oneGainDomain: true}, nil)
+		exact(skipCheck, oracles{poisonSkippedGains: true}, nil)
+		rep.skipped = domainPairs(n) - prod.GainFillPairs
 		if prod.GainRefreshPairs != 0 {
 			fail(recomputeCheck, "a static run reports %d refreshed pairs, want 0", prod.GainRefreshPairs)
 		}
@@ -446,7 +463,7 @@ func differential(t *testing.T, in diffInput) diffReport {
 	return rep
 }
 
-// diffReports memoizes the harness by input name: the ten suites
+// diffReports memoizes the harness by input name: the eleven suites
 // each report one check family of the same runs.
 var diffReports = map[string]diffReport{}
 
@@ -496,6 +513,7 @@ var gridRows = map[string]bool{
 	"roaming-crowd-indexed": true,
 	"roaming-crowd-cells":   true,
 	"large-floor-reuse":     true,
+	"large-floor-downlink":  true,
 	"large-floor-rts":       true,
 	"large-floor-obss-rts":  true,
 	"large-floor-bonded":    true,
@@ -547,6 +565,24 @@ func crossChannelFlows(cfg Config) func(seed int64) *Network {
 		pinned := n.AddStation(ch11, "pinned", 80, -40)
 		n.Add(FlowSpec{From: pinned, To: ch6.AP, AC: AC_BE,
 			Gen: Poisson{PayloadBytes: 500, PktPerSec: 200}})
+		return n
+	}
+}
+
+// downlinkFloor is LargeFloor's 36-BSS floor with two stations per
+// AP on one channel, each AP sending its first station a saturated
+// 1000-byte downlink and the second station a saturated 1000-byte
+// uplink.
+func downlinkFloor(cfg Config) func(seed int64) *Network {
+	return func(seed int64) *Network {
+		n := New(cfg, seed)
+		RingFloor(n, 36, 2, 6, largeFloorSpacingM, []int{1}, func(b *BSS, st *Node, s int) {
+			spec := FlowSpec{From: st, AC: AC_BE, Gen: Saturated{PayloadBytes: 1000}}
+			if s == 0 {
+				spec.From, spec.To = b.AP, st
+			}
+			n.Add(spec)
+		})
 		return n
 	}
 }
@@ -698,6 +734,28 @@ func TestObservationEquivalence(t *testing.T) {
 // bit-identical Results on every input.
 func TestEagerTrackingEquivalence(t *testing.T) {
 	eachReport(t, eagerCheck)
+}
+
+// TestStaticFillSkipsOnlyQuietPairs pins a static build's fill, which
+// computes only the pairs with a frame receiver or within the reach of
+// the threshold tests (gainState), against the full matrix. On every
+// static input, the run whose skipped cells hold the loudest power
+// every threshold test still calls quiet (poisonSkippedGains: just
+// below the carrier-sense threshold, and the NAV-decode one with
+// RTS/CTS on) is bit-identical to production, so no run uses a skipped
+// pair's value or passes a threshold at one. Most small inputs lie
+// within reach and skip nothing; over every input some pair must be
+// skipped, or the poison shows nothing. (The oneGainDomain oracle,
+// which computes every pair, holds the same from the other side.)
+func TestStaticFillSkipsOnlyQuietPairs(t *testing.T) {
+	reps, all := eachReport(t, skipCheck)
+	skipped := 0
+	for _, r := range reps {
+		skipped += r.skipped
+	}
+	if all && skipped == 0 {
+		t.Fatal("no static build skipped a pair: the poisoned runs cannot tell the rule from a full fill")
+	}
 }
 
 // TestGainDomainEquivalence pins the gain domains against the layout

@@ -37,6 +37,33 @@ import (
 // every write keeps: the interference crossing reads a pair from the
 // row of either end (medium.start).
 //
+// A static build computes only the pairs whose power a run can use
+// (fill). A run uses a pair's value only with a frame receiver in it:
+// the interference crossing, the SINR judgment and the rate choice
+// each read a pair of a frame's receiver. Frames go to APs and to
+// flows' To nodes, and with RTS/CTS on (Config.RtsThresholdBytes > 0)
+// the CTS goes back to the data sender, a flow's From. Every other
+// read only tests a threshold: the carrier-sense scan and hears
+// against CSThresholdDBm, and the NAV scan, which runs for RTS and CTS
+// frames only, against the most robust mode's decode power. So a pair
+// with no receiver is computed only within the reach those tests can
+// pass at, csRangeM or, with RTS on, the larger of it and navRangeM,
+// plus reachMarginM so that rounding at the boundary cannot flip a
+// verdict. Beyond it the true power is below every threshold it is
+// tested against (the OBSS-PD backoff and the bonded half-slot penalty
+// only lower it), and the 0 the cell was allocated with takes the same
+// branch, so every verdict, and every counter, is the one a full
+// matrix gives. A mobile build computes every pair; its roam ticks
+// recompute only the readable ones (refresh).
+//
+// sites holds each flat member's position and the squared reach of its
+// pairs (reach2: +Inf for a receiver and in a mobile build), so fill
+// tests and measures a pair without loading the other node. skipMw is
+// what fill leaves in a skipped cell: 0, or under the
+// poisonSkippedGains oracle the loudest power every threshold test
+// still calls quiet. fillPairs counts the pairs fill computed
+// (Result.GainFillPairs).
+//
 // movers, offAir and cells are a roam tick's reused scratch (moved,
 // refresh, refreshStripe, refreshRow), allocated at a build with
 // mobility with room for every node, so a tick allocates nothing.
@@ -48,15 +75,40 @@ type gainState struct {
 	members []*Node
 	bounds  []int
 
+	sites     []gainSite
+	skipMw    float64
+	fillPairs int
+
 	movers       []*Node
 	offAir       []airRx
 	cells        [][]gainCell
 	refreshPairs int
 }
 
+// gainSite is a flat member's position, and the squared distance
+// within which fill computes its pairs.
+type gainSite struct {
+	x, y, reach2 float64
+}
+
+// reachMarginM widens a static build's reach past the carrier-sense and
+// NAV ranges, which are bisected on the same loss curve the gains are
+// computed on: at a metre past them the loss exceeds the threshold's by
+// far more than the last bits a rounding can move.
+const reachMarginM = 1.0
+
 // build lays out the gain domains and fills their received-power rows.
+// It reads the spatial-index radii (Network.csRangeM, navRangeM) for a
+// static build's reach.
 func (g *gainState) build() {
 	g.layout()
+	if n := g.n; n.oracle.poisonSkippedGains && n.cfg.RoamIntervalUs == 0 {
+		quiet := n.csMw
+		if n.cfg.RtsThresholdBytes > 0 {
+			quiet = min(quiet, n.navMw)
+		}
+		g.skipMw = math.Nextafter(quiet, 0)
+	}
 	gainRows(g.bounds, func(r int, row []float64) { g.members[r].gain = row })
 	if nn := len(g.n.nodes); g.n.cfg.RoamIntervalUs > 0 {
 		g.movers = make([]*Node, 0, nn)
@@ -74,19 +126,24 @@ func (g *gainState) build() {
 // indices, merging BSSs on one channel key (the channel, or its
 // chanRoot when bonded) and BSSs a flow connects, or one domain holding
 // everything under mobility and under the oneGainDomain oracle. It sets
-// members, bounds and every Node.gi. Domains are numbered in the order
-// of their smallest BSS index. No maps, and four slices however many
-// domains there are (one under mobility): builds are frequent in the
-// experiments, and CI gates their allocs/op.
+// members, bounds and every Node.gi, and each site's reach: the static
+// reach (fillReach2), or +Inf for a frame receiver, under mobility and
+// under the oneGainDomain oracle, whose fill is thus the full one.
+// Domains are numbered in the order of their smallest BSS index. No
+// maps, and five slices however many domains there are (two under
+// mobility): builds are frequent in the experiments, and CI gates their
+// allocs/op.
 func (g *gainState) layout() {
 	n := g.n
 	nb, nn := len(n.bss), len(n.nodes)
+	g.sites = make([]gainSite, nn)
 	if n.cfg.RoamIntervalUs > 0 || n.oracle.oneGainDomain {
 		// n.nodes is final once built, and already in id order.
 		g.members = n.nodes
 		g.bounds = []int{0, nn}
 		for i, nd := range n.nodes {
 			nd.gi = i
+			g.sites[i].reach2 = math.Inf(1)
 		}
 		return
 	}
@@ -132,12 +189,48 @@ func (g *gainState) layout() {
 		g.members[bounds[d+1]] = nd
 		bounds[d+1]++
 	}
+	reach2 := g.fillReach2()
 	for d := range domains {
 		for r := bounds[d]; r < bounds[d+1]; r++ {
-			g.members[r].gi = r - bounds[d]
+			nd := g.members[r]
+			nd.gi = r - bounds[d]
+			g.sites[r].reach2 = reach2
+			if nd.ap {
+				g.sites[r].reach2 = math.Inf(1)
+			}
+		}
+	}
+	// The flows' other receivers: each To, and with RTS/CTS on each
+	// From, which the CTS answers. A node's flat index is its domain's
+	// start plus its gi.
+	receiver := func(nd *Node) { g.sites[bounds[domOf[nd.bss.idx]]+nd.gi].reach2 = math.Inf(1) }
+	for _, f := range n.flows {
+		if f.To != nil {
+			receiver(f.To)
+		}
+		if n.cfg.RtsThresholdBytes > 0 {
+			receiver(f.From)
 		}
 	}
 	g.bounds = bounds
+}
+
+// fillReach2 is the squared distance within which a static build
+// computes a pair with no frame receiver in it: the carrier-sense
+// reach, or with RTS/CTS on the larger of it and the NAV-decode reach,
+// plus reachMarginM. A reach at indexRanges' cap is no bound, and
+// computes every pair.
+func (g *gainState) fillReach2() float64 {
+	n := g.n
+	r := n.csRangeM
+	if n.cfg.RtsThresholdBytes > 0 {
+		r = max(r, n.navRangeM)
+	}
+	if r >= maxRangeM {
+		return math.Inf(1)
+	}
+	r += reachMarginM
+	return r * r
 }
 
 // domains is the number of gain domains.
@@ -165,18 +258,29 @@ func (g *gainState) domainOf(nd *Node) []*Node {
 // fill computes every domain's received powers, each unordered
 // same-domain pair once, with the flat member rows striped across
 // goroutines (sim.Parallel): the O(k²) path-loss logs and dB→mW
-// exponentials dominate setup on 1000+ node floors. Row a's stripe
+// exponentials dominate setup on 1000+ node floors. A pair farther
+// apart than both its sites' reach is skipped, and its cells hold
+// skipMw (the static rule in the gainState comment). Row a's stripe
 // writes a's upper cells a.gain[b.gi] (a's id below b's) and mirrors
 // each into b's lower cell, so every cell has one writer. The per-pair
 // math is pure, so the cells hold the bits a single n×n matrix would,
-// however many stripes run.
+// however many stripes run. fill first copies every member's position
+// into its site, so it reads the positions the nodes hold now.
 func (g *gainState) fill() {
+	for r, nd := range g.members {
+		g.sites[r].x, g.sites[r].y = nd.X, nd.Y
+	}
 	step := g.stripes(len(g.members))
 	if step < 2 {
-		g.fillStripe(0, 1) // inline: a one-stripe fill allocates nothing
+		g.fillPairs = g.fillStripe(0, 1) // inline: a one-stripe fill allocates nothing
 		return
 	}
-	sim.Parallel(step, step, func(w int) { g.fillStripe(w, step) })
+	var pairs [8]int
+	sim.Parallel(step, step, func(w int) { pairs[w] = g.fillStripe(w, step) })
+	g.fillPairs = 0
+	for _, p := range pairs {
+		g.fillPairs += p
+	}
 }
 
 // stripes is how many stripes, one goroutine each, a gain pass striped
@@ -193,26 +297,50 @@ func (g *gainState) stripes(parts int) int {
 }
 
 // fillStripe is one fill worker: it fills the flat member rows r ≡ w
-// (mod step). Row r's domain starts gi places before it, so the row's
-// cells above the diagonal pair it with the members after it. Each row
-// runs in two passes: every cell's loss, then every cell's received
-// power and its mirror cell.
-func (g *gainState) fillStripe(w, step int) {
+// (mod step) and returns how many pairs it computed. Row r's domain
+// starts gi places before it, so the row's cells above the diagonal
+// pair it with the members after it. Each row runs in two passes: every
+// cell's loss, read off the sites, or skippedLoss past both sites'
+// reach, then every computed cell's received power and its mirror
+// cell. A skipped cell's mirror is written only when skipMw is not the
+// 0 it was allocated with. The +Inf that marks a skipped cell between
+// the passes is a computed loss only at an infinite distance, whose
+// power is 0 mW too.
+func (g *gainState) fillStripe(w, step int) (pairs int) {
 	pg := g.newPairGain()
+	skip, skippedLoss := g.skipMw, math.Inf(1)
 	for r := w; r < len(g.members); r += step {
 		a := g.members[r]
 		i := a.gi
 		others := g.members[r+1 : r-i+len(a.gain)]
 		cells := a.gain[i+1:]
 		cells = cells[:len(others)] // the same length, stated for bounds-check elimination
-		for j, o := range others {
-			cells[j] = pg.lossDB(a, o)
+		s := g.sites[r]
+		sites := g.sites[r+1:]
+		sites = sites[:len(cells)]
+		for j := range cells {
+			o := &sites[j]
+			dx, dy := s.x-o.x, s.y-o.y
+			if d2 := dx*dx + dy*dy; d2 > s.reach2 && d2 > o.reach2 {
+				cells[j] = skippedLoss
+				continue
+			}
+			cells[j] = pg.lossDB(dx, dy)
 		}
 		for j, o := range others {
-			mw := pg.mw(cells[j])
-			cells[j], o.gain[i] = mw, mw
+			if db := cells[j]; db != skippedLoss {
+				mw := pg.mw(db)
+				cells[j], o.gain[i] = mw, mw
+				pairs++
+			} else {
+				cells[j] = skip
+				if skip != 0 {
+					o.gain[i] = skip
+				}
+			}
 		}
 	}
+	return pairs
 }
 
 // pairGain computes one pair's received power in two steps, the one
@@ -233,10 +361,11 @@ func (g *gainState) newPairGain() pairGain {
 	return pairGain{cfg.PathLoss.Curve(), cfg.Budget.BudgetDBm()}
 }
 
-// lossDB is the path loss in dB between a and o. Distance and path loss
-// are symmetric, so the order of a and o does not matter.
-func (pg *pairGain) lossDB(a, o *Node) float64 {
-	return pg.curve.LossDB(dist(a, o))
+// lossDB is the path loss in dB between two nodes dx and dy apart on
+// each axis (dist's Hypot). Distance and path loss are symmetric, so the
+// order of the two nodes does not matter.
+func (pg *pairGain) lossDB(dx, dy float64) float64 {
+	return pg.curve.LossDB(mathx.Hypot(dx, dy))
 }
 
 // mw is the received power in mW at a loss of lossDB.
@@ -255,7 +384,8 @@ type gainCell struct {
 // each, then the received power, into both cells of the pair.
 func (pg *pairGain) setRow(a *Node, cells []gainCell) {
 	for c := range cells {
-		cells[c].db = pg.lossDB(a, cells[c].o)
+		o := cells[c].o
+		cells[c].db = pg.lossDB(a.X-o.X, a.Y-o.Y)
 	}
 	for _, c := range cells {
 		mw := pg.mw(c.db)
@@ -466,7 +596,9 @@ func (g *gainState) bytes() int64 {
 }
 
 // rxPowerMw returns the received power, in milliwatts, at node rx when
-// tx transmits. The two must share a gain domain. Under mobility only
+// tx transmits. The two must share a gain domain. A static build holds
+// 0 for a pair with no frame receiver beyond the tests' reach (fill),
+// which no threshold test tells from its power. Under mobility only
 // the cells gainState.readable admits are kept current between roam
 // ticks: two nodes on one medium, a pair with an AP, and a receiver
 // that roamed off the medium of a frame still on the air to it, paired

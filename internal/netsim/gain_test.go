@@ -14,10 +14,16 @@ import (
 // TestGainStateOracle pins the build's gain state against brute force.
 // A static build lays the gains out as one domain per channel (per
 // bonded component); a build with mobility is one domain, one n×n
-// matrix. Every gain the static build stores must equal the mobile
-// build's bit for bit, each build's byte count must be its domains'
-// rows, and re-deriving every pair from the positions (a refresh with
-// every node listed as moved, none having moved) must change nothing.
+// matrix, every pair of it computed. Every gain the static build
+// computes must equal the mobile build's bit for bit, every pair it
+// skips must be one the static rule lets it skip (skipFault), each
+// build's Result.GainFillPairs must count the pairs it computed, each
+// build's byte count must be its domains' rows, and re-deriving every
+// pair from the positions (a refresh with every node listed as moved,
+// none having moved) must change nothing. At −62 dBm carrier sense the
+// reuse floor skips most of its pairs; the same floor with RTS/CTS on,
+// on which every station sends and so receives a CTS, computes every
+// pair.
 // The 320-node case is above the fill's and the refresh's 256-node
 // cutover, so under -race it checks that the striped fill workers'
 // upper-cell writes never race another worker's lower-triangle
@@ -28,6 +34,8 @@ func TestGainStateOracle(t *testing.T) {
 	bonded := HtConfig(2, 40)
 	obss := DefaultConfig()
 	obss.ObssPdThresholdDBm = -72
+	reuse := DefaultConfig()
+	reuse.CSThresholdDBm = -62
 	cases := []struct {
 		name    string
 		cfg     Config
@@ -41,6 +49,12 @@ func TestGainStateOracle(t *testing.T) {
 			return LargeFloor(cfg, 9, 4, 3, 1, 5, 9)
 		}},
 		{"obss-pd", obss, 1, func(cfg Config) func(int64) *Network {
+			return LargeFloor(cfg, 16, 4, 4, 1)
+		}},
+		{"reuse", reuse, 1, func(cfg Config) func(int64) *Network {
+			return LargeFloor(cfg, 16, 4, 4, 1)
+		}},
+		{"rts", rtsEvery(reuse), 1, func(cfg Config) func(int64) *Network {
 			return LargeFloor(cfg, 16, 4, 4, 1)
 		}},
 	}
@@ -67,7 +81,17 @@ func TestGainStateOracle(t *testing.T) {
 					t.Fatalf("%s build: %s", name, d)
 				}
 			}
-			assertSameGains(t, static, mobile)
+			computed := assertSameGains(t, static, mobile)
+			if got := static.gains.fillPairs; got != computed {
+				t.Fatalf("static build counts %d computed pairs, its rows hold %d", got, computed)
+			}
+			if got, want := mobile.gains.fillPairs, nn*(nn-1)/2; got != want {
+				t.Fatalf("mobile build counts %d computed pairs, want all %d", got, want)
+			}
+			if all := domainPairs(static); tc.name == "rts" && computed != all {
+				t.Fatalf("RTS floor computed %d of its %d pairs, want all", computed, all)
+			}
+			t.Logf("static build computed %d of %d pairs", computed, domainPairs(static))
 
 			var want int64
 			for d := range tc.domains {
@@ -89,8 +113,9 @@ func TestGainStateOracle(t *testing.T) {
 			}
 		})
 	}
-	if got := SingleLink(DefaultConfig(), 10, 500)(1).Run(1e4).GainBytes; got != 2*2*8+2*24 {
-		t.Fatalf("Result.GainBytes = %d for a 2-node static run, want %d", got, 2*2*8+2*24)
+	if r := SingleLink(DefaultConfig(), 10, 500)(1).Run(1e4); r.GainBytes != 2*2*8+2*24 || r.GainFillPairs != 1 {
+		t.Fatalf("Result.GainBytes = %d, GainFillPairs = %d for a 2-node static run, want %d and 1",
+			r.GainBytes, r.GainFillPairs, 2*2*8+2*24)
 	}
 
 	// The two large floors, laid out only (the byte count reads the
@@ -228,11 +253,15 @@ func assertGainLayout(t *testing.T, n *Network) {
 	}
 }
 
-// assertSameGains checks that every gain n stores, both cells of every
-// same-domain pair, holds the bits the one-domain build one holds.
-func assertSameGains(t *testing.T, n, one *Network) {
+// assertSameGains checks that every gain n computes, both cells of
+// every same-domain pair, holds the bits the one-domain build one
+// holds, and that every pair it skips is one it may skip (skipFault,
+// with one's gain as the pair's power). It returns how many pairs n
+// computed.
+func assertSameGains(t *testing.T, n, one *Network) (computed int) {
 	t.Helper()
 	dom := gainDomainOf(n)
+	rcv := frameReceivers(n)
 	for i, a := range n.nodes {
 		for j := i + 1; j < len(n.nodes); j++ {
 			if dom[i] != dom[j] {
@@ -240,12 +269,72 @@ func assertSameGains(t *testing.T, n, one *Network) {
 			}
 			b := n.nodes[j]
 			want := one.nodes[i].gain[j]
-			if math.Float64bits(a.gain[b.gi]) != math.Float64bits(want) ||
-				math.Float64bits(b.gain[a.gi]) != math.Float64bits(want) {
-				t.Fatalf("pair %d-%d holds %v and %v, the one-domain build %v", i, j, a.gain[b.gi], b.gain[a.gi], want)
+			ab, ba := a.gain[b.gi], b.gain[a.gi]
+			if math.Float64bits(ab) == math.Float64bits(want) && math.Float64bits(ba) == math.Float64bits(want) {
+				computed++
+				continue
+			}
+			if f := skipFault(n, rcv, a, b, want); f != "" {
+				t.Fatalf("pair %d-%d holds %v and %v, the one-domain build %v: %s", i, j, ab, ba, want, f)
 			}
 		}
 	}
+	return computed
+}
+
+// domainPairs is the number of same-domain pairs of n's gain layout,
+// k(k−1)/2 summed over its domains of k.
+func domainPairs(n *Network) int {
+	all := 0
+	for d := range n.gains.domains() {
+		k := len(n.gains.domain(d))
+		all += k * (k - 1) / 2
+	}
+	return all
+}
+
+// frameReceivers marks, by node id, the nodes a frame of n's run can
+// be addressed to: every AP, every flow's To and, with RTS/CTS on,
+// every flow's From, which the CTS answers.
+func frameReceivers(n *Network) []bool {
+	rcv := make([]bool, len(n.nodes))
+	for _, nd := range n.nodes {
+		rcv[nd.id] = nd.ap
+	}
+	for _, f := range n.flows {
+		if f.To != nil {
+			rcv[f.To.id] = true
+		}
+		if n.cfg.RtsThresholdBytes > 0 {
+			rcv[f.From.id] = true
+		}
+	}
+	return rcv
+}
+
+// skipFault describes why the built network n may not have skipped the
+// pair a–o, whose received power a full fill gives as wantMw ("" when
+// it may). A skipped pair holds 0 in both cells, is in a static build,
+// has no frame receiver in it (rcv, from frameReceivers), so no run
+// reads its value, and its power is quiet under every threshold test a
+// run makes on it: below the carrier-sense threshold and, with RTS/CTS
+// on, below the NAV-decode one. The OBSS-PD backoff and the bonded
+// half-slot penalty only lower a power, so a quiet one stays quiet, and
+// the stored 0 takes every branch wantMw takes.
+func skipFault(n *Network, rcv []bool, a, o *Node, wantMw float64) string {
+	switch {
+	case math.Float64bits(a.gain[o.gi]) != 0 || math.Float64bits(o.gain[a.gi]) != 0:
+		return "the pair holds neither the full fill's power nor a skipped 0"
+	case n.cfg.RoamIntervalUs > 0:
+		return "a mobile build skipped it"
+	case rcv[a.id] || rcv[o.id]:
+		return "skipped, but a frame can be addressed to one of its nodes"
+	case !(wantMw < n.csMw):
+		return fmt.Sprintf("skipped, but its power %v mW reaches the carrier-sense threshold %v mW", wantMw, n.csMw)
+	case n.cfg.RtsThresholdBytes > 0 && !(wantMw < n.navMw):
+		return fmt.Sprintf("skipped under RTS/CTS, but its power %v mW reaches NAV decode at %v mW", wantMw, n.navMw)
+	}
+	return ""
 }
 
 // asymmetricGain describes the first same-domain pair of n whose two
@@ -299,7 +388,12 @@ const halfSlotDB = -3.0102999566398121
 // recomputes each pair's received power p in dBm as the fill does and
 // asserts for every pair in one gain domain (the pairs a run can
 // read):
-//   - both cells of the pair hold mwFromDBm(p) bit for bit;
+//   - both cells of the pair hold mwFromDBm(p) bit for bit, or the
+//     static build skipped the pair (skipFault): then both hold 0, and
+//     p gets the verdict 0 gets under every rule a run tests the pair
+//     at, carrier sense and the OBSS-PD window with and without the
+//     backoff and the half-slot penalty, and NAV decode with RTS/CTS
+//     on;
 //   - the mW and dB rules agree on the carrier-sense threshold and the
 //     OBSS-PD window, with and without the TX-power backoff, with the
 //     half-slot penalty on bonded floors, and on NAV decode;
@@ -349,6 +443,7 @@ func mismatchedRules(n *Network) string {
 	}
 	need := n.robustMode().SnrReqDB
 	dom := gainDomainOf(n)
+	rcv := frameReceivers(n)
 	for i, a := range nodes {
 		for j := i + 1; j < len(nodes); j++ {
 			if dom[i] != dom[j] {
@@ -359,8 +454,21 @@ func mismatchedRules(n *Network) string {
 			mw := mwFromDBm(p)
 			if math.Float64bits(a.gain[b.gi]) != math.Float64bits(mw) ||
 				math.Float64bits(b.gain[a.gi]) != math.Float64bits(mw) {
-				return fmt.Sprintf("pair %d-%d holds %v and %v, want mwFromDBm(%v) = %v",
-					i, j, a.gain[b.gi], b.gain[a.gi], p, mw)
+				if f := skipFault(n, rcv, a, b, mw); f != "" {
+					return fmt.Sprintf("pair %d-%d holds %v and %v, want mwFromDBm(%v) = %v: %s",
+						i, j, a.gain[b.gi], b.gain[a.gi], p, mw, f)
+				}
+				// The stored 0 is quiet under every rule and decodes
+				// nothing; p must be, under the dB rules.
+				for _, bo := range backoffs {
+					if p+bo.db >= cfg.CSThresholdDBm {
+						return fmt.Sprintf("skipped pair %d-%d at %v dBm (backoff %v dB) reaches carrier sense in dB", i, j, p, bo.db)
+					}
+					if cfg.RtsThresholdBytes > 0 && p-n.noiseFloorDBm+bo.db >= need {
+						return fmt.Sprintf("skipped pair %d-%d at %v dBm (backoff %v dB) decodes a NAV in dB", i, j, p, bo.db)
+					}
+				}
+				continue
 			}
 			for _, bo := range backoffs {
 				for half := range 2 {

@@ -30,9 +30,14 @@ func refGainMw(cfg Config, a, o *Node) float64 {
 }
 
 // TestGainCellsMatchReference holds every gain cell the fill and the
-// roam-tick refresh write to refGainMw bit for bit. The two large
+// roam-tick refresh write to refGainMw bit for bit. The three large
 // static floors are built whole: every same-domain cell of the
-// 4,100-node one-channel E27 floor and of the 8-domain city floor. The
+// 4,100-node one-channel E27 floor (−62 dBm carrier sense), of the
+// same floor at −82 dBm with OBSS-PD at −72 dBm (perfbench's
+// floor-obss) and of the 8-domain city floor. Each cell the fill
+// computes must match; each pair it skips must be one the static rule
+// lets it skip (skipFault), and the pairs it computed must number its
+// fillPairs, which this test pins per floor. The
 // walker floor (272 nodes, mobile) is checked after its build and after
 // every roam tick, with every skipped cell poisoned with NaN
 // (the poisonSkippedGains oracle): a cell with a node that moved since it
@@ -42,13 +47,17 @@ func refGainMw(cfg Config, a, o *Node) float64 {
 func TestGainCellsMatchReference(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.CSThresholdDBm = -62
+	obss := DefaultConfig()
+	obss.ObssPdThresholdDBm = -72
 	for _, fl := range []struct {
 		name    string
 		build   func(seed int64) *Network
 		domains int
+		pairs   int
 	}{
-		{"e27", LargeFloor(cfg, 100, 40, 10, 1), 1},
-		{"city", LargeFloor(cfg, 1024, 3, 32, 1, 6, 11, 36, 40, 44, 48, 52), 8},
+		{"e27", LargeFloor(cfg, 100, 40, 10, 1), 1, 782_723},
+		{"floor-obss", LargeFloor(obss, 100, 40, 10, 1), 1, 3_837_252},
+		{"city", LargeFloor(cfg, 1024, 3, 32, 1, 6, 11, 36, 40, 44, 48, 52), 8, 461_312},
 	} {
 		t.Run(fl.name, func(t *testing.T) {
 			n := fl.build(1)
@@ -56,7 +65,8 @@ func TestGainCellsMatchReference(t *testing.T) {
 			if got := n.gains.domains(); got != fl.domains {
 				t.Fatalf("%d gain domains, want %d", got, fl.domains)
 			}
-			cells := 0
+			rcv := frameReceivers(n)
+			cells, computed := 0, 0
 			for d := range n.gains.domains() {
 				dom := n.gains.domain(d)
 				for _, a := range dom {
@@ -64,15 +74,25 @@ func TestGainCellsMatchReference(t *testing.T) {
 						if o == a {
 							continue
 						}
-						if got, want := a.gain[o.gi], refGainMw(n.cfg, a, o); math.Float64bits(got) != math.Float64bits(want) {
-							t.Fatalf("gain %d→%d holds %v (%#x), the reference gives %v (%#x)",
-								a.id, o.id, got, math.Float64bits(got), want, math.Float64bits(want))
-						}
 						cells++
+						got, want := a.gain[o.gi], refGainMw(n.cfg, a, o)
+						if math.Float64bits(got) == math.Float64bits(want) {
+							computed++
+						} else if f := skipFault(n, rcv, a, o, want); f != "" {
+							t.Fatalf("gain %d→%d holds %v (%#x), the reference gives %v (%#x): %s",
+								a.id, o.id, got, math.Float64bits(got), want, math.Float64bits(want), f)
+						}
 					}
 				}
 			}
-			t.Logf("%d nodes, %d cells", len(n.nodes), cells)
+			if computed != 2*n.gains.fillPairs {
+				t.Fatalf("%d cells hold the reference, want both cells of the %d pairs the fill counts", computed, n.gains.fillPairs)
+			}
+			if n.gains.fillPairs != fl.pairs {
+				t.Errorf("the fill computed %d pairs, want %d", n.gains.fillPairs, fl.pairs)
+			}
+			t.Logf("%d nodes, %d cells, %d pairs computed (%.1f%% of %d)", len(n.nodes), cells,
+				n.gains.fillPairs, 100*float64(2*n.gains.fillPairs)/float64(cells), cells/2)
 		})
 	}
 	t.Run("walker-floor-272", func(t *testing.T) {

@@ -483,12 +483,17 @@ func (p *packet) dest(carrier *Node) *Node {
 //     from Prepare on and never leaves it, in place of the lazy
 //     join/leave of csTracked.
 //   - oneGainDomain: a static build lays its gains out as one domain
-//     over every node, the mobile layout (gainState).
+//     over every node, the mobile layout, and computes every pair of
+//     it (gainState).
 //   - fullGainRefresh: a roam tick recomputes every pair with a moved
 //     node, readable or not, and a station that changes medium skips
 //     its row recompute (gainState.refresh, refreshRow).
 //   - poisonSkippedGains: the tick writes NaN into every cell the
-//     readable-pair rule skips, so that any read of one shows.
+//     readable-pair rule skips, so that any read of one shows; a
+//     static build's fill writes into every pair it skips the loudest
+//     power every threshold test still calls quiet, just below the
+//     carrier-sense threshold (and the NAV-decode one with RTS/CTS on),
+//     so that any use of one's value shows.
 type oracles struct {
 	disableSpatialIndex, eagerCarrierSense, oneGainDomain bool
 	fullGainRefresh, poisonSkippedGains                   bool
@@ -804,10 +809,10 @@ func (n *Network) build() {
 	if n.bonded {
 		n.chanRoot = bondedComponents(n.bss)
 	}
-	n.gains.build()
-	// Media size their grids from csRangeM, and the shard planner's
-	// interaction radius builds on both index radii.
+	// The gain fill's static reach, the media's grids and the shard
+	// planner's interaction radius all build on the two index radii.
 	n.csRangeM, n.navRangeM = n.indexRanges()
+	n.gains.build()
 	n.planShards()
 	// One medium per distinct (shard, channel), in global
 	// first-appearance order — APs in BSS order, then stations — so the
@@ -1295,6 +1300,14 @@ type Result struct {
 	// with mobility is one domain of every node, so one n×n matrix.
 	GainBytes int64
 
+	// GainFillPairs counts the node pairs whose received power the
+	// build computed. A build with mobility computes every same-domain
+	// pair, k(k−1)/2 for a domain of k; a static build only those with
+	// a frame receiver in them or within carrier-sense reach (NAV-decode
+	// reach with RTS/CTS on), the rest holding a power no threshold
+	// test tells from theirs (gainState).
+	GainFillPairs int
+
 	// GainRefreshPairs counts the node pairs whose received power the
 	// run recomputed after moves, summed over the run: each roam tick
 	// recomputes once every pair with at least one moved node that the
@@ -1336,7 +1349,7 @@ type Result struct {
 func (n *Network) collect(durationUs float64) Result {
 	res := Result{DurationUs: durationUs, Shards: len(n.lanes),
 		ModeAttempts: n.shards[0].modeAttempts, GainBytes: n.gains.bytes(),
-		GainRefreshPairs: n.gains.refreshPairs}
+		GainFillPairs: n.gains.fillPairs, GainRefreshPairs: n.gains.refreshPairs}
 	if n.cfg.Aggregation != nil {
 		res.AmpduHist = n.shards[0].ampduHist
 	}

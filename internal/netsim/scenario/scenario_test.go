@@ -225,25 +225,50 @@ func TestHtAmpduCap(t *testing.T) {
 	}
 }
 
-// FuzzParse: whatever Parse accepts builds without a panic, so the
-// file's validation covers everything netsim.Config.Validate and the
-// builders would otherwise panic on. Plain go test runs the seeds.
+// fuzzMaxNodes caps the files FuzzParse runs: a larger one only builds.
+const fuzzMaxNodes = 400
+
+// FuzzParse: whatever Parse accepts builds without a panic, and a file
+// of at most fuzzMaxNodes nodes also runs 20 ms of virtual time without
+// one, so the file's validation covers everything netsim.Config.Validate,
+// the builders and the models would otherwise panic on. Plain go test
+// runs the seeds, among them a web user with a 1-byte mean page, half
+// of whose draws fall below 1 byte (app.WebUser requests at least 1).
 func FuzzParse(f *testing.F) {
 	example, err := os.ReadFile("../../../examples/closedloop.json")
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(example)
-	data, err := json.Marshal(full())
-	if err != nil {
-		f.Fatal(err)
+	for _, sc := range []*File{full(), onePageByte()} {
+		data, err := json.Marshal(sc)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
 	}
-	f.Add(data)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sc, err := Parse(data)
 		if err != nil {
 			return
 		}
-		sc.Build()(1)
+		n := sc.Build()(1)
+		if len(sc.APs)+len(sc.Stations) <= fuzzMaxNodes {
+			n.Run(2e4)
+		}
 	})
+}
+
+// onePageByte is one AP serving one browser whose pages average 1 byte,
+// with a 1 µs think time, so a 20 ms run makes many requests.
+func onePageByte() *File {
+	return &File{
+		Name:      "one-page-byte",
+		DurationS: 0.02,
+		APs:       []AP{{Name: "AP0", Channel: 1}},
+		Stations:  []Station{{Name: "browser", AP: "AP0", X: 5}},
+		Flows: []Flow{{From: "AP0", To: "browser", AC: "AC_BE",
+			Traffic: Traffic{Type: "pull", SegmentBytes: 1000},
+			App:     &App{Type: "web", PageBytes: 1, ThinkMeanUs: 1}}},
+	}
 }

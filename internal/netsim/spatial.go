@@ -346,10 +346,13 @@ func (n *Network) indexRanges() (csM, navM float64) {
 	return csM, navM
 }
 
+// maxRangeM caps the ranges indexRanges derives.
+const maxRangeM = 1e7
+
 // maxDistForLoss inverts the monotone path-loss curve: the largest
 // distance whose median loss stays within lossBudgetDB.
 func maxDistForLoss(m channel.PathLossModel, lossBudgetDB float64) float64 {
-	const lo0, hi0 = 1.0, 1e7
+	const lo0, hi0 = 1.0, maxRangeM
 	if m.LossDB(lo0) > lossBudgetDB {
 		return lo0
 	}
